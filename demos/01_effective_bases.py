@@ -12,7 +12,6 @@ from twocopy import (
     BeamSplitterSetting,
     effective_basis,
     fock_amplitudes,
-    monomial_view,
     outcome_count,
 )
 
@@ -33,7 +32,7 @@ def show(n_total, view):
 
 show(2, fock_amplitudes)
 show(4, fock_amplitudes)
-show(4, monomial_view)
+show(4, lambda vector: vector.terms)
 
 print("\nNorms are always 1 in the amplitude view:")
 for vector in effective_basis(4, BeamSplitterSetting.balanced(1.3)):

@@ -17,29 +17,24 @@ from .fock import (
 from .states import (
     CompositeState,
     DegenerateComponentError,
-    StateEnsemble,
     admix,
     bec_pair,
     bec_state,
-    factorized_noise_ensemble,
     noon_pair,
     noon_state,
     sector_basis,
     two_copy,
-    white_noise_ensemble,
 )
 from .measurement import (
     BALANCED_ALPHA,
     BasisVector,
     BeamSplitterSetting,
     Outcome,
-    OutcomeDistribution,
     effective_basis,
     epsilon,
     joint_distribution,
     local_outcomes,
     measurement_map,
-    monomial_view,
     outcome_count,
     sector_trace_product,
     weighted_parity,
@@ -77,12 +72,12 @@ __all__ = [
     "ModePolynomial", "LinearModeMap", "monomial_state", "from_fock_amplitudes",
     "tensor", "substitute", "fock_amplitudes", "inner",
     "ModeCollisionError", "ModeMismatchError", "NonUnitaryMapError",
-    "StateEnsemble", "CompositeState", "DegenerateComponentError",
+    "CompositeState", "DegenerateComponentError",
     "bec_state", "noon_state", "two_copy", "bec_pair", "noon_pair",
-    "sector_basis", "white_noise_ensemble", "factorized_noise_ensemble", "admix",
-    "BeamSplitterSetting", "BALANCED_ALPHA", "Outcome", "OutcomeDistribution",
+    "sector_basis", "admix",
+    "BeamSplitterSetting", "BALANCED_ALPHA", "Outcome",
     "BasisVector", "epsilon", "outcome_count", "local_outcomes",
-    "measurement_map", "effective_basis", "monomial_view",
+    "measurement_map", "effective_basis",
     "joint_distribution", "weighted_parity", "sector_trace_product",
     "AngleQuad", "CorrelationVector", "correlation", "correlation_vector",
     "bell_value", "steering_value", "closed_form", "closed_form_state",

@@ -171,7 +171,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     rows = []
     for vector in basis:
         if args.raw:
-            entries = sorted(measurement.monomial_view(vector.vector).items())
+            entries = sorted(vector.vector.terms.items())
         else:
             from .fock import fock_amplitudes
             entries = sorted(fock_amplitudes(vector.vector).items())

@@ -143,7 +143,7 @@ class LinearModeMap:
         if m.shape[0] != m.shape[1]:
             raise NonUnitaryMapError("mode map must have as many outputs as inputs")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # also rejects NaN entries
             raise NonUnitaryMapError(f"map is not unitary (deviation {dev:.3e})")
         m.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
@@ -153,11 +153,6 @@ class LinearModeMap:
     def adjoint(self) -> "LinearModeMap":
         """The inverse map (outputs back to inputs)."""
         return LinearModeMap(self.outputs, self.inputs, self.matrix.conj().T)
-
-    @staticmethod
-    def identity(modes: Sequence[str]) -> "LinearModeMap":
-        modes = tuple(modes)
-        return LinearModeMap(modes, modes, np.eye(len(modes)))
 
     @staticmethod
     def combine(*maps: "LinearModeMap") -> "LinearModeMap":

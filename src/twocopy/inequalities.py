@@ -70,11 +70,6 @@ class AngleQuad:
         """Representative with every angle folded into [0, 2*pi)."""
         return AngleQuad(*(v % TWO_PI for v in self.as_tuple()))
 
-    def replace(self, **kwargs: float) -> "AngleQuad":
-        vals = dict(zip(ANGLE_NAMES, self.as_tuple()))
-        vals.update(kwargs)
-        return AngleQuad(**vals)
-
 
 @dataclass(frozen=True)
 class CorrelationVector:
@@ -140,6 +135,8 @@ def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
     ``alpha`` is each party's first beam-splitter amplitude; pass
     ``bob_alpha`` to give Bob a different one.  Always lies in [-1, 1].
     """
+    if not (math.isfinite(alice_angle) and math.isfinite(bob_angle)):
+        raise ValueError(f"angles ({alice_angle}, {bob_angle}) are not finite")
     if bob_alpha is None:
         bob_alpha = alpha
     series = _profile(state, float(alpha), float(bob_alpha))
@@ -304,6 +301,8 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     Returns per-family maximum absolute deviations over ``draws`` uniform
     random angle quads, plus the overall maximum.
     """
+    if draws < 1:
+        raise ValueError(f"need at least one draw, got {draws}")
     rng = np.random.default_rng(seed)
     deviations: dict[str, float] = {}
     for family, orientation in FORM_ORIENTATION.items():

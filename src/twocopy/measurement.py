@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class BeamSplitterSetting:
             raise ValueError("alpha and beta must lie in [0, 1]")
         if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > _SETTING_TOL:
             raise ValueError("alpha^2 + beta^2 must equal 1")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase {self.phase} is not finite")
 
     @classmethod
     def balanced(cls, phase: float) -> "BeamSplitterSetting":
@@ -50,13 +52,6 @@ class BeamSplitterSetting:
     def from_alpha(cls, alpha: float, phase: float) -> "BeamSplitterSetting":
         return cls(alpha, math.sqrt(max(0.0, 1.0 - alpha * alpha)), phase)
 
-    @classmethod
-    def from_reflectivity(cls, reflectivity: float, phase: float) -> "BeamSplitterSetting":
-        """Setting with power reflectivity ``r``, i.e. alpha = sqrt(r)."""
-        if not 0.0 <= reflectivity <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
-        return cls.from_alpha(math.sqrt(reflectivity), phase)
-
 
 class Outcome(NamedTuple):
     """Joint particle counts in the four output modes (c, C, d, D)."""
@@ -65,32 +60,6 @@ class Outcome(NamedTuple):
     m_C: int
     n_d: int
     m_D: int
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probability mapping over joint outcomes at fixed settings."""
-
-    probabilities: tuple[tuple[Outcome, float], ...]
-
-    def __post_init__(self):
-        probs = tuple(sorted((Outcome(*o), float(p)) for o, p in self.probabilities))
-        if any(p < -PROB_TOL for _, p in probs):
-            raise ValueError("negative probability")
-        object.__setattr__(self, "probabilities", probs)
-
-    def total(self) -> float:
-        return sum(p for _, p in self.probabilities)
-
-    def items(self) -> tuple[tuple[Outcome, float], ...]:
-        return self.probabilities
-
-    def probability(self, outcome: Iterable[int]) -> float:
-        target = Outcome(*outcome)
-        for o, p in self.probabilities:
-            if o == target:
-                return p
-        return 0.0
 
 
 def epsilon(n: int, m: int) -> int:
@@ -108,6 +77,8 @@ def outcome_count(n_total: int) -> int:
 
 def local_outcomes(n_total: int) -> list[tuple[int, int]]:
     """Lexicographic list of local outcomes (n, m) with n + m <= n_total."""
+    if n_total < 0:
+        raise ValueError("particle number must be nonnegative")
     return [(n, m) for n in range(n_total + 1) for m in range(n_total + 1 - n)]
 
 
@@ -163,20 +134,11 @@ def effective_basis(n_total: int, setting: BeamSplitterSetting,
     return tuple(vectors)
 
 
-def monomial_view(vector: ModePolynomial) -> dict[tuple[int, ...], complex]:
-    """Raw creation-monomial coefficients of a basis vector.
-
-    This is the unnormalized-ket convention in which printed basis tables
-    are usually typeset; :func:`fock_amplitudes` gives the physical
-    amplitudes instead.
-    """
-    return dict(vector.terms)
-
-
 def joint_distribution(state: CompositeState,
                        alice: BeamSplitterSetting,
-                       bob: BeamSplitterSetting) -> OutcomeDistribution:
-    """Joint particle-count distribution over the four output modes."""
+                       bob: BeamSplitterSetting) -> dict[Outcome, float]:
+    """Joint particle-count distribution over the four output modes, as
+    outcome -> probability in sorted outcome order."""
     mapping = joint_map(alice, bob)
     probs: dict[Outcome, float] = {}
     for weight, member in state.entries:
@@ -187,14 +149,14 @@ def joint_distribution(state: CompositeState,
             if p > 0.0:
                 key = Outcome(*occ)
                 probs[key] = probs.get(key, 0.0) + p
-    dist = OutcomeDistribution(tuple(probs.items()))
-    total = dist.total()
+    dist = dict(sorted(probs.items()))
+    total = sum(dist.values())
     if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"distribution sums to {total}, expected 1")
     return dist
 
 
-def weighted_parity(dist: OutcomeDistribution) -> float:
+def weighted_parity(dist: dict[Outcome, float]) -> float:
     """Correlation functional: sum of eps(n_c,m_C) eps(n_d,m_D) P(outcome)."""
     return sum(epsilon(o.n_c, o.m_C) * epsilon(o.n_d, o.m_D) * p
                for o, p in dist.items())

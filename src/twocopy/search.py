@@ -193,11 +193,10 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
 
 
 def count_local_maxima(series: ScanSeries | Sequence[float],
-                       threshold: float,
-                       plateau_tol: float = PLATEAU_TOL) -> int:
+                       threshold: float) -> int:
     """Strict local maxima above ``threshold`` under circular adjacency.
 
-    Runs of values within ``plateau_tol`` of each other are merged and
+    Runs of values within ``PLATEAU_TOL`` of each other are merged and
     counted as a single candidate.  A constant series has no maxima.
     """
     values = series.values() if isinstance(series, ScanSeries) else list(series)
@@ -205,11 +204,11 @@ def count_local_maxima(series: ScanSeries | Sequence[float],
         return 0
     segments: list[float] = []
     for v in values:
-        if segments and abs(v - segments[-1]) < plateau_tol:
+        if segments and abs(v - segments[-1]) < PLATEAU_TOL:
             continue
         segments.append(v)
     # merge the wrap-around plateau
-    while len(segments) > 1 and abs(segments[0] - segments[-1]) < plateau_tol:
+    while len(segments) > 1 and abs(segments[0] - segments[-1]) < PLATEAU_TOL:
         segments.pop()
     count = len(segments)
     if count <= 1:

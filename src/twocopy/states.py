@@ -28,32 +28,9 @@ class DegenerateComponentError(ValueError):
 
 
 @dataclass(frozen=True)
-class StateEnsemble:
-    """A convex mixture of pure states over a common mode set."""
-
-    entries: tuple[tuple[float, ModePolynomial], ...]
-
-    def __post_init__(self):
-        entries = tuple((float(w), s) for w, s in self.entries)
-        if not entries:
-            raise ValueError("ensemble must contain at least one entry")
-        if any(w < -WEIGHT_TOL for w, _ in entries):
-            raise ValueError("ensemble weights must be nonnegative")
-        total = sum(w for w, _ in entries)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"ensemble weights sum to {total}, expected 1")
-        modes = entries[0][1].modes
-        for w, s in entries:
-            if s.modes != modes:
-                raise ModeMismatchError("all ensemble members must share one mode set")
-            if w > WEIGHT_TOL and not s.is_normalized(1e-10):
-                raise ValueError("ensemble members must be normalized")
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
 class CompositeState:
-    """Two systems split between Alice and Bob, possibly mixed.
+    """Two systems split between Alice and Bob: a convex mixture of
+    normalized pure states on the composite modes.
 
     ``n1`` and ``n2`` are the particle numbers of the signal sector (system 1
     on modes a,b and system 2 on modes A,B).  Noise entries added by
@@ -64,15 +41,21 @@ class CompositeState:
     entries: tuple[tuple[float, ModePolynomial], ...]
     n1: int
     n2: int
-    alice: tuple[str, str] = ALICE_MODES
-    bob: tuple[str, str] = BOB_MODES
     sector_pure: bool = True
 
     def __post_init__(self):
-        StateEnsemble(self.entries)  # weight/normalization validation
-        for _, s in self.entries:
+        if not self.entries:
+            raise ValueError("mixture must contain at least one entry")
+        if any(w < -WEIGHT_TOL for w, _ in self.entries):
+            raise ValueError("mixture weights must be nonnegative")
+        total = sum(w for w, _ in self.entries)
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"mixture weights sum to {total}, expected 1")
+        for w, s in self.entries:
             if s.modes != COMPOSITE_MODES:
                 raise ModeMismatchError(f"composite states use modes {COMPOSITE_MODES}")
+            if w > WEIGHT_TOL and not s.is_normalized(1e-10):
+                raise ValueError("mixture members must be normalized")
         if self.sector_pure:
             for _, s in self.entries:
                 for (ea, eb, eA, eB) in s.terms:
@@ -85,9 +68,6 @@ class CompositeState:
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
-
-    def is_pure(self) -> bool:
-        return len(self.entries) == 1
 
 
 def bec_state(n: int, modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
@@ -148,21 +128,14 @@ def noon_pair(n: int, m: int = 0) -> CompositeState:
 
 def sector_basis(n1: int, n2: int) -> list[ModePolynomial]:
     """The (n1+1)(n2+1) product Fock states |k, n1-k> (x) |l, n2-l>."""
+    if n1 < 0 or n2 < 0:
+        raise ValueError("particle numbers must be nonnegative")
     out = []
     for k in range(n1 + 1):
         for l in range(n2 + 1):
             out.append(monomial_state(
                 {"a": k, "b": n1 - k, "A": l, "B": n2 - l}, COMPOSITE_MODES))
     return out
-
-
-def white_noise_ensemble(n1: int, n2: int) -> StateEnsemble:
-    """Uniform mixture over the fixed-number sector (n1, n2)."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("particle numbers must be nonnegative")
-    basis = sector_basis(n1, n2)
-    w = 1.0 / len(basis)
-    return StateEnsemble(tuple((w, s) for s in basis))
 
 
 def factorized_noise_basis(n_total: int) -> list[ModePolynomial]:
@@ -177,18 +150,6 @@ def factorized_noise_basis(n_total: int) -> list[ModePolynomial]:
                     out.append(monomial_state(
                         {"a": i, "b": k, "A": j, "B": l}, COMPOSITE_MODES))
     return out
-
-
-def factorized_noise_ensemble(n_total: int) -> StateEnsemble:
-    """Uniform mixture over the factorized per-party measurement space.
-
-    On this space the weighted-parity observables of both parties are
-    traceless whenever the per-party outcome-space trace vanishes, which is
-    what makes inequality values scale linearly under admixture.
-    """
-    basis = factorized_noise_basis(n_total)
-    w = 1.0 / len(basis)
-    return StateEnsemble(tuple((w, s) for s in basis))
 
 
 def admix(state: CompositeState, p: float,

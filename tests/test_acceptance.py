@@ -38,7 +38,6 @@ from twocopy.inequalities import (
 from twocopy.measurement import (
     BeamSplitterSetting,
     effective_basis,
-    monomial_view,
     outcome_count,
     sector_trace_product,
 )
@@ -433,7 +432,7 @@ def test_a10_structural_counts_and_reference_bases():
     basis4 = {v.outcome: v for v in effective_basis(4, BAL(0.0))}
     for outcome, (coeffs, eps_want) in reference_four_particle_monomials().items():
         assert basis4[outcome].weight == eps_want
-        raw = monomial_view(basis4[outcome].vector)
+        raw = basis4[outcome].vector.terms
         s = sum(outcome)
         for k, value in enumerate(coeffs):
             got = raw.get((s - k, k), 0.0)

@@ -197,3 +197,25 @@ class TestArgumentErrors:
             "--objective", "steering", "--restarts", "2", "--alpha", "1.0")
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--n1", "-1", "--n2", "1", "--phi", "0", "--theta", "0"),
+        ("basis", "--n-total", "-1"),
+        ("verify", "--draws", "-3"),
+    ], ids=["trace", "basis", "verify"])
+    def test_negative_counts(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "twocopy: error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--n-total", "1", "--phi", "nan"),
+        ("basis", "--n-total", "1", "--phi", "inf"),
+        ("trace", "--n1", "1", "--n2", "1", "--phi", "nan", "--theta", "0"),
+    ], ids=["basis-nan", "basis-inf", "trace-nan"])
+    def test_non_finite_phase(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "phase" in err

@@ -126,7 +126,7 @@ class TestSubstitute:
 
     def test_identity_map(self):
         state = from_fock_amplitudes(("a", "A"), {(2, 0): 0.6, (1, 1): 0.8})
-        out = substitute(state, LinearModeMap.identity(("a", "A")))
+        out = substitute(state, LinearModeMap(("a", "A"), ("a", "A"), np.eye(2)))
         assert out.terms == pytest.approx(state.terms)
 
     def test_missing_mode_rejected(self):
@@ -136,6 +136,10 @@ class TestSubstitute:
     def test_non_unitary_map_rejected(self):
         with pytest.raises(NonUnitaryMapError):
             LinearModeMap(("a", "A"), ("c", "C"), np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_nan_map_rejected(self):
+        with pytest.raises(NonUnitaryMapError):
+            LinearModeMap(("a", "A"), ("c", "C"), np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_permanent_oracle(self, seed):

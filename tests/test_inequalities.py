@@ -55,6 +55,11 @@ class TestCorrelation:
         for phi, theta in [(0.0, 0.0), (0.7, 2.2), (5.1, 1.3)]:
             assert correlation(vac, phi, theta) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("phi,theta", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_rejects_non_finite_angles(self, phi, theta):
+        with pytest.raises(ValueError, match="not finite"):
+            correlation(bec_pair(1), phi, theta)
+
     def test_equal_angles_vanish_for_single_particle_pair(self):
         state = bec_pair(1)
         for angle in (0.0, 1.1, 4.4):
@@ -286,10 +291,6 @@ class TestAngleQuad:
             assert 0.0 <= value < TWO_PI
         assert q.theta1 == pytest.approx(2.0)
         assert q.phi1 == pytest.approx(TWO_PI - 0.52)
-
-    def test_replace(self):
-        q = AngleQuad(0.1, 0.2, 0.3, 0.4).replace(theta2=1.5)
-        assert q.theta2 == 1.5 and q.phi1 == 0.1
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

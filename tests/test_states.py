@@ -3,23 +3,22 @@ import math
 
 import pytest
 
-from twocopy.fock import fock_amplitudes
+from twocopy.fock import ModeMismatchError, ModePolynomial, fock_amplitudes
 from twocopy.states import (
+    COMPOSITE_MODES,
     CompositeState,
     DegenerateComponentError,
-    StateEnsemble,
     admix,
     bec_pair,
     bec_state,
-    factorized_noise_ensemble,
     noon_pair,
     noon_state,
     sector_basis,
     two_copy,
-    white_noise_ensemble,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+MEMBER = bec_pair(1).entries[0][1]
 
 
 class TestBecState:
@@ -104,21 +103,21 @@ class TestTwoCopy:
 
 class TestNoiseEnsembles:
     def test_sector_dimension_counts(self):
-        assert len(white_noise_ensemble(1, 1).entries) == 4
-        assert len(white_noise_ensemble(0, 0).entries) == 1
-        assert len(white_noise_ensemble(1, 2).entries) == 6
+        assert len(admix(bec_pair(1), 0.0, "sector").entries) == 4
+        assert len(admix(bec_pair(0), 0.0, "sector").entries) == 1
+        assert len(admix(bec_pair(1, 2), 0.0, "sector").entries) == 6
 
     def test_sector_weights_uniform(self):
-        ens = white_noise_ensemble(1, 2)
-        for w, _ in ens.entries:
+        noise = admix(bec_pair(1, 2), 0.0, "sector")
+        for w, _ in noise.entries:
             assert w == pytest.approx(1.0 / 6.0)
 
     def test_factorized_dimension(self):
         # outcome space per party for two particles has 6 states
-        assert len(factorized_noise_ensemble(2).entries) == 36
+        assert len(admix(bec_pair(1), 0.0, "factorized").entries) == 36
 
     def test_members_are_basis_states(self):
-        for _, member in white_noise_ensemble(2, 1).entries:
+        for _, member in admix(bec_pair(2, 1), 0.0, "sector").entries:
             amps = fock_amplitudes(member)
             assert len(amps) == 1
             assert next(iter(amps.values())) == pytest.approx(1.0)
@@ -159,13 +158,15 @@ class TestAdmix:
 
 
 class TestEnsembleValidation:
-    def test_weights_must_sum_to_one(self):
-        s = bec_pair(1).entries[0][1]
-        with pytest.raises(ValueError):
-            StateEnsemble(((0.5, s),))
-
-    def test_members_share_modes(self):
-        s = bec_pair(1).entries[0][1]
-        other = bec_state(1)
-        with pytest.raises(Exception):
-            StateEnsemble(((0.5, s), (0.5, other)))
+    @pytest.mark.parametrize("entries,error,message", [
+        ((), ValueError, "at least one entry"),
+        (((1.5, MEMBER), (-0.5, MEMBER)), ValueError, "nonnegative"),
+        (((0.5, MEMBER),), ValueError, "sum to 0.5"),
+        (((1.0, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 2.0})),),
+         ValueError, "normalized"),
+        (((0.5, MEMBER), (0.5, bec_state(1))), ModeMismatchError, "modes"),
+    ], ids=["empty", "negative-weight", "weights-not-summing-to-one",
+            "unnormalized-member", "wrong-modes"])
+    def test_rejects_invalid_mixture(self, entries, error, message):
+        with pytest.raises(error, match=message):
+            CompositeState(entries, n1=1, n2=1)
