@@ -11,7 +11,7 @@ closed-form shortcuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -157,12 +157,20 @@ def correlation_vector(state: CompositeState, q: AngleQuad,
     )
 
 
+def _bell(e: CorrelationVector) -> float:
+    return e.e11 + e.e12 + e.e21 - e.e22
+
+
+def _steering(e: CorrelationVector) -> float:
+    return (math.hypot(e.e11 + e.e21, e.e12 + e.e22)
+            + math.hypot(e.e11 - e.e21, e.e12 - e.e22))
+
+
 def bell_value(state: CompositeState, q: AngleQuad,
                alpha: float = BALANCED_ALPHA,
                bob_alpha: float | None = None) -> float:
     """Standard CHSH combination E11 + E12 + E21 - E22 (signed)."""
-    e = correlation_vector(state, q, alpha, bob_alpha)
-    return e.e11 + e.e12 + e.e21 - e.e22
+    return _bell(correlation_vector(state, q, alpha, bob_alpha))
 
 
 def steering_value(state: CompositeState, q: AngleQuad,
@@ -173,9 +181,7 @@ def steering_value(state: CompositeState, q: AngleQuad,
     sqrt((E11+E21)^2 + (E12+E22)^2) + sqrt((E11-E21)^2 + (E12-E22)^2);
     nonnegative, and at most 2*sqrt(2) for quantum correlations.
     """
-    e = correlation_vector(state, q, alpha, bob_alpha)
-    return (math.hypot(e.e11 + e.e21, e.e12 + e.e22)
-            + math.hypot(e.e11 - e.e21, e.e12 - e.e22))
+    return _steering(correlation_vector(state, q, alpha, bob_alpha))
 
 
 # --------------------------------------------------------------------------
@@ -321,15 +327,19 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     }
 
 
-_OBJECTIVES: dict[str, Callable[..., float]] = {}
+def _abs_bell(e: CorrelationVector) -> float:
+    return abs(_bell(e))
 
 
-def objective_function(name: str) -> Callable[..., float]:
-    """Look up an inequality objective by name.
+# Each objective as a function of the four correlations.
+_OBJECTIVES: dict[str, Callable[[CorrelationVector], float]] = {
+    "steering": _steering,
+    "bell": _abs_bell,
+    "bell_abs": _abs_bell,
+}
 
-    ``steering`` is the steering functional; ``bell`` and ``bell_abs`` both
-    mean |bell_value| (the violation criterion is two-sided).
-    """
+
+def _functional(name: str) -> Callable[[CorrelationVector], float]:
     try:
         return _OBJECTIVES[name]
     except KeyError:
@@ -337,15 +347,20 @@ def objective_function(name: str) -> Callable[..., float]:
                          f"choose from {sorted(_OBJECTIVES)}") from None
 
 
-def _abs_bell(state, q, alpha=BALANCED_ALPHA, bob_alpha=None) -> float:
-    return abs(bell_value(state, q, alpha, bob_alpha))
+def objective_function(name: str) -> Callable[..., float]:
+    """Look up an inequality objective by name.
 
+    The result is called as ``(state, q, alpha, bob_alpha)``.  ``steering``
+    is the steering functional; ``bell`` and ``bell_abs`` both mean
+    |bell_value| (the violation criterion is two-sided).
+    """
+    functional = _functional(name)
 
-_OBJECTIVES.update({
-    "steering": steering_value,
-    "bell": _abs_bell,
-    "bell_abs": _abs_bell,
-})
+    def objective(state: CompositeState, q: AngleQuad,
+                  alpha: float = BALANCED_ALPHA,
+                  bob_alpha: float | None = None) -> float:
+        return functional(correlation_vector(state, q, alpha, bob_alpha))
+    return objective
 
 
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
@@ -355,16 +370,31 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
                          tol: float = 1e-9) -> float:
     """Smallest admixing probability at which the violation survives.
 
-    Bisects the objective of ``admix(state, p, noise)`` to ``tol`` for the
-    point where it equals the classical bound 2.  With the factorized noise
-    model the objective is exactly linear in ``p`` for states whose parity
-    observables are traceless on the per-party measurement space, so the
-    result then equals 2 / objective(p=1).
+    Correlations are linear in the mixture weights, so those of
+    ``admix(state, p, noise)`` are p * E(state) + (1 - p) * E(noise alone),
+    the latter taken from ``admix(state, 0.0, noise)``.  Two correlation
+    vectors therefore fix the whole curve, and the objective of the blended
+    vector is bisected to ``tol`` for the point where it equals the
+    classical bound 2.  The crossing is unique: steering and |Bell| are
+    sums of norms of affine functions of p, hence convex in p, so the set
+    where the objective lies below 2 is an interval.  It contains p = 0 when
+    the noise alone stays below 2, and it ends before p = 1, where the value
+    must exceed 2 (else NoViolationError).
+
+    With the factorized noise model the objective is exactly linear in ``p``
+    for states whose parity observables are traceless on the per-party
+    measurement space, so the result then equals 2 / objective(p=1).
     """
-    func = objective_function(objective)
+    functional = _functional(objective)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol={tol} must be a finite number > 0")
+    pure = correlation_vector(state, q, alpha, bob_alpha)
+    white = correlation_vector(admix(state, 0.0, noise=noise), q, alpha, bob_alpha)
+    pairs = tuple(zip(astuple(pure), astuple(white)))
 
     def value_at(p: float) -> float:
-        return func(admix(state, p, noise=noise), q, alpha, bob_alpha)
+        return functional(CorrelationVector(
+            *(p * a + (1.0 - p) * b for a, b in pairs)))
 
     top = value_at(1.0)
     if top <= CLASSICAL_BOUND:
@@ -374,6 +404,8 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if value_at(mid) >= CLASSICAL_BOUND:
             hi = mid
         else:

@@ -125,6 +125,8 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if jobs < 1:
+        raise ValueError(f"need at least one job, got {jobs}")
     func = objective_function(objective)
 
     def negated(x: np.ndarray) -> float:

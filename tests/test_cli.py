@@ -202,7 +202,11 @@ class TestArgumentErrors:
         ("trace", "--n1", "-1", "--n2", "1", "--phi", "0", "--theta", "0"),
         ("basis", "--n-total", "-1"),
         ("verify", "--draws", "-3"),
-    ], ids=["trace", "basis", "verify"])
+        ("optimize", "--state", "bec", "--n1", "1", "--objective", "steering",
+         "--restarts", "2", "--jobs", "0"),
+        ("optimize", "--state", "bec", "--n1", "1", "--objective", "steering",
+         "--restarts", "2", "--jobs", "-4"),
+    ], ids=["trace", "basis", "verify", "jobs-zero", "jobs-negative"])
     def test_negative_counts(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

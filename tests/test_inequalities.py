@@ -29,10 +29,24 @@ from twocopy.inequalities import (
     visibility_threshold,
 )
 from twocopy.measurement import BeamSplitterSetting, joint_distribution, weighted_parity
-from twocopy.states import CompositeState, admix, bec_pair, monomial_state, noon_pair
+from twocopy.fock import from_fock_amplitudes
+from twocopy.states import (
+    COMPOSITE_MODES,
+    CompositeState,
+    admix,
+    bec_pair,
+    monomial_state,
+    noon_pair,
+)
 
 TWO_PI = 2.0 * math.pi
 BAL = BeamSplitterSetting.balanced
+
+Q_STEER_BEC1 = AngleQuad(0.0, math.pi / 2, 3.93, 2.90)
+Q_BELL_BEC1 = AngleQuad(0.0, math.pi / 2, 3.93, 2.36)
+Q_STEER_BEC2 = AngleQuad(0.0, 1.07, 3.93, 3.00)
+Q_BELL_NOON = AngleQuad(-0.13, 0.65, 0.26, -0.52)
+UNEVEN = (math.sqrt(0.48), math.sqrt(0.52))  # Alice's and Bob's alpha
 
 
 def direct_correlation(state, phi, theta, alpha=None, bob_alpha=None):
@@ -207,28 +221,52 @@ class TestVisibilityThreshold:
         assert p_bell == pytest.approx(2.0 / abs(bell_value(state, q_bell)), abs=1e-6)
         assert p_steer < p_bell
 
-    def test_bisection_against_independent_search(self):
-        # independent oracle: scan p on a fine grid using the direct route
-        state = bec_pair(1)
-        q = AngleQuad(0.0, math.pi / 2, 3.93, 2.90)
-        threshold = visibility_threshold(state, "steering", q, noise="factorized")
+    @pytest.mark.parametrize("state, objective, noise, q, alpha, bob_alpha", [
+        (bec_pair(1), "steering", "factorized", Q_STEER_BEC1, None, None),
+        (bec_pair(1), "steering", "factorized", Q_STEER_BEC1, *UNEVEN),
+        (bec_pair(1), "bell", "sector", Q_BELL_BEC1, *UNEVEN),
+        (bec_pair(2), "steering", "sector", Q_STEER_BEC2, *UNEVEN),
+        (noon_pair(2), "bell", "sector", Q_BELL_NOON, *UNEVEN),
+    ], ids=["bec1-steering-factorized-balanced", "bec1-steering-factorized",
+            "bec1-bell-sector", "bec2-steering-sector", "noon2-bell-sector"])
+    def test_bisection_against_independent_search(self, state, objective, noise,
+                                                   q, alpha, bob_alpha):
+        # independent oracle: a fresh admixed state at every step, evaluated
+        # by the direct route, with no use of linearity in p
+        kwargs = {} if alpha is None else {"alpha": alpha, "bob_alpha": bob_alpha}
+        threshold = visibility_threshold(state, objective, q, noise=noise, **kwargs)
 
-        def steering_direct(p):
-            mixed = admix(state, p, noise="factorized")
-            e = [direct_correlation(mixed, phi, theta)
-                 for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
-            e11, e12, e21, e22 = e
+        def objective_direct(p):
+            mixed = admix(state, p, noise=noise)
+            e11, e12, e21, e22 = [
+                direct_correlation(mixed, phi, theta, alpha, bob_alpha)
+                for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
+            if objective == "bell":
+                return abs(e11 + e12 + e21 - e22)
             return (math.hypot(e11 + e21, e12 + e22)
                     + math.hypot(e11 - e21, e12 - e22))
 
         lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if steering_direct(mid) >= 2.0:
+            if objective_direct(mid) >= 2.0:
                 hi = mid
             else:
                 lo = mid
         assert threshold == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            visibility_threshold(bec_pair(1), "steering", Q_STEER_BEC1, tol=tol)
+
+    def test_tiny_tol_stops_at_float_resolution(self):
+        state = bec_pair(1)
+        for noise in ("sector", "factorized"):
+            coarse = visibility_threshold(state, "steering", Q_STEER_BEC1, noise=noise)
+            fine = visibility_threshold(state, "steering", Q_STEER_BEC1, noise=noise,
+                                        tol=1e-300)
+            assert fine == pytest.approx(coarse, abs=1e-9)
 
     def test_factorized_scaling_is_linear(self):
         state = bec_pair(1)
@@ -249,6 +287,40 @@ class TestVisibilityThreshold:
     def test_no_violation_raises(self):
         with pytest.raises(NoViolationError):
             visibility_threshold(bec_pair(1), "steering", AngleQuad(0, 0, 0, 0))
+
+
+def random_sector_state(rng, n1, n2):
+    """A two-member mixture of random pure states in the (n1, n2) sector."""
+    members = []
+    for _ in range(2):
+        amps = {(k, n1 - k, l, n2 - l): complex(*rng.normal(size=2))
+                for k in range(n1 + 1) for l in range(n2 + 1)}
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        members.append(from_fock_amplitudes(
+            COMPOSITE_MODES, {occ: a / norm for occ, a in amps.items()}))
+    w = float(rng.uniform(0.1, 0.9))
+    return CompositeState(((w, members[0]), (1.0 - w, members[1])), n1=n1, n2=n2)
+
+
+class TestMixtureLinearity:
+    # visibility_threshold relies on E(admix(s, p)) = p E(s) + (1 - p) E(noise)
+    @pytest.mark.parametrize("noise, sectors", [
+        ("sector", [(n1, n2) for n1 in range(1, 4) for n2 in range(1, 4)]),
+        ("factorized", [(1, 1), (1, 2), (2, 1)]),
+    ], ids=["sector", "factorized"])
+    def test_correlations_linear_in_weight(self, noise, sectors):
+        rng = np.random.default_rng(41)
+        for n1, n2 in 2 * sectors:
+            state = random_sector_state(rng, n1, n2)
+            alpha, bob_alpha = np.sqrt(rng.uniform(0.1, 0.9, 2))
+            q = AngleQuad(*rng.uniform(0.0, TWO_PI, 4))
+            p = float(rng.uniform(0.05, 0.95))
+            pure = correlation_vector(state, q, alpha, bob_alpha)
+            white = correlation_vector(admix(state, 0.0, noise), q, alpha, bob_alpha)
+            mixed = correlation_vector(admix(state, p, noise), q, alpha, bob_alpha)
+            for name in ("e11", "e12", "e21", "e22"):
+                blend = p * getattr(pure, name) + (1.0 - p) * getattr(white, name)
+                assert getattr(mixed, name) == pytest.approx(blend, abs=1e-12)
 
 
 class TestBounds:
