@@ -118,7 +118,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         args.objective, state, restarts=args.restarts, seed=args.seed,
         alpha=_check_alpha(args.alpha),
         bob_alpha=None if args.alpha_bob is None else _check_alpha(args.alpha_bob),
-        jobs=args.jobs,
     )
     _emit_json({
         "max_value": result.max_value,
@@ -131,6 +130,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "seed": result.seed,
         "restarts_used": result.restarts_used,
         "evaluations": result.evaluations,
+        "converged": result.converged,
     }, args.output)
     return 0
 
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -73,7 +73,10 @@ class AngleQuad:
 
 @dataclass(frozen=True)
 class CorrelationVector:
-    """The four correlations <A(phi_j) B(theta_k)>."""
+    """The four correlations <A(phi_j) B(theta_k)>.
+
+    The objectives also accept a vector whose fields are equal-shaped arrays.
+    """
 
     e11: float
     e12: float
@@ -84,19 +87,34 @@ class CorrelationVector:
 class _TrigSeries:
     """Real trigonometric polynomial c0 + sum_k (a_k cos k*d + b_k sin k*d)."""
 
-    __slots__ = ("c0", "cos_coeffs", "sin_coeffs")
+    __slots__ = ("c0", "cos_coeffs", "sin_coeffs", "_columns")
 
     def __init__(self, samples: np.ndarray, degree: int):
         coeffs = np.fft.fft(samples) / len(samples)
         self.c0 = float(coeffs[0].real)
         self.cos_coeffs = [2.0 * float(coeffs[k].real) for k in range(1, degree + 1)]
         self.sin_coeffs = [-2.0 * float(coeffs[k].imag) for k in range(1, degree + 1)]
+        # the orders k, a_k and b_k, each as a (degree, 1) column
+        self._columns = np.array(
+            [range(1, degree + 1), self.cos_coeffs, self.sin_coeffs], dtype=float
+        ).reshape(3, degree, 1)
 
     def evaluate(self, delta: float) -> float:
         value = self.c0
         for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
             value += a * math.cos(k * delta) + b * math.sin(k * delta)
         return value
+
+    def evaluate_array(self, deltas: np.ndarray) -> np.ndarray:
+        """``evaluate`` at every element, adding the orders in the same
+        sequence, so each result equals the scalar one bit for bit."""
+        orders, a, b = self._columns
+        angles = orders * deltas.reshape(1, -1)
+        terms = a * np.cos(angles) + b * np.sin(angles)
+        value = np.full(deltas.size, self.c0)
+        for term in terms:
+            value += term
+        return value.reshape(deltas.shape)
 
 
 def _phase_degree(state: CompositeState) -> int:
@@ -161,9 +179,9 @@ def _bell(e: CorrelationVector) -> float:
     return e.e11 + e.e12 + e.e21 - e.e22
 
 
-def _steering(e: CorrelationVector) -> float:
-    return (math.hypot(e.e11 + e.e21, e.e12 + e.e22)
-            + math.hypot(e.e11 - e.e21, e.e12 - e.e22))
+def _steering(e: CorrelationVector, hypot=math.hypot) -> float:
+    return (hypot(e.e11 + e.e21, e.e12 + e.e22)
+            + hypot(e.e11 - e.e21, e.e12 - e.e22))
 
 
 def bell_value(state: CompositeState, q: AngleQuad,
@@ -339,9 +357,13 @@ _OBJECTIVES: dict[str, Callable[[CorrelationVector], float]] = {
 }
 
 
-def _functional(name: str) -> Callable[[CorrelationVector], float]:
+# The same objectives on correlation vectors of arrays.
+_ARRAY_OBJECTIVES = {**_OBJECTIVES, "steering": partial(_steering, hypot=np.hypot)}
+
+
+def _functional(name: str, table=_OBJECTIVES) -> Callable[[CorrelationVector], float]:
     try:
-        return _OBJECTIVES[name]
+        return table[name]
     except KeyError:
         raise ValueError(f"unknown objective {name!r}; "
                          f"choose from {sorted(_OBJECTIVES)}") from None
@@ -363,6 +385,35 @@ def objective_function(name: str) -> Callable[..., float]:
     return objective
 
 
+# Columns of (phi1, phi2, theta1, theta2) whose differences give e11, e12,
+# e21 and e22.
+_ALICE_COLUMNS = np.array([0, 0, 1, 1])
+_BOB_COLUMNS = np.array([2, 3, 2, 3])
+
+
+def objective_array(name: str, state: CompositeState,
+                    alpha: float = BALANCED_ALPHA,
+                    bob_alpha: float | None = None
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """An inequality objective for one state, over arrays of angle quads.
+
+    The result maps an array of shape (..., 4), each row ordered as
+    (phi1, phi2, theta1, theta2), to the objective values of shape (...).
+    Values equal those of ``objective_function(name)`` except for the last
+    bit of ``np.hypot`` against ``math.hypot`` in the steering functional.
+    """
+    functional = _functional(name, _ARRAY_OBJECTIVES)
+    if bob_alpha is None:
+        bob_alpha = alpha
+    series = _profile(state, float(alpha), float(bob_alpha))
+
+    def objective(quads: np.ndarray) -> np.ndarray:
+        e = series.evaluate_array(quads.take(_ALICE_COLUMNS, axis=-1)
+                                  - quads.take(_BOB_COLUMNS, axis=-1))
+        return functional(CorrelationVector(e[..., 0], e[..., 1], e[..., 2], e[..., 3]))
+    return objective
+
+
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
                          alpha: float = BALANCED_ALPHA,
                          bob_alpha: float | None = None,
@@ -379,7 +430,9 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     sums of norms of affine functions of p, hence convex in p, so the set
     where the objective lies below 2 is an interval.  It contains p = 0 when
     the noise alone stays below 2, and it ends before p = 1, where the value
-    must exceed 2 (else NoViolationError).
+    must exceed 2.  NoViolationError is raised when either end fails: no
+    violation at p = 1, or the noise alone already reaches 2 at p = 0, so
+    that no admixture undoes the violation.
 
     With the factorized noise model the objective is exactly linear in ``p``
     for states whose parity observables are traceless on the per-party
@@ -400,6 +453,12 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     if top <= CLASSICAL_BOUND:
         raise NoViolationError(
             f"objective at p=1 is {top:.6f}, not above {CLASSICAL_BOUND}"
+        )
+    bottom = value_at(0.0)
+    if bottom >= CLASSICAL_BOUND:
+        raise NoViolationError(
+            f"objective of the noise alone is {bottom:.6f}, "
+            f"not below {CLASSICAL_BOUND}"
         )
     lo, hi = 0.0, 1.0
     while hi - lo > tol:

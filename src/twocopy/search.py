@@ -4,18 +4,30 @@ measurement angles, one-dimensional scans, and peak counting.
 The objectives are smooth, cheap, and 2*pi-periodic in every angle, so a
 multistart strategy with low-discrepancy seeding and a plain Nelder-Mead
 refinement is reliable.  Everything is deterministic for a fixed seed.
+
+The restarts run in lockstep: every simplex sits in one (restarts, 5, 4)
+array, and each stage of a step (reflect, expand or contract, shrink)
+evaluates the objective in one call on just the points the running
+restarts need, from the cached trigonometric series of the state.
+Each restart still takes exactly the steps a one-start Nelder-Mead would,
+so its optimum and evaluation count do not depend on the others.
 """
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .inequalities import ANGLE_NAMES, AngleQuad, TWO_PI, objective_function
+from .inequalities import (
+    ANGLE_NAMES,
+    AngleQuad,
+    TWO_PI,
+    objective_array,
+    objective_function,
+)
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
 
@@ -31,6 +43,7 @@ class OptimizationResult:
     restarts_used: int
     evaluations: int
     seed: int
+    converged: int  # restarts whose simplex met SIMPLEX_TOL within MAX_ITERATIONS
 
 
 @dataclass(frozen=True)
@@ -49,62 +62,79 @@ class ScanSeries:
         return max(self.samples, key=lambda s: s[1])
 
 
-def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
-                 step: float = 0.6) -> tuple[np.ndarray, float, int]:
-    """Minimize ``func`` from ``x0``; returns (x, f(x), evaluations).
+def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
+                 step: float = 0.6
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ``func`` from every row of ``starts`` at once.
 
-    Stops when the simplex coordinate spread drops below SIMPLEX_TOL or
-    after MAX_ITERATIONS iterations.
+    ``func`` maps an array of points of shape (..., n) to its values, of
+    shape (...).  Each restart follows its own simplex through the same
+    steps as a one-start Nelder-Mead: a stable sort of the vertices, then
+    reflect, expand, contract or shrink.  A restart stops when its simplex
+    coordinate spread drops below SIMPLEX_TOL, or after MAX_ITERATIONS
+    iterations; a stopped restart leaves the arrays, so each step evaluates
+    only the points that some running restart needs.
+
+    Returns, per restart, the best vertex, its value, the evaluations used,
+    and whether the simplex converged.
     """
-    n = x0.size
-    vertices = [np.array(x0, dtype=float)]
-    for i in range(n):
-        v = np.array(x0, dtype=float)
-        v[i] += step
-        vertices.append(v)
-    values = [func(v) for v in vertices]
-    evaluations = n + 1
+    restarts, n = starts.shape
+    x = np.repeat(starts[:, None, :], n + 1, axis=1)
+    x[:, 1:] += step * np.eye(n)
+    f = func(x)
+    evaluations = np.full(restarts, n + 1)
+    rows = np.arange(restarts)
+    best_x = np.empty((restarts, n))
+    best_f = np.empty(restarts)
+    used = np.empty(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
 
     for _ in range(MAX_ITERATIONS):
-        order = np.argsort(values, kind="stable")
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
-        stack = np.stack(vertices)
-        if float(np.max(stack.max(axis=0) - stack.min(axis=0))) < SIMPLEX_TOL:
-            break
-        centroid = stack[:-1].mean(axis=0)
-        worst = vertices[-1]
+        order = np.argsort(f, axis=1, kind="stable")
+        index = np.arange(rows.size)[:, None]
+        f, x = f[index, order], x[index, order]
+        done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < SIMPLEX_TOL
+        if done.any():
+            finished = rows[done]
+            best_x[finished], best_f[finished] = x[done, 0], f[done, 0]
+            used[finished] = evaluations[done]
+            converged[finished] = True
+            running = ~done
+            x, f = x[running], f[running]
+            evaluations, rows = evaluations[running], rows[running]
+            if not rows.size:
+                break
+        centroid = x[:, :-1].sum(axis=1) / n
+        worst = x[:, -1]
         reflected = centroid + (centroid - worst)
         f_reflected = func(reflected)
-        evaluations += 1
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = func(expanded)
-            evaluations += 1
-            if f_expanded < f_reflected:
-                vertices[-1], values[-1] = expanded, f_expanded
-            else:
-                vertices[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            vertices[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-            f_contracted = func(contracted)
-            evaluations += 1
-            if f_contracted < min(f_reflected, values[-1]):
-                vertices[-1], values[-1] = contracted, f_contracted
-            else:
-                best = vertices[0]
-                for i in range(1, n + 1):
-                    vertices[i] = best + 0.5 * (vertices[i] - best)
-                    values[i] = func(vertices[i])
-                evaluations += n
+        expand = f_reflected < f[:, 0]
+        contract = ~expand & ~(f_reflected < f[:, -2])
+        # the second point tried: expanded, or contracted toward the better
+        # of the reflected and the worst vertex
+        toward = np.where((f_reflected < f[:, -1])[:, None], reflected, worst)
+        trial = np.where(expand[:, None], centroid + 2.0 * (centroid - worst),
+                         centroid + 0.5 * (toward - centroid))
+        tried = expand | contract
+        f_trial = np.full(rows.size, np.inf)
+        if tried.any():
+            f_trial[tried] = func(trial[tried])
+        take = f_trial < np.where(expand, f_reflected, np.minimum(f_reflected, f[:, -1]))
+        shrink = contract & ~take
+        f[:, -1] = np.where(take, f_trial, np.where(shrink, f[:, -1], f_reflected))
+        x[:, -1] = np.where(take[:, None], trial,
+                            np.where(shrink[:, None], worst, reflected))
+        evaluations += 1 + tried + n * shrink
+        if shrink.any():
+            best = x[shrink, :1]
+            x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
+            f[shrink, 1:] = func(x[shrink, 1:])
 
-    i_best = int(np.argmin(values))
-    return vertices[i_best], values[i_best], evaluations
+    # restarts stopped by MAX_ITERATIONS
+    at, pick = np.arange(rows.size), np.argmin(f, axis=1)
+    best_x[rows], best_f[rows] = x[at, pick], f[at, pick]
+    used[rows] = evaluations
+    return best_x, best_f, used, converged
 
 
 def _start_points(restarts: int, seed: int) -> np.ndarray:
@@ -116,44 +146,28 @@ def _start_points(restarts: int, seed: int) -> np.ndarray:
 
 def optimize(objective: str, state: CompositeState, restarts: int = 64,
              seed: int = 0, alpha: float = BALANCED_ALPHA,
-             bob_alpha: float | None = None, jobs: int = 1) -> OptimizationResult:
+             bob_alpha: float | None = None) -> OptimizationResult:
     """Multistart maximization of an inequality objective over the angles.
 
-    Quasi-uniform (scrambled Sobol) starting points in [0, 2*pi)^4, each
-    refined by Nelder-Mead; the best local optimum wins, with ties broken
-    toward the lowest restart index.  Deterministic for a fixed seed.
+    Quasi-uniform (scrambled Sobol) starting points in [0, 2*pi)^4, all
+    refined together by Nelder-Mead; the best local optimum wins, with ties
+    broken toward the lowest restart index.  Deterministic for a fixed seed.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if jobs < 1:
-        raise ValueError(f"need at least one job, got {jobs}")
-    func = objective_function(objective)
-
-    def negated(x: np.ndarray) -> float:
-        return -func(state, AngleQuad(*x), alpha, bob_alpha)
-
     starts = _start_points(restarts, seed)
-
-    def refine(index: int) -> tuple[float, int, np.ndarray, int]:
-        x, fx, used = _nelder_mead(negated, starts[index])
-        return fx, index, x, used
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(refine, range(restarts)))
-    else:
-        outcomes = [refine(i) for i in range(restarts)]
-
-    evaluations = sum(used for _, _, _, used in outcomes)
-    best_value, best_index, best_x, _ = min(outcomes, key=lambda r: (r[0], r[1]))
-    argmax = AngleQuad(*(float(v) for v in best_x)).canonical()
-    max_value = func(state, argmax, alpha, bob_alpha)
+    value = objective_array(objective, state, alpha, bob_alpha)
+    x, f, used, converged = _nelder_mead(lambda quads: -value(quads), starts)
+    best = int(np.argmin(f))
+    argmax = AngleQuad(*(float(v) for v in x[best])).canonical()
+    max_value = objective_function(objective)(state, argmax, alpha, bob_alpha)
     return OptimizationResult(
         max_value=max_value,
         argmax=argmax,
         restarts_used=restarts,
-        evaluations=evaluations + 1,
+        evaluations=int(used.sum()) + 1,
         seed=seed,
+        converged=int(converged.sum()),
     )
 
 
@@ -179,16 +193,15 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
 
     grid = [TWO_PI * i / points for i in range(points)]
     base = {name: float(fixed[name]) for name in needed}
+    # AngleQuad rejects a non-finite fixed angle
+    quads = np.tile(AngleQuad(**{**base, axis: 0.0}).as_tuple(), (points, 1))
+    quads[:, ANGLE_NAMES.index(axis)] = grid
     series = []
     for name in objectives:
-        func = objective_function(name)
-        samples = []
-        for x in grid:
-            q = AngleQuad(**{**base, axis: x})
-            samples.append((x, func(state, q, alpha, bob_alpha)))
+        values = objective_array(name, state, alpha, bob_alpha)(quads)
         series.append(ScanSeries(
             axis=axis,
-            samples=tuple(samples),
+            samples=tuple(zip(grid, values.tolist())),
             fixed=tuple(sorted(base.items())),
         ))
     return tuple(series)

@@ -44,8 +44,9 @@ class TestOptimizeCommand:
             "--objective", "bell", "--restarts", "8", "--seed", "7")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) >= {"max_value", "angles", "seed"}
+        assert set(payload) >= {"max_value", "angles", "seed", "converged"}
         assert payload["seed"] == 7
+        assert payload["converged"] == 8
         q = AngleQuad(**payload["angles"])
         value = abs(bell_value(bec_pair(1), q))
         assert value == pytest.approx(payload["max_value"], abs=1e-9)
@@ -153,6 +154,17 @@ class TestVisibilityCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_noise_alone_above_bound_exit_code(self, capsys):
+        # sector noise with very unequal splitters already exceeds 2
+        code, out, err = run_cli(
+            capsys, "visibility", "--state", "bec", "--n1", "1", "--n2", "1",
+            "--objective", "steering", "--phi1", "0", "--phi2", "pi/2",
+            "--theta1", "3.93", "--theta2", "2.90", "--noise", "sector",
+            "--alpha", str(math.sqrt(0.98)), "--alpha-bob", str(math.sqrt(0.02)))
+        assert code == 3
+        assert out == ""
+        assert "noise alone" in err
+
 
 class TestVerifyCommand:
     def test_report(self, capsys):
@@ -202,11 +214,7 @@ class TestArgumentErrors:
         ("trace", "--n1", "-1", "--n2", "1", "--phi", "0", "--theta", "0"),
         ("basis", "--n-total", "-1"),
         ("verify", "--draws", "-3"),
-        ("optimize", "--state", "bec", "--n1", "1", "--objective", "steering",
-         "--restarts", "2", "--jobs", "0"),
-        ("optimize", "--state", "bec", "--n1", "1", "--objective", "steering",
-         "--restarts", "2", "--jobs", "-4"),
-    ], ids=["trace", "basis", "verify", "jobs-zero", "jobs-negative"])
+    ], ids=["trace", "basis", "verify"])
     def test_negative_counts(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -288,6 +288,17 @@ class TestVisibilityThreshold:
         with pytest.raises(NoViolationError):
             visibility_threshold(bec_pair(1), "steering", AngleQuad(0, 0, 0, 0))
 
+    def test_noise_alone_above_bound_raises(self):
+        # the objective is 2.496 for the sector noise alone and 2.484 for the
+        # pure state, so no admixing probability brings it down to 2
+        state, q = bec_pair(1), AngleQuad(0.0, math.pi / 2, 3.93, 2.90)
+        alpha, bob_alpha = math.sqrt(0.98), math.sqrt(0.02)
+        noise_alone = steering_value(admix(state, 0.0, "sector"), q, alpha, bob_alpha)
+        assert noise_alone > 2.0
+        with pytest.raises(NoViolationError, match="noise alone"):
+            visibility_threshold(state, "steering", q, alpha=alpha,
+                                 bob_alpha=bob_alpha, noise="sector")
+
 
 def random_sector_state(rng, n1, n2):
     """A two-member mixture of random pure states in the (n1, n2) sector."""

@@ -4,11 +4,107 @@ import math
 import numpy as np
 import pytest
 
-from twocopy.inequalities import AngleQuad, QUANTUM_BOUND, bell_value, steering_value
+from twocopy import search
+from twocopy.fock import from_fock_amplitudes
+from twocopy.inequalities import (
+    AngleQuad,
+    QUANTUM_BOUND,
+    bell_value,
+    objective_array,
+    objective_function,
+    steering_value,
+)
 from twocopy.search import count_local_maxima, optimize, scan_1d
-from twocopy.states import bec_pair, noon_pair
+from twocopy.states import COMPOSITE_MODES, CompositeState, bec_pair, noon_pair
 
 GOLDEN = 1.0 + math.sqrt(2.0)
+
+
+def scalar_nelder_mead(func, x0, step=0.6):
+    """One-start Nelder-Mead, the reference for the batched one.
+
+    Minimizes ``func`` from ``x0``; returns (x, f(x), evaluations).  Stops
+    when the simplex coordinate spread drops below SIMPLEX_TOL or after
+    MAX_ITERATIONS iterations.
+    """
+    n = x0.size
+    vertices = [np.array(x0, dtype=float)]
+    for i in range(n):
+        v = np.array(x0, dtype=float)
+        v[i] += step
+        vertices.append(v)
+    values = [func(v) for v in vertices]
+    evaluations = n + 1
+
+    for _ in range(search.MAX_ITERATIONS):
+        order = np.argsort(values, kind="stable")
+        vertices = [vertices[i] for i in order]
+        values = [values[i] for i in order]
+        stack = np.stack(vertices)
+        if float(np.max(stack.max(axis=0) - stack.min(axis=0))) < search.SIMPLEX_TOL:
+            break
+        centroid = stack[:-1].mean(axis=0)
+        worst = vertices[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = func(reflected)
+        evaluations += 1
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = func(expanded)
+            evaluations += 1
+            if f_expanded < f_reflected:
+                vertices[-1], values[-1] = expanded, f_expanded
+            else:
+                vertices[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            vertices[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (worst - centroid)
+            f_contracted = func(contracted)
+            evaluations += 1
+            if f_contracted < min(f_reflected, values[-1]):
+                vertices[-1], values[-1] = contracted, f_contracted
+            else:
+                best = vertices[0]
+                for i in range(1, n + 1):
+                    vertices[i] = best + 0.5 * (vertices[i] - best)
+                    values[i] = func(vertices[i])
+                evaluations += n
+
+    i_best = int(np.argmin(values))
+    return vertices[i_best], values[i_best], evaluations
+
+
+def random_pure_state(rng, n1, n2):
+    """A random complex pure state in the (n1, n2) sector."""
+    amps = {(k, n1 - k, l, n2 - l): complex(*rng.normal(size=2))
+            for k in range(n1 + 1) for l in range(n2 + 1)}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    member = from_fock_amplitudes(
+        COMPOSITE_MODES, {occ: a / norm for occ, a in amps.items()})
+    return CompositeState(((1.0, member),), n1=n1, n2=n2)
+
+
+def oracle_cases():
+    """(label, state, alpha, bob_alpha): the documented families, an
+    unbalanced unequal pair, and seeded random sector-pure states."""
+    balanced = 1.0 / math.sqrt(2.0)
+    cases = [("bec1", bec_pair(1), balanced, balanced),
+             ("bec2", bec_pair(2), balanced, balanced),
+             ("noon2", noon_pair(2, 0), balanced, balanced),
+             ("bec12-r0.3", bec_pair(1, 2), math.sqrt(0.3), math.sqrt(0.3))]
+    rng = np.random.default_rng(23)
+    for n1, n2 in ((1, 1), (2, 1), (1, 3), (3, 2)):
+        alpha, bob_alpha = np.sqrt(rng.uniform(0.1, 0.9, 2))
+        cases.append((f"random{n1}{n2}", random_pure_state(rng, n1, n2),
+                      float(alpha), float(bob_alpha)))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
 
 
 class TestOptimize:
@@ -45,11 +141,6 @@ class TestOptimize:
                 result = optimize(objective, state, restarts=8, seed=11)
                 assert result.max_value <= QUANTUM_BOUND + 1e-6
 
-    def test_jobs_do_not_change_result(self):
-        serial = optimize("steering", bec_pair(2), restarts=8, seed=13, jobs=1)
-        threaded = optimize("steering", bec_pair(2), restarts=8, seed=13, jobs=4)
-        assert serial == threaded
-
     def test_restart_count_validated(self):
         with pytest.raises(ValueError):
             optimize("steering", bec_pair(1), restarts=0)
@@ -58,6 +149,50 @@ class TestOptimize:
         result = optimize("steering", bec_pair(1), restarts=2, seed=0)
         assert result.evaluations > 10
         assert result.restarts_used == 2
+
+    def test_default_run_converges_every_restart(self):
+        result = optimize("steering", bec_pair(1))
+        assert result.converged == result.restarts_used == 64
+
+    def test_iteration_cap_reported_as_not_converged(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 3)
+        result = optimize("steering", bec_pair(1), restarts=8, seed=0)
+        assert result.converged == 0
+
+
+class TestBatchedSimplex:
+    """The lockstep simplex against the one-start reference, restart by restart."""
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_matches_one_start_reference(self, objective, label, state, alpha,
+                                         bob_alpha):
+        value = objective_array(objective, state, alpha, bob_alpha)
+        scalar = objective_function(objective)
+        starts = search._start_points(6, seed=len(label))
+        x, f, used, converged = search._nelder_mead(lambda q: -value(q), starts)
+        for i, start in enumerate(starts):
+            x_ref, f_ref, used_ref = scalar_nelder_mead(
+                lambda v: -scalar(state, AngleQuad(*v), alpha, bob_alpha), start)
+            assert f[i] == pytest.approx(f_ref, abs=1e-12)
+            if objective == "bell_abs":
+                # same arithmetic throughout, so the same path
+                assert used[i] == used_ref
+                assert np.array_equal(x[i], x_ref)
+        assert converged.all()
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_array_objective_matches_scalar(self, objective, label, state, alpha,
+                                            bob_alpha):
+        quads = np.random.default_rng(29).uniform(-10.0, 10.0, (200, 4))
+        values = objective_array(objective, state, alpha, bob_alpha)(quads)
+        scalar = objective_function(objective)
+        for quad, v in zip(quads, values):
+            assert v == pytest.approx(
+                scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
 
 
 class TestScan:
