@@ -87,27 +87,26 @@ class CorrelationVector:
 class _TrigSeries:
     """Real trigonometric polynomial c0 + sum_k (a_k cos k*d + b_k sin k*d)."""
 
-    __slots__ = ("c0", "cos_coeffs", "sin_coeffs", "_columns")
+    __slots__ = ("c0", "_columns")
 
     def __init__(self, samples: np.ndarray, degree: int):
         coeffs = np.fft.fft(samples) / len(samples)
         self.c0 = float(coeffs[0].real)
-        self.cos_coeffs = [2.0 * float(coeffs[k].real) for k in range(1, degree + 1)]
-        self.sin_coeffs = [-2.0 * float(coeffs[k].imag) for k in range(1, degree + 1)]
         # the orders k, a_k and b_k, each as a (degree, 1) column
         self._columns = np.array(
-            [range(1, degree + 1), self.cos_coeffs, self.sin_coeffs], dtype=float
+            [range(1, degree + 1), 2.0 * coeffs[1:degree + 1].real,
+             -2.0 * coeffs[1:degree + 1].imag], dtype=float
         ).reshape(3, degree, 1)
 
-    def evaluate(self, delta: float) -> float:
-        value = self.c0
-        for k, (a, b) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), start=1):
-            value += a * math.cos(k * delta) + b * math.sin(k * delta)
-        return value
+    def evaluate(self, deltas: np.ndarray) -> np.ndarray:
+        """The polynomial at every element of ``deltas``, same shape.
 
-    def evaluate_array(self, deltas: np.ndarray) -> np.ndarray:
-        """``evaluate`` at every element, adding the orders in the same
-        sequence, so each result equals the scalar one bit for bit."""
+        The orders are added one at a time from k = 1 up.  An element's
+        value then does not depend on the other elements of the array,
+        provided numpy's float64 cos and sin give an element the same
+        value whatever the array length.  numpy does not promise that;
+        where it fails, values move in the last bit only.
+        """
         orders, a, b = self._columns
         angles = orders * deltas.reshape(1, -1)
         terms = a * np.cos(angles) + b * np.sin(angles)
@@ -158,7 +157,7 @@ def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
     if bob_alpha is None:
         bob_alpha = alpha
     series = _profile(state, float(alpha), float(bob_alpha))
-    return series.evaluate(alice_angle - bob_angle)
+    return float(series.evaluate(np.array(alice_angle - bob_angle)))
 
 
 def correlation_vector(state: CompositeState, q: AngleQuad,
@@ -167,12 +166,9 @@ def correlation_vector(state: CompositeState, q: AngleQuad,
     if bob_alpha is None:
         bob_alpha = alpha
     series = _profile(state, float(alpha), float(bob_alpha))
-    return CorrelationVector(
-        e11=series.evaluate(q.phi1 - q.theta1),
-        e12=series.evaluate(q.phi1 - q.theta2),
-        e21=series.evaluate(q.phi2 - q.theta1),
-        e22=series.evaluate(q.phi2 - q.theta2),
-    )
+    return CorrelationVector(*series.evaluate(np.array(
+        [q.phi1 - q.theta1, q.phi1 - q.theta2,
+         q.phi2 - q.theta1, q.phi2 - q.theta2])).tolist())
 
 
 def _bell(e: CorrelationVector) -> float:
@@ -408,8 +404,8 @@ def objective_array(name: str, state: CompositeState,
     series = _profile(state, float(alpha), float(bob_alpha))
 
     def objective(quads: np.ndarray) -> np.ndarray:
-        e = series.evaluate_array(quads.take(_ALICE_COLUMNS, axis=-1)
-                                  - quads.take(_BOB_COLUMNS, axis=-1))
+        e = series.evaluate(quads.take(_ALICE_COLUMNS, axis=-1)
+                            - quads.take(_BOB_COLUMNS, axis=-1))
         return functional(CorrelationVector(e[..., 0], e[..., 1], e[..., 2], e[..., 3]))
     return objective
 

@@ -175,9 +175,14 @@ class TestBatchedSimplex:
         for i, start in enumerate(starts):
             x_ref, f_ref, used_ref = scalar_nelder_mead(
                 lambda v: -scalar(state, AngleQuad(*v), alpha, bob_alpha), start)
+            # the requirement on every platform
             assert f[i] == pytest.approx(f_ref, abs=1e-12)
             if objective == "bell_abs":
-                # same arithmetic throughout, so the same path
+                # Both routes run the same float64 arithmetic, so the same
+                # path.  This holds as long as numpy's np.cos/np.sin give an
+                # element the same value whatever the array length; a
+                # failure here alone, with the check above passing, points
+                # at the platform's trig loops, not at the simplex.
                 assert used[i] == used_ref
                 assert np.array_equal(x[i], x_ref)
         assert converged.all()
