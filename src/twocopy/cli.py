@@ -97,6 +97,27 @@ def _resolve_state(args: argparse.Namespace) -> states.CompositeState:
     return states.noon_pair(args.n, args.m)
 
 
+# Upper bounds of the count flags, by argparse destination.  The library
+# functions behind them raise the same ValueError past these bounds.
+_BOUNDS = {
+    "n1": states.MAX_PARTICLES,
+    "n2": states.MAX_PARTICLES,
+    "n": states.MAX_PARTICLES,
+    "n_total": measurement.MAX_BASIS_TOTAL,
+    "points": search.MAX_POINTS,
+    "restarts": search.MAX_RESTARTS,
+    "draws": inequalities.MAX_DRAWS,
+}
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    for name, bound in _BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > bound:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} {value} exceeds the bound {bound}")
+
+
 def _check_alpha(value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"alpha {value} must lie strictly inside (0, 1)")
@@ -300,6 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except (NoViolationError, NegativeRadicandError) as exc:
         print(f"twocopy: numerical failure: {exc}", file=sys.stderr)

@@ -34,6 +34,12 @@ from .states import CompositeState
 SIMPLEX_TOL = 1e-8
 MAX_ITERATIONS = 2000
 PLATEAU_TOL = 1e-9
+# Bounds on one call.  An objective call builds an array per series order
+# (at most MAX_PARTICLES orders) over the four angle differences of every
+# quad it evaluates: up to 5 * MAX_RESTARTS quads in optimize and
+# MAX_POINTS in scan_1d.
+MAX_RESTARTS = 4096
+MAX_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,8 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts={restarts} exceeds the bound {MAX_RESTARTS}")
     starts = _start_points(restarts, seed)
     value = objective_array(objective, state, alpha, bob_alpha)
     x, f, used, converged = _nelder_mead(lambda quads: -value(quads), starts)
@@ -183,6 +191,8 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
         raise ValueError(f"axis must be one of {ANGLE_NAMES}")
     if points < 8:
         raise ValueError("need at least 8 grid points")
+    if points > MAX_POINTS:
+        raise ValueError(f"points={points} exceeds the bound {MAX_POINTS}")
     needed = [name for name in ANGLE_NAMES if name != axis]
     missing = [name for name in needed if name not in fixed]
     if missing:

@@ -20,6 +20,13 @@ BOB_MODES = ("b", "B")
 
 WEIGHT_TOL = 1e-12
 
+# Largest particle number per system.  A member's correlation sums over
+# pairs of its (n1+1)(n2+1) Fock states, about 1.2 million pairs here.
+MAX_PARTICLES = 32
+# Largest n1 + n2 for factorized noise, whose ((N+1)(N+2)/2)^2 members,
+# 23,409 here, are each built and contracted one by one.
+MAX_FACTORIZED_TOTAL = 16
+
 NoiseModel = Literal["sector", "factorized"]
 
 
@@ -44,6 +51,9 @@ class CompositeState:
     sector_pure: bool = True
 
     def __post_init__(self):
+        for name, n in (("n1", self.n1), ("n2", self.n2)):
+            if not 0 <= n <= MAX_PARTICLES:
+                raise ValueError(f"{name}={n} must lie in [0, {MAX_PARTICLES}]")
         if not self.entries:
             raise ValueError("mixture must contain at least one entry")
         if any(w < -WEIGHT_TOL for w, _ in self.entries):
@@ -167,6 +177,9 @@ def admix(state: CompositeState, p: float,
     if noise == "sector":
         basis = sector_basis(state.n1, state.n2)
     elif noise == "factorized":
+        if state.n_total > MAX_FACTORIZED_TOTAL:
+            raise ValueError(f"factorized noise needs n1 + n2 <= {MAX_FACTORIZED_TOTAL}, "
+                             f"got {state.n_total}")
         basis = factorized_noise_basis(state.n_total)
     else:
         raise ValueError(f"unknown noise model {noise!r}")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from twocopy import cli, inequalities, measurement, search, states
 from twocopy.cli import main, parse_angle
 from twocopy.inequalities import AngleQuad, bell_value, steering_value
 from twocopy.states import bec_pair, noon_pair
@@ -231,3 +232,36 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert "phase" in err
+
+
+class TestCountBounds:
+    # (flag, bound, handler, argv with "{}" for the value); the handler is
+    # stubbed, so a run at the bound starts no engine work
+    CASES = [
+        ("--n1", states.MAX_PARTICLES, "_cmd_optimize",
+         "optimize --state bec --objective steering --n1 {}"),
+        ("--n2", states.MAX_PARTICLES, "_cmd_trace",
+         "trace --n1 1 --phi 0 --theta 0 --n2 {}"),
+        ("--n", states.MAX_PARTICLES, "_cmd_visibility",
+         "visibility --state noon --objective bell --phi1 0 --phi2 0 --theta1 0 "
+         "--theta2 0 --n {}"),
+        ("--n-total", measurement.MAX_BASIS_TOTAL, "_cmd_basis", "basis --n-total {}"),
+        ("--points", search.MAX_POINTS, "_cmd_scan",
+         "scan --state bec --n1 1 --objective bell --phi1 0 --phi2 0 --theta1 0 "
+         "--points {}"),
+        ("--restarts", search.MAX_RESTARTS, "_cmd_optimize",
+         "optimize --state bec --n1 1 --objective bell --restarts {}"),
+        ("--draws", inequalities.MAX_DRAWS, "_cmd_verify", "verify --draws {}"),
+    ]
+
+    @pytest.mark.parametrize("flag, bound, handler, argv", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_bound(self, capsys, monkeypatch, flag, bound, handler, argv):
+        calls = []
+        monkeypatch.setattr(cli, handler, lambda args: calls.append(args) or 0)
+        code, _, _ = run_cli(capsys, *argv.format(bound).split())
+        assert code == 0 and len(calls) == 1
+        code, out, err = run_cli(capsys, *argv.format(bound + 1).split())
+        assert code == 2 and len(calls) == 1
+        assert out == ""
+        assert f"{flag} {bound + 1} exceeds the bound {bound}" in err

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from twocopy.inequalities import (
+    MAX_DRAWS,
     AngleQuad,
     CLOSED_FORM_FAMILIES,
     FORM_ORIENTATION,
@@ -154,6 +155,10 @@ class TestSteeringValue:
 
 
 class TestClosedForms:
+    def test_draws_bound(self):
+        with pytest.raises(ValueError, match=f"exceeds the bound {MAX_DRAWS}"):
+            verify_closed_forms(draws=MAX_DRAWS + 1)
+
     def test_engine_matches_every_orientable_form(self):
         report = verify_closed_forms(draws=100, seed=7)
         assert report["max_abs_deviation"] < 1e-9

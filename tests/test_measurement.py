@@ -13,6 +13,7 @@ from scipy.linalg import expm, logm
 
 from twocopy.fock import fock_amplitudes, inner, monomial_state, tensor
 from twocopy.measurement import (
+    MAX_BASIS_TOTAL,
     BeamSplitterSetting,
     Outcome,
     effective_basis,
@@ -23,7 +24,7 @@ from twocopy.measurement import (
     sector_trace_product,
     weighted_parity,
 )
-from twocopy.states import CompositeState, admix, bec_pair, sector_basis
+from twocopy.states import MAX_PARTICLES, CompositeState, admix, bec_pair, sector_basis
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BAL = BeamSplitterSetting.balanced
@@ -151,6 +152,10 @@ class TestEffectiveBasis:
     def test_unit_norms(self):
         for vector in effective_basis(4, BeamSplitterSetting.from_alpha(0.37, 2.2)):
             assert vector.vector.is_normalized(1e-12)
+
+    def test_particle_bound(self):
+        with pytest.raises(ValueError, match=f"exceeds the bound {MAX_BASIS_TOTAL}"):
+            effective_basis(MAX_BASIS_TOTAL + 1, BAL(0.0))
 
 
 class TestJointDistribution:
@@ -353,7 +358,7 @@ class TestSectorTrace:
 
     def test_matches_brute_force_sum(self):
         rng = np.random.default_rng(6)
-        for n1, n2 in [(1, 1), (1, 2), (2, 2)]:
+        for n1, n2 in [(1, 1), (1, 2), (2, 2), (3, 1), (1, 4)]:
             alice = BeamSplitterSetting.from_alpha(
                 rng.uniform(0.2, 0.95), rng.uniform(0, 2 * math.pi))
             bob = BeamSplitterSetting.from_alpha(
@@ -369,6 +374,21 @@ class TestSectorTrace:
         t2 = sector_trace_product(1, 2, a2, b)
         assert plus == pytest.approx(t1 + t2, abs=1e-12)
         assert minus == pytest.approx(t1 - t2, abs=1e-12)
+
+    def test_particle_bound(self):
+        # In the (N, 0) sector Alice holds |k, 0> and Bob |N-k, 0>.  A party
+        # holding |k, 0> sees n ~ Binomial(k, alpha^2) particles in c.
+        def parity(k, r):
+            return sum(epsilon(n, k - n) * math.comb(k, n) * r ** n * (1 - r) ** (k - n)
+                       for n in range(k + 1))
+
+        n = MAX_PARTICLES
+        alice = BeamSplitterSetting.from_alpha(math.sqrt(0.3), 0.4)
+        bob = BeamSplitterSetting.from_alpha(math.sqrt(0.6), 1.2)
+        want = sum(parity(k, 0.3) * parity(n - k, 0.6) for k in range(n + 1))
+        assert sector_trace_product(n, 0, alice, bob) == pytest.approx(want, abs=1e-12)
+        with pytest.raises(ValueError, match=f"exceed the bound {MAX_PARTICLES}"):
+            sector_trace_product(0, MAX_PARTICLES + 1, BAL(0.3), BAL(1.2))
 
     def test_difference_combination_traceless(self):
         # the trace is angle-independent, so A(phi1) - A(phi2) always

@@ -159,6 +159,13 @@ class TestOptimize:
         result = optimize("steering", bec_pair(1), restarts=8, seed=0)
         assert result.converged == 0
 
+    def test_restart_bound(self, monkeypatch):
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 1)  # keeps the run cheap
+        result = optimize("bell_abs", bec_pair(1), restarts=search.MAX_RESTARTS)
+        assert result.restarts_used == search.MAX_RESTARTS
+        with pytest.raises(ValueError, match=f"exceeds the bound {search.MAX_RESTARTS}"):
+            optimize("bell_abs", bec_pair(1), restarts=search.MAX_RESTARTS + 1)
+
 
 class TestBatchedSimplex:
     """The lockstep simplex against the one-start reference, restart by restart."""
@@ -248,9 +255,13 @@ class TestScan:
                     {"phi1": 0, "phi2": 1, "theta1": 2, "theta2": 3}, axis="theta2")
 
     def test_points_validation(self):
+        fixed = {"phi1": 0, "phi2": 1, "theta1": 2}
         with pytest.raises(ValueError):
-            scan_1d(("steering",), bec_pair(1),
-                    {"phi1": 0, "phi2": 1, "theta1": 2}, points=4)
+            scan_1d(("steering",), bec_pair(1), fixed, points=4)
+        series, = scan_1d(("steering",), bec_pair(1), fixed, points=search.MAX_POINTS)
+        assert len(series.samples) == search.MAX_POINTS
+        with pytest.raises(ValueError, match=f"exceeds the bound {search.MAX_POINTS}"):
+            scan_1d(("steering",), bec_pair(1), fixed, points=search.MAX_POINTS + 1)
 
 
 class TestCountLocalMaxima:

@@ -6,6 +6,8 @@ import pytest
 from twocopy.fock import ModeMismatchError, ModePolynomial, fock_amplitudes
 from twocopy.states import (
     COMPOSITE_MODES,
+    MAX_FACTORIZED_TOTAL,
+    MAX_PARTICLES,
     CompositeState,
     DegenerateComponentError,
     admix,
@@ -156,6 +158,13 @@ class TestAdmix:
         with pytest.raises(ValueError):
             admix(bec_pair(1), 1.5)
 
+    def test_factorized_noise_bound(self):
+        # rejected before any of the noise members is built
+        n1 = MAX_FACTORIZED_TOTAL // 2
+        state = bec_pair(n1, MAX_FACTORIZED_TOTAL - n1 + 1)
+        with pytest.raises(ValueError, match=f"n1 \\+ n2 <= {MAX_FACTORIZED_TOTAL}"):
+            admix(state, 0.5, noise="factorized")
+
 
 class TestEnsembleValidation:
     @pytest.mark.parametrize("entries,error,message", [
@@ -170,3 +179,11 @@ class TestEnsembleValidation:
     def test_rejects_invalid_mixture(self, entries, error, message):
         with pytest.raises(error, match=message):
             CompositeState(entries, n1=1, n2=1)
+
+    def test_particle_bound(self):
+        assert bec_pair(MAX_PARTICLES, 0).n1 == MAX_PARTICLES
+        assert noon_pair(MAX_PARTICLES, 1).n2 == MAX_PARTICLES
+        with pytest.raises(ValueError, match=f"n2={MAX_PARTICLES + 1} must lie in"):
+            bec_pair(1, MAX_PARTICLES + 1)
+        with pytest.raises(ValueError, match="n1=-1 must lie in"):
+            CompositeState(((1.0, MEMBER),), n1=-1, n2=1, sector_pure=False)
