@@ -5,6 +5,12 @@ The objectives are smooth, cheap, and 2*pi-periodic in every angle, so a
 multistart strategy with low-discrepancy seeding and a plain Nelder-Mead
 refinement is reliable.  Everything is deterministic for a fixed seed.
 
+The starting points are scipy's scrambled Sobol points, reproduced bit for
+bit in numpy, so scipy is not needed at run time: Joe-Kuo direction numbers
+(Joe & Kuo, SIAM J. Sci. Comput. 30, 2635 (2008)) under Matousek's linear
+matrix scramble and a digital shift (Matousek, J. Complexity 14, 527
+(1998)).
+
 The restarts run in lockstep: every simplex sits in one (restarts, 5, 4)
 array, and each stage of a step (reflect, expand or contract, shrink)
 evaluates the objective in one call on just the points the running
@@ -14,12 +20,10 @@ so its optimum and evaluation count do not depend on the others.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .inequalities import (
     ANGLE_NAMES,
@@ -40,6 +44,32 @@ PLATEAU_TOL = 1e-9
 # MAX_POINTS in scan_1d.
 MAX_RESTARTS = 4096
 MAX_POINTS = 10_000
+
+# Sobol direction numbers of dimensions 2-4 (Joe & Kuo): the primitive
+# polynomial with its leading and constant terms, and the initial m_1..m_s.
+# Dimension 1 has every m_j = 1.
+_SOBOL_POLYNOMIALS = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
+_SOBOL_BITS = 30
+# the bit each binary digit sits at, most significant digit first
+_DIGITS = np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+def _direction_numbers() -> np.ndarray:
+    """v[d, j] = m_j << (BITS - 1 - j), shape (4, BITS)."""
+    m = np.ones((4, _SOBOL_BITS), dtype=np.int64)
+    for d, (poly, initial) in enumerate(_SOBOL_POLYNOMIALS, 1):
+        s = len(initial)
+        m[d, :s] = initial
+        for j in range(s, _SOBOL_BITS):
+            new = m[d, j - s] ^ (m[d, j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    new ^= m[d, j - k] << k
+            m[d, j] = new
+    return m << _DIGITS
+
+
+_DIRECTIONS = _direction_numbers()
 
 
 @dataclass(frozen=True)
@@ -144,10 +174,30 @@ def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
 
 
 def _start_points(restarts: int, seed: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # non power-of-two draws
-        sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
-        return sampler.random(restarts) * TWO_PI
+    """The first ``restarts`` scrambled Sobol points in [0, 2*pi)^4.
+
+    Bit for bit scipy's ``qmc.Sobol(d=4, scramble=True, seed=seed)
+    .random(restarts) * TWO_PI``.  The digital shift, then the lower
+    triangular scrambling matrices (unit diagonal), are drawn from
+    ``np.random.default_rng(seed)`` in scipy's order.  The matrices act on
+    the binary digits of each Joe-Kuo direction number (Joe & Kuo, SIAM J.
+    Sci. Comput. 30, 2635 (2008); Matousek's linear matrix scramble,
+    J. Complexity 14, 527 (1998)), and point i is the shift XOR the
+    scrambled direction numbers at the set bits of the Gray code of i.
+    """
+    rng = np.random.default_rng(seed)
+    bits = np.arange(_SOBOL_BITS)
+    shift = rng.integers(2, size=(4, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
+    lower = np.tril(rng.integers(2, size=(4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    lower[:, bits, bits] = 1
+    digits = _DIRECTIONS[:, :, None] >> _DIGITS & 1
+    directions = (digits @ lower.transpose(0, 2, 1) % 2) @ (1 << _DIGITS)
+    index = np.arange(restarts)
+    gray = index ^ index >> 1
+    points = np.tile(shift, (restarts, 1))
+    for bit in range(int(restarts).bit_length()):
+        points ^= np.where((gray >> bit & 1)[:, None] == 1, directions[:, bit], 0)
+    return points * (TWO_PI / 2 ** _SOBOL_BITS)
 
 
 def optimize(objective: str, state: CompositeState, restarts: int = 64,

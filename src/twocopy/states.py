@@ -30,6 +30,13 @@ MAX_FACTORIZED_TOTAL = 16
 NoiseModel = Literal["sector", "factorized"]
 
 
+def _check_particles(**counts: int) -> None:
+    for name, n in counts.items():
+        if not 0 <= n <= MAX_PARTICLES:
+            raise ValueError(f"{name}={n} must lie in [0, {MAX_PARTICLES}], "
+                             "the bound MAX_PARTICLES")
+
+
 class DegenerateComponentError(ValueError):
     """Raised for a N00N state whose two components coincide (2m == N)."""
 
@@ -51,9 +58,7 @@ class CompositeState:
     sector_pure: bool = True
 
     def __post_init__(self):
-        for name, n in (("n1", self.n1), ("n2", self.n2)):
-            if not 0 <= n <= MAX_PARTICLES:
-                raise ValueError(f"{name}={n} must lie in [0, {MAX_PARTICLES}]")
+        _check_particles(n1=self.n1, n2=self.n2)
         if not self.entries:
             raise ValueError("mixture must contain at least one entry")
         if any(w < -WEIGHT_TOL for w, _ in self.entries):
@@ -84,8 +89,7 @@ def bec_state(n: int, modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
     """Zero-temperature noninteracting condensate of ``n`` bosons split
     symmetrically over two modes: (1/sqrt(2))^n sum_k sqrt(C(n,k)) |k, n-k>.
     """
-    if n < 0:
-        raise ValueError("particle number must be nonnegative")
+    _check_particles(n=n)
     terms = {}
     for k in range(n + 1):
         amp = math.sqrt(math.comb(n, k)) / 2 ** (n / 2)
@@ -98,6 +102,7 @@ def noon_state(n: int, m: int = 0,
     """Generalized N00N state (|n-m, m> + |m, n-m>)/sqrt(2)."""
     if n <= 0 or m < 0:
         raise ValueError("need n > 0 and m >= 0")
+    _check_particles(n=n)
     if 2 * m == n:
         raise DegenerateComponentError(
             f"components |{n - m},{m}> and |{m},{n - m}> coincide"
@@ -128,6 +133,7 @@ def bec_pair(n1: int, n2: int | None = None) -> CompositeState:
     """Convenience: two_copy of condensate states with n1 and n2 bosons."""
     if n2 is None:
         n2 = n1
+    _check_particles(n1=n1, n2=n2)
     return two_copy(bec_state(n1, SYSTEM1_MODES), bec_state(n2, SYSTEM2_MODES))
 
 

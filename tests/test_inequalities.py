@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twocopy.inequalities import (
     MAX_DRAWS,
@@ -318,6 +319,10 @@ def random_sector_state(rng, n1, n2):
     return CompositeState(((w, members[0]), (1.0 - w, members[1])), n1=n1, n2=n2)
 
 
+AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+
+
 class TestMixtureLinearity:
     # visibility_threshold relies on E(admix(s, p)) = p E(s) + (1 - p) E(noise)
     @pytest.mark.parametrize("noise, sectors", [
@@ -337,6 +342,32 @@ class TestMixtureLinearity:
             for name in ("e11", "e12", "e21", "e22"):
                 blend = p * getattr(pure, name) + (1.0 - p) * getattr(white, name)
                 assert getattr(mixed, name) == pytest.approx(blend, abs=1e-12)
+
+    @given(data=st.data(), noise=st.sampled_from(["sector", "factorized"]),
+           alphas=st.tuples(st.floats(0.1, 0.95), st.floats(0.1, 0.95)),
+           quad=st.tuples(*[st.floats(0.0, TWO_PI)] * 4),
+           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_linear_in_weight_property(self, data, noise, alphas, quad, p):
+        # factorized noise has ((N+1)(N+2)/2)^2 members; N = n1 + n2 <= 4 keeps it fast
+        n1 = data.draw(st.integers(0, 4), label="n1")
+        n2 = data.draw(st.integers(0, 4 - n1 if noise == "factorized" else 4), label="n2")
+        occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
+        amps = data.draw(st.lists(AMPLITUDES, min_size=len(occupations),
+                                  max_size=len(occupations)), label="amplitudes")
+        if not any(amps):
+            amps[0] = 1.0
+        norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
+        member = from_fock_amplitudes(
+            COMPOSITE_MODES, {o: c / norm for o, c in zip(occupations, amps) if c})
+        state = CompositeState(((1.0, member),), n1=n1, n2=n2)
+        q, (alpha, bob_alpha) = AngleQuad(*quad), alphas
+        pure = correlation_vector(state, q, alpha, bob_alpha)
+        white = correlation_vector(admix(state, 0.0, noise), q, alpha, bob_alpha)
+        mixed = correlation_vector(admix(state, p, noise), q, alpha, bob_alpha)
+        for name in ("e11", "e12", "e21", "e22"):
+            blend = p * getattr(pure, name) + (1.0 - p) * getattr(white, name)
+            assert abs(getattr(mixed, name) - blend) <= 1e-12
 
 
 class TestBounds:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from twocopy.fock import fock_amplitudes, inner, monomial_state, tensor
+from twocopy.fock import fock_amplitudes, from_fock_amplitudes, inner, monomial_state, tensor
 from twocopy.measurement import (
     MAX_BASIS_TOTAL,
     BeamSplitterSetting,
@@ -24,7 +24,14 @@ from twocopy.measurement import (
     sector_trace_product,
     weighted_parity,
 )
-from twocopy.states import MAX_PARTICLES, CompositeState, admix, bec_pair, sector_basis
+from twocopy.states import (
+    COMPOSITE_MODES,
+    MAX_PARTICLES,
+    CompositeState,
+    admix,
+    bec_pair,
+    sector_basis,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BAL = BeamSplitterSetting.balanced
@@ -261,8 +268,8 @@ def _mode_operators():
 
 def _splitter_unitary(op1, op2, setting):
     target = np.array([
-        [setting.alpha, setting.beta * np.exp(-1j * setting.phase)],
-        [setting.beta, -setting.alpha * np.exp(-1j * setting.phase)],
+        [setting.alpha, setting.beta * np.exp(1j * setting.phase)],
+        [setting.beta, -setting.alpha * np.exp(1j * setting.phase)],
     ])
     gen = logm(target)
     quad = (gen[0, 0] * op1.conj().T @ op1 + gen[0, 1] * op1.conj().T @ op2
@@ -309,6 +316,23 @@ def test_distribution_matches_dense_unitary_oracle(state_factory):
         dist = joint_distribution(state, alice, bob)
         for outcome, p in dist.items():
             assert dense.get(tuple(outcome), 0.0) == pytest.approx(p, abs=1e-10)
+
+
+def test_dense_oracle_on_complex_amplitudes():
+    # The relative phase i tells the splitter map from its complex conjugate,
+    # which agrees with it on real amplitudes only.
+    member = from_fock_amplitudes(COMPOSITE_MODES, {
+        (0, 1, 1, 0): INV_SQRT2, (1, 0, 0, 1): 1j * INV_SQRT2})
+    state = CompositeState(((1.0, member),), n1=1, n2=1)
+    alice = BeamSplitterSetting.from_alpha(0.5, 0.0)
+    bob = BeamSplitterSetting.from_alpha(0.5, 1.0)
+    dense = _dense_distribution(state, alice, bob)
+    dist = joint_distribution(state, alice, bob)
+    assert set(dense) == set(map(tuple, dist))
+    for outcome, p in dist.items():
+        assert dense[tuple(outcome)] == pytest.approx(p, abs=1e-10)
+    e = weighted_parity({Outcome(*key): p for key, p in dense.items()})
+    assert e == pytest.approx(-0.881, abs=5e-4)
 
 
 # -- sector traces ------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Optimizer, scans, and peak counting."""
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+import twocopy
 from twocopy import search
 from twocopy.fock import from_fock_amplitudes
 from twocopy.inequalities import (
     AngleQuad,
     QUANTUM_BOUND,
+    TWO_PI,
     bell_value,
     objective_array,
     objective_function,
@@ -165,6 +171,48 @@ class TestOptimize:
         assert result.restarts_used == search.MAX_RESTARTS
         with pytest.raises(ValueError, match=f"exceeds the bound {search.MAX_RESTARTS}"):
             optimize("bell_abs", bec_pair(1), restarts=search.MAX_RESTARTS + 1)
+
+
+class TestStartPoints:
+    # scipy is the oracle: its scrambled Sobol points times 2*pi, called with
+    # seed=int.  A Generator in place of the int would make scipy spawn a
+    # child stream and draw other points.
+    @pytest.mark.filterwarnings("ignore:The balance properties")
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 5, 8, 17, 64, 100, 512, 4096])
+    def test_bit_identical_to_scipy_sobol(self, restarts):
+        for seed in [*range(64), 301, 12345, 2 ** 31 - 1]:
+            sobol = qmc.Sobol(d=4, scramble=True, seed=seed).random(restarts)
+            assert np.array_equal(search._start_points(restarts, seed), sobol * TWO_PI)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            search._start_points(4, -1)
+
+
+# Run in a fresh interpreter where every scipy import fails.
+WITHOUT_SCIPY = """
+import sys
+sys.path.insert(0, {src!r})
+sys.modules["scipy"] = None
+import twocopy, twocopy.cli
+from twocopy.search import optimize
+result = optimize("steering", twocopy.bec_pair(1), restarts=8, seed=7)
+assert result.max_value > 2.8, result
+code = twocopy.cli.main(["optimize", "--state", "bec", "--n1", "1", "--n2", "1",
+                         "--objective", "steering", "--restarts", "8"])
+assert code == 0, code
+loaded = [name for name, module in sys.modules.items()
+          if name.startswith("scipy") and module is not None]
+assert not loaded, loaded
+"""
+
+
+def test_runtime_needs_no_scipy():
+    src = str(pathlib.Path(twocopy.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY.format(src=src)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert '"converged": 8' in run.stdout
 
 
 class TestBatchedSimplex:

@@ -46,6 +46,13 @@ class TestBecState:
             assert amp.imag == 0.0
             assert amp.real >= 0.0
 
+    def test_particle_bound(self):
+        # without the bound, math.sqrt of a factorial overflows from n = 171 on
+        assert bec_state(MAX_PARTICLES).is_normalized()
+        for n in (MAX_PARTICLES + 1, 200, -1):
+            with pytest.raises(ValueError, match=f"n={n} must lie in .*MAX_PARTICLES"):
+                bec_state(n)
+
 
 class TestNoonState:
     def test_two_zero(self):
@@ -65,6 +72,12 @@ class TestNoonState:
         assert len(amps) == 2
         for amp in amps.values():
             assert abs(amp) == pytest.approx(INV_SQRT2)
+
+    def test_particle_bound(self):
+        assert noon_state(MAX_PARTICLES, 3).is_normalized()
+        for n in (MAX_PARTICLES + 1, 200):
+            with pytest.raises(ValueError, match=f"n={n} must lie in .*MAX_PARTICLES"):
+                noon_state(n, 3)
 
 
 class TestTwoCopy:
