@@ -7,20 +7,23 @@ degree.  Its Fourier coefficients are contracted exactly from the state's
 Fock amplitudes and each party's beam-splitter observable, one real matrix
 per particle-number block, and the polynomial is cached per (state,
 reflectivity), so repeated evaluations during optimization are cheap
-without any closed-form shortcuts.
+without any closed-form shortcuts.  Each objective is a numpy function of
+the four correlations on an array's last axis.  White noise correlates as
+one number at every angle pair, read from the parity traces.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .fock import fock_amplitudes
-from .measurement import BALANCED_ALPHA, BeamSplitterSetting, parity_blocks
-from .states import CompositeState, NoiseModel, admix, bec_pair, noon_pair
+from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, epsilon, local_outcomes,
+                          parity_blocks, sector_trace_product)
+from .states import CompositeState, NoiseModel, bec_pair, noon_pair
 
 TWO_PI = 2.0 * math.pi
 CLASSICAL_BOUND = 2.0
@@ -73,10 +76,7 @@ class AngleQuad:
 
 @dataclass(frozen=True)
 class CorrelationVector:
-    """The four correlations <A(phi_j) B(theta_k)>.
-
-    The objectives also accept a vector whose fields are equal-shaped arrays.
-    """
+    """The four correlations <A(phi_j) B(theta_k)>."""
 
     e11: float
     e12: float
@@ -160,6 +160,25 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeri
     return _TrigSeries(np.bincount(order, term.real) + 1j * np.bincount(order, term.imag))
 
 
+def _series(state: CompositeState, alpha: float, bob_alpha: float | None) -> _TrigSeries:
+    if bob_alpha is None:
+        bob_alpha = alpha
+    return _profile(state, float(alpha), float(bob_alpha))
+
+
+# Columns of (phi1, phi2, theta1, theta2) whose differences give e11, e12,
+# e21 and e22.
+_ALICE_COLUMNS = np.array([0, 0, 1, 1])
+_BOB_COLUMNS = np.array([2, 3, 2, 3])
+
+
+def _correlations(series: _TrigSeries, quads) -> np.ndarray:
+    """(e11, e12, e21, e22) on the last axis, for angle quads of shape (..., 4)."""
+    quads = np.asarray(quads)
+    return series.evaluate(quads.take(_ALICE_COLUMNS, axis=-1)
+                           - quads.take(_BOB_COLUMNS, axis=-1))
+
+
 def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
                 alpha: float = BALANCED_ALPHA, bob_alpha: float | None = None) -> float:
     """<A(alice_angle) B(bob_angle)> for the given reflectivity amplitudes.
@@ -169,37 +188,30 @@ def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
     """
     if not (math.isfinite(alice_angle) and math.isfinite(bob_angle)):
         raise ValueError(f"angles ({alice_angle}, {bob_angle}) are not finite")
-    if bob_alpha is None:
-        bob_alpha = alpha
-    series = _profile(state, float(alpha), float(bob_alpha))
-    return float(series.evaluate(np.array(alice_angle - bob_angle)))
+    return float(_series(state, alpha, bob_alpha).evaluate(np.array(alice_angle - bob_angle)))
 
 
 def correlation_vector(state: CompositeState, q: AngleQuad,
                        alpha: float = BALANCED_ALPHA,
                        bob_alpha: float | None = None) -> CorrelationVector:
-    if bob_alpha is None:
-        bob_alpha = alpha
-    series = _profile(state, float(alpha), float(bob_alpha))
-    return CorrelationVector(*series.evaluate(np.array(
-        [q.phi1 - q.theta1, q.phi1 - q.theta2,
-         q.phi2 - q.theta1, q.phi2 - q.theta2])).tolist())
+    e = _correlations(_series(state, alpha, bob_alpha), q.as_tuple())
+    return CorrelationVector(*e.tolist())
 
 
-def _bell(e: CorrelationVector) -> float:
-    return e.e11 + e.e12 + e.e21 - e.e22
+def _bell(e: np.ndarray) -> np.ndarray:
+    return e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
 
 
-def _steering(e: CorrelationVector, hypot=math.hypot) -> float:
-    return (hypot(e.e11 + e.e21, e.e12 + e.e22)
-            + hypot(e.e11 - e.e21, e.e12 - e.e22))
+def _steering(e: np.ndarray) -> np.ndarray:
+    e11, e12, e21, e22 = e[..., 0], e[..., 1], e[..., 2], e[..., 3]
+    return np.hypot(e11 + e21, e12 + e22) + np.hypot(e11 - e21, e12 - e22)
 
 
 def bell_value(state: CompositeState, q: AngleQuad,
                alpha: float = BALANCED_ALPHA,
                bob_alpha: float | None = None) -> float:
     """Standard CHSH combination E11 + E12 + E21 - E22 (signed)."""
-    return _bell(correlation_vector(state, q, alpha, bob_alpha))
+    return float(_bell(_correlations(_series(state, alpha, bob_alpha), q.as_tuple())))
 
 
 def steering_value(state: CompositeState, q: AngleQuad,
@@ -210,7 +222,7 @@ def steering_value(state: CompositeState, q: AngleQuad,
     sqrt((E11+E21)^2 + (E12+E22)^2) + sqrt((E11-E21)^2 + (E12-E22)^2);
     nonnegative, and at most 2*sqrt(2) for quantum correlations.
     """
-    return _steering(correlation_vector(state, q, alpha, bob_alpha))
+    return float(_steering(_correlations(_series(state, alpha, bob_alpha), q.as_tuple())))
 
 
 # --------------------------------------------------------------------------
@@ -358,50 +370,24 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     }
 
 
-def _abs_bell(e: CorrelationVector) -> float:
-    return abs(_bell(e))
+def _abs_bell(e: np.ndarray) -> np.ndarray:
+    return np.abs(_bell(e))
 
 
-# Each objective as a function of the four correlations.
-_OBJECTIVES: dict[str, Callable[[CorrelationVector], float]] = {
+# Each objective as a function of an array whose last axis holds (e11, e12, e21, e22).
+_OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "steering": _steering,
     "bell": _abs_bell,
     "bell_abs": _abs_bell,
 }
 
 
-# The same objectives on correlation vectors of arrays.
-_ARRAY_OBJECTIVES = {**_OBJECTIVES, "steering": partial(_steering, hypot=np.hypot)}
-
-
-def _functional(name: str, table=_OBJECTIVES) -> Callable[[CorrelationVector], float]:
+def _functional(name: str) -> Callable[[np.ndarray], np.ndarray]:
     try:
-        return table[name]
+        return _OBJECTIVES[name]
     except KeyError:
         raise ValueError(f"unknown objective {name!r}; "
                          f"choose from {sorted(_OBJECTIVES)}") from None
-
-
-def objective_function(name: str) -> Callable[..., float]:
-    """Look up an inequality objective by name.
-
-    The result is called as ``(state, q, alpha, bob_alpha)``.  ``steering``
-    is the steering functional; ``bell`` and ``bell_abs`` both mean
-    |bell_value| (the violation criterion is two-sided).
-    """
-    functional = _functional(name)
-
-    def objective(state: CompositeState, q: AngleQuad,
-                  alpha: float = BALANCED_ALPHA,
-                  bob_alpha: float | None = None) -> float:
-        return functional(correlation_vector(state, q, alpha, bob_alpha))
-    return objective
-
-
-# Columns of (phi1, phi2, theta1, theta2) whose differences give e11, e12,
-# e21 and e22.
-_ALICE_COLUMNS = np.array([0, 0, 1, 1])
-_BOB_COLUMNS = np.array([2, 3, 2, 3])
 
 
 def objective_array(name: str, state: CompositeState,
@@ -412,19 +398,34 @@ def objective_array(name: str, state: CompositeState,
 
     The result maps an array of shape (..., 4), each row ordered as
     (phi1, phi2, theta1, theta2), to the objective values of shape (...).
-    Values equal those of ``objective_function(name)`` except for the last
-    bit of ``np.hypot`` against ``math.hypot`` in the steering functional.
+    ``steering`` is the steering functional; ``bell`` and ``bell_abs`` both
+    mean |bell_value|.
     """
-    functional = _functional(name, _ARRAY_OBJECTIVES)
-    if bob_alpha is None:
-        bob_alpha = alpha
-    series = _profile(state, float(alpha), float(bob_alpha))
+    functional = _functional(name)
+    series = _series(state, alpha, bob_alpha)
 
     def objective(quads: np.ndarray) -> np.ndarray:
-        e = series.evaluate(quads.take(_ALICE_COLUMNS, axis=-1)
-                            - quads.take(_BOB_COLUMNS, axis=-1))
-        return functional(CorrelationVector(e[..., 0], e[..., 1], e[..., 2], e[..., 3]))
+        return functional(_correlations(series, quads))
     return objective
+
+
+def _noise_correlation(state: CompositeState, alpha: float,
+                       bob_alpha: float | None, noise: NoiseModel) -> float:
+    """The correlation of ``admix(state, 0.0, noise)``, alike at all angles.
+
+    Sector noise: the sector trace over the sector dimension.  Factorized
+    noise: (sum of eps / count)^2 over each party's outcomes for n1 + n2
+    particles, as each block S_k^T diag(eps) S_k has the trace of diag(eps).
+    """
+    if noise == "sector":
+        alice = BeamSplitterSetting.from_alpha(alpha, 0.0)
+        bob = BeamSplitterSetting.from_alpha(alpha if bob_alpha is None else bob_alpha, 0.0)
+        return (sector_trace_product(state.n1, state.n2, alice, bob)
+                / ((state.n1 + 1) * (state.n2 + 1)))
+    if noise == "factorized":
+        weights = [epsilon(n, m) for n, m in local_outcomes(state.n_total)]
+        return (sum(weights) / len(weights)) ** 2
+    raise ValueError(f"unknown noise model {noise!r}")
 
 
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
@@ -435,32 +436,30 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     """Smallest admixing probability at which the violation survives.
 
     Correlations are linear in the mixture weights, so those of
-    ``admix(state, p, noise)`` are p * E(state) + (1 - p) * E(noise alone),
-    the latter taken from ``admix(state, 0.0, noise)``.  Two correlation
-    vectors therefore fix the whole curve, and the objective of the blended
-    vector is bisected to ``tol`` for the point where it equals the
-    classical bound 2.  The crossing is unique: steering and |Bell| are
-    sums of norms of affine functions of p, hence convex in p, so the set
-    where the objective lies below 2 is an interval.  It contains p = 0 when
-    the noise alone stays below 2, and it ends before p = 1, where the value
-    must exceed 2.  NoViolationError is raised when either end fails: no
-    violation at p = 1, or the noise alone already reaches 2 at p = 0, so
-    that no admixture undoes the violation.
+    ``admix(state, p, noise)`` are p * E(state) + (1 - p) * c, with c the
+    noise alone's correlation: one number at all angles, read from the
+    parity traces, so no mixture is built and factorized noise has no
+    bound on n1 + n2 here.  The objective of the blend is bisected to
+    ``tol`` for the point where it equals the classical bound 2.  The
+    crossing is unique: steering and |Bell| are sums of norms of affine
+    functions of p, hence convex in p, so the set where the objective lies
+    below 2 is an interval.  It contains p = 0 when the noise alone stays
+    below 2, and it ends before p = 1, where the value must exceed 2.
+    NoViolationError is raised when either end fails: no violation at
+    p = 1, or the noise alone already reaches 2 at p = 0, so that no
+    admixture undoes the violation.
 
-    With the factorized noise model the objective is exactly linear in ``p``
-    for states whose parity observables are traceless on the per-party
-    measurement space, so the result then equals 2 / objective(p=1).
+    Factorized noise has c = 0 when n1 + n2 is 2 or 3 modulo 4 (each party's
+    outcome weights sum to zero), and the result is then 2 / objective(p=1).
     """
     functional = _functional(objective)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol={tol} must be a finite number > 0")
-    pure = correlation_vector(state, q, alpha, bob_alpha)
-    white = correlation_vector(admix(state, 0.0, noise=noise), q, alpha, bob_alpha)
-    pairs = tuple(zip(astuple(pure), astuple(white)))
+    pure = _correlations(_series(state, alpha, bob_alpha), q.as_tuple())
+    white = _noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p: float) -> float:
-        return functional(CorrelationVector(
-            *(p * a + (1.0 - p) * b for a, b in pairs)))
+        return functional(p * pure + (1.0 - p) * white)
 
     top = value_at(1.0)
     if top <= CLASSICAL_BOUND:

@@ -30,7 +30,6 @@ from .inequalities import (
     AngleQuad,
     TWO_PI,
     objective_array,
-    objective_function,
 )
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
@@ -218,7 +217,7 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     x, f, used, converged = _nelder_mead(lambda quads: -value(quads), starts)
     best = int(np.argmin(f))
     argmax = AngleQuad(*(float(v) for v in x[best])).canonical()
-    max_value = objective_function(objective)(state, argmax, alpha, bob_alpha)
+    max_value = float(value(argmax.as_tuple()))
     return OptimizationResult(
         max_value=max_value,
         argmax=argmax,

@@ -100,8 +100,8 @@ def bec_state(n: int, modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
 def noon_state(n: int, m: int = 0,
                modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
     """Generalized N00N state (|n-m, m> + |m, n-m>)/sqrt(2)."""
-    if n <= 0 or m < 0:
-        raise ValueError("need n > 0 and m >= 0")
+    if n <= 0 or not 0 <= m <= n:
+        raise ValueError(f"need n > 0 and 0 <= m <= n, got n={n} and m={m}")
     _check_particles(n=n)
     if 2 * m == n:
         raise DegenerateComponentError(

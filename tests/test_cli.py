@@ -68,6 +68,14 @@ class TestOptimizeCommand:
         assert code == 2
         assert "n1" in err
 
+    def test_noon_occupation_above_n(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--state", "noon", "--n", "3", "--m", "5",
+            "--objective", "steering", "--restarts", "2")
+        assert code == 2
+        assert out == ""
+        assert "twocopy: error: need n > 0 and 0 <= m <= n, got n=3 and m=5" in err
+
 
 class TestScanCommand:
     ARGS = ("scan", "--state", "noon", "--n", "2", "--m", "0",
@@ -146,6 +154,21 @@ class TestVisibilityCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["threshold"] == pytest.approx(0.7164930, abs=1e-5)
+
+    def test_factorized_noise_past_admix_bound(self, capsys):
+        # n1 + n2 = 18 exceeds MAX_FACTORIZED_TOTAL, which bounds only the
+        # explicit noise mixture of admix
+        best = search.optimize("steering", bec_pair(9), restarts=8, seed=0)
+        angles = [f"--{name}={value!r}" for name, value
+                  in zip(inequalities.ANGLE_NAMES, best.argmax.as_tuple())]
+        code, out, err = run_cli(
+            capsys, "visibility", "--state", "bec", "--n1", "9",
+            "--objective", "steering", "--noise", "factorized", *angles)
+        assert code == 0, err
+        # the outcome weights of 18 particles sum to zero, so the noise
+        # alone does not correlate and the threshold is 2 / S
+        assert json.loads(out)["threshold"] == pytest.approx(
+            2.0 / best.max_value, abs=1e-9)
 
     def test_no_violation_exit_code(self, capsys):
         code, _, err = run_cli(

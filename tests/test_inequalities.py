@@ -64,6 +64,17 @@ def direct_correlation(state, phi, theta, alpha=None, bob_alpha=None):
     return weighted_parity(joint_distribution(state, alice, bob))
 
 
+def direct_mixture_objective(state, objective, q, p, noise, alpha=None, bob_alpha=None):
+    """Independent route: the objective of a freshly admixed state, from
+    four direct correlations, with no use of linearity in p."""
+    mixed = admix(state, p, noise=noise)
+    e11, e12, e21, e22 = [direct_correlation(mixed, phi, theta, alpha, bob_alpha)
+                          for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
+    if objective == "bell":
+        return abs(e11 + e12 + e21 - e22)
+    return math.hypot(e11 + e21, e12 + e22) + math.hypot(e11 - e21, e12 - e22)
+
+
 class TestCorrelation:
     def test_vacuum_composite_is_one(self):
         vac = CompositeState(((1.0, monomial_state(
@@ -237,29 +248,45 @@ class TestVisibilityThreshold:
             "bec1-bell-sector", "bec2-steering-sector", "noon2-bell-sector"])
     def test_bisection_against_independent_search(self, state, objective, noise,
                                                    q, alpha, bob_alpha):
-        # independent oracle: a fresh admixed state at every step, evaluated
-        # by the direct route, with no use of linearity in p
         kwargs = {} if alpha is None else {"alpha": alpha, "bob_alpha": bob_alpha}
         threshold = visibility_threshold(state, objective, q, noise=noise, **kwargs)
-
-        def objective_direct(p):
-            mixed = admix(state, p, noise=noise)
-            e11, e12, e21, e22 = [
-                direct_correlation(mixed, phi, theta, alpha, bob_alpha)
-                for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
-            if objective == "bell":
-                return abs(e11 + e12 + e21 - e22)
-            return (math.hypot(e11 + e21, e12 + e22)
-                    + math.hypot(e11 - e21, e12 - e22))
-
         lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if objective_direct(mid) >= 2.0:
+            if direct_mixture_objective(state, objective, q, mid, noise,
+                                        alpha, bob_alpha) >= 2.0:
                 hi = mid
             else:
                 lo = mid
         assert threshold == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+
+    @pytest.mark.parametrize("state, objective, q, alpha, bob_alpha", [
+        (bec_pair(2), "steering", Q_STEER_BEC2, None, None),
+        (bec_pair(2), "steering", Q_STEER_BEC2, *UNEVEN),
+        (noon_pair(2), "bell", Q_BELL_NOON, *UNEVEN),
+    ], ids=["bec2-steering-balanced", "bec2-steering", "noon2-bell"])
+    def test_factorized_noise_with_nonzero_correlation(self, state, objective, q,
+                                                       alpha, bob_alpha):
+        # With n1 + n2 = 4 each party's outcome weights sum to 1, so the
+        # noise alone correlates as (1/15)^2 and moves the threshold by about
+        # 1e-3 from 2 / objective(p=1).  A 40-step oracle bisection over
+        # these 226-member mixtures takes seconds, so the oracle instead
+        # checks that the crossing lies within 1e-7 of the threshold; the
+        # crossing is unique, as the objective is convex in p.
+        kwargs = {} if alpha is None else {"alpha": alpha, "bob_alpha": bob_alpha}
+        noise_alone = admix(state, 0.0, noise="factorized")
+        assert direct_correlation(noise_alone, 0.3, 1.1, alpha, bob_alpha) == (
+            pytest.approx(1.0 / 225.0, abs=1e-12))
+        threshold = visibility_threshold(state, objective, q, noise="factorized",
+                                         tol=1e-10, **kwargs)
+        below, above = (direct_mixture_objective(state, objective, q, p, "factorized",
+                                                 alpha, bob_alpha)
+                        for p in (threshold - 1e-7, threshold + 1e-7))
+        assert below < 2.0 <= above
+
+    def test_unknown_noise_model(self):
+        with pytest.raises(ValueError, match="unknown noise model 'bogus'"):
+            visibility_threshold(bec_pair(1), "steering", Q_STEER_BEC1, noise="bogus")
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
     def test_rejects_bad_tol(self, tol):

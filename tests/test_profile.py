@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
-from twocopy import fock, inequalities, measurement
+from twocopy import fock, inequalities, measurement, states
 from twocopy.fock import fock_amplitudes, from_fock_amplitudes
 from twocopy.inequalities import (
     AngleQuad,
@@ -38,6 +38,7 @@ from twocopy.measurement import (
 )
 from twocopy.states import (
     COMPOSITE_MODES,
+    MAX_FACTORIZED_TOTAL,
     MAX_PARTICLES,
     CompositeState,
     admix,
@@ -212,6 +213,23 @@ def test_sector_noise_correlation(n1, n2):
             trace / ((n1 + 1) * (n2 + 1)), abs=1e-12)
 
 
+@pytest.mark.parametrize("n1, n2", [(8, 9), (MAX_PARTICLES, MAX_PARTICLES)])
+def test_factorized_noise_correlation_past_admix_bound(n1, n2):
+    # admix builds factorized noise only up to MAX_FACTORIZED_TOTAL particles;
+    # visibility needs just its correlation, here from the numerical traces
+    # of each party's blocks
+    n_total = n1 + n2
+    assert n_total > MAX_FACTORIZED_TOTAL
+    rng = np.random.default_rng(n_total)
+    alpha, bob_alpha = (float(a) for a in np.sqrt(rng.uniform(0.1, 0.9, 2)))
+    traces = [np.trace(parity_blocks(setting(a, rng.uniform(0.0, TWO_PI)), n_total),
+                       axis1=1, axis2=2).sum() for a in (alpha, bob_alpha)]
+    want = traces[0] * traces[1] / outcome_count(n_total) ** 2
+    got = inequalities._noise_correlation(bec_pair(n1, n2), alpha, bob_alpha, "factorized")
+    assert got != 0.0
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 @pytest.mark.parametrize("other", [(2, 0, 1, 0), (1, 0, 2, 0)], ids=["system1", "system2"])
 def test_member_superposing_sectors_raises(other):
     member = from_fock_amplitudes(COMPOSITE_MODES, {(1, 0, 1, 0): 0.6, other: 0.8})
@@ -223,15 +241,14 @@ def test_member_superposing_sectors_raises(other):
 # -- the polynomial engine stays off the hot path ----------------------------------
 
 
-@pytest.fixture
-def without_polynomial_engine(monkeypatch):
-    """Every alias of ``fock.substitute`` and ``joint_distribution`` raises."""
+def forbid(monkeypatch, originals, message):
+    """Make every alias of the ``originals`` in the package raise."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("the polynomial engine was called")
+        raise AssertionError(message)
 
     modules = [m for name, m in sys.modules.items()
                if name == "twocopy" or name.startswith("twocopy.")]
-    for original in (fock.substitute, measurement.joint_distribution):
+    for original in originals:
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is original:
@@ -239,7 +256,22 @@ def without_polynomial_engine(monkeypatch):
     inequalities._profile.cache_clear()
 
 
-def test_hot_path_avoids_polynomial_engine(without_polynomial_engine):
+@pytest.fixture
+def without_polynomial_engine(monkeypatch):
+    """Every alias of ``fock.substitute`` and ``joint_distribution`` raises."""
+    forbid(monkeypatch, (fock.substitute, measurement.joint_distribution),
+           "the polynomial engine was called")
+
+
+@pytest.fixture
+def without_noise_mixtures(monkeypatch):
+    """Every alias of ``states.admix`` raises: visibility reads the noise
+    correlation from traces and builds no mixture."""
+    forbid(monkeypatch, (states.admix,), "a noise mixture was built")
+
+
+def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,
+                                           without_noise_mixtures):
     rng = np.random.default_rng(71)
     occupations = [(k, 3 - k, l, 2 - l) for k in range(4) for l in range(3)]
     amps = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))

@@ -16,8 +16,8 @@ from twocopy.inequalities import (
     QUANTUM_BOUND,
     TWO_PI,
     bell_value,
+    correlation,
     objective_array,
-    objective_function,
     steering_value,
 )
 from twocopy.search import count_local_maxima, optimize, scan_1d
@@ -111,6 +111,19 @@ def oracle_cases():
 
 
 ORACLE_CASES = oracle_cases()
+
+
+def scalar_objective(objective):
+    """The reference objective, called as ``(state, q, alpha, bob_alpha)``:
+    four scalar ``correlation`` calls combined with ``math.hypot`` and
+    ``abs``, sharing no code with the engine's objective table."""
+    def value(state, q, alpha, bob_alpha):
+        e11, e12, e21, e22 = [correlation(state, phi, theta, alpha, bob_alpha)
+                              for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
+        if objective == "steering":
+            return math.hypot(e11 + e21, e12 + e22) + math.hypot(e11 - e21, e12 - e22)
+        return abs(e11 + e12 + e21 - e22)
+    return value
 
 
 class TestOptimize:
@@ -224,7 +237,7 @@ class TestBatchedSimplex:
     def test_matches_one_start_reference(self, objective, label, state, alpha,
                                          bob_alpha):
         value = objective_array(objective, state, alpha, bob_alpha)
-        scalar = objective_function(objective)
+        scalar = scalar_objective(objective)
         starts = search._start_points(6, seed=len(label))
         x, f, used, converged = search._nelder_mead(lambda q: -value(q), starts)
         for i, start in enumerate(starts):
@@ -249,7 +262,7 @@ class TestBatchedSimplex:
                                             bob_alpha):
         quads = np.random.default_rng(29).uniform(-10.0, 10.0, (200, 4))
         values = objective_array(objective, state, alpha, bob_alpha)(quads)
-        scalar = objective_function(objective)
+        scalar = scalar_objective(objective)
         for quad, v in zip(quads, values):
             assert v == pytest.approx(
                 scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)

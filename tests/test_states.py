@@ -73,6 +73,15 @@ class TestNoonState:
         for amp in amps.values():
             assert abs(amp) == pytest.approx(INV_SQRT2)
 
+    @pytest.mark.parametrize("n, m", [(3, 5), (3, -1), (1, 2)])
+    def test_second_occupation_within_n(self, n, m):
+        with pytest.raises(ValueError, match=f"0 <= m <= n, got n={n} and m={m}"):
+            noon_state(n, m)
+
+    def test_second_occupation_may_equal_n(self):
+        amps = fock_amplitudes(noon_state(3, 3))
+        assert amps == fock_amplitudes(noon_state(3, 0))
+
     def test_particle_bound(self):
         assert noon_state(MAX_PARTICLES, 3).is_normalized()
         for n in (MAX_PARTICLES + 1, 200):
