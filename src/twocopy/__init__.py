@@ -50,7 +50,6 @@ from .inequalities import (
     QUANTUM_BOUND,
     bell_value,
     closed_form,
-    closed_form_engine_value,
     closed_form_state,
     correlation,
     correlation_vector,
@@ -81,7 +80,7 @@ __all__ = [
     "joint_distribution", "weighted_parity", "sector_trace_product",
     "AngleQuad", "CorrelationVector", "correlation", "correlation_vector",
     "bell_value", "steering_value", "closed_form", "closed_form_state",
-    "closed_form_engine_value", "verify_closed_forms", "visibility_threshold",
+    "verify_closed_forms", "visibility_threshold",
     "CLOSED_FORM_FAMILIES", "FORM_ORIENTATION",
     "CLASSICAL_BOUND", "QUANTUM_BOUND",
     "NoViolationError", "NegativeRadicandError",

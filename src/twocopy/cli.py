@@ -238,8 +238,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     alice2 = None
     if args.phi2 is not None:
         alice2 = BeamSplitterSetting.from_alpha(alpha, args.phi2)
+    elif args.sign is not None:
+        raise ValueError("--sign combines two Alice observables and needs --phi2")
     value = measurement.sector_trace_product(
-        args.n1, args.n2, alice, bob, alice2=alice2, sign=args.sign)
+        args.n1, args.n2, alice, bob, alice2=alice2,
+        sign=1.0 if args.sign is None else args.sign)
     _emit_json({"value": value, "n1": args.n1, "n2": args.n2}, args.output)
     return 0
 
@@ -308,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=parse_angle, required=True)
     p.add_argument("--phi2", type=parse_angle, default=None,
                    help="second Alice angle for a combined observable")
-    p.add_argument("--sign", type=float, default=1.0, choices=(1.0, -1.0),
-                   help="sign combining the two Alice observables")
+    p.add_argument("--sign", type=float, default=None, choices=(1.0, -1.0),
+                   help="sign combining the two Alice observables (default +1; "
+                        "needs --phi2)")
     _add_reflectivity_arguments(p)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_trace)

@@ -81,6 +81,8 @@ class ModePolynomial:
             if any(k < 0 for k in expo):
                 raise ValueError(f"negative exponent in {expo}")
             c = complex(coef)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"coefficient {c} of {expo} is not finite")
             if c != 0:
                 cleaned[expo] = c
         object.__setattr__(self, "modes", modes)

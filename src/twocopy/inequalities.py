@@ -31,7 +31,7 @@ QUANTUM_BOUND = 2.0 * math.sqrt(2.0)
 
 ANGLE_NAMES = ("phi1", "phi2", "theta1", "theta2")
 
-# verify_closed_forms makes five scalar evaluations per draw, about 0.6 ms.
+# verify_closed_forms evaluates five scalar closed forms per draw, about 40 us.
 MAX_DRAWS = 10_000
 
 
@@ -334,14 +334,6 @@ def closed_form_state(family: str) -> CompositeState:
     raise ValueError(f"unknown family {family!r}")
 
 
-def closed_form_engine_value(family: str, q: AngleQuad) -> float:
-    """Engine-side quantity matching a reference family (balanced splitters)."""
-    state = closed_form_state(family)
-    if family.startswith("steer"):
-        return steering_value(state, q)
-    return bell_value(state, q)
-
-
 def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     """Compare engine values against every orientable reference form.
 
@@ -355,16 +347,15 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     rng = np.random.default_rng(seed)
     deviations: dict[str, float] = {}
     for family, orientation in FORM_ORIENTATION.items():
-        worst = 0.0
-        for _ in range(draws):
-            q = AngleQuad(*rng.uniform(0.0, TWO_PI, 4))
-            engine = closed_form_engine_value(family, q)
-            reference = orientation * closed_form(family, q)
-            worst = max(worst, abs(engine - reference))
-        deviations[family] = worst
+        quads = rng.uniform(0.0, TWO_PI, (draws, 4))
+        functional = _steering if family.startswith("steer") else _bell
+        series = _series(closed_form_state(family), BALANCED_ALPHA, None)
+        engine = functional(_correlations(series, quads))
+        forms = [orientation * closed_form(family, AngleQuad(*q)) for q in quads]
+        deviations[family] = float(np.max(np.abs(engine - forms)))
     return {
         "families": deviations,
-        "max_abs_deviation": max(deviations.values()),
+        "max_abs_deviation": float(np.max(list(deviations.values()))),
         "draws": draws,
         "seed": seed,
     }

@@ -61,6 +61,9 @@ class CompositeState:
         _check_particles(n1=self.n1, n2=self.n2)
         if not self.entries:
             raise ValueError("mixture must contain at least one entry")
+        for w, _ in self.entries:
+            if not math.isfinite(w):
+                raise ValueError(f"mixture weight {w} is not finite")
         if any(w < -WEIGHT_TOL for w, _ in self.entries):
             raise ValueError("mixture weights must be nonnegative")
         total = sum(w for w, _ in self.entries)

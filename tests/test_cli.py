@@ -215,6 +215,23 @@ class TestTraceCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_sign_defaults_to_sum(self, capsys):
+        argv = ("trace", "--n1", "1", "--n2", "2", "--phi", "0.4",
+                "--theta", "1.1", "--phi2", "2.2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--sign", "1") == (0, out, "")
+        assert run_cli(capsys, *argv, "--sign", "-1")[1] != out
+
+    @pytest.mark.parametrize("sign", ["-1.0", "1.0"])
+    def test_sign_without_second_angle(self, capsys, sign):
+        code, out, err = run_cli(
+            capsys, "trace", "--n1", "1", "--n2", "1", "--phi", "0.4",
+            "--theta", "1.1", "--sign", sign)
+        assert code == 2
+        assert out == ""
+        assert "--sign" in err and "--phi2" in err
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):

@@ -91,6 +91,12 @@ class TestMonomialState:
         with pytest.raises(ValueError):
             monomial_state({"a": -1})
 
+    @pytest.mark.parametrize("coefficient", [
+        math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.0)])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        with pytest.raises(ValueError, match=r"coefficient .* of \(1, 0\) is not finite"):
+            ModePolynomial(("a", "A"), {(0, 1): 0.5, (1, 0): coefficient})
+
 
 class TestTensor:
     def test_vacuum_times_vacuum(self):

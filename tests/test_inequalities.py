@@ -22,7 +22,6 @@ from twocopy.inequalities import (
     QUANTUM_BOUND,
     bell_value,
     closed_form,
-    closed_form_engine_value,
     closed_form_state,
     correlation,
     correlation_vector,
@@ -166,10 +165,34 @@ class TestSteeringValue:
             assert steering_value(bec_pair(2), q) >= 0.0
 
 
+def per_draw_deviations(draws, seed):
+    """verify_closed_forms one quad at a time through the public scalar
+    functions: the same draws, engine values and deviations."""
+    rng = np.random.default_rng(seed)
+    deviations = {}
+    for family, orientation in FORM_ORIENTATION.items():
+        state = closed_form_state(family)
+        value = steering_value if family.startswith("steer") else bell_value
+        worst = 0.0
+        for _ in range(draws):
+            q = AngleQuad(*rng.uniform(0.0, TWO_PI, 4))
+            worst = max(worst, abs(value(state, q) - orientation * closed_form(family, q)))
+        deviations[family] = worst
+    return deviations
+
+
 class TestClosedForms:
     def test_draws_bound(self):
         with pytest.raises(ValueError, match=f"exceeds the bound {MAX_DRAWS}"):
             verify_closed_forms(draws=MAX_DRAWS + 1)
+
+    @pytest.mark.parametrize("seed", [7, 12345])
+    @pytest.mark.parametrize("draws", [1, 20, 100])
+    def test_matches_per_draw_scalar_route(self, seed, draws):
+        reference = per_draw_deviations(draws, seed)
+        report = verify_closed_forms(draws=draws, seed=seed)
+        assert report["families"] == reference
+        assert report["max_abs_deviation"] == max(reference.values())
 
     def test_engine_matches_every_orientable_form(self):
         report = verify_closed_forms(draws=100, seed=7)
@@ -223,7 +246,7 @@ class TestClosedForms:
         assert abs(value - steering_value(noon_pair(2, 0), q)) > 0.1
 
     def test_engine_noon_steering_at_documented_angles(self):
-        value = closed_form_engine_value("steer_noon", AngleQuad(-0.13, 0.65, 0.26, 0.672))
+        value = steering_value(closed_form_state("steer_noon"), AngleQuad(-0.13, 0.65, 0.26, 0.672))
         assert value == pytest.approx(2.79, abs=0.02)
 
 

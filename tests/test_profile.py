@@ -24,6 +24,7 @@ from twocopy.inequalities import (
     correlation,
     correlation_vector,
     steering_value,
+    verify_closed_forms,
     visibility_threshold,
 )
 from twocopy.measurement import (
@@ -268,6 +269,22 @@ def without_noise_mixtures(monkeypatch):
     """Every alias of ``states.admix`` raises: visibility reads the noise
     correlation from traces and builds no mixture."""
     forbid(monkeypatch, (states.admix,), "a noise mixture was built")
+
+
+@pytest.fixture
+def without_scalar_evaluators(monkeypatch):
+    """Every alias of the per-call correlation and functional routes raises."""
+    forbid(monkeypatch, (correlation, correlation_vector, steering_value, bell_value),
+           "a scalar evaluator was called")
+
+
+def test_closed_form_check_is_one_array_call_per_family(without_scalar_evaluators):
+    inequalities._profile.cache_clear()
+    report = verify_closed_forms(draws=20)
+    assert report["max_abs_deviation"] < 1e-9
+    # one profile lookup per family: bec1, bec2 and noon2 are built once each
+    info = inequalities._profile.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
 
 
 def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,

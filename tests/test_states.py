@@ -202,6 +202,21 @@ class TestEnsembleValidation:
         with pytest.raises(error, match=message):
             CompositeState(entries, n1=1, n2=1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match=f"mixture weight {weight} is not finite"):
+            CompositeState(((weight, MEMBER),), n1=1, n2=1)
+        with pytest.raises(ValueError, match=f"mixture weight {weight} is not finite"):
+            CompositeState(((1.0, MEMBER), (weight, MEMBER)), n1=1, n2=1)
+
+    def test_rejects_non_finite_member_at_negligible_weight(self):
+        # members of weight <= WEIGHT_TOL skip the normalization check, so
+        # a NaN amplitude must be caught when the member is built
+        with pytest.raises(ValueError, match="is not finite"):
+            CompositeState(((1.0 - 1e-13, MEMBER),
+                            (1e-13, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): math.nan}))),
+                           n1=1, n2=1)
+
     def test_particle_bound(self):
         assert bec_pair(MAX_PARTICLES, 0).n1 == MAX_PARTICLES
         assert noon_pair(MAX_PARTICLES, 1).n2 == MAX_PARTICLES
