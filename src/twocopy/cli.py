@@ -4,10 +4,15 @@ Subcommands: optimize, scan, basis, visibility, verify, trace.  Scans are
 written as CSV; everything else as JSON.  All numeric output carries 12
 significant digits.  Exit codes: 0 success, 2 argument errors, 3 numerical
 failure (e.g. no violation to threshold).
+
+This module holds the flags and the formatting.  The library validates the
+values: counts past their bounds, non-finite angles and phases, and state
+parameters all raise ``ValueError`` there, which ``main`` reports as exit 2.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -15,7 +20,8 @@ import sys
 from typing import Sequence
 
 from . import inequalities, measurement, search, states
-from .inequalities import AngleQuad, NegativeRadicandError, NoViolationError
+from .fock import fock_amplitudes
+from .inequalities import ANGLE_NAMES, AngleQuad, NegativeRadicandError, NoViolationError
 from .measurement import BALANCED_ALPHA, BeamSplitterSetting
 
 _PI_LITERAL = re.compile(
@@ -71,7 +77,7 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n1", type=int, help="bec: particles in system 1")
     parser.add_argument("--n2", type=int, help="bec: particles in system 2")
     parser.add_argument("--n", type=int, help="noon: total particles per system")
-    parser.add_argument("--m", type=int, default=0, help="noon: minority occupation")
+    parser.add_argument("--m", type=int, help="noon: minority occupation")
 
 
 def _add_reflectivity_arguments(parser: argparse.ArgumentParser) -> None:
@@ -82,46 +88,34 @@ def _add_reflectivity_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_quad_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    for name in ("phi1", "phi2", "theta1", "theta2"):
+    for name in ANGLE_NAMES:
         parser.add_argument(f"--{name}", type=parse_angle, required=required,
                             help=f"angle {name} in radians ('pi/2' accepted)")
 
 
 def _resolve_state(args: argparse.Namespace) -> states.CompositeState:
+    for name in ("n", "m") if args.state == "bec" else ("n1", "n2"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to --state {args.state}")
     if args.state == "bec":
         if args.n1 is None:
             raise ValueError("--state bec requires --n1 (and optionally --n2)")
         return states.bec_pair(args.n1, args.n2)
     if args.n is None:
         raise ValueError("--state noon requires --n (and optionally --m)")
-    return states.noon_pair(args.n, args.m)
-
-
-# Upper bounds of the count flags, by argparse destination.  The library
-# functions behind them raise the same ValueError past these bounds.
-_BOUNDS = {
-    "n1": states.MAX_PARTICLES,
-    "n2": states.MAX_PARTICLES,
-    "n": states.MAX_PARTICLES,
-    "n_total": measurement.MAX_BASIS_TOTAL,
-    "points": search.MAX_POINTS,
-    "restarts": search.MAX_RESTARTS,
-    "draws": inequalities.MAX_DRAWS,
-}
-
-
-def _check_bounds(args: argparse.Namespace) -> None:
-    for name, bound in _BOUNDS.items():
-        value = getattr(args, name, None)
-        if value is not None and value > bound:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} {value} exceeds the bound {bound}")
+    return states.noon_pair(args.n, args.m or 0)
 
 
 def _check_alpha(value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"alpha {value} must lie strictly inside (0, 1)")
     return value
+
+
+def _alphas(args: argparse.Namespace) -> tuple[float, float | None]:
+    """Alice's alpha, and Bob's or None when it is Alice's."""
+    alpha = _check_alpha(args.alpha)
+    return alpha, None if args.alpha_bob is None else _check_alpha(args.alpha_bob)
 
 
 def _format_complex(z: complex) -> str:
@@ -135,19 +129,12 @@ def _format_complex(z: complex) -> str:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     state = _resolve_state(args)
-    result = search.optimize(
-        args.objective, state, restarts=args.restarts, seed=args.seed,
-        alpha=_check_alpha(args.alpha),
-        bob_alpha=None if args.alpha_bob is None else _check_alpha(args.alpha_bob),
-    )
+    alpha, bob_alpha = _alphas(args)
+    result = search.optimize(args.objective, state, restarts=args.restarts,
+                             seed=args.seed, alpha=alpha, bob_alpha=bob_alpha)
     _emit_json({
         "max_value": result.max_value,
-        "angles": {
-            "phi1": result.argmax.phi1,
-            "phi2": result.argmax.phi2,
-            "theta1": result.argmax.theta1,
-            "theta2": result.argmax.theta2,
-        },
+        "angles": dict(zip(ANGLE_NAMES, result.argmax.as_tuple())),
         "seed": result.seed,
         "restarts_used": result.restarts_used,
         "evaluations": result.evaluations,
@@ -162,7 +149,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not objectives:
         raise ValueError("no objectives given")
     fixed = {}
-    for name in ("phi1", "phi2", "theta1", "theta2"):
+    for name in ANGLE_NAMES:
         value = getattr(args, name)
         if name == args.axis:
             if value is not None:
@@ -171,11 +158,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if value is None:
             raise ValueError(f"--{name} is required when scanning {args.axis}")
         fixed[name] = value
-    series = search.scan_1d(
-        objectives, state, fixed, axis=args.axis, points=args.points,
-        alpha=_check_alpha(args.alpha),
-        bob_alpha=None if args.alpha_bob is None else _check_alpha(args.alpha_bob),
-    )
+    alpha, bob_alpha = _alphas(args)
+    series = search.scan_1d(objectives, state, fixed, axis=args.axis,
+                            points=args.points, alpha=alpha, bob_alpha=bob_alpha)
     lines = ["param," + ",".join(objectives)]
     for i in range(args.points):
         x = series[0].samples[i][0]
@@ -194,7 +179,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         if args.raw:
             entries = sorted(vector.vector.terms.items())
         else:
-            from .fock import fock_amplitudes
             entries = sorted(fock_amplitudes(vector.vector).items())
         expansion = " + ".join(
             f"({_format_complex(c)})|{e[0]} {e[1]}>" for e, c in entries
@@ -213,12 +197,9 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 def _cmd_visibility(args: argparse.Namespace) -> int:
     state = _resolve_state(args)
     q = AngleQuad(args.phi1, args.phi2, args.theta1, args.theta2)
+    alpha, bob_alpha = _alphas(args)
     threshold = inequalities.visibility_threshold(
-        state, args.objective, q,
-        alpha=_check_alpha(args.alpha),
-        bob_alpha=None if args.alpha_bob is None else _check_alpha(args.alpha_bob),
-        noise=args.noise,
-    )
+        state, args.objective, q, alpha=alpha, bob_alpha=bob_alpha, noise=args.noise)
     _emit_json({"threshold": threshold, "objective": args.objective,
                 "noise": args.noise}, args.output)
     return 0
@@ -231,10 +212,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    alpha = _check_alpha(args.alpha)
-    bob_alpha = alpha if args.alpha_bob is None else _check_alpha(args.alpha_bob)
+    alpha, bob_alpha = _alphas(args)
     alice = BeamSplitterSetting.from_alpha(alpha, args.phi)
-    bob = BeamSplitterSetting.from_alpha(bob_alpha, args.theta)
+    bob = BeamSplitterSetting.from_alpha(alpha if bob_alpha is None else bob_alpha,
+                                         args.theta)
     alice2 = None
     if args.phi2 is not None:
         alice2 = BeamSplitterSetting.from_alpha(alpha, args.phi2)
@@ -247,7 +228,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="twocopy",
         description="Bell and steering inequality analysis for two-copy "
@@ -262,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("scan", help="sweep one angle over [0, 2*pi)")
@@ -271,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True,
                    help="comma-separated list, e.g. steering,bell")
     _add_quad_arguments(p, required=False)
-    p.add_argument("--axis", choices=("phi1", "phi2", "theta1", "theta2"),
-                   default="theta2")
+    p.add_argument("--axis", choices=ANGLE_NAMES, default="theta2")
     p.add_argument("--points", type=int, default=720)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("basis", help="print the effective measurement basis")
@@ -284,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="raw creation-monomial coefficients instead of "
                         "normalized amplitudes")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("visibility", help="white-noise visibility threshold")
@@ -295,16 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quad_arguments(p, required=True)
     p.add_argument("--noise", choices=("factorized", "sector"),
                    default="factorized")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_visibility)
 
     p = sub.add_parser("verify", help="engine vs reference closed forms")
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("trace", help="sector trace of the joint observable")
+    p = sub.add_parser("trace", help="sector trace of the joint observable, "
+                                     "which does not depend on the angles")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--phi", type=parse_angle, required=True)
@@ -313,19 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second Alice angle for a combined observable")
     p.add_argument("--sign", type=float, default=None, choices=(1.0, -1.0),
                    help="sign combining the two Alice observables (default +1; "
-                        "needs --phi2)")
+                        "needs --phi2); both use --alpha, so -1 gives 0 and +1 "
+                        "doubles the value")
     _add_reflectivity_arguments(p)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_trace)
+
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_bounds(args)
         return args.func(args)
     except (NoViolationError, NegativeRadicandError) as exc:
         print(f"twocopy: numerical failure: {exc}", file=sys.stderr)

@@ -1,19 +1,38 @@
 """Command-line interface tests: parsing, output formats, exit codes."""
 import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+import twocopy
 from twocopy import cli, inequalities, measurement, search, states
 from twocopy.cli import main, parse_angle
 from twocopy.inequalities import AngleQuad, bell_value, steering_value
+from twocopy.measurement import BALANCED_ALPHA, BeamSplitterSetting
 from twocopy.states import bec_pair, noon_pair
+
+SRC = str(pathlib.Path(twocopy.__file__).resolve().parents[1])
+BALANCED = BeamSplitterSetting.from_alpha(BALANCED_ALPHA, 0.0)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python_m(*argv):
+    """``python -m twocopy`` in a fresh interpreter on this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "twocopy", *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    return run.returncode, run.stdout, run.stderr
 
 
 class TestParseAngle:
@@ -274,34 +293,85 @@ class TestArgumentErrors:
         assert "phase" in err
 
 
+class TestStateFamilyFlags:
+    @pytest.mark.parametrize("state, flag", [
+        ("noon", "--n1"), ("noon", "--n2"), ("bec", "--n"), ("bec", "--m")])
+    def test_flag_of_other_family_rejected(self, capsys, state, flag):
+        own = ("--n1", "1") if state == "bec" else ("--n", "2")
+        code, out, err = run_cli(
+            capsys, "optimize", "--state", state, *own, flag, "1",
+            "--objective", "steering", "--restarts", "1")
+        assert (code, out) == (2, "")
+        assert err == f"twocopy: error: {flag} does not apply to --state {state}\n"
+
+
 class TestCountBounds:
-    # (flag, bound, handler, argv with "{}" for the value); the handler is
-    # stubbed, so a run at the bound starts no engine work
+    # (flag, bound, argv with "{}" for the value, the library call that
+    # rejects the value); the other inputs are the smallest that run
     CASES = [
-        ("--n1", states.MAX_PARTICLES, "_cmd_optimize",
-         "optimize --state bec --objective steering --n1 {}"),
-        ("--n2", states.MAX_PARTICLES, "_cmd_trace",
-         "trace --n1 1 --phi 0 --theta 0 --n2 {}"),
-        ("--n", states.MAX_PARTICLES, "_cmd_visibility",
-         "visibility --state noon --objective bell --phi1 0 --phi2 0 --theta1 0 "
-         "--theta2 0 --n {}"),
-        ("--n-total", measurement.MAX_BASIS_TOTAL, "_cmd_basis", "basis --n-total {}"),
-        ("--points", search.MAX_POINTS, "_cmd_scan",
+        ("--n1", states.MAX_PARTICLES,
+         "optimize --state bec --objective steering --restarts 1 --n1 {}",
+         lambda n: bec_pair(n)),
+        ("--n2", states.MAX_PARTICLES, "trace --n1 1 --phi 0 --theta 0 --n2 {}",
+         lambda n: measurement.sector_trace_product(1, n, BALANCED, BALANCED)),
+        ("--n", states.MAX_PARTICLES,
+         "optimize --state noon --objective bell --restarts 1 --n {}",
+         lambda n: noon_pair(n)),
+        ("--n-total", measurement.MAX_BASIS_TOTAL, "basis --n-total {}",
+         lambda n: measurement.effective_basis(n, BALANCED)),
+        ("--points", search.MAX_POINTS,
          "scan --state bec --n1 1 --objective bell --phi1 0 --phi2 0 --theta1 0 "
-         "--points {}"),
-        ("--restarts", search.MAX_RESTARTS, "_cmd_optimize",
-         "optimize --state bec --n1 1 --objective bell --restarts {}"),
-        ("--draws", inequalities.MAX_DRAWS, "_cmd_verify", "verify --draws {}"),
+         "--points {}",
+         lambda n: search.scan_1d(["bell"], bec_pair(1),
+                                  {"phi1": 0, "phi2": 0, "theta1": 0}, points=n)),
+        ("--restarts", search.MAX_RESTARTS,
+         "optimize --state bec --n1 1 --objective bell --restarts {}",
+         lambda n: search.optimize("bell", bec_pair(1), restarts=n)),
+        ("--draws", inequalities.MAX_DRAWS, "verify --draws {}",
+         lambda n: inequalities.verify_closed_forms(draws=n)),
     ]
 
-    @pytest.mark.parametrize("flag, bound, handler, argv", CASES,
+    @pytest.mark.parametrize("flag, bound, argv, library_call", CASES,
                              ids=[case[0] for case in CASES])
-    def test_bound(self, capsys, monkeypatch, flag, bound, handler, argv):
-        calls = []
-        monkeypatch.setattr(cli, handler, lambda args: calls.append(args) or 0)
-        code, _, _ = run_cli(capsys, *argv.format(bound).split())
-        assert code == 0 and len(calls) == 1
+    def test_bound(self, capsys, monkeypatch, flag, bound, argv, library_call):
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 1)  # keeps optimize cheap
+        code, out, err = run_cli(capsys, *argv.format(bound).split())
+        assert (code, err) == (0, "") and out
         code, out, err = run_cli(capsys, *argv.format(bound + 1).split())
-        assert code == 2 and len(calls) == 1
-        assert out == ""
-        assert f"{flag} {bound + 1} exceeds the bound {bound}" in err
+        assert (code, out) == (2, "")
+        with pytest.raises(ValueError) as library:
+            library_call(bound + 1)
+        assert err == f"twocopy: error: {library.value}\n"
+        assert re.search(rf"\b{bound + 1}\b", err) and re.search(rf"\b{bound}\b", err)
+
+
+class TestParserCache:
+    ARGV = ("optimize", "--state", "bec", "--n1", "1", "--objective", "bell",
+            "--restarts", "2")
+
+    def test_no_value_carried_between_calls(self, capsys):
+        first = run_cli(capsys, *self.ARGV, "--n2", "2", "--alpha", "0.6",
+                        "--alpha-bob", "0.7", "--seed", "3")
+        second = run_cli(capsys, *self.ARGV)
+        assert second[0] == 0 and second[1] != first[1]
+        assert second == run_python_m(*self.ARGV)
+
+    def test_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run_cli(capsys, "verify", "--draws", "1")[0] == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+class TestEntryPoint:
+    def test_success(self, capsys):
+        argv = ("trace", "--n1", "1", "--n2", "2", "--phi", "0.4", "--theta", "1.1")
+        code, out, err = run_python_m(*argv)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv)[1]
+
+    def test_argument_error(self):
+        code, out, err = run_python_m("verify", "--draws", "0")
+        assert (code, out) == (2, "")
+        assert err == "twocopy: error: need at least one draw, got 0\n"
