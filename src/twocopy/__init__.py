@@ -34,7 +34,6 @@ from .measurement import (
     epsilon,
     joint_distribution,
     local_outcomes,
-    measurement_map,
     outcome_count,
     sector_trace_product,
     weighted_parity,
@@ -76,7 +75,7 @@ __all__ = [
     "sector_basis", "admix",
     "BeamSplitterSetting", "BALANCED_ALPHA", "Outcome",
     "BasisVector", "epsilon", "outcome_count", "local_outcomes",
-    "measurement_map", "effective_basis",
+    "effective_basis",
     "joint_distribution", "weighted_parity", "sector_trace_product",
     "AngleQuad", "CorrelationVector", "correlation", "correlation_vector",
     "bell_value", "steering_value", "closed_form", "closed_form_state",

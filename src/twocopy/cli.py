@@ -6,8 +6,9 @@ significant digits.  Exit codes: 0 success, 2 argument errors, 3 numerical
 failure (e.g. no violation to threshold).
 
 This module holds the flags and the formatting.  The library validates the
-values: counts past their bounds, non-finite angles and phases, and state
-parameters all raise ``ValueError`` there, which ``main`` reports as exit 2.
+values: counts past their bounds, alphas outside [0, 1], non-finite angles
+and phases, and state parameters all raise ``ValueError`` there, which
+``main`` reports as exit 2.
 """
 from __future__ import annotations
 
@@ -20,10 +21,12 @@ import sys
 from typing import Sequence
 
 from . import inequalities, measurement, search, states
-from .fock import fock_amplitudes
 from .inequalities import ANGLE_NAMES, AngleQuad, NegativeRadicandError, NoViolationError
 from .measurement import BALANCED_ALPHA, BeamSplitterSetting
 
+# Amplitudes, and their real and imaginary parts, below this are rounding
+# residue and are not printed by ``basis``.
+_RESIDUE = 5e-13
 _PI_LITERAL = re.compile(
     r"^\s*([+-]?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
     re.IGNORECASE,
@@ -106,22 +109,11 @@ def _resolve_state(args: argparse.Namespace) -> states.CompositeState:
     return states.noon_pair(args.n, args.m or 0)
 
 
-def _check_alpha(value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"alpha {value} must lie strictly inside (0, 1)")
-    return value
-
-
-def _alphas(args: argparse.Namespace) -> tuple[float, float | None]:
-    """Alice's alpha, and Bob's or None when it is Alice's."""
-    alpha = _check_alpha(args.alpha)
-    return alpha, None if args.alpha_bob is None else _check_alpha(args.alpha_bob)
-
-
-def _format_complex(z: complex) -> str:
-    if abs(z.imag) < 5e-13:
+def _format_complex(z: complex, tol: float) -> str:
+    """``z`` with a real or imaginary part below ``tol`` left out."""
+    if abs(z.imag) < tol:
         return f"{z.real:.6g}"
-    if abs(z.real) < 5e-13:
+    if abs(z.real) < tol:
         return f"{z.imag:.6g}i"
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real:.6g}{sign}{abs(z.imag):.6g}i"
@@ -129,9 +121,8 @@ def _format_complex(z: complex) -> str:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     state = _resolve_state(args)
-    alpha, bob_alpha = _alphas(args)
     result = search.optimize(args.objective, state, restarts=args.restarts,
-                             seed=args.seed, alpha=alpha, bob_alpha=bob_alpha)
+                             seed=args.seed, alpha=args.alpha, bob_alpha=args.alpha_bob)
     _emit_json({
         "max_value": result.max_value,
         "angles": dict(zip(ANGLE_NAMES, result.argmax.as_tuple())),
@@ -158,9 +149,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if value is None:
             raise ValueError(f"--{name} is required when scanning {args.axis}")
         fixed[name] = value
-    alpha, bob_alpha = _alphas(args)
-    series = search.scan_1d(objectives, state, fixed, axis=args.axis,
-                            points=args.points, alpha=alpha, bob_alpha=bob_alpha)
+    series = search.scan_1d(objectives, state, fixed, axis=args.axis, points=args.points,
+                            alpha=args.alpha, bob_alpha=args.alpha_bob)
     lines = ["param," + ",".join(objectives)]
     for i in range(args.points):
         x = series[0].samples[i][0]
@@ -171,18 +161,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    setting = BeamSplitterSetting.from_alpha(_check_alpha(args.alpha), args.phi)
+    setting = BeamSplitterSetting.from_alpha(args.alpha, args.phi)
     basis = measurement.effective_basis(args.n_total, setting)
     header = ("|n m>", "effective measurement basis on (a, A)", "eps")
     rows = []
     for vector in basis:
-        if args.raw:
-            entries = sorted(vector.vector.terms.items())
-        else:
-            entries = sorted(fock_amplitudes(vector.vector).items())
-        expansion = " + ".join(
-            f"({_format_complex(c)})|{e[0]} {e[1]}>" for e, c in entries
-        )
+        # A raw coefficient c of |p q> has the amplitude c sqrt(p! q!), and
+        # terms and parts are kept by their size in that amplitude.
+        terms = []
+        for e, c in sorted(vector.vector.terms.items()):
+            scale = math.sqrt(math.factorial(e[0])) * math.sqrt(math.factorial(e[1]))
+            if abs(c * scale) < _RESIDUE:
+                continue
+            value, tol = (c, _RESIDUE / scale) if args.raw else (c * scale, _RESIDUE)
+            terms.append(f"({_format_complex(value, tol)})|{e[0]} {e[1]}>")
+        expansion = " + ".join(terms)
         rows.append((f"|{vector.outcome[0]} {vector.outcome[1]}>",
                      expansion, f"{vector.weight:+d}"))
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(3)]
@@ -197,9 +190,8 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 def _cmd_visibility(args: argparse.Namespace) -> int:
     state = _resolve_state(args)
     q = AngleQuad(args.phi1, args.phi2, args.theta1, args.theta2)
-    alpha, bob_alpha = _alphas(args)
     threshold = inequalities.visibility_threshold(
-        state, args.objective, q, alpha=alpha, bob_alpha=bob_alpha, noise=args.noise)
+        state, args.objective, q, alpha=args.alpha, bob_alpha=args.alpha_bob, noise=args.noise)
     _emit_json({"threshold": threshold, "objective": args.objective,
                 "noise": args.noise}, args.output)
     return 0
@@ -212,13 +204,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    alpha, bob_alpha = _alphas(args)
-    alice = BeamSplitterSetting.from_alpha(alpha, args.phi)
-    bob = BeamSplitterSetting.from_alpha(alpha if bob_alpha is None else bob_alpha,
-                                         args.theta)
+    alice = BeamSplitterSetting.from_alpha(args.alpha, args.phi)
+    bob = BeamSplitterSetting.from_alpha(
+        args.alpha if args.alpha_bob is None else args.alpha_bob, args.theta)
     alice2 = None
     if args.phi2 is not None:
-        alice2 = BeamSplitterSetting.from_alpha(alpha, args.phi2)
+        alice2 = BeamSplitterSetting.from_alpha(args.alpha, args.phi2)
     elif args.sign is not None:
         raise ValueError("--sign combines two Alice observables and needs --phi2")
     value = measurement.sector_trace_product(

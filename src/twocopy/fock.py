@@ -152,30 +152,6 @@ class LinearModeMap:
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "matrix", m)
 
-    def adjoint(self) -> "LinearModeMap":
-        """The inverse map (outputs back to inputs)."""
-        return LinearModeMap(self.outputs, self.inputs, self.matrix.conj().T)
-
-    @staticmethod
-    def combine(*maps: "LinearModeMap") -> "LinearModeMap":
-        """Block-diagonal union of maps acting on disjoint mode groups."""
-        inputs: list[str] = []
-        outputs: list[str] = []
-        for m in maps:
-            inputs.extend(m.inputs)
-            outputs.extend(m.outputs)
-        if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
-            raise ModeCollisionError("combined maps must act on disjoint modes")
-        n = len(inputs)
-        big = np.zeros((n, n), dtype=complex)
-        ri = ci = 0
-        for m in maps:
-            k = len(m.inputs)
-            big[ri:ri + k, ci:ci + k] = m.matrix
-            ri += k
-            ci += k
-        return LinearModeMap(tuple(inputs), tuple(outputs), big)
-
 
 def monomial_state(occupations: Mapping[str, int],
                    modes: Sequence[str] | None = None) -> ModePolynomial:

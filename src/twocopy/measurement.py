@@ -18,7 +18,7 @@ from .fock import (
     LinearModeMap,
     ModePolynomial,
     fock_amplitudes,
-    monomial_state,
+    from_fock_amplitudes,
     substitute,
 )
 from .states import ALICE_MODES, BOB_MODES, MAX_PARTICLES, CompositeState
@@ -26,8 +26,8 @@ from .states import ALICE_MODES, BOB_MODES, MAX_PARTICLES, CompositeState
 BALANCED_ALPHA = 1.0 / math.sqrt(2.0)
 PROB_TOL = 1e-10
 _SETTING_TOL = 1e-12
-# Largest particle number of an effective basis, built by polynomial
-# substitution: 561 vectors, about 0.5 s.
+# Largest particle number of an effective basis: 561 vectors with 12,529
+# amplitudes in all.
 MAX_BASIS_TOTAL = 32
 
 
@@ -40,8 +40,8 @@ class BeamSplitterSetting:
     phase: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in [0, 1]")
+        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):  # NaN fails too
+            raise ValueError(f"alpha={self.alpha} and beta={self.beta} must lie in [0, 1]")
         if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > _SETTING_TOL:
             raise ValueError("alpha^2 + beta^2 must equal 1")
         if not math.isfinite(self.phase):
@@ -85,30 +85,6 @@ def local_outcomes(n_total: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(n_total + 1) for m in range(n_total + 1 - n)]
 
 
-def measurement_map(setting: BeamSplitterSetting,
-                    inputs: tuple[str, str],
-                    outputs: tuple[str, str]) -> LinearModeMap:
-    """Creation-operator substitution onto the output modes.
-
-    With inputs (a, A) and outputs (c, C):
-    a† -> alpha c† + beta C†  and  A† -> e^{i phase}(beta c† - alpha C†).
-    This is the inverse of the annihilation-operator mixing, so measuring
-    output occupations is equivalent to projecting onto the effective basis.
-    """
-    a, b, ph = setting.alpha, setting.beta, np.exp(1j * setting.phase)
-    matrix = np.array([[a, b * ph],
-                       [b, -a * ph]])
-    return LinearModeMap(tuple(inputs), tuple(outputs), matrix)
-
-
-def joint_map(alice: BeamSplitterSetting, bob: BeamSplitterSetting) -> LinearModeMap:
-    """Both parties' substitutions, (a,A)->(c,C) and (b,B)->(d,D)."""
-    return LinearModeMap.combine(
-        measurement_map(alice, ALICE_MODES, ("c", "C")),
-        measurement_map(bob, BOB_MODES, ("d", "D")),
-    )
-
-
 @dataclass(frozen=True)
 class BasisVector:
     """One effective measurement vector with its dichotomic weight."""
@@ -125,18 +101,37 @@ def effective_basis(n_total: int, setting: BeamSplitterSetting,
     The vector for outcome (n, m) is
     ((alpha a† + beta e^{-i phase} A†)^n / sqrt(n!))
     ((beta a† - alpha e^{-i phase} A†)^m / sqrt(m!)) |0,0>,
-    obtained here as the adjoint substitution applied to the output Fock
-    state.  Vectors of equal total particle number are orthonormal.
+    the input state the beam splitter sends to |n, m>.  With k = n + m its
+    amplitude on |p, k-p> is S_k[n, p] e^{-i phase (k-p)}, read from the
+    blocks of :func:`_transfer_blocks`.  Vectors of equal total particle
+    number are orthonormal.
     """
     if n_total > MAX_BASIS_TOTAL:
         raise ValueError(f"n_total={n_total} exceeds the bound {MAX_BASIS_TOTAL}")
-    out_modes = ("_o1", "_o2")
-    back = measurement_map(setting, input_modes, out_modes).adjoint()
+    blocks = _transfer_blocks(setting.alpha, setting.beta, n_total)
+    phases = np.exp(-1j * setting.phase * np.arange(n_total + 1))
     vectors = []
     for (n, m) in local_outcomes(n_total):
-        state = monomial_state({out_modes[0]: n, out_modes[1]: m}, out_modes)
-        vectors.append(BasisVector((n, m), substitute(state, back), epsilon(n, m)))
+        k = n + m
+        amplitudes = {(p, k - p): blocks[k][n, p] * phases[k - p] for p in range(k + 1)}
+        vectors.append(BasisVector((n, m), from_fock_amplitudes(input_modes, amplitudes),
+                                   epsilon(n, m)))
     return tuple(vectors)
+
+
+def _joint_map(alice: BeamSplitterSetting, bob: BeamSplitterSetting) -> LinearModeMap:
+    """Both parties' substitutions, (a,A)->(c,C) and (b,B)->(d,D).
+
+    With inputs (a, A) and outputs (c, C):
+    a† -> alpha c† + beta C†  and  A† -> e^{i phase}(beta c† - alpha C†).
+    This is the inverse of the annihilation-operator mixing, so measuring
+    output occupations is equivalent to projecting onto the effective basis.
+    """
+    matrix = np.zeros((4, 4), dtype=complex)
+    for i, setting in ((0, alice), (2, bob)):
+        a, b, ph = setting.alpha, setting.beta, np.exp(1j * setting.phase)
+        matrix[i:i + 2, i:i + 2] = [[a, b * ph], [b, -a * ph]]
+    return LinearModeMap(ALICE_MODES + BOB_MODES, ("c", "C", "d", "D"), matrix)
 
 
 def joint_distribution(state: CompositeState,
@@ -144,7 +139,7 @@ def joint_distribution(state: CompositeState,
                        bob: BeamSplitterSetting) -> dict[Outcome, float]:
     """Joint particle-count distribution over the four output modes, as
     outcome -> probability in sorted outcome order."""
-    mapping = joint_map(alice, bob)
+    mapping = _joint_map(alice, bob)
     probs: dict[Outcome, float] = {}
     for weight, member in state.entries:
         if weight == 0.0:
@@ -167,15 +162,13 @@ def weighted_parity(dist: dict[Outcome, float]) -> float:
                for o, p in dist.items())
 
 
-def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
-    """One party's dichotomic observable on its input modes, block by block.
+def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
+    """The beam splitter's amplitude blocks S_0, ..., S_n_max at phase 0.
 
-    A beam splitter maps the k-particle input states |p, k-p> (p particles
-    in the first input mode) onto the output states |n, k-n>.  At phase 0
-    the amplitudes S_k[n, p] are real.  Returns O of shape (n_max + 1,) * 3
-    with O[k, :k+1, :k+1] = S_k^T diag(eps) S_k and zeros elsewhere.  The
-    setting's phase does not enter; it only multiplies the input |p, k-p>
-    by e^{i phase (k-p)}.
+    The splitter maps the k-particle input states |p, k-p> (p particles in
+    the first input mode) onto the output states |n, k-n>; the real,
+    orthogonal S_k holds the amplitude of |n, k-n> in the image of |p, k-p>
+    at [n, p].
 
     S_k follows from S_(k-1) by writing |p, k-p> as
     (sqrt(p) a† |p-1, k-p> + sqrt(k-p) A† |p, k-p-1>) / k, sending
@@ -185,21 +178,33 @@ def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
     (alpha c† + beta C†)^p (beta c† - alpha C†)^(k-p) is expanded
     binomially.
     """
-    alpha, beta = setting.alpha, setting.beta
-    blocks = np.zeros((n_max + 1,) * 3)
-    blocks[0, 0, 0] = 1.0
-    s = np.ones((1, 1))
+    blocks = [np.ones((1, 1))]
     for k in range(1, n_max + 1):
         # padded[i + 1, j + 1] = S_(k-1)[i, j]
         padded = np.zeros((k + 2, k + 2))
-        padded[1:-1, 1:-1] = s
+        padded[1:-1, 1:-1] = blocks[-1]
         first = np.sqrt(np.arange(k + 1))  # sqrt(m), m = 0..k
         second = first[::-1]               # sqrt(k - m)
         # rows are outputs n, columns inputs p
-        s = (first * (alpha * first[:, None] * padded[:-1, :-1]
-                      + beta * second[:, None] * padded[1:, :-1])
-             + second * (beta * first[:, None] * padded[:-1, 1:]
-                         - alpha * second[:, None] * padded[1:, 1:])) / k
+        blocks.append((first * (alpha * first[:, None] * padded[:-1, :-1]
+                                 + beta * second[:, None] * padded[1:, :-1])
+                        + second * (beta * first[:, None] * padded[:-1, 1:]
+                                    - alpha * second[:, None] * padded[1:, 1:])) / k)
+    return blocks
+
+
+def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
+    """One party's dichotomic observable on its input modes, block by block.
+
+    Returns O of shape (n_max + 1,) * 3 with
+    O[k, :k+1, :k+1] = S_k^T diag(eps) S_k, S_k from
+    :func:`_transfer_blocks`, and zeros elsewhere.  The setting's phase
+    does not enter; it only multiplies the input |p, k-p> by
+    e^{i phase (k-p)}.
+    """
+    blocks = np.zeros((n_max + 1,) * 3)
+    blocks[0, 0, 0] = 1.0
+    for k, s in enumerate(_transfer_blocks(setting.alpha, setting.beta, n_max)[1:], 1):
         signs = np.array([epsilon(m, k - m) for m in range(k + 1)], dtype=float)
         blocks[k, :k + 1, :k + 1] = np.einsum("np,n,nq->pq", s, signs, s)
     return blocks

@@ -12,6 +12,7 @@ import pytest
 import twocopy
 from twocopy import cli, inequalities, measurement, search, states
 from twocopy.cli import main, parse_angle
+from twocopy.fock import fock_amplitudes
 from twocopy.inequalities import AngleQuad, bell_value, steering_value
 from twocopy.measurement import BALANCED_ALPHA, BeamSplitterSetting
 from twocopy.states import bec_pair, noon_pair
@@ -141,6 +142,16 @@ class TestScanCommand:
         assert "conflicts" in err
 
 
+def parse_basis(out):
+    """Outcome -> {occupation: printed complex} for each row of a basis table."""
+    rows = {}
+    for line in out.splitlines()[2:]:
+        outcome = tuple(map(int, re.match(r"\|(\d+) (\d+)>", line).groups()))
+        rows[outcome] = {(int(p), int(q)): complex(z.replace("i", "j"))
+                         for z, p, q in re.findall(r"\(([^)]*)\)\|(\d+) (\d+)>", line)}
+    return rows
+
+
 class TestBasisCommand:
     def test_balanced_two_particle_table(self, capsys):
         code, out, _ = run_cli(
@@ -162,6 +173,27 @@ class TestBasisCommand:
         assert fock != raw
         row22 = next(line for line in raw.splitlines() if line.startswith("|2 2>"))
         assert "0.125" in row22  # monomial coefficients (1, -2, 1)/8
+
+    @pytest.mark.parametrize("n_total,raw", [(2, False), (24, True)], ids=["fock", "raw"])
+    def test_printed_terms_follow_amplitudes(self, capsys, n_total, raw):
+        # terms and their real and imaginary parts are printed by their size
+        # in the normalized amplitude; below 5e-13 is rounding residue
+        argv = ["basis", "--n-total", str(n_total), "--phi", "0.4"] + ["--raw"] * raw
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        printed = parse_basis(out)
+        basis = measurement.effective_basis(n_total, BeamSplitterSetting.balanced(0.4))
+        assert set(printed) == {vector.outcome for vector in basis}
+        for vector in basis:
+            kept = {occ: amp for occ, amp in fock_amplitudes(vector.vector).items()
+                    if abs(amp) >= 5e-13}
+            row = printed[vector.outcome]
+            assert set(row) == set(kept), vector.outcome
+            for (p, q), amp in kept.items():
+                scale = math.sqrt(math.factorial(p) * math.factorial(q)) if raw else 1.0
+                got = row[p, q] * scale
+                for part_got, part in ((got.real, amp.real), (got.imag, amp.imag)):
+                    assert abs(part_got - part) <= 1e-5 * abs(part) + 5e-13, (vector.outcome, p)
 
 
 class TestVisibilityCommand:
@@ -263,12 +295,25 @@ class TestArgumentErrors:
             main(["verify", "--frobnicate"])
         assert excinfo.value.code == 2
 
+    OPTIMIZE = ("optimize", "--state", "bec", "--n1", "1", "--n2", "1",
+                "--objective", "steering", "--restarts", "2")
+
     def test_alpha_out_of_range(self, capsys):
-        code, _, err = run_cli(
-            capsys, "optimize", "--state", "bec", "--n1", "1", "--n2", "1",
-            "--objective", "steering", "--restarts", "2", "--alpha", "1.0")
-        assert code == 2
-        assert "alpha" in err
+        # the library's closed range [0, 1] is the only rule
+        for flag, value in [("--alpha", "1.5"), ("--alpha", "-0.1"), ("--alpha", "nan"),
+                            ("--alpha-bob", "1.5")]:
+            code, out, err = run_cli(capsys, *self.OPTIMIZE, flag, value)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"twocopy: error: alpha={float(value)} and beta=")
+
+    def test_unmixing_alphas_accepted(self, capsys):
+        # alpha 1 and alpha 0 are splitters that do not mix
+        code, out, err = run_cli(capsys, *self.OPTIMIZE, "--alpha", "1.0", "--alpha-bob", "0")
+        assert (code, err) == (0, "")
+        want = search.optimize("steering", bec_pair(1, 1), restarts=2, alpha=1.0,
+                               bob_alpha=0.0)
+        assert json.loads(out)["max_value"] == float(f"{want.max_value:.12g}")
 
     @pytest.mark.parametrize("argv", [
         ("trace", "--n1", "-1", "--n2", "1", "--phi", "0", "--theta", "0"),

@@ -1,9 +1,11 @@
 """Measurement-layer tests.
 
 Two independent routes exist to every distribution: creation-operator
-substitution, and projection onto the effective basis vectors.  Both are
-tested against each other, and against a third fully independent oracle
-built from dense matrix exponentials on a truncated number basis.
+substitution, and projection onto the effective basis vectors, which are
+read from the beam splitter's amplitude recurrence.  Both are tested against
+each other, and against a third fully independent oracle built from dense
+matrix exponentials on a truncated number basis.  The basis itself is also
+checked against its substitution construction.
 """
 import math
 
@@ -11,7 +13,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from twocopy.fock import fock_amplitudes, from_fock_amplitudes, inner, monomial_state, tensor
+from twocopy.fock import (
+    LinearModeMap,
+    fock_amplitudes,
+    from_fock_amplitudes,
+    inner,
+    monomial_state,
+    substitute,
+    tensor,
+)
 from twocopy.measurement import (
     MAX_BASIS_TOTAL,
     BeamSplitterSetting,
@@ -109,7 +119,47 @@ def reference_four_particle_monomials(phase):
     }
 
 
+def substitution_basis(n_total, setting, input_modes):
+    """Outcome -> effective vector by creation-operator substitution: the
+    output Fock state |n, m> sent back through the inverse splitter map."""
+    a, b, ph = setting.alpha, setting.beta, np.exp(1j * setting.phase)
+    forward = np.array([[a, b * ph], [b, -a * ph]])
+    out_modes = ("_o1", "_o2")
+    back = LinearModeMap(out_modes, input_modes, forward.conj().T)
+    return {(n, m): substitute(monomial_state({"_o1": n, "_o2": m}, out_modes), back)
+            for (n, m) in local_outcomes(n_total)}
+
+
 class TestEffectiveBasis:
+    @pytest.mark.parametrize("input_modes", [("a", "A"), ("b", "B")])
+    def test_matches_substitution_oracle(self, input_modes):
+        rng = np.random.default_rng(29)
+        fixed = [BAL(0.4), BeamSplitterSetting.from_alpha(0.0, 1.1),
+                 BeamSplitterSetting.from_alpha(1.0, 2.0)]
+        for n_total in range(11):
+            drawn = BeamSplitterSetting.from_alpha(rng.uniform(0.0, 1.0),
+                                                   rng.uniform(0.0, 2 * math.pi))
+            for setting in fixed + [drawn]:
+                oracle = substitution_basis(n_total, setting, input_modes)
+                basis = effective_basis(n_total, setting, input_modes)
+                assert [v.outcome for v in basis] == list(oracle)
+                for v in basis:
+                    assert v.vector.modes == input_modes
+                    got = fock_amplitudes(v.vector)
+                    want = fock_amplitudes(oracle[v.outcome])
+                    for occ in set(got) | set(want):
+                        assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) <= 1e-12
+
+    def test_shells_orthonormal_at_bound(self):
+        # near balance the binomial substitution reaches only ~1e-12 here
+        for setting in (BAL(0.4), BeamSplitterSetting.from_alpha(0.6628, 1.734)):
+            basis = effective_basis(MAX_BASIS_TOTAL, setting)
+            for k in range(MAX_BASIS_TOTAL + 1):
+                rows = [fock_amplitudes(v.vector) for v in basis if sum(v.outcome) == k]
+                shell = np.array([[row.get((p, k - p), 0.0) for p in range(k + 1)]
+                                  for row in rows])
+                assert np.max(np.abs(shell @ shell.conj().T - np.eye(k + 1))) <= 1e-13
+
     @pytest.mark.parametrize("phase", [0.0, 0.8, 2.4, -1.1])
     def test_two_particle_reference_rows(self, phase):
         basis = {v.outcome: v for v in effective_basis(2, BAL(phase))}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm, logm
 
-from twocopy import fock, inequalities, measurement, states
+from twocopy import cli, fock, inequalities, measurement, states
 from twocopy.fock import fock_amplitudes, from_fock_amplitudes
 from twocopy.inequalities import (
     AngleQuad,
@@ -288,7 +288,7 @@ def test_closed_form_check_is_one_array_call_per_family(without_scalar_evaluator
 
 
 def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,
-                                           without_noise_mixtures):
+                                           without_noise_mixtures, capsys):
     rng = np.random.default_rng(71)
     occupations = [(k, 3 - k, l, 2 - l) for k in range(4) for l in range(3)]
     amps = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))
@@ -305,3 +305,8 @@ def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,
     assert sector_trace_product(2, 3, setting(0.6, 0.4), setting(0.7, 1.1),
                                 alice2=setting(0.6, 2.0), sign=-1.0) == pytest.approx(
         0.0, abs=1e-12)
+    for input_modes in (("a", "A"), ("b", "B")):
+        basis = measurement.effective_basis(6, setting(0.6, 0.4), input_modes)
+        assert len(basis) == outcome_count(6)
+    assert cli.main(["basis", "--n-total", "4", "--raw", "--phi", "0.4"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2 + outcome_count(4)
