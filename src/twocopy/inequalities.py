@@ -120,6 +120,20 @@ class _TrigSeries:
             value += term
         return value.reshape(deltas.shape)
 
+    def derivatives(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The polynomial and its first and second derivatives at ``deltas``.
+
+        The derivative series have the cosine and sine coefficients
+        (k b_k, -k a_k) and (-k^2 a_k, -k^2 b_k).
+        """
+        orders, a, b = self._columns
+        angles = orders * deltas.reshape(1, -1)
+        cos, sin = np.cos(angles), np.sin(angles)
+        terms = a * cos + b * sin
+        first = (orders * (b * cos - a * sin)).sum(axis=0)
+        second = -(orders * orders * terms).sum(axis=0)
+        return tuple(v.reshape(deltas.shape) for v in (self.c0 + terms.sum(axis=0), first, second))
+
 
 @lru_cache(maxsize=512)
 def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeries:
@@ -373,6 +387,44 @@ _OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+def _steering_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steering functional's gradient in (e11, e12, e21, e22), and two
+    factors f, shape (..., 2, 4), whose outer products f f^T sum to its
+    Hessian.
+
+    A term hypot(v1, v2) = r has gradient n = v / r and Hessian
+    (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1).  Neither is finite
+    where r = 0, where the functional is not differentiable.
+    """
+    e11, e12, e21, e22 = np.moveaxis(e, -1, 0)
+    p1, p2, m1, m2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
+    rp, rm = np.hypot(p1, p2), np.hypot(m1, m2)
+    n1, n2, n3, n4 = p1 / rp, p2 / rp, m1 / rm, m2 / rm
+    gradient = np.stack([n1 + n3, n2 + n4, n1 - n3, n2 - n4], axis=-1)
+    tp, tm = rp ** -1.5, rm ** -1.5
+    factors = np.stack([np.stack([-p2 * tp, p1 * tp, -p2 * tp, p1 * tp], axis=-1),
+                        np.stack([-m2 * tm, m1 * tm, m2 * tm, -m1 * tm], axis=-1)],
+                       axis=-2)
+    return gradient, factors
+
+
+_BELL_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def _abs_bell_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|Bell| is linear in the correlations on either side of Bell = 0:
+    gradient sign(Bell) * (1, 1, 1, -1), and no Hessian factors."""
+    return np.sign(_bell(e))[..., None] * _BELL_SIGNS, np.zeros(e.shape[:-1] + (0, 4))
+
+
+_DERIVATIVES = {_steering: _steering_derivatives, _abs_bell: _abs_bell_derivatives}
+
+# d(e11, e12, e21, e22) / d(phi1, phi2, theta1, theta2), and the outer
+# product of each row with itself
+_DIFFERENCES = np.eye(4)[_ALICE_COLUMNS] - np.eye(4)[_BOB_COLUMNS]
+_DIFFERENCE_SQUARES = _DIFFERENCES[:, :, None] * _DIFFERENCES[:, None, :]
+
+
 def _functional(name: str) -> Callable[[np.ndarray], np.ndarray]:
     try:
         return _OBJECTIVES[name]
@@ -398,6 +450,39 @@ def objective_array(name: str, state: CompositeState,
     def objective(quads: np.ndarray) -> np.ndarray:
         return functional(_correlations(series, quads))
     return objective
+
+
+def objective_derivatives(name: str, state: CompositeState,
+                          alpha: float = BALANCED_ALPHA,
+                          bob_alpha: float | None = None
+                          ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The exact gradient and Hessian of an objective over the angles.
+
+    The result maps an array of angle quads of shape (..., 4) to the
+    gradient, shape (..., 4), and the Hessian, shape (..., 4, 4), in
+    (phi1, phi2, theta1, theta2): the chain rule through each correlation
+    E(phi_j - theta_k) and the derivative series of its trigonometric
+    polynomial.  Where a hypot argument of ``steering`` vanishes, both are
+    not finite, with no warning; |Bell| has zero gradient where Bell = 0.
+    """
+    derivative = _DERIVATIVES[_functional(name)]
+    series = _series(state, alpha, bob_alpha)
+
+    def derivatives(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        quads = np.asarray(quads)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e, first, second = series.derivatives(
+                quads.take(_ALICE_COLUMNS, axis=-1) - quads.take(_BOB_COLUMNS, axis=-1))
+            gradient, factors = derivative(e)
+            # Correlation i moves by first[i] along row i of _DIFFERENCES.
+            # Products and sums, not matmul: a first matmul starts the BLAS
+            # buffers, which would add to the peak memory of a search.
+            slopes = (gradient * first)[..., None] * _DIFFERENCES
+            vectors = ((factors * first[..., None, :])[..., None] * _DIFFERENCES).sum(axis=-2)
+            hessian = (((gradient * second)[..., None, None] * _DIFFERENCE_SQUARES).sum(axis=-3)
+                       + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
+            return slopes.sum(axis=-2), hessian
+    return derivatives
 
 
 def _noise_correlation(state: CompositeState, alpha: float,

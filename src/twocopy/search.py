@@ -1,22 +1,34 @@
-"""Derivative-free maximization of the inequality functionals over the four
-measurement angles, one-dimensional scans, and peak counting.
+"""Maximization of the inequality functionals over the measurement angles,
+one-dimensional scans, and peak counting.
 
-The objectives are smooth, cheap, and 2*pi-periodic in every angle, so a
-multistart strategy with low-discrepancy seeding and a plain Nelder-Mead
-refinement is reliable.  Everything is deterministic for a fixed seed.
+Every objective depends on the angles only through the differences
+phi_j - theta_k, so the search runs over the three coordinates
+u = (phi1 - theta1, phi2 - theta1, theta2 - theta1), with theta1 = 0 in
+every argmax.  It is a multistart in two stages, deterministic for a fixed
+seed:
 
-The starting points are scipy's scrambled Sobol points, reproduced bit for
-bit in numpy, so scipy is not needed at run time: Joe-Kuo direction numbers
-(Joe & Kuo, SIAM J. Sci. Comput. 30, 2635 (2008)) under Matousek's linear
-matrix scramble and a digital shift (Matousek, J. Complexity 14, 527
-(1998)).
+* a coarse Nelder-Mead from every start, to a simplex coordinate spread of
+  SIMPLEX_TOL;
+* an exact Newton finish: up to NEWTON_STEPS steps, each solving the 3x3
+  system of the objective's exact Hessian and gradient, taken from the
+  derivative series of the state's cached trigonometric polynomial.  A
+  step is kept only where it raises the value; a restart stops at its
+  first refused step.  Steering is not differentiable where a hypot
+  argument vanishes, and there the step is refused.
 
-The restarts run in lockstep: every simplex sits in one (restarts, 5, 4)
+The starting points are scipy's scrambled Sobol points in the four angles,
+reproduced bit for bit in numpy, so scipy is not needed at run time:
+Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635
+(2008)) under Matousek's linear matrix scramble and a digital shift
+(Matousek, J. Complexity 14, 527 (1998)).  Each is shifted by its theta1.
+
+The restarts run in lockstep: every simplex sits in one (restarts, 4, 3)
 array, and each stage of a step (reflect, expand or contract, shrink)
 evaluates the objective in one call on just the points the running
-restarts need, from the cached trigonometric series of the state.
-Each restart still takes exactly the steps a one-start Nelder-Mead would,
-so its optimum and evaluation count do not depend on the others.
+restarts need.  Each restart still takes exactly the steps a one-start
+Nelder-Mead would, so its optimum and evaluation count do not depend on
+the others.  The Newton steps of all restarts are solved together in
+closed form.
 """
 from __future__ import annotations
 
@@ -30,16 +42,18 @@ from .inequalities import (
     AngleQuad,
     TWO_PI,
     objective_array,
+    objective_derivatives,
 )
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
 
-SIMPLEX_TOL = 1e-8
+SIMPLEX_TOL = 1e-3
 MAX_ITERATIONS = 2000
+NEWTON_STEPS = 4
 PLATEAU_TOL = 1e-9
 # Bounds on one call.  An objective call builds an array per series order
 # (at most MAX_PARTICLES orders) over the four angle differences of every
-# quad it evaluates: up to 5 * MAX_RESTARTS quads in optimize and
+# quad it evaluates: up to 4 * MAX_RESTARTS quads in optimize and
 # MAX_POINTS in scan_1d.
 MAX_RESTARTS = 4096
 MAX_POINTS = 10_000
@@ -51,6 +65,8 @@ _SOBOL_POLYNOMIALS = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
 _SOBOL_BITS = 30
 # the bit each binary digit sits at, most significant digit first
 _DIGITS = np.arange(_SOBOL_BITS - 1, -1, -1)
+# The quad columns the search moves: phi1, phi2 and theta2, with theta1 = 0.
+_COORDINATES = [0, 1, 3]
 
 
 def _direction_numbers() -> np.ndarray:
@@ -79,6 +95,7 @@ class OptimizationResult:
     evaluations: int
     seed: int
     converged: int  # restarts whose simplex met SIMPLEX_TOL within MAX_ITERATIONS
+    polished: int  # restarts whose Newton finish kept at least one step
 
 
 @dataclass(frozen=True)
@@ -199,32 +216,109 @@ def _start_points(restarts: int, seed: int) -> np.ndarray:
     return points * (TWO_PI / 2 ** _SOBOL_BITS)
 
 
+def _start_coordinates(restarts: int, seed: int) -> np.ndarray:
+    """The Sobol start quads, shifted by their theta1, as search coordinates."""
+    points = _start_points(restarts, seed)
+    return points[:, _COORDINATES] - points[:, 2:3]
+
+
+def _newton(value: Callable[[np.ndarray], np.ndarray],
+            derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+            x: np.ndarray, f: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raise ``value`` by Newton steps from every row of ``x``, valued ``f``.
+
+    ``derivatives`` maps points of shape (k, 3) to the gradient (k, 3) and
+    Hessian (k, 3, 3).  Every running restart takes its step
+    -H^{-1} g at once, solved by the adjugate over the determinant.  A step
+    is kept where it is finite and raises the value; a restart stops at the
+    first step it does not keep, or after NEWTON_STEPS steps.  Each
+    derivative call and each trial value count as one evaluation.
+
+    Returns, per restart, the point, its value, the steps kept and the
+    evaluations used.
+    """
+    kept = np.zeros(len(x), dtype=int)
+    evaluations = np.zeros(len(x), dtype=int)
+    rows = np.arange(len(x))
+    for _ in range(NEWTON_STEPS):
+        gradient, hessian = derivatives(x[rows])
+        (a, b, c), (_, d, e), (_, _, h) = np.moveaxis(hessian, 0, -1)
+        g1, g2, g3 = gradient.T
+        # cofactors of the symmetric Hessian [[a, b, c], [b, d, e], [c, e, h]]
+        c11, c12, c13 = d * h - e * e, c * e - b * h, b * e - c * d
+        c22, c23, c33 = a * h - c * c, b * c - a * e, a * d - b * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.stack([c11 * g1 + c12 * g2 + c13 * g3,
+                             c12 * g1 + c22 * g2 + c23 * g3,
+                             c13 * g1 + c23 * g2 + c33 * g3], axis=1
+                            ) / -(a * c11 + b * c12 + c * c13)[:, None]
+        finite = np.isfinite(step).all(axis=1)
+        evaluations[rows] += 1 + finite
+        trial = x[rows[finite]] + step[finite]
+        f_trial = value(trial)
+        up = f_trial > f[rows[finite]]
+        rows = rows[finite][up]
+        x[rows], f[rows] = trial[up], f_trial[up]
+        kept[rows] += 1
+        if not rows.size:
+            break
+    return x, f, kept, evaluations
+
+
+def _quads(u: np.ndarray) -> np.ndarray:
+    """Angle quads (phi1, phi2, 0, theta2) from search coordinates of shape (..., 3)."""
+    quads = np.zeros(u.shape[:-1] + (4,))
+    quads[..., _COORDINATES] = u
+    return quads
+
+
+def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
+                          bob_alpha: float | None
+                          ) -> tuple[Callable[[np.ndarray], np.ndarray],
+                                     Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
+    """An objective over search coordinates, shape (..., 3), and its exact
+    gradient and Hessian over points of shape (k, 3)."""
+    quad_value = objective_array(objective, state, alpha, bob_alpha)
+    quad_derivatives = objective_derivatives(objective, state, alpha, bob_alpha)
+
+    def value(u: np.ndarray) -> np.ndarray:
+        return quad_value(_quads(u))
+
+    def derivatives(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        gradient, hessian = quad_derivatives(_quads(u))
+        return gradient[:, _COORDINATES], hessian[:, _COORDINATES][:, :, _COORDINATES]
+    return value, derivatives
+
+
 def optimize(objective: str, state: CompositeState, restarts: int = 64,
              seed: int = 0, alpha: float = BALANCED_ALPHA,
              bob_alpha: float | None = None) -> OptimizationResult:
     """Multistart maximization of an inequality objective over the angles.
 
-    Quasi-uniform (scrambled Sobol) starting points in [0, 2*pi)^4, all
-    refined together by Nelder-Mead; the best local optimum wins, with ties
-    broken toward the lowest restart index.  Deterministic for a fixed seed.
+    Quasi-uniform (scrambled Sobol) starting points, shifted to theta1 = 0,
+    all refined together by a coarse Nelder-Mead over the three angle
+    differences and then by exact Newton steps; the best local optimum
+    wins, with ties broken toward the lowest restart index.  Deterministic
+    for a fixed seed.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     if restarts > MAX_RESTARTS:
         raise ValueError(f"restarts={restarts} exceeds the bound {MAX_RESTARTS}")
-    starts = _start_points(restarts, seed)
-    value = objective_array(objective, state, alpha, bob_alpha)
-    x, f, used, converged = _nelder_mead(lambda quads: -value(quads), starts)
-    best = int(np.argmin(f))
-    argmax = AngleQuad(*(float(v) for v in x[best])).canonical()
-    max_value = float(value(argmax.as_tuple()))
+    value, derivatives = _coordinate_objective(objective, state, alpha, bob_alpha)
+    x, f, used, converged = _nelder_mead(lambda u: -value(u),
+                                         _start_coordinates(restarts, seed))
+    x, f, kept, polish = _newton(value, derivatives, x, -f)
+    best = x[int(np.argmax(f))] % TWO_PI
     return OptimizationResult(
-        max_value=max_value,
-        argmax=argmax,
+        max_value=float(value(best)),
+        argmax=AngleQuad(*_quads(best).tolist()),
         restarts_used=restarts,
-        evaluations=int(used.sum()) + 1,
+        evaluations=int(used.sum() + polish.sum()) + 1,
         seed=seed,
         converged=int(converged.sum()),
+        polished=int(np.count_nonzero(kept)),
     )
 
 

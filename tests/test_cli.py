@@ -65,9 +65,11 @@ class TestOptimizeCommand:
             "--objective", "bell", "--restarts", "8", "--seed", "7")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) >= {"max_value", "angles", "seed", "converged"}
+        assert set(payload) >= {"max_value", "angles", "seed", "converged", "polished"}
         assert payload["seed"] == 7
         assert payload["converged"] == 8
+        assert payload["polished"] == search.optimize(
+            "bell", bec_pair(1), restarts=8, seed=7).polished
         q = AngleQuad(**payload["angles"])
         value = abs(bell_value(bec_pair(1), q))
         assert value == pytest.approx(payload["max_value"], abs=1e-9)

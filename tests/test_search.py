@@ -3,9 +3,11 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import qmc
 
 import twocopy
@@ -18,6 +20,7 @@ from twocopy.inequalities import (
     bell_value,
     correlation,
     objective_array,
+    objective_derivatives,
     steering_value,
 )
 from twocopy.search import count_local_maxima, optimize, scan_1d
@@ -82,6 +85,69 @@ def scalar_nelder_mead(func, x0, step=0.6):
 
     i_best = int(np.argmin(values))
     return vertices[i_best], values[i_best], evaluations
+
+
+# The maxima oracle's simplex stops at this coordinate spread, as the
+# engine's did before its Newton finish.
+ORACLE_TOL = 1e-8
+
+
+def lockstep_nelder_mead(func, starts, step=0.6, tol=ORACLE_TOL):
+    """The lockstep Nelder-Mead over the four angles, run to ``tol``: the
+    search the engine used before its three-coordinate, Newton-finished
+    one, kept as the oracle for the maxima.  Minimizes ``func`` from every
+    row of ``starts``; returns the best vertex and value per restart."""
+    restarts, n = starts.shape
+    x = np.repeat(starts[:, None, :], n + 1, axis=1)
+    x[:, 1:] += step * np.eye(n)
+    f = func(x)
+    rows = np.arange(restarts)
+    best_x = np.empty((restarts, n))
+    best_f = np.empty(restarts)
+    for _ in range(search.MAX_ITERATIONS):
+        order = np.argsort(f, axis=1, kind="stable")
+        index = np.arange(rows.size)[:, None]
+        f, x = f[index, order], x[index, order]
+        done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < tol
+        if done.any():
+            best_x[rows[done]], best_f[rows[done]] = x[done, 0], f[done, 0]
+            x, f, rows = x[~done], f[~done], rows[~done]
+            if not rows.size:
+                break
+        centroid = x[:, :-1].sum(axis=1) / n
+        worst = x[:, -1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = func(reflected)
+        expand = f_reflected < f[:, 0]
+        contract = ~expand & ~(f_reflected < f[:, -2])
+        toward = np.where((f_reflected < f[:, -1])[:, None], reflected, worst)
+        trial = np.where(expand[:, None], centroid + 2.0 * (centroid - worst),
+                         centroid + 0.5 * (toward - centroid))
+        tried = expand | contract
+        f_trial = np.full(rows.size, np.inf)
+        if tried.any():
+            f_trial[tried] = func(trial[tried])
+        take = f_trial < np.where(expand, f_reflected, np.minimum(f_reflected, f[:, -1]))
+        shrink = contract & ~take
+        f[:, -1] = np.where(take, f_trial, np.where(shrink, f[:, -1], f_reflected))
+        x[:, -1] = np.where(take[:, None], trial,
+                            np.where(shrink[:, None], worst, reflected))
+        if shrink.any():
+            best = x[shrink, :1]
+            x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
+            f[shrink, 1:] = func(x[shrink, 1:])
+    at, pick = np.arange(rows.size), np.argmin(f, axis=1)
+    best_x[rows], best_f[rows] = x[at, pick], f[at, pick]
+    return best_x, best_f
+
+
+def oracle_maximum(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2.0),
+                   bob_alpha=None):
+    """The maximum over the four angles from the same Sobol starts, by
+    ``lockstep_nelder_mead`` alone."""
+    value = objective_array(objective, state, alpha, bob_alpha)
+    _, f = lockstep_nelder_mead(lambda q: -value(q), search._start_points(restarts, seed))
+    return -float(f.min())
 
 
 def random_pure_state(rng, n1, n2):
@@ -229,7 +295,8 @@ def test_runtime_needs_no_scipy():
 
 
 class TestBatchedSimplex:
-    """The lockstep simplex against the one-start reference, restart by restart."""
+    """The lockstep simplex against the one-start reference, restart by restart,
+    in the engine's search coordinates (phi1, phi2, theta2) at theta1 = 0."""
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
@@ -238,11 +305,13 @@ class TestBatchedSimplex:
                                          bob_alpha):
         value = objective_array(objective, state, alpha, bob_alpha)
         scalar = scalar_objective(objective)
-        starts = search._start_points(6, seed=len(label))
-        x, f, used, converged = search._nelder_mead(lambda q: -value(q), starts)
+        starts = search._start_coordinates(6, seed=len(label))
+        x, f, used, converged = search._nelder_mead(
+            lambda u: -value(search._quads(u)), starts)
         for i, start in enumerate(starts):
             x_ref, f_ref, used_ref = scalar_nelder_mead(
-                lambda v: -scalar(state, AngleQuad(*v), alpha, bob_alpha), start)
+                lambda v: -scalar(state, AngleQuad(v[0], v[1], 0.0, v[2]), alpha,
+                                  bob_alpha), start)
             # the requirement on every platform
             assert f[i] == pytest.approx(f_ref, abs=1e-12)
             if objective == "bell_abs":
@@ -266,6 +335,145 @@ class TestBatchedSimplex:
         for quad, v in zip(quads, values):
             assert v == pytest.approx(
                 scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
+
+
+def coordinate_value(objective, state, alpha, bob_alpha):
+    value = objective_array(objective, state, alpha, bob_alpha)
+    return lambda u: value(search._quads(u))
+
+
+class TestNewtonFinish:
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_derivatives_match_central_differences(self, objective, label, state,
+                                                   alpha, bob_alpha):
+        value = coordinate_value(objective, state, alpha, bob_alpha)
+        _, derivatives = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        rng = np.random.default_rng(len(label))
+        u = rng.uniform(0.0, TWO_PI, (60, 3))
+        # only points well away from the kinks, where both hypot arguments
+        # and Bell are at least a third of the largest correlation
+        e11, e12, e21, e22 = (np.vectorize(lambda d: correlation(state, d, 0.0, alpha,
+                                                                 bob_alpha))(delta)
+                              for delta in (u[:, 0], u[:, 0] - u[:, 2], u[:, 1],
+                                            u[:, 1] - u[:, 2]))
+        clearance = np.minimum.reduce([np.hypot(e11 + e21, e12 + e22),
+                                       np.hypot(e11 - e21, e12 - e22),
+                                       np.abs(e11 + e12 + e21 - e22)])
+        u = u[clearance > np.abs([e11, e12, e21, e22]).max() / 3]
+        assert len(u) >= 10
+        gradient, hessian = derivatives(u)
+        h, unit = 1e-5, np.eye(3)
+        numeric = np.stack([(value(u + h * unit[i]) - value(u - h * unit[i])) / (2 * h)
+                            for i in range(3)], axis=-1)
+        assert np.abs(gradient - numeric).max() <= 1e-8
+        h = 1e-4
+        numeric = np.stack([np.stack([
+            (value(u + h * (unit[i] + unit[j])) - value(u + h * (unit[i] - unit[j]))
+             - value(u - h * (unit[i] - unit[j])) + value(u - h * (unit[i] + unit[j])))
+            / (4 * h * h) for j in range(3)], axis=-1) for i in range(3)], axis=-2)
+        # the second differences carry about 1e-7 of rounding and truncation
+        assert np.abs(hessian - numeric).max() <= 1e-6 * max(1.0, np.abs(hessian).max())
+
+    def test_step_refused_at_hypot_zero_without_warning(self):
+        value, derivatives = search._coordinate_objective(
+            "steering", bec_pair(1), 1.0 / math.sqrt(2.0), None)
+        # the quad (0, 0, pi, pi): all four correlations agree, so E11 - E21
+        # and E12 - E22 vanish
+        u = np.array([[-math.pi, -math.pi, 0.0]])
+        start = value(u)
+        assert start[0] == pytest.approx(QUANTUM_BOUND, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gradient, hessian = derivatives(u)
+            x, f, kept, evaluations = search._newton(value, derivatives, u.copy(), start.copy())
+            optimize("steering", bec_pair(1), restarts=16, seed=0)
+        assert not np.isfinite(hessian).all()
+        assert kept.tolist() == [0] and evaluations.tolist() == [1]
+        assert np.array_equal(x, u) and np.array_equal(f, start)
+
+    def test_each_derivative_and_trial_counts_as_evaluation(self):
+        value, derivatives = search._coordinate_objective(
+            "bell_abs", bec_pair(2), 1.0 / math.sqrt(2.0), None)
+        starts = search._start_coordinates(16, seed=4)
+        x, f, _, _ = search._nelder_mead(lambda u: -value(u), starts)
+        _, polished, kept, evaluations = search._newton(value, derivatives, x, -f)
+        assert (kept >= 1).all() and (polished >= -f).all()
+        # a kept step costs two; the refused step that ends the finish, two
+        assert evaluations.tolist() == (2 * np.minimum(kept + 1, search.NEWTON_STEPS)).tolist()
+
+    def test_every_restart_polished_on_smooth_maxima(self):
+        # At seed 1 no restart stops on the value-2 ridge of bec2, where the
+        # Hessian is nearly singular and the step overshoots.
+        result = optimize("bell_abs", bec_pair(2), seed=1)
+        assert result.polished == result.restarts_used == 64
+
+    def test_hypot_zero_maximum_left_unpolished(self):
+        state, alpha = bec_pair(3), 1.0 / math.sqrt(2.0)
+        value, derivatives = search._coordinate_objective("steering", state, alpha, None)
+        x, f, _, _ = search._nelder_mead(lambda u: -value(u),
+                                         search._start_coordinates(64, seed=0))
+        _, _, kept, _ = search._newton(value, derivatives, x, -f)
+        e = np.array([[correlation(state, phi, theta, alpha) for phi, theta in
+                       ((p1, 0.0), (p1, t2), (p2, 0.0), (p2, t2))] for p1, p2, t2 in x])
+        smallest = np.minimum(np.hypot(e[:, 0] + e[:, 2], e[:, 1] + e[:, 3]),
+                              np.hypot(e[:, 0] - e[:, 2], e[:, 1] - e[:, 3]))
+        # a restart that settled on a local maximum with a hypot argument near 0
+        assert (smallest[kept == 0] < 1e-3).any()
+        result = optimize("steering", state, seed=0)
+        assert result.polished < result.restarts_used
+        assert result.max_value == pytest.approx(QUANTUM_BOUND, abs=1e-12)
+
+
+def random_mixture(draw, n1, n2, members):
+    """A mixture of ``members`` pure states in the (n1, n2) sector, drawn."""
+    occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
+    entries = []
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=members, max_size=members))
+    for weight in weights:
+        amps = draw(st.lists(AMPLITUDES, min_size=len(occupations),
+                             max_size=len(occupations)))
+        if not any(amps):
+            amps[0] = 1.0
+        norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
+        member = from_fock_amplitudes(
+            COMPOSITE_MODES, {o: c / norm for o, c in zip(occupations, amps) if c})
+        entries.append((weight / sum(weights), member))
+    return CompositeState(tuple(entries), n1=n1, n2=n2)
+
+
+AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+
+
+class TestMaximaOracle:
+    """optimize against the four-angle lockstep simplex run to 1e-8."""
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @pytest.mark.parametrize("restarts", [8, 64])
+    def test_same_maximum(self, restarts, objective, label, state, alpha, bob_alpha):
+        seed = len(label)
+        result = optimize(objective, state, restarts=restarts, seed=seed, alpha=alpha,
+                          bob_alpha=bob_alpha)
+        want = oracle_maximum(objective, state, restarts, seed, alpha, bob_alpha)
+        assert abs(result.max_value - want) <= 1e-12
+
+    @given(data=st.data(), objective=st.sampled_from(["steering", "bell_abs"]),
+           alphas=st.tuples(st.floats(0.1, 0.95), st.floats(0.1, 0.95)),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_never_below_oracle(self, data, objective, alphas, seed):
+        # One-sided: from the same starts the two searches can settle in
+        # different basins, and either may find the higher one.
+        n1, n2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
+        alpha, bob_alpha = alphas
+        result = optimize(objective, state, seed=seed, alpha=alpha, bob_alpha=bob_alpha)
+        want = oracle_maximum(objective, state, 64, seed, alpha, bob_alpha)
+        assert result.max_value >= want - 1e-12
 
 
 class TestScan:
