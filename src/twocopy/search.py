@@ -235,8 +235,8 @@ def _newton(value: Callable[[np.ndarray], np.ndarray],
     first step it does not keep, or after NEWTON_STEPS steps.  Each
     derivative call and each trial value count as one evaluation.
 
-    Returns, per restart, the point, its value, the steps kept and the
-    evaluations used.
+    Updates ``x`` and ``f`` in place and returns them, with the steps
+    kept and the evaluations used per restart.
     """
     kept = np.zeros(len(x), dtype=int)
     evaluations = np.zeros(len(x), dtype=int)

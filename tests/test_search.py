@@ -337,18 +337,16 @@ class TestBatchedSimplex:
                 scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
 
 
-def coordinate_value(objective, state, alpha, bob_alpha):
-    value = objective_array(objective, state, alpha, bob_alpha)
-    return lambda u: value(search._quads(u))
-
-
 class TestNewtonFinish:
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
     @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
     def test_derivatives_match_central_differences(self, objective, label, state,
                                                    alpha, bob_alpha):
-        value = coordinate_value(objective, state, alpha, bob_alpha)
+        quad_value = objective_array(objective, state, alpha, bob_alpha)
+
+        def value(u):
+            return quad_value(search._quads(u))
         _, derivatives = search._coordinate_objective(objective, state, alpha, bob_alpha)
         rng = np.random.default_rng(len(label))
         u = rng.uniform(0.0, TWO_PI, (60, 3))
@@ -400,7 +398,8 @@ class TestNewtonFinish:
         x, f, _, _ = search._nelder_mead(lambda u: -value(u), starts)
         _, polished, kept, evaluations = search._newton(value, derivatives, x, -f)
         assert (kept >= 1).all() and (polished >= -f).all()
-        # a kept step costs two; the refused step that ends the finish, two
+        # a kept step costs two evaluations, and so does the refused step
+        # that ends a finish before NEWTON_STEPS
         assert evaluations.tolist() == (2 * np.minimum(kept + 1, search.NEWTON_STEPS)).tolist()
 
     def test_every_restart_polished_on_smooth_maxima(self):
@@ -467,7 +466,11 @@ class TestMaximaOracle:
     @settings(max_examples=15, deadline=None, derandomize=True)
     def test_never_below_oracle(self, data, objective, alphas, seed):
         # One-sided: from the same starts the two searches can settle in
-        # different basins, and either may find the higher one.
+        # different basins, and the three-angle one sometimes finds a higher
+        # maximum.  Neither is a global oracle: on a few random (3, 2)
+        # states at unbalanced splitters the four-angle search finds a
+        # basin the three-angle one misses at 64 restarts, so this is
+        # checked on these draws, not claimed for every state.
         n1, n2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
         state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
         alpha, bob_alpha = alphas
