@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +32,11 @@ class ModeMismatchError(ValueError):
 
 class NonUnitaryMapError(ValueError):
     """Raised when a linear mode map does not conserve particle number."""
+
+
+@lru_cache(maxsize=None)  # at most 171 entries: a float overflows from sqrt(171!) on
+def _sqrt_factorial(n: int) -> float:
+    return math.sqrt(math.factorial(n))
 
 
 def _term_product(t1: dict, t2: dict) -> dict:
@@ -179,8 +185,7 @@ def from_fock_amplitudes(modes: Sequence[str],
     terms = {}
     for occ, amp in amplitudes.items():
         occ = tuple(int(n) for n in occ)
-        scale = math.prod(math.sqrt(math.factorial(n)) for n in occ)
-        terms[occ] = complex(amp) / scale
+        terms[occ] = complex(amp) / math.prod(map(_sqrt_factorial, occ))
     return ModePolynomial(tuple(modes), terms)
 
 
@@ -229,8 +234,7 @@ def fock_amplitudes(p: ModePolynomial) -> dict[Exponents, complex]:
     """Fock-basis amplitudes; probabilities are their squared magnitudes."""
     out = {}
     for expo, coef in p.terms.items():
-        scale = math.prod(math.sqrt(math.factorial(n)) for n in expo)
-        out[expo] = coef * scale
+        out[expo] = coef * math.prod(map(_sqrt_factorial, expo))
     return out
 
 

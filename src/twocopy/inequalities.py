@@ -115,8 +115,8 @@ class _TrigSeries:
         orders, a, b = self._columns
         angles = orders * deltas.reshape(1, -1)
         terms = a * np.cos(angles) + b * np.sin(angles)
-        value = np.full(deltas.size, self.c0)
-        for term in terms:
+        value = self.c0 + terms[0] if len(terms) else np.full(deltas.size, self.c0)
+        for term in terms[1:]:
             value += term
         return value.reshape(deltas.shape)
 
@@ -419,11 +419,6 @@ def _abs_bell_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _DERIVATIVES = {_steering: _steering_derivatives, _abs_bell: _abs_bell_derivatives}
 
-# d(e11, e12, e21, e22) / d(phi1, phi2, theta1, theta2), and the outer
-# product of each row with itself
-_DIFFERENCES = np.eye(4)[_ALICE_COLUMNS] - np.eye(4)[_BOB_COLUMNS]
-_DIFFERENCE_SQUARES = _DIFFERENCES[:, :, None] * _DIFFERENCES[:, None, :]
-
 
 def _functional(name: str) -> Callable[[np.ndarray], np.ndarray]:
     try:
@@ -450,39 +445,6 @@ def objective_array(name: str, state: CompositeState,
     def objective(quads: np.ndarray) -> np.ndarray:
         return functional(_correlations(series, quads))
     return objective
-
-
-def objective_derivatives(name: str, state: CompositeState,
-                          alpha: float = BALANCED_ALPHA,
-                          bob_alpha: float | None = None
-                          ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The exact gradient and Hessian of an objective over the angles.
-
-    The result maps an array of angle quads of shape (..., 4) to the
-    gradient, shape (..., 4), and the Hessian, shape (..., 4, 4), in
-    (phi1, phi2, theta1, theta2): the chain rule through each correlation
-    E(phi_j - theta_k) and the derivative series of its trigonometric
-    polynomial.  Where a hypot argument of ``steering`` vanishes, both are
-    not finite, with no warning; |Bell| has zero gradient where Bell = 0.
-    """
-    derivative = _DERIVATIVES[_functional(name)]
-    series = _series(state, alpha, bob_alpha)
-
-    def derivatives(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        quads = np.asarray(quads)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e, first, second = series.derivatives(
-                quads.take(_ALICE_COLUMNS, axis=-1) - quads.take(_BOB_COLUMNS, axis=-1))
-            gradient, factors = derivative(e)
-            # Correlation i moves by first[i] along row i of _DIFFERENCES.
-            # Products and sums, not matmul: a first matmul starts the BLAS
-            # buffers, which would add to the peak memory of a search.
-            slopes = (gradient * first)[..., None] * _DIFFERENCES
-            vectors = ((factors * first[..., None, :])[..., None] * _DIFFERENCES).sum(axis=-2)
-            hessian = (((gradient * second)[..., None, None] * _DIFFERENCE_SQUARES).sum(axis=-3)
-                       + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
-            return slopes.sum(axis=-2), hessian
-    return derivatives
 
 
 def _noise_correlation(state: CompositeState, alpha: float,

@@ -22,13 +22,16 @@ Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635
 (2008)) under Matousek's linear matrix scramble and a digital shift
 (Matousek, J. Complexity 14, 527 (1998)).  Each is shifted by its theta1.
 
-The restarts run in lockstep: every simplex sits in one (restarts, 4, 3)
-array, and each stage of a step (reflect, expand or contract, shrink)
-evaluates the objective in one call on just the points the running
-restarts need.  Each restart still takes exactly the steps a one-start
-Nelder-Mead would, so its optimum and evaluation count do not depend on
-the others.  The Newton steps of all restarts are solved together in
-closed form.
+The restarts run in lockstep.  Each simplex is one block of a
+(restarts, 4, 4) array, a vertex per row: its three coordinates, then its
+value; the stable sort of every simplex is one argsort and one take.  Each
+stage of a step (reflect, expand or contract, shrink) evaluates the
+objective in one call on just the points the running restarts need, and a
+restart that stops leaves the array.  A restart's path does not depend on
+the others: it runs the floating-point operations of a one-start
+Nelder-Mead in the same order, so, given the same objective values, its
+vertices, values and evaluation count are the same bit for bit.  The
+Newton steps of all restarts are solved together in closed form.
 """
 from __future__ import annotations
 
@@ -37,13 +40,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .inequalities import (
-    ANGLE_NAMES,
-    AngleQuad,
-    TWO_PI,
-    objective_array,
-    objective_derivatives,
-)
+from .inequalities import (_DERIVATIVES, ANGLE_NAMES, TWO_PI, AngleQuad, _functional,
+                           _series, objective_array)
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
 
@@ -67,6 +65,10 @@ _SOBOL_BITS = 30
 _DIGITS = np.arange(_SOBOL_BITS - 1, -1, -1)
 # The quad columns the search moves: phi1, phi2 and theta2, with theta1 = 0.
 _COORDINATES = [0, 1, 3]
+_ARGUMENT_COLUMNS = [0, 0, 1, 1]  # of e11 .. e22, before theta2 is subtracted
+# d(e11, e12, e21, e22) / d(phi1, phi2, theta2), and each row's outer product
+_JACOBIAN = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+_JACOBIAN_SQUARES = _JACOBIAN[:, :, None] * _JACOBIAN[:, None, :]
 
 
 def _direction_numbers() -> np.ndarray:
@@ -131,62 +133,72 @@ def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
     and whether the simplex converged.
     """
     restarts, n = starts.shape
-    x = np.repeat(starts[:, None, :], n + 1, axis=1)
-    x[:, 1:] += step * np.eye(n)
-    f = func(x)
-    evaluations = np.full(restarts, n + 1)
+    # s[r, i] is vertex i of restart r: its n coordinates, then its value
+    s = np.empty((restarts, n + 1, n + 1))
+    s[:, :, :n] = starts[:, None, :]
+    s[:, 1:, :n] += step * np.eye(n)
+    s[:, :, n] = func(s[:, :, :n])
+    offsets = np.arange(0, restarts * (n + 1), n + 1)[:, None]  # in s.reshape(-1, n + 1)
     rows = np.arange(restarts)
-    best_x = np.empty((restarts, n))
-    best_f = np.empty(restarts)
+    extra = np.zeros(restarts, dtype=int)  # evaluations of trial and shrunk points
+    best = np.empty((restarts, n + 1))
     used = np.empty(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
 
-    for _ in range(MAX_ITERATIONS):
-        order = np.argsort(f, axis=1, kind="stable")
-        index = np.arange(rows.size)[:, None]
-        f, x = f[index, order], x[index, order]
-        done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < SIMPLEX_TOL
-        if done.any():
-            finished = rows[done]
-            best_x[finished], best_f[finished] = x[done, 0], f[done, 0]
-            used[finished] = evaluations[done]
-            converged[finished] = True
-            running = ~done
-            x, f = x[running], f[running]
-            evaluations, rows = evaluations[running], rows[running]
-            if not rows.size:
-                break
-        centroid = x[:, :-1].sum(axis=1) / n
-        worst = x[:, -1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = func(reflected)
-        expand = f_reflected < f[:, 0]
-        contract = ~expand & ~(f_reflected < f[:, -2])
-        # the second point tried: expanded, or contracted toward the better
-        # of the reflected and the worst vertex
-        toward = np.where((f_reflected < f[:, -1])[:, None], reflected, worst)
-        trial = np.where(expand[:, None], centroid + 2.0 * (centroid - worst),
-                         centroid + 0.5 * (toward - centroid))
-        tried = expand | contract
-        f_trial = np.full(rows.size, np.inf)
-        if tried.any():
-            f_trial[tried] = func(trial[tried])
-        take = f_trial < np.where(expand, f_reflected, np.minimum(f_reflected, f[:, -1]))
-        shrink = contract & ~take
-        f[:, -1] = np.where(take, f_trial, np.where(shrink, f[:, -1], f_reflected))
-        x[:, -1] = np.where(take[:, None], trial,
-                            np.where(shrink[:, None], worst, reflected))
-        evaluations += 1 + tried + n * shrink
-        if shrink.any():
-            best = x[shrink, :1]
-            x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
-            f[shrink, 1:] = func(x[shrink, 1:])
+    for iteration in range(MAX_ITERATIONS):
+        order = np.argsort(s[:, :, n], axis=1, kind="stable") + offsets
+        s = s.reshape(-1, n + 1).take(order, axis=0)
+        # A coordinate's spread is at least |best - worst|, rounded or not.
+        near = (np.abs(s[:, 0, :n] - s[:, n, :n]).max(axis=1) < SIMPLEX_TOL).nonzero()[0]
+        if near.size:
+            x = s[near, :, :n]
+            done = near[(x.max(axis=1) - x.min(axis=1)).max(axis=1) < SIMPLEX_TOL]
+            if done.size:
+                finished = rows[done]
+                best[finished], used[finished] = s[done, 0], n + 1 + iteration + extra[done]
+                converged[finished] = True
+                running = np.ones(rows.size, dtype=bool)
+                running[done] = False
+                s, extra, rows = s[running], extra[running], rows[running]
+                offsets = offsets[:rows.size]
+                if not rows.size:
+                    break
+        centroid = s[:, :n, :n].sum(axis=1) / n
+        worst = s[:, n]
+        away = centroid - worst[:, :n]
+        # the reflected vertex, or the worst where that is better
+        candidate = np.empty_like(worst)
+        np.add(centroid, away, out=candidate[:, :n])
+        f_reflected = candidate[:, n] = func(candidate[:, :n])
+        np.copyto(candidate, worst, where=~(f_reflected < worst[:, n])[:, None])
+        expand = f_reflected < s[:, 0, n]
+        tried = expand | ~(f_reflected < s[:, n - 1, n])
+        extra += tried
+        tried = tried.nonzero()[0]
+        if tried.size:
+            # Expanded, or contracted toward the candidate, which it replaces
+            # where better; a contraction that is not shrinks the simplex.
+            trial = np.empty((tried.size, n + 1))
+            trial[:, :n] = (centroid + np.where(expand[:, None], 2.0 * away,
+                                                0.5 * (candidate[:, :n] - centroid))
+                            ).take(tried, axis=0)
+            trial[:, n] = func(trial[:, :n])
+            kept = candidate.take(tried, axis=0)
+            wins = trial[:, n] < kept[:, n]
+            candidate[tried] = np.where(wins[:, None], trial, kept)
+            shrink = tried.compress(~(wins | expand.take(tried)))
+            if shrink.size:
+                extra[shrink] += n
+                x = s[shrink, :, :n]
+                s[shrink, 1:, :n] = x[:, :1] + 0.5 * (x[:, 1:] - x[:, :1])
+                s[shrink, 1:, n] = func(s[shrink, 1:, :n])
+                candidate[shrink] = s[shrink, n]
+        s[:, n] = candidate
 
     # restarts stopped by MAX_ITERATIONS
-    at, pick = np.arange(rows.size), np.argmin(f, axis=1)
-    best_x[rows], best_f[rows] = x[at, pick], f[at, pick]
-    used[rows] = evaluations
-    return best_x, best_f, used, converged
+    best[rows] = s.reshape(-1, n + 1)[np.argmin(s[:, :, n], axis=1) + offsets[:, 0]]
+    used[rows] = n + 1 + MAX_ITERATIONS + extra
+    return best[:, :n], best[:, n], used, converged
 
 
 def _start_points(restarts: int, seed: int) -> np.ndarray:
@@ -206,12 +218,14 @@ def _start_points(restarts: int, seed: int) -> np.ndarray:
     shift = rng.integers(2, size=(4, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
     lower = np.tril(rng.integers(2, size=(4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
     lower[:, bits, bits] = 1
-    digits = _DIRECTIONS[:, :, None] >> _DIGITS & 1
+    # only the direction numbers of the bits a Gray code below restarts sets
+    gray_bits = int(restarts).bit_length()
+    digits = _DIRECTIONS[:, :gray_bits, None] >> _DIGITS & 1
     directions = (digits @ lower.transpose(0, 2, 1) % 2) @ (1 << _DIGITS)
     index = np.arange(restarts)
     gray = index ^ index >> 1
     points = np.tile(shift, (restarts, 1))
-    for bit in range(int(restarts).bit_length()):
+    for bit in range(gray_bits):
         points ^= np.where((gray >> bit & 1)[:, None] == 1, directions[:, bit], 0)
     return points * (TWO_PI / 2 ** _SOBOL_BITS)
 
@@ -268,9 +282,14 @@ def _newton(value: Callable[[np.ndarray], np.ndarray],
 
 def _quads(u: np.ndarray) -> np.ndarray:
     """Angle quads (phi1, phi2, 0, theta2) from search coordinates of shape (..., 3)."""
-    quads = np.zeros(u.shape[:-1] + (4,))
-    quads[..., _COORDINATES] = u
-    return quads
+    return np.insert(u, 2, 0.0, axis=-1)
+
+
+def _arguments(u: np.ndarray) -> np.ndarray:
+    """The arguments (x, x - z, y, y - z) of e11 .. e22 at u = (x, y, z)."""
+    arguments = u.take(_ARGUMENT_COLUMNS, axis=-1)
+    arguments[..., 1::2] -= u[..., 2:]
+    return arguments
 
 
 def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
@@ -278,16 +297,28 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
                           ) -> tuple[Callable[[np.ndarray], np.ndarray],
                                      Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
     """An objective over search coordinates, shape (..., 3), and its exact
-    gradient and Hessian over points of shape (k, 3)."""
-    quad_value = objective_array(objective, state, alpha, bob_alpha)
-    quad_derivatives = objective_derivatives(objective, state, alpha, bob_alpha)
+    gradient and Hessian over points of shape (k, 3): the chain rule through
+    each correlation and the derivative series of its polynomial.  Both are
+    not finite where a hypot argument of ``steering`` vanishes, with no
+    warning."""
+    functional = _functional(objective)
+    derivative = _DERIVATIVES[functional]
+    series = _series(state, alpha, bob_alpha)
 
     def value(u: np.ndarray) -> np.ndarray:
-        return quad_value(_quads(u))
+        return functional(series.evaluate(_arguments(u)))
 
     def derivatives(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gradient, hessian = quad_derivatives(_quads(u))
-        return gradient[:, _COORDINATES], hessian[:, _COORDINATES][:, :, _COORDINATES]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e, first, second = series.derivatives(_arguments(u))
+            gradient, factors = derivative(e)
+            # Correlation i moves by first[i] along row i of _JACOBIAN.  Not
+            # matmul: a first matmul starts BLAS buffers, adding peak memory.
+            slopes = (gradient * first)[..., None] * _JACOBIAN
+            vectors = ((factors * first[..., None, :])[..., None] * _JACOBIAN).sum(axis=-2)
+            hessian = (((gradient * second)[..., None, None] * _JACOBIAN_SQUARES).sum(axis=-3)
+                       + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
+            return slopes.sum(axis=-2), hessian
     return value, derivatives
 
 
@@ -302,6 +333,9 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     wins, with ties broken toward the lowest restart index.  Deterministic
     for a fixed seed.
     """
+    for name, number in (("restarts", restarts), ("seed", seed)):
+        if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
+            raise ValueError(f"{name}={number!r} is not an integer")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if restarts > MAX_RESTARTS:
@@ -314,9 +348,9 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     return OptimizationResult(
         max_value=float(value(best)),
         argmax=AngleQuad(*_quads(best).tolist()),
-        restarts_used=restarts,
+        restarts_used=int(restarts),
         evaluations=int(used.sum() + polish.sum()) + 1,
-        seed=seed,
+        seed=int(seed),
         converged=int(converged.sum()),
         polished=int(np.count_nonzero(kept)),
     )

@@ -204,6 +204,18 @@ class TestRoundTrips:
         state = from_fock_amplitudes(("a", "b"), amps)
         assert fock_amplitudes(state) == pytest.approx(amps)
 
+    def test_scales_are_products_of_square_rooted_factorials(self):
+        # the defining formula, evaluated directly, to the last bit
+        rng = np.random.default_rng(5)
+        occupations = [tuple(int(n) for n in rng.integers(0, 40, 4)) for _ in range(50)]
+        amps = {occ: complex(*rng.normal(size=2)) for occ in occupations}
+        state = from_fock_amplitudes(("a", "b", "A", "B"), amps)
+        back = fock_amplitudes(state)
+        for occ, amp in amps.items():
+            scale = math.prod(math.sqrt(math.factorial(n)) for n in occ)
+            assert state.terms[occ] == amp / scale
+            assert back[occ] == amp / scale * scale
+
     def test_adjoint_inverts_substitution(self):
         mode_map = balanced_map(phase=0.7)
         state = from_fock_amplitudes(("a", "A"), {(2, 0): 0.6, (1, 1): 0.64, (0, 2): 0.48})

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import qmc
 
 import twocopy
-from twocopy import search
+from twocopy import inequalities, search
 from twocopy.fock import from_fock_amplitudes
 from twocopy.inequalities import (
     AngleQuad,
@@ -20,7 +20,6 @@ from twocopy.inequalities import (
     bell_value,
     correlation,
     objective_array,
-    objective_derivatives,
     steering_value,
 )
 from twocopy.search import count_local_maxima, optimize, scan_1d
@@ -92,26 +91,41 @@ def scalar_nelder_mead(func, x0, step=0.6):
 ORACLE_TOL = 1e-8
 
 
-def lockstep_nelder_mead(func, starts, step=0.6, tol=ORACLE_TOL):
-    """The lockstep Nelder-Mead over the four angles, run to ``tol``: the
-    search the engine used before its three-coordinate, Newton-finished
-    one, kept as the oracle for the maxima.  Minimizes ``func`` from every
-    row of ``starts``; returns the best vertex and value per restart."""
+def lockstep_nelder_mead(func, starts, step=0.6, tol=None):
+    """The lockstep Nelder-Mead as the engine first wrote it: one
+    (restarts, n + 1, n) array of vertices and one of values, reordered by
+    fancy indexing, and a nested ``where`` for the new worst vertex.
+
+    With ``tol`` None it stops at SIMPLEX_TOL and is the reference for the
+    engine's ``_nelder_mead``, path for path; over the four angles at
+    ORACLE_TOL it is the maxima oracle.  Minimizes ``func`` from every row
+    of ``starts``; returns the best vertex, its value, the evaluations used
+    and whether the simplex converged, per restart.
+    """
+    tol = search.SIMPLEX_TOL if tol is None else tol
     restarts, n = starts.shape
     x = np.repeat(starts[:, None, :], n + 1, axis=1)
     x[:, 1:] += step * np.eye(n)
     f = func(x)
+    evaluations = np.full(restarts, n + 1)
     rows = np.arange(restarts)
     best_x = np.empty((restarts, n))
     best_f = np.empty(restarts)
+    used = np.empty(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
     for _ in range(search.MAX_ITERATIONS):
         order = np.argsort(f, axis=1, kind="stable")
         index = np.arange(rows.size)[:, None]
         f, x = f[index, order], x[index, order]
         done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < tol
         if done.any():
-            best_x[rows[done]], best_f[rows[done]] = x[done, 0], f[done, 0]
-            x, f, rows = x[~done], f[~done], rows[~done]
+            finished = rows[done]
+            best_x[finished], best_f[finished] = x[done, 0], f[done, 0]
+            used[finished] = evaluations[done]
+            converged[finished] = True
+            running = ~done
+            x, f = x[running], f[running]
+            evaluations, rows = evaluations[running], rows[running]
             if not rows.size:
                 break
         centroid = x[:, :-1].sum(axis=1) / n
@@ -120,6 +134,8 @@ def lockstep_nelder_mead(func, starts, step=0.6, tol=ORACLE_TOL):
         f_reflected = func(reflected)
         expand = f_reflected < f[:, 0]
         contract = ~expand & ~(f_reflected < f[:, -2])
+        # the second point tried: expanded, or contracted toward the better
+        # of the reflected and the worst vertex
         toward = np.where((f_reflected < f[:, -1])[:, None], reflected, worst)
         trial = np.where(expand[:, None], centroid + 2.0 * (centroid - worst),
                          centroid + 0.5 * (toward - centroid))
@@ -132,13 +148,16 @@ def lockstep_nelder_mead(func, starts, step=0.6, tol=ORACLE_TOL):
         f[:, -1] = np.where(take, f_trial, np.where(shrink, f[:, -1], f_reflected))
         x[:, -1] = np.where(take[:, None], trial,
                             np.where(shrink[:, None], worst, reflected))
+        evaluations += 1 + tried + n * shrink
         if shrink.any():
             best = x[shrink, :1]
             x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
             f[shrink, 1:] = func(x[shrink, 1:])
+    # restarts stopped by MAX_ITERATIONS
     at, pick = np.arange(rows.size), np.argmin(f, axis=1)
     best_x[rows], best_f[rows] = x[at, pick], f[at, pick]
-    return best_x, best_f
+    used[rows] = evaluations
+    return best_x, best_f, used, converged
 
 
 def oracle_maximum(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2.0),
@@ -146,7 +165,8 @@ def oracle_maximum(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2.0),
     """The maximum over the four angles from the same Sobol starts, by
     ``lockstep_nelder_mead`` alone."""
     value = objective_array(objective, state, alpha, bob_alpha)
-    _, f = lockstep_nelder_mead(lambda q: -value(q), search._start_points(restarts, seed))
+    _, f, _, _ = lockstep_nelder_mead(lambda q: -value(q), search._start_points(restarts, seed),
+                                      tol=ORACLE_TOL)
     return -float(f.min())
 
 
@@ -192,6 +212,37 @@ def scalar_objective(objective):
     return value
 
 
+# d(e11, e12, e21, e22) / d(phi1, phi2, theta1, theta2), and the outer
+# product of each row with itself
+DIFFERENCES = np.array([[1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0],
+                        [0.0, 1.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+DIFFERENCE_SQUARES = DIFFERENCES[:, :, None] * DIFFERENCES[:, None, :]
+
+
+def quad_derivatives(objective, state, alpha, bob_alpha):
+    """The exact gradient and Hessian over the four angles, as the engine
+    first took them: the chain rule through every correlation's difference
+    phi_j - theta_k, over quads of shape (k, 4), sliced to the search
+    coordinates (phi1, phi2, theta2).  The reference for the engine's
+    derivatives in those coordinates."""
+    derivative = inequalities._DERIVATIVES[inequalities._functional(objective)]
+    series = inequalities._series(state, alpha, bob_alpha)
+
+    def derivatives(u):
+        quads = search._quads(u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e, first, second = series.derivatives(
+                quads.take([0, 0, 1, 1], axis=-1) - quads.take([2, 3, 2, 3], axis=-1))
+            gradient, factors = derivative(e)
+            slopes = (gradient * first)[..., None] * DIFFERENCES
+            vectors = ((factors * first[..., None, :])[..., None] * DIFFERENCES).sum(axis=-2)
+            hessian = (((gradient * second)[..., None, None] * DIFFERENCE_SQUARES).sum(axis=-3)
+                       + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
+        columns = [0, 1, 3]
+        return slopes.sum(axis=-2)[:, columns], hessian[:, columns][:, :, columns]
+    return derivatives
+
+
 class TestOptimize:
     def test_deterministic_for_fixed_seed(self):
         a = optimize("steering", bec_pair(1), restarts=12, seed=42)
@@ -229,6 +280,18 @@ class TestOptimize:
     def test_restart_count_validated(self):
         with pytest.raises(ValueError):
             optimize("steering", bec_pair(1), restarts=0)
+
+    @pytest.mark.parametrize("restarts, seed, named", [
+        (2.5, 0, "restarts=2.5"), (True, 0, "restarts=True"), ("3", 0, "restarts='3'"),
+        (2, True, "seed=True"), (2, 1.0, "seed=1.0")])
+    def test_non_integer_restarts_and_seed_rejected(self, restarts, seed, named):
+        with pytest.raises(ValueError, match=f"^{named} is not an integer$"):
+            optimize("steering", bec_pair(1), restarts=restarts, seed=seed)
+
+    def test_numpy_integers_accepted_and_reported_as_int(self):
+        result = optimize("steering", bec_pair(1), restarts=np.int64(2), seed=np.int32(3))
+        assert result == optimize("steering", bec_pair(1), restarts=2, seed=3)
+        assert type(result.restarts_used) is int and type(result.seed) is int
 
     def test_evaluation_count_reported(self):
         result = optimize("steering", bec_pair(1), restarts=2, seed=0)
@@ -335,6 +398,75 @@ class TestBatchedSimplex:
         for quad, v in zip(quads, values):
             assert v == pytest.approx(
                 scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
+
+
+class TestPathIdentity:
+    """The engine's simplex and derivatives against the references they
+    replaced, which run the same arithmetic in the same order: every
+    restart must take the same path, so the results are equal bit for bit."""
+
+    @staticmethod
+    def assert_same_paths(objective, state, alpha, bob_alpha, restarts, seed):
+        value, _ = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        starts = search._start_coordinates(restarts, seed)
+        got = search._nelder_mead(lambda u: -value(u), starts)
+        want = lockstep_nelder_mead(lambda u: -value(u), starts)
+        for name, a, b in zip(("x", "f", "used", "converged"), got, want):
+            assert np.array_equal(a, b), name
+        return got
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @pytest.mark.parametrize("restarts", [1, 5, 64])
+    def test_simplex_matches_reference(self, restarts, objective, label, state, alpha,
+                                       bob_alpha):
+        for seed in (0, 1):
+            _, _, _, converged = self.assert_same_paths(objective, state, alpha, bob_alpha,
+                                                        restarts, seed)
+            assert converged.all()
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_simplex_matches_reference_at_iteration_cap(self, monkeypatch, objective, label,
+                                                        state, alpha, bob_alpha):
+        monkeypatch.setattr(search, "MAX_ITERATIONS", 3)
+        for restarts, seed in ((1, 0), (5, 1), (64, 0)):
+            _, _, used, converged = self.assert_same_paths(objective, state, alpha,
+                                                           bob_alpha, restarts, seed)
+            assert not converged.any()
+            # four starting vertices and three reflections at the least
+            assert (used >= 7).all()
+
+    def test_reference_takes_a_shrink_step(self):
+        # a shrink evaluates the n shrunk vertices of each shrinking
+        # restart, the only call on points of shape (k, n, n) after the
+        # starting simplex
+        value, _ = search._coordinate_objective("steering", bec_pair(1),
+                                                1.0 / math.sqrt(2.0), None)
+        shapes = []
+
+        def func(u):
+            shapes.append(u.shape)
+            return -value(u)
+        lockstep_nelder_mead(func, search._start_coordinates(1, 0))
+        assert (1, 3, 3) in shapes[1:]
+        self.assert_same_paths("steering", bec_pair(1), 1.0 / math.sqrt(2.0), None, 1, 0)
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_derivatives_match_reference(self, objective, label, state, alpha, bob_alpha):
+        _, derivatives = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        reference = quad_derivatives(objective, state, alpha, bob_alpha)
+        u = np.random.default_rng(len(label)).uniform(-10.0, 10.0, (50, 3))
+        # and the quad (0, 0, pi, pi) shifted to theta1 = 0: for bec1 all four
+        # correlations agree there, a steering hypot argument vanishes, and
+        # both derivatives are NaN (TestNewtonFinish)
+        u = np.vstack([u, [[-math.pi, -math.pi, 0.0]]])
+        for got, want in zip(derivatives(u), reference(u)):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestNewtonFinish:
