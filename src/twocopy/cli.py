@@ -6,9 +6,12 @@ significant digits.  Exit codes: 0 success, 2 argument errors, 3 numerical
 failure (e.g. no violation to threshold).
 
 This module holds the flags and the formatting.  The library validates the
-values: counts past their bounds, alphas outside [0, 1], non-finite angles
-and phases, and state parameters all raise ``ValueError`` there, which
-``main`` reports as exit 2.
+values: counts that are not integers or lie past their bounds, alphas
+outside [0, 1], non-finite angles and phases, state parameters, and scan
+angles that are missing or that conflict with ``--axis`` (``scan`` passes
+every angle flag given) all raise ``ValueError`` there, which ``main``
+reports as exit 2.  The CLI itself checks only which state flags belong
+to ``--state`` and that ``trace --sign`` comes with ``--phi2``.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ import sys
 from typing import Sequence
 
 from . import inequalities, measurement, search, states
-from .inequalities import ANGLE_NAMES, AngleQuad, NegativeRadicandError, NoViolationError
+from .fock import fock_amplitudes
+from .inequalities import ANGLE_NAMES, AngleQuad, NoViolationError
 from .measurement import BALANCED_ALPHA, BeamSplitterSetting
 
 # Amplitudes, and their real and imaginary parts, below this are rounding
@@ -109,11 +113,12 @@ def _resolve_state(args: argparse.Namespace) -> states.CompositeState:
     return states.noon_pair(args.n, args.m or 0)
 
 
-def _format_complex(z: complex, tol: float) -> str:
-    """``z`` with a real or imaginary part below ``tol`` left out."""
-    if abs(z.imag) < tol:
+def _format_complex(z: complex, amplitude: complex) -> str:
+    """``z`` without the real or imaginary part where that part of
+    ``amplitude`` is rounding residue."""
+    if abs(amplitude.imag) < _RESIDUE:
         return f"{z.real:.6g}"
-    if abs(z.real) < tol:
+    if abs(amplitude.real) < _RESIDUE:
         return f"{z.imag:.6g}i"
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real:.6g}{sign}{abs(z.imag):.6g}i"
@@ -138,18 +143,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     state = _resolve_state(args)
     objectives = [name.strip() for name in args.objective.split(",") if name.strip()]
-    if not objectives:
-        raise ValueError("no objectives given")
-    fixed = {}
-    for name in ANGLE_NAMES:
-        value = getattr(args, name)
-        if name == args.axis:
-            if value is not None:
-                raise ValueError(f"--{name} conflicts with --axis {args.axis}")
-            continue
-        if value is None:
-            raise ValueError(f"--{name} is required when scanning {args.axis}")
-        fixed[name] = value
+    fixed = {name: getattr(args, name) for name in ANGLE_NAMES
+             if getattr(args, name) is not None}
     series = search.scan_1d(objectives, state, fixed, axis=args.axis, points=args.points,
                             alpha=args.alpha, bob_alpha=args.alpha_bob)
     lines = ["param," + ",".join(objectives)]
@@ -167,15 +162,13 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     header = ("|n m>", "effective measurement basis on (a, A)", "eps")
     rows = []
     for vector in basis:
-        # A raw coefficient c of |p q> has the amplitude c sqrt(p! q!), and
-        # terms and parts are kept by their size in that amplitude.
+        # terms and parts are kept by their size in the normalized amplitude
         terms = []
-        for e, c in sorted(vector.vector.terms.items()):
-            scale = math.sqrt(math.factorial(e[0])) * math.sqrt(math.factorial(e[1]))
-            if abs(c * scale) < _RESIDUE:
+        for e, amplitude in sorted(fock_amplitudes(vector.vector).items()):
+            if abs(amplitude) < _RESIDUE:
                 continue
-            value, tol = (c, _RESIDUE / scale) if args.raw else (c * scale, _RESIDUE)
-            terms.append(f"({_format_complex(value, tol)})|{e[0]} {e[1]}>")
+            value = vector.vector.terms[e] if args.raw else amplitude
+            terms.append(f"({_format_complex(value, amplitude)})|{e[0]} {e[1]}>")
         expansion = " + ".join(terms)
         rows.append((f"|{vector.outcome[0]} {vector.outcome[1]}>",
                      expansion, f"{vector.weight:+d}"))
@@ -299,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NoViolationError, NegativeRadicandError) as exc:
+    except NoViolationError as exc:
         print(f"twocopy: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

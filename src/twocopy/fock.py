@@ -163,20 +163,15 @@ def monomial_state(occupations: Mapping[str, int],
                    modes: Sequence[str] | None = None) -> ModePolynomial:
     """Normalized Fock basis state with the given occupations.
 
-    The single stored coefficient is ``prod 1/sqrt(n_k!)`` so that the Fock
-    amplitude is exactly 1.
+    The single stored coefficient is ``1 / prod sqrt(n_k!)``, rounded, so
+    the Fock amplitude is 1 to within rounding.
     """
     if modes is None:
         modes = tuple(occupations.keys())
-    else:
-        modes = tuple(modes)
     occ = tuple(int(occupations.get(m, 0)) for m in modes)
     if any(n < 0 for n in occ):
         raise ValueError(f"negative occupation in {occupations}")
-    coef = 1.0
-    for n in occ:
-        coef /= math.sqrt(math.factorial(n))
-    return ModePolynomial(modes, {occ: coef})
+    return from_fock_amplitudes(modes, {occ: 1.0})
 
 
 def from_fock_amplitudes(modes: Sequence[str],

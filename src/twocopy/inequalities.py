@@ -23,7 +23,7 @@ import numpy as np
 from .fock import fock_amplitudes
 from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, epsilon, local_outcomes,
                           parity_blocks, sector_trace_product)
-from .states import CompositeState, NoiseModel, bec_pair, noon_pair
+from .states import CompositeState, NoiseModel, _check_count, bec_pair, noon_pair
 
 TWO_PI = 2.0 * math.pi
 CLASSICAL_BOUND = 2.0
@@ -68,10 +68,6 @@ class AngleQuad:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.phi1, self.phi2, self.theta1, self.theta2)
-
-    def canonical(self) -> "AngleQuad":
-        """Representative with every angle folded into [0, 2*pi)."""
-        return AngleQuad(*(v % TWO_PI for v in self.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -145,8 +141,9 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeri
     e^{i phi (A_y - A_x)} e^{i theta (B_y - B_x)}, with O_A and O_B the
     parties' observables at phase 0 (``parity_blocks``).  They vanish
     unless x and y lie in one Alice block (a + A) and one Bob block
-    (b + B); a member of fixed a + b and A + B then has
-    B_y - B_x = -(A_y - A_x), so the pairs with A_y - A_x = k make C_k.
+    (b + B); every member has fixed a + b and A + B (CompositeState
+    checks it), so B_y - B_x = -(A_y - A_x) and the pairs with
+    A_y - A_x = k make C_k.
     """
     n_max = max((max(e[0] + e[2], e[1] + e[3])
                  for _, member in state.entries for e in member.terms), default=0)
@@ -154,11 +151,6 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeri
     bob = parity_blocks(BeamSplitterSetting.from_alpha(bob_alpha, 0.0), n_max)
     orders, terms = [], []
     for weight, member in state.entries:
-        if (len({e[0] + e[1] for e in member.terms}) > 1
-                or len({e[2] + e[3] for e in member.terms}) > 1):
-            raise ValueError(
-                "ensemble member superposes different particle-number sectors"
-            )
         if weight == 0.0:
             continue
         amplitudes = fock_amplitudes(member)
@@ -354,10 +346,8 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     Returns per-family maximum absolute deviations over ``draws`` uniform
     random angle quads, plus the overall maximum.
     """
-    if draws < 1:
-        raise ValueError(f"need at least one draw, got {draws}")
-    if draws > MAX_DRAWS:
-        raise ValueError(f"draws={draws} exceeds the bound {MAX_DRAWS}")
+    _check_count("draws", draws, 1, MAX_DRAWS)
+    _check_count("seed", seed, 0, None)
     rng = np.random.default_rng(seed)
     deviations: dict[str, float] = {}
     for family, orientation in FORM_ORIENTATION.items():

@@ -21,7 +21,7 @@ from .fock import (
     from_fock_amplitudes,
     substitute,
 )
-from .states import ALICE_MODES, BOB_MODES, MAX_PARTICLES, CompositeState
+from .states import ALICE_MODES, BOB_MODES, CompositeState, _check_count, _check_particles
 
 BALANCED_ALPHA = 1.0 / math.sqrt(2.0)
 PROB_TOL = 1e-10
@@ -73,15 +73,13 @@ def epsilon(n: int, m: int) -> int:
 
 def outcome_count(n_total: int) -> int:
     """Number of local outcome pairs (n, m) with n + m <= n_total."""
-    if n_total < 0:
-        raise ValueError("particle number must be nonnegative")
+    _check_count("n_total", n_total, 0, None)
     return (n_total + 1) * (n_total + 2) // 2
 
 
 def local_outcomes(n_total: int) -> list[tuple[int, int]]:
     """Lexicographic list of local outcomes (n, m) with n + m <= n_total."""
-    if n_total < 0:
-        raise ValueError("particle number must be nonnegative")
+    _check_count("n_total", n_total, 0, None)
     return [(n, m) for n in range(n_total + 1) for m in range(n_total + 1 - n)]
 
 
@@ -106,8 +104,7 @@ def effective_basis(n_total: int, setting: BeamSplitterSetting,
     blocks of :func:`_transfer_blocks`.  Vectors of equal total particle
     number are orthonormal.
     """
-    if n_total > MAX_BASIS_TOTAL:
-        raise ValueError(f"n_total={n_total} exceeds the bound {MAX_BASIS_TOTAL}")
+    _check_count("n_total", n_total, 0, MAX_BASIS_TOTAL)
     blocks = _transfer_blocks(setting.alpha, setting.beta, n_total)
     phases = np.exp(-1j * setting.phase * np.arange(n_total + 1))
     vectors = []
@@ -225,10 +222,7 @@ def sector_trace_product(n1: int, n2: int,
     and (n1-k, n2-l) on Bob's, and its correlation is the product of the
     two parties' block diagonals there, which no phase changes.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("particle numbers must be nonnegative")
-    if max(n1, n2) > MAX_PARTICLES:
-        raise ValueError(f"particle numbers ({n1}, {n2}) exceed the bound {MAX_PARTICLES}")
+    _check_particles(n1=n1, n2=n2)
     n_total = n1 + n2
     k = np.arange(n1 + 1)[:, None]
     l = np.arange(n2 + 1)[None, :]

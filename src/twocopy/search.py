@@ -43,9 +43,10 @@ import numpy as np
 from .inequalities import (_DERIVATIVES, ANGLE_NAMES, TWO_PI, AngleQuad, _functional,
                            _series, objective_array)
 from .measurement import BALANCED_ALPHA
-from .states import CompositeState
+from .states import CompositeState, _check_count
 
 SIMPLEX_TOL = 1e-3
+SIMPLEX_STEP = 0.6  # the start simplex's edge along each coordinate
 MAX_ITERATIONS = 2000
 NEWTON_STEPS = 4
 PLATEAU_TOL = 1e-9
@@ -116,8 +117,7 @@ class ScanSeries:
         return max(self.samples, key=lambda s: s[1])
 
 
-def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
-                 step: float = 0.6
+def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize ``func`` from every row of ``starts`` at once.
 
@@ -136,7 +136,7 @@ def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
     # s[r, i] is vertex i of restart r: its n coordinates, then its value
     s = np.empty((restarts, n + 1, n + 1))
     s[:, :, :n] = starts[:, None, :]
-    s[:, 1:, :n] += step * np.eye(n)
+    s[:, 1:, :n] += SIMPLEX_STEP * np.eye(n)
     s[:, :, n] = func(s[:, :, :n])
     offsets = np.arange(0, restarts * (n + 1), n + 1)[:, None]  # in s.reshape(-1, n + 1)
     rows = np.arange(restarts)
@@ -333,13 +333,8 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     wins, with ties broken toward the lowest restart index.  Deterministic
     for a fixed seed.
     """
-    for name, number in (("restarts", restarts), ("seed", seed)):
-        if isinstance(number, bool) or not isinstance(number, (int, np.integer)):
-            raise ValueError(f"{name}={number!r} is not an integer")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if restarts > MAX_RESTARTS:
-        raise ValueError(f"restarts={restarts} exceeds the bound {MAX_RESTARTS}")
+    _check_count("restarts", restarts, 1, MAX_RESTARTS)
+    _check_count("seed", seed, 0, None)
     value, derivatives = _coordinate_objective(objective, state, alpha, bob_alpha)
     x, f, used, converged = _nelder_mead(lambda u: -value(u),
                                          _start_coordinates(restarts, seed))
@@ -362,21 +357,21 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
             bob_alpha: float | None = None) -> tuple[ScanSeries, ...]:
     """Evaluate objectives on a uniform angle grid over [0, 2*pi).
 
-    ``fixed`` must provide the three angles other than ``axis``.
+    ``fixed`` must provide the three angles other than ``axis``, and no
+    other; ``objectives`` must not be empty.
     """
+    if not objectives:
+        raise ValueError("no objectives given")
     if axis not in ANGLE_NAMES:
         raise ValueError(f"axis must be one of {ANGLE_NAMES}")
-    if points < 8:
-        raise ValueError("need at least 8 grid points")
-    if points > MAX_POINTS:
-        raise ValueError(f"points={points} exceeds the bound {MAX_POINTS}")
+    _check_count("points", points, 8, MAX_POINTS)
     needed = [name for name in ANGLE_NAMES if name != axis]
     missing = [name for name in needed if name not in fixed]
     if missing:
         raise ValueError(f"missing fixed angles: {missing}")
     extra = set(fixed) - set(needed)
     if extra:
-        raise ValueError(f"fixed angles {sorted(extra)} conflict with axis {axis!r}")
+        raise ValueError(f"fixed {', '.join(sorted(extra))} conflicts with axis {axis}")
 
     grid = [TWO_PI * i / points for i in range(points)]
     base = {name: float(fixed[name]) for name in needed}

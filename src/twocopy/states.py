@@ -7,10 +7,12 @@ system 2 on ``(A, B)``; Alice controls ``(a, A)`` and Bob ``(b, B)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
-from .fock import ModePolynomial, ModeMismatchError, monomial_state, tensor
+from .fock import (ModePolynomial, ModeMismatchError, from_fock_amplitudes, monomial_state,
+                   tensor)
 
 SYSTEM1_MODES = ("a", "b")
 SYSTEM2_MODES = ("A", "B")
@@ -30,11 +32,18 @@ MAX_FACTORIZED_TOTAL = 16
 NoiseModel = Literal["sector", "factorized"]
 
 
+def _check_count(name: str, value, low: int, high: int | None) -> None:
+    """Raise ValueError unless ``value`` is an int or numpy integer, not a
+    bool, in [low, high]; ``high=None`` leaves it unbounded above."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value > high)):
+        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"{name}={value!r} must be an integer {bound}")
+
+
 def _check_particles(**counts: int) -> None:
     for name, n in counts.items():
-        if not 0 <= n <= MAX_PARTICLES:
-            raise ValueError(f"{name}={n} must lie in [0, {MAX_PARTICLES}], "
-                             "the bound MAX_PARTICLES")
+        _check_count(name, n, 0, MAX_PARTICLES)
 
 
 class DegenerateComponentError(ValueError):
@@ -49,7 +58,8 @@ class CompositeState:
     ``n1`` and ``n2`` are the particle numbers of the signal sector (system 1
     on modes a,b and system 2 on modes A,B).  Noise entries added by
     :func:`admix` with the factorized model may live outside that sector;
-    ``sector_pure`` records whether every entry obeys it.
+    ``sector_pure`` records whether every entry obeys it.  Each entry lies
+    in one sector, whatever ``sector_pure`` says.
     """
 
     entries: tuple[tuple[float, ModePolynomial], ...]
@@ -74,14 +84,13 @@ class CompositeState:
                 raise ModeMismatchError(f"composite states use modes {COMPOSITE_MODES}")
             if w > WEIGHT_TOL and not s.is_normalized(1e-10):
                 raise ValueError("mixture members must be normalized")
-        if self.sector_pure:
-            for _, s in self.entries:
-                for (ea, eb, eA, eB) in s.terms:
-                    if ea + eb != self.n1 or eA + eB != self.n2:
-                        raise ValueError(
-                            f"monomial {(ea, eb, eA, eB)} violates sector "
-                            f"(n1={self.n1}, n2={self.n2})"
-                        )
+            sectors = {(ea + eb, eA + eB) for ea, eb, eA, eB in s.terms}
+            if len(sectors) > 1:
+                raise ValueError("ensemble member superposes different "
+                                 "particle-number sectors")
+            if self.sector_pure and sectors - {(self.n1, self.n2)}:
+                raise ValueError(f"member in sector {sectors.pop()} violates sector "
+                                 f"(n1={self.n1}, n2={self.n2})")
 
     @property
     def n_total(self) -> int:
@@ -93,28 +102,21 @@ def bec_state(n: int, modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
     symmetrically over two modes: (1/sqrt(2))^n sum_k sqrt(C(n,k)) |k, n-k>.
     """
     _check_particles(n=n)
-    terms = {}
-    for k in range(n + 1):
-        amp = math.sqrt(math.comb(n, k)) / 2 ** (n / 2)
-        terms[(k, n - k)] = amp / math.sqrt(math.factorial(k) * math.factorial(n - k))
-    return ModePolynomial(tuple(modes), terms)
+    return from_fock_amplitudes(
+        modes, {(k, n - k): math.sqrt(math.comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)})
 
 
 def noon_state(n: int, m: int = 0,
                modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
     """Generalized N00N state (|n-m, m> + |m, n-m>)/sqrt(2)."""
-    if n <= 0 or not 0 <= m <= n:
-        raise ValueError(f"need n > 0 and 0 <= m <= n, got n={n} and m={m}")
-    _check_particles(n=n)
+    _check_count("n", n, 1, MAX_PARTICLES)
+    _check_count("m", m, 0, n)
     if 2 * m == n:
         raise DegenerateComponentError(
             f"components |{n - m},{m}> and |{m},{n - m}> coincide"
         )
-    amp = 1.0 / math.sqrt(2.0)
-    terms = {}
-    for occ in ((n - m, m), (m, n - m)):
-        terms[occ] = amp / math.sqrt(math.factorial(occ[0]) * math.factorial(occ[1]))
-    return ModePolynomial(tuple(modes), terms)
+    return from_fock_amplitudes(modes, {(n - m, m): 1.0 / math.sqrt(2.0),
+                                        (m, n - m): 1.0 / math.sqrt(2.0)})
 
 
 def two_copy(s1: ModePolynomial, s2: ModePolynomial) -> CompositeState:
@@ -147,8 +149,7 @@ def noon_pair(n: int, m: int = 0) -> CompositeState:
 
 def sector_basis(n1: int, n2: int) -> list[ModePolynomial]:
     """The (n1+1)(n2+1) product Fock states |k, n1-k> (x) |l, n2-l>."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("particle numbers must be nonnegative")
+    _check_particles(n1=n1, n2=n2)
     out = []
     for k in range(n1 + 1):
         for l in range(n2 + 1):

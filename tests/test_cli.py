@@ -1,4 +1,5 @@
 """Command-line interface tests: parsing, output formats, exit codes."""
+import argparse
 import json
 import math
 import os
@@ -96,7 +97,7 @@ class TestOptimizeCommand:
             "--objective", "steering", "--restarts", "2")
         assert code == 2
         assert out == ""
-        assert "twocopy: error: need n > 0 and 0 <= m <= n, got n=3 and m=5" in err
+        assert "twocopy: error: m=5 must be an integer in [0, 3]" in err
 
 
 class TestScanCommand:
@@ -353,6 +354,8 @@ class TestStateFamilyFlags:
 
 
 class TestCountBounds:
+    # count flags with no upper bound
+    UNBOUNDED = {"--seed", "--m"}
     # (flag, bound, argv with "{}" for the value, the library call that
     # rejects the value); the other inputs are the smallest that run
     CASES = [
@@ -391,6 +394,15 @@ class TestCountBounds:
         assert err == f"twocopy: error: {library.value}\n"
         assert re.search(rf"\b{bound + 1}\b", err) and re.search(rf"\b{bound}\b", err)
 
+    def test_every_count_flag_has_a_case(self):
+        commands, = (action.choices.values() for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        flags = {flag for command in commands for action in command._actions
+                 if action.type is int for flag in action.option_strings}
+        bounded = {case[0] for case in self.CASES}
+        assert flags - self.UNBOUNDED == bounded
+        assert self.UNBOUNDED <= flags
+
 
 class TestParserCache:
     ARGV = ("optimize", "--state", "bec", "--n1", "1", "--objective", "bell",
@@ -421,4 +433,4 @@ class TestEntryPoint:
     def test_argument_error(self):
         code, out, err = run_python_m("verify", "--draws", "0")
         assert (code, out) == (2, "")
-        assert err == "twocopy: error: need at least one draw, got 0\n"
+        assert err == "twocopy: error: draws=0 must be an integer in [1, 10000]\n"

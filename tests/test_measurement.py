@@ -211,7 +211,8 @@ class TestEffectiveBasis:
             assert vector.vector.is_normalized(1e-12)
 
     def test_particle_bound(self):
-        with pytest.raises(ValueError, match=f"exceeds the bound {MAX_BASIS_TOTAL}"):
+        with pytest.raises(ValueError, match=rf"n_total={MAX_BASIS_TOTAL + 1} must be an "
+                                             rf"integer in \[0, {MAX_BASIS_TOTAL}\]"):
             effective_basis(MAX_BASIS_TOTAL + 1, BAL(0.0))
 
 
@@ -461,7 +462,8 @@ class TestSectorTrace:
         bob = BeamSplitterSetting.from_alpha(math.sqrt(0.6), 1.2)
         want = sum(parity(k, 0.3) * parity(n - k, 0.6) for k in range(n + 1))
         assert sector_trace_product(n, 0, alice, bob) == pytest.approx(want, abs=1e-12)
-        with pytest.raises(ValueError, match=f"exceed the bound {MAX_PARTICLES}"):
+        with pytest.raises(ValueError, match=rf"n2={MAX_PARTICLES + 1} must be an "
+                                             rf"integer in \[0, {MAX_PARTICLES}\]"):
             sector_trace_product(0, MAX_PARTICLES + 1, BAL(0.3), BAL(1.2))
 
     def test_difference_combination_traceless(self):

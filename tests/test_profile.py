@@ -234,9 +234,8 @@ def test_factorized_noise_correlation_past_admix_bound(n1, n2):
 @pytest.mark.parametrize("other", [(2, 0, 1, 0), (1, 0, 2, 0)], ids=["system1", "system2"])
 def test_member_superposing_sectors_raises(other):
     member = from_fock_amplitudes(COMPOSITE_MODES, {(1, 0, 1, 0): 0.6, other: 0.8})
-    state = CompositeState(((1.0, member),), n1=1, n2=1, sector_pure=False)
     with pytest.raises(ValueError, match="superposes different particle-number sectors"):
-        correlation(state, 0.3, 1.2)
+        CompositeState(((1.0, member),), n1=1, n2=1, sector_pure=False)
 
 
 # -- the polynomial engine stays off the hot path ----------------------------------

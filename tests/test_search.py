@@ -1,6 +1,7 @@
 """Optimizer, scans, and peak counting."""
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -285,7 +286,9 @@ class TestOptimize:
         (2.5, 0, "restarts=2.5"), (True, 0, "restarts=True"), ("3", 0, "restarts='3'"),
         (2, True, "seed=True"), (2, 1.0, "seed=1.0")])
     def test_non_integer_restarts_and_seed_rejected(self, restarts, seed, named):
-        with pytest.raises(ValueError, match=f"^{named} is not an integer$"):
+        bound = f"in [1, {search.MAX_RESTARTS}]" if named.startswith("restarts") else ">= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must be an integer "
+                                             f"{re.escape(bound)}$"):
             optimize("steering", bec_pair(1), restarts=restarts, seed=seed)
 
     def test_numpy_integers_accepted_and_reported_as_int(self):
@@ -311,7 +314,8 @@ class TestOptimize:
         monkeypatch.setattr(search, "MAX_ITERATIONS", 1)  # keeps the run cheap
         result = optimize("bell_abs", bec_pair(1), restarts=search.MAX_RESTARTS)
         assert result.restarts_used == search.MAX_RESTARTS
-        with pytest.raises(ValueError, match=f"exceeds the bound {search.MAX_RESTARTS}"):
+        with pytest.raises(ValueError, match=rf"restarts={search.MAX_RESTARTS + 1} must be an "
+                                             rf"integer in \[1, {search.MAX_RESTARTS}\]"):
             optimize("bell_abs", bec_pair(1), restarts=search.MAX_RESTARTS + 1)
 
 
@@ -658,13 +662,18 @@ class TestScan:
             scan_1d(("steering",), bec_pair(1),
                     {"phi1": 0, "phi2": 1, "theta1": 2, "theta2": 3}, axis="theta2")
 
+    def test_empty_objective_list_rejected(self):
+        with pytest.raises(ValueError, match="no objectives given"):
+            scan_1d((), bec_pair(1), {"phi1": 0, "phi2": 1, "theta1": 2})
+
     def test_points_validation(self):
         fixed = {"phi1": 0, "phi2": 1, "theta1": 2}
         with pytest.raises(ValueError):
             scan_1d(("steering",), bec_pair(1), fixed, points=4)
         series, = scan_1d(("steering",), bec_pair(1), fixed, points=search.MAX_POINTS)
         assert len(series.samples) == search.MAX_POINTS
-        with pytest.raises(ValueError, match=f"exceeds the bound {search.MAX_POINTS}"):
+        with pytest.raises(ValueError, match=rf"points={search.MAX_POINTS + 1} must be an "
+                                             rf"integer in \[8, {search.MAX_POINTS}\]"):
             scan_1d(("steering",), bec_pair(1), fixed, points=search.MAX_POINTS + 1)
 
 

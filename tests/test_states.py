@@ -1,8 +1,12 @@
-"""State constructors, composites, and noise mixtures."""
+"""State constructors, composites, noise mixtures, and the count check
+every count input of the library goes through."""
 import math
+import re
 
+import numpy as np
 import pytest
 
+from twocopy import inequalities, measurement, search
 from twocopy.fock import ModeMismatchError, ModePolynomial, fock_amplitudes
 from twocopy.states import (
     COMPOSITE_MODES,
@@ -50,7 +54,8 @@ class TestBecState:
         # without the bound, math.sqrt of a factorial overflows from n = 171 on
         assert bec_state(MAX_PARTICLES).is_normalized()
         for n in (MAX_PARTICLES + 1, 200, -1):
-            with pytest.raises(ValueError, match=f"n={n} must lie in .*MAX_PARTICLES"):
+            with pytest.raises(ValueError,
+                               match=rf"n={n} must be an integer in \[0, {MAX_PARTICLES}\]"):
                 bec_state(n)
 
 
@@ -75,7 +80,7 @@ class TestNoonState:
 
     @pytest.mark.parametrize("n, m", [(3, 5), (3, -1), (1, 2)])
     def test_second_occupation_within_n(self, n, m):
-        with pytest.raises(ValueError, match=f"0 <= m <= n, got n={n} and m={m}"):
+        with pytest.raises(ValueError, match=rf"m={m} must be an integer in \[0, {n}\]"):
             noon_state(n, m)
 
     def test_second_occupation_may_equal_n(self):
@@ -85,7 +90,8 @@ class TestNoonState:
     def test_particle_bound(self):
         assert noon_state(MAX_PARTICLES, 3).is_normalized()
         for n in (MAX_PARTICLES + 1, 200):
-            with pytest.raises(ValueError, match=f"n={n} must lie in .*MAX_PARTICLES"):
+            with pytest.raises(ValueError,
+                               match=rf"n={n} must be an integer in \[1, {MAX_PARTICLES}\]"):
                 noon_state(n, 3)
 
 
@@ -220,7 +226,82 @@ class TestEnsembleValidation:
     def test_particle_bound(self):
         assert bec_pair(MAX_PARTICLES, 0).n1 == MAX_PARTICLES
         assert noon_pair(MAX_PARTICLES, 1).n2 == MAX_PARTICLES
-        with pytest.raises(ValueError, match=f"n2={MAX_PARTICLES + 1} must lie in"):
+        with pytest.raises(ValueError, match=rf"n2={MAX_PARTICLES + 1} must be an "
+                                             rf"integer in \[0, {MAX_PARTICLES}\]"):
             bec_pair(1, MAX_PARTICLES + 1)
-        with pytest.raises(ValueError, match="n1=-1 must lie in"):
+        with pytest.raises(ValueError,
+                           match=rf"n1=-1 must be an integer in \[0, {MAX_PARTICLES}\]"):
             CompositeState(((1.0, MEMBER),), n1=-1, n2=1, sector_pure=False)
+
+
+SPLITTER = measurement.BeamSplitterSetting.balanced(0.0)
+SCAN_FIXED = {"phi1": 0.0, "phi2": 1.0, "theta1": 2.0}
+
+
+def loose_composite(**counts):
+    """A composite of MEMBER whose n1 and n2 only label it."""
+    return CompositeState(((1.0, MEMBER),), **{"n1": 1, "n2": 1, **counts},
+                          sector_pure=False)
+
+
+class TestCountValidation:
+    # (parameter, low, high or None for no upper bound, a call that passes
+    # the value as that parameter and is cheap for a valid value)
+    ENTRIES = [
+        pytest.param("n", 0, MAX_PARTICLES, bec_state, id="bec_state"),
+        pytest.param("n1", 0, MAX_PARTICLES, lambda v: bec_pair(v, 1), id="bec_pair-n1"),
+        pytest.param("n2", 0, MAX_PARTICLES, lambda v: bec_pair(1, v), id="bec_pair-n2"),
+        pytest.param("n", 1, MAX_PARTICLES, noon_state, id="noon_state-n"),
+        pytest.param("m", 0, 3, lambda v: noon_state(3, v), id="noon_state-m"),
+        pytest.param("n", 1, MAX_PARTICLES, noon_pair, id="noon_pair-n"),
+        pytest.param("m", 0, 3, lambda v: noon_pair(3, v), id="noon_pair-m"),
+        pytest.param("n1", 0, MAX_PARTICLES, lambda v: loose_composite(n1=v),
+                     id="CompositeState-n1"),
+        pytest.param("n2", 0, MAX_PARTICLES, lambda v: loose_composite(n2=v),
+                     id="CompositeState-n2"),
+        pytest.param("n1", 0, MAX_PARTICLES, lambda v: sector_basis(v, 1), id="sector_basis-n1"),
+        pytest.param("n2", 0, MAX_PARTICLES, lambda v: sector_basis(1, v), id="sector_basis-n2"),
+        pytest.param("n_total", 0, None, measurement.outcome_count, id="outcome_count"),
+        pytest.param("n_total", 0, None, measurement.local_outcomes, id="local_outcomes"),
+        pytest.param("n_total", 0, measurement.MAX_BASIS_TOTAL,
+                     lambda v: measurement.effective_basis(v, SPLITTER), id="effective_basis"),
+        pytest.param("n1", 0, MAX_PARTICLES,
+                     lambda v: measurement.sector_trace_product(v, 1, SPLITTER, SPLITTER),
+                     id="sector_trace_product-n1"),
+        pytest.param("n2", 0, MAX_PARTICLES,
+                     lambda v: measurement.sector_trace_product(1, v, SPLITTER, SPLITTER),
+                     id="sector_trace_product-n2"),
+        pytest.param("draws", 1, inequalities.MAX_DRAWS,
+                     lambda v: inequalities.verify_closed_forms(draws=v),
+                     id="verify_closed_forms-draws"),
+        pytest.param("seed", 0, None,
+                     lambda v: inequalities.verify_closed_forms(draws=1, seed=v),
+                     id="verify_closed_forms-seed"),
+        pytest.param("restarts", 1, search.MAX_RESTARTS,
+                     lambda v: search.optimize("bell", bec_pair(1), restarts=v),
+                     id="optimize-restarts"),
+        pytest.param("seed", 0, None,
+                     lambda v: search.optimize("bell", bec_pair(1), restarts=1, seed=v),
+                     id="optimize-seed"),
+        pytest.param("points", 8, search.MAX_POINTS,
+                     lambda v: search.scan_1d(["bell"], bec_pair(1), SCAN_FIXED, points=v),
+                     id="scan_1d-points"),
+    ]
+
+    @staticmethod
+    def bad_values(low, high):
+        values = [True, float(low), str(low), low - 1]
+        return values if high is None else values + [high + 1]
+
+    @pytest.mark.parametrize("name, low, high, call", ENTRIES)
+    def test_rejects_non_integers_and_values_out_of_range(self, name, low, high, call):
+        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        for value in self.bad_values(low, high):
+            message = f"{name}={value!r} must be an integer {bound}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("name, low, high, call", ENTRIES)
+    def test_accepts_numpy_integers(self, name, low, high, call, integer):
+        assert call(integer(low)) == call(low)
