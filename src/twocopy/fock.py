@@ -34,6 +34,25 @@ class NonUnitaryMapError(ValueError):
     """Raised when a linear mode map does not conserve particle number."""
 
 
+def _check_count(name: str, value, low: int, high: int | None) -> None:
+    """Raise ValueError unless ``value`` is an int or numpy integer, not a
+    bool, in [low, high]; ``high=None`` leaves it unbounded above."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"{name}={value!r} must be an integer {bound}")
+
+
+def _counts(name: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each checked as a count >= 0."""
+    values = tuple(values)
+    if not all(type(v) is int and v >= 0 for v in values):  # plain ints pass at once
+        for v in values:
+            _check_count(name, v, 0, None)
+        values = tuple(map(int, values))
+    return values
+
+
 @lru_cache(maxsize=None)  # at most 171 entries: a float overflows from sqrt(171!) on
 def _sqrt_factorial(n: int) -> float:
     return math.sqrt(math.factorial(n))
@@ -81,11 +100,9 @@ class ModePolynomial:
             raise ModeCollisionError(f"duplicate mode labels in {modes}")
         cleaned: dict[Exponents, complex] = {}
         for expo, coef in self.terms.items():
-            expo = tuple(int(k) for k in expo)
+            expo = _counts("exponent", expo)
             if len(expo) != len(modes):
                 raise ValueError(f"exponent tuple {expo} does not match modes {modes}")
-            if any(k < 0 for k in expo):
-                raise ValueError(f"negative exponent in {expo}")
             c = complex(coef)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValueError(f"coefficient {c} of {expo} is not finite")
@@ -168,18 +185,18 @@ def monomial_state(occupations: Mapping[str, int],
     """
     if modes is None:
         modes = tuple(occupations.keys())
-    occ = tuple(int(occupations.get(m, 0)) for m in modes)
-    if any(n < 0 for n in occ):
-        raise ValueError(f"negative occupation in {occupations}")
-    return from_fock_amplitudes(modes, {occ: 1.0})
+    return from_fock_amplitudes(modes, {tuple(occupations.get(m, 0) for m in modes): 1.0})
 
 
 def from_fock_amplitudes(modes: Sequence[str],
                          amplitudes: Mapping[Exponents, complex]) -> ModePolynomial:
-    """Build a state from Fock amplitudes (inverse of fock_amplitudes)."""
+    """Build a state from Fock amplitudes (inverse of fock_amplitudes).
+
+    Each occupation must be an int or numpy integer >= 0.
+    """
     terms = {}
     for occ, amp in amplitudes.items():
-        occ = tuple(int(n) for n in occ)
+        occ = _counts("occupation", occ)
         terms[occ] = complex(amp) / math.prod(map(_sqrt_factorial, occ))
     return ModePolynomial(tuple(modes), terms)
 

@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import fock_amplitudes
+from .fock import _check_count, fock_amplitudes
 from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, epsilon, local_outcomes,
                           parity_blocks, sector_trace_product)
-from .states import CompositeState, NoiseModel, _check_count, bec_pair, noon_pair
+from .states import CompositeState, NoiseModel, bec_pair, noon_pair
 
 TWO_PI = 2.0 * math.pi
 CLASSICAL_BOUND = 2.0
@@ -456,6 +456,10 @@ def _noise_correlation(state: CompositeState, alpha: float,
     raise ValueError(f"unknown noise model {noise!r}")
 
 
+# The 15 interior sixteenths of a bracket, j / 16 for j = 1 .. 15.
+_SIXTEENTHS = np.arange(1, 16) / 16.0
+
+
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
                          alpha: float = BALANCED_ALPHA,
                          bob_alpha: float | None = None,
@@ -479,6 +483,15 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
 
     Factorized noise has c = 0 when n1 + n2 is 2 or 3 modulo 4 (each party's
     outcome weights sum to zero), and the result is then 2 / objective(p=1).
+
+    The bisection halves [lo, hi] from [0, 1] until it is no wider than
+    ``tol`` or its midpoint rounds onto an end, and returns the final
+    midpoint.  It takes four halvings per pass: the objective is evaluated
+    once on the 15 points lo + (hi - lo) j / 16 that they can visit, and
+    the halvings replay the comparisons, the width test and the rounding
+    guard on those values.  Every bracket end is a dyadic rational, so
+    these points are the midpoints 0.5 (lo + hi) the halvings compute,
+    exactly, wherever the guard lets one be used.
     """
     functional = _functional(objective)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -486,7 +499,8 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     pure = _correlations(_series(state, alpha, bob_alpha), q.as_tuple())
     white = _noise_correlation(state, alpha, bob_alpha, noise)
 
-    def value_at(p: float) -> float:
+    def value_at(p: float | np.ndarray) -> np.ndarray:
+        p = np.asarray(p)[..., None]
         return functional(p * pure + (1.0 - p) * white)
 
     top = value_at(1.0)
@@ -502,11 +516,16 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
         )
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if value_at(mid) >= CLASSICAL_BOUND:
-            hi = mid
-        else:
-            lo = mid
+        above = value_at(lo + (hi - lo) * _SIXTEENTHS) >= CLASSICAL_BOUND
+        j = 8  # the next midpoint is lo + (hi - lo) j / 16 of this pass
+        for half in (4, 2, 1, 0):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return mid
+            if above[j - 1]:
+                hi, j = mid, j - half
+            else:
+                lo, j = mid, j + half
+            if not hi - lo > tol:
+                break
     return 0.5 * (lo + hi)

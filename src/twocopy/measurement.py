@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -17,11 +18,12 @@ import numpy as np
 from .fock import (
     LinearModeMap,
     ModePolynomial,
+    _check_count,
     fock_amplitudes,
     from_fock_amplitudes,
     substitute,
 )
-from .states import ALICE_MODES, BOB_MODES, CompositeState, _check_count, _check_particles
+from .states import ALICE_MODES, BOB_MODES, CompositeState, _check_particles
 
 BALANCED_ALPHA = 1.0 / math.sqrt(2.0)
 PROB_TOL = 1e-10
@@ -174,19 +176,42 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
     one, so rounding errors do not grow with k, as they do when
     (alpha c† + beta C†)^p (beta c† - alpha C†)^(k-p) is expanded
     binomially.
+
+    The square roots and their products with alpha and beta are taken once
+    for all k, S_(k-1) is written into one zero-bordered buffer, and the
+    four shifted products accumulate in place; each step keeps the
+    arithmetic and association of S_k[n, p] =
+    (sqrt(p) (alpha sqrt(n) P[n, p] + beta sqrt(k-n) P[n+1, p])
+    + sqrt(k-p) (beta sqrt(n) P[n, p+1] - alpha sqrt(k-n) P[n+1, p+1])) / k,
+    with P[i + 1, j + 1] = S_(k-1)[i, j] and zero elsewhere.
     """
+    roots = np.sqrt(np.arange(n_max + 1))
+    alpha_roots, beta_roots = alpha * roots[:, None], beta * roots[:, None]
+    padded = np.zeros((n_max + 2, n_max + 2))
     blocks = [np.ones((1, 1))]
     for k in range(1, n_max + 1):
-        # padded[i + 1, j + 1] = S_(k-1)[i, j]
-        padded = np.zeros((k + 2, k + 2))
-        padded[1:-1, 1:-1] = blocks[-1]
-        first = np.sqrt(np.arange(k + 1))  # sqrt(m), m = 0..k
-        second = first[::-1]               # sqrt(k - m)
-        # rows are outputs n, columns inputs p
-        blocks.append((first * (alpha * first[:, None] * padded[:-1, :-1]
-                                 + beta * second[:, None] * padded[1:, :-1])
-                        + second * (beta * first[:, None] * padded[:-1, 1:]
-                                    - alpha * second[:, None] * padded[1:, 1:])) / k)
+        padded[1:k + 1, 1:k + 1] = blocks[-1]
+        # rows are outputs n, columns inputs p; roots[k::-1] holds sqrt(k - m)
+        block = alpha_roots[:k + 1] * padded[:k + 1, :k + 1]
+        block += beta_roots[k::-1] * padded[1:k + 2, :k + 1]
+        block *= roots[:k + 1]
+        other = beta_roots[:k + 1] * padded[:k + 1, 1:k + 2]
+        other -= alpha_roots[k::-1] * padded[1:k + 2, 1:k + 2]
+        other *= roots[k::-1]
+        block += other
+        block /= k
+        blocks.append(block)
+    return blocks
+
+
+@lru_cache(maxsize=4)
+def _cached_parity_blocks(alpha: float, beta: float, n_max: int) -> np.ndarray:
+    blocks = np.zeros((n_max + 1,) * 3)
+    blocks[0, 0, 0] = 1.0
+    for k, s in enumerate(_transfer_blocks(alpha, beta, n_max)[1:], 1):
+        signs = np.array([epsilon(m, k - m) for m in range(k + 1)], dtype=float)
+        blocks[k, :k + 1, :k + 1] = np.einsum("np,n,nq->pq", s, signs, s)
+    blocks.flags.writeable = False
     return blocks
 
 
@@ -197,14 +222,11 @@ def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
     O[k, :k+1, :k+1] = S_k^T diag(eps) S_k, S_k from
     :func:`_transfer_blocks`, and zeros elsewhere.  The setting's phase
     does not enter; it only multiplies the input |p, k-p> by
-    e^{i phase (k-p)}.
+    e^{i phase (k-p)}.  So the array is built once per (alpha, beta,
+    n_max) and kept for the next few calls (a profile and a sector trace
+    at the same splitter share it), and it is read-only.
     """
-    blocks = np.zeros((n_max + 1,) * 3)
-    blocks[0, 0, 0] = 1.0
-    for k, s in enumerate(_transfer_blocks(setting.alpha, setting.beta, n_max)[1:], 1):
-        signs = np.array([epsilon(m, k - m) for m in range(k + 1)], dtype=float)
-        blocks[k, :k + 1, :k + 1] = np.einsum("np,n,nq->pq", s, signs, s)
-    return blocks
+    return _cached_parity_blocks(setting.alpha, setting.beta, n_max)
 
 
 def sector_trace_product(n1: int, n2: int,

@@ -40,10 +40,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .fock import _check_count
 from .inequalities import (_DERIVATIVES, ANGLE_NAMES, TWO_PI, AngleQuad, _functional,
                            _series, objective_array)
 from .measurement import BALANCED_ALPHA
-from .states import CompositeState, _check_count
+from .states import CompositeState
 
 SIMPLEX_TOL = 1e-3
 SIMPLEX_STEP = 0.6  # the start simplex's edge along each coordinate
@@ -358,20 +359,22 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
     """Evaluate objectives on a uniform angle grid over [0, 2*pi).
 
     ``fixed`` must provide the three angles other than ``axis``, and no
-    other; ``objectives`` must not be empty.
+    other key; ``objectives`` must not be empty.
     """
     if not objectives:
         raise ValueError("no objectives given")
     if axis not in ANGLE_NAMES:
         raise ValueError(f"axis must be one of {ANGLE_NAMES}")
     _check_count("points", points, 8, MAX_POINTS)
+    stray = sorted(set(fixed) - set(ANGLE_NAMES))
+    if stray:
+        raise ValueError(f"fixed {', '.join(stray)} is not an angle; angles are {ANGLE_NAMES}")
     needed = [name for name in ANGLE_NAMES if name != axis]
     missing = [name for name in needed if name not in fixed]
     if missing:
         raise ValueError(f"missing fixed angles: {missing}")
-    extra = set(fixed) - set(needed)
-    if extra:
-        raise ValueError(f"fixed {', '.join(sorted(extra))} conflicts with axis {axis}")
+    if axis in fixed:
+        raise ValueError(f"fixed {axis} conflicts with axis {axis}")
 
     grid = [TWO_PI * i / points for i in range(points)]
     base = {name: float(fixed[name]) for name in needed}

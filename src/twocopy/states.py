@@ -7,12 +7,11 @@ system 2 on ``(A, B)``; Alice controls ``(a, A)`` and Bob ``(b, B)``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Literal
 
-from .fock import (ModePolynomial, ModeMismatchError, from_fock_amplitudes, monomial_state,
-                   tensor)
+from .fock import (ModePolynomial, ModeMismatchError, _check_count, from_fock_amplitudes,
+                   monomial_state, tensor)
 
 SYSTEM1_MODES = ("a", "b")
 SYSTEM2_MODES = ("A", "B")
@@ -30,15 +29,6 @@ MAX_PARTICLES = 32
 MAX_FACTORIZED_TOTAL = 16
 
 NoiseModel = Literal["sector", "factorized"]
-
-
-def _check_count(name: str, value, low: int, high: int | None) -> None:
-    """Raise ValueError unless ``value`` is an int or numpy integer, not a
-    bool, in [low, high]; ``high=None`` leaves it unbounded above."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low or (high is not None and value > high)):
-        bound = f"in [{low}, {high}]" if high is not None else f">= {low}"
-        raise ValueError(f"{name}={value!r} must be an integer {bound}")
 
 
 def _check_particles(**counts: int) -> None:

@@ -6,6 +6,7 @@ the polynomial engine.
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,49 @@ class TestMonomialState:
     def test_non_finite_coefficient_rejected(self, coefficient):
         with pytest.raises(ValueError, match=r"coefficient .* of \(1, 0\) is not finite"):
             ModePolynomial(("a", "A"), {(0, 1): 0.5, (1, 0): coefficient})
+
+
+NOT_COUNTS = [1.7, 2.0, np.float64(1.0), True, "1", None, -1, np.int64(-2)]
+
+
+class TestIntegerCounts:
+    """Occupations and exponents are counts: an int or numpy integer >= 0,
+    never truncated, with the one message of ``fock._check_count``."""
+
+    @staticmethod
+    def message(name, value):
+        return f"^{re.escape(f'{name}={value!r} must be an integer >= 0')}$"
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_monomial_state_rejects(self, value):
+        with pytest.raises(ValueError, match=self.message("occupation", value)):
+            monomial_state({"a": value, "b": 0})
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_from_fock_amplitudes_rejects(self, value):
+        with pytest.raises(ValueError, match=self.message("occupation", value)):
+            from_fock_amplitudes(("a", "b"), {(0, 1): INV_SQRT2, (value, 1): INV_SQRT2})
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    def test_mode_polynomial_rejects(self, value):
+        with pytest.raises(ValueError, match=self.message("exponent", value)):
+            ModePolynomial(("a", "b"), {(1, 0): 0.5, (0, value): 0.5})
+
+    def test_truncation_examples(self):
+        with pytest.raises(ValueError, match=self.message("occupation", 1.7)):
+            monomial_state({"a": 1.7, "b": 0})
+        with pytest.raises(ValueError, match=self.message("exponent", 2.9)):
+            ModePolynomial(("a",), {(2.9,): 1.0})
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_are_counts(self, integer):
+        plain = monomial_state({"a": 2, "b": 1})
+        state = monomial_state({"a": integer(2), "b": integer(1)})
+        assert state == plain
+        assert all(type(k) is int for expo in state.terms for k in expo)
+        poly = ModePolynomial(("a", "b"), {(integer(2), integer(1)): 0.5})
+        assert poly.terms == {(2, 1): 0.5}
+        assert all(type(k) is int for expo in poly.terms for k in expo)
 
 
 class TestTensor:

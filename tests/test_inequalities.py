@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twocopy import inequalities
 from twocopy.inequalities import (
     MAX_DRAWS,
     AngleQuad,
@@ -29,7 +30,9 @@ from twocopy.inequalities import (
     verify_closed_forms,
     visibility_threshold,
 )
-from twocopy.measurement import BeamSplitterSetting, joint_distribution, weighted_parity
+from twocopy.measurement import (BALANCED_ALPHA, BeamSplitterSetting, joint_distribution,
+                                  weighted_parity)
+from twocopy.search import optimize
 from twocopy.fock import from_fock_amplitudes
 from twocopy.states import (
     COMPOSITE_MODES,
@@ -46,6 +49,8 @@ BAL = BeamSplitterSetting.balanced
 Q_STEER_BEC1 = AngleQuad(0.0, math.pi / 2, 3.93, 2.90)
 Q_BELL_BEC1 = AngleQuad(0.0, math.pi / 2, 3.93, 2.36)
 Q_STEER_BEC2 = AngleQuad(0.0, 1.07, 3.93, 3.00)
+Q_BELL_BEC2 = AngleQuad(0.0, 1.07, 3.68, 2.60)
+Q_STEER_NOON = AngleQuad(-0.13, 0.65, 0.26, 0.672)
 Q_BELL_NOON = AngleQuad(-0.13, 0.65, 0.26, -0.52)
 UNEVEN = (math.sqrt(0.48), math.sqrt(0.52))  # Alice's and Bob's alpha
 
@@ -355,6 +360,94 @@ class TestVisibilityThreshold:
         with pytest.raises(NoViolationError, match="noise alone"):
             visibility_threshold(state, "steering", q, alpha=alpha,
                                  bob_alpha=bob_alpha, noise="sector")
+
+
+def reference_threshold(state, objective, q, alpha=BALANCED_ALPHA, bob_alpha=None,
+                        noise="factorized", tol=1e-9):
+    """``visibility_threshold`` as first written: one scalar objective
+    value per halving.  The engine evaluates four halvings per call and
+    must match this bit for bit, raised messages included."""
+    functional = inequalities._functional(objective)
+    pure = inequalities._correlations(inequalities._series(state, alpha, bob_alpha),
+                                      q.as_tuple())
+    white = inequalities._noise_correlation(state, alpha, bob_alpha, noise)
+
+    def value_at(p):
+        return functional(p * pure + (1.0 - p) * white)
+
+    top = value_at(1.0)
+    if top <= 2.0:
+        raise NoViolationError(f"objective at p=1 is {top:.6f}, not above 2.0")
+    bottom = value_at(0.0)
+    if bottom >= 2.0:
+        raise NoViolationError(f"objective of the noise alone is {bottom:.6f}, "
+                               f"not below 2.0")
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if value_at(mid) >= 2.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def outcome(threshold, *args, **kwargs):
+    """The threshold's bits, or the type and message of what it raised."""
+    try:
+        return float.hex(threshold(*args, **kwargs))
+    except NoViolationError as error:
+        return f"NoViolationError: {error}"
+
+
+DOCUMENTED_POINTS = [
+    (bec_pair(1), "steering", Q_STEER_BEC1), (bec_pair(1), "bell", Q_BELL_BEC1),
+    (bec_pair(2), "steering", Q_STEER_BEC2), (bec_pair(2), "bell", Q_BELL_BEC2),
+    (bec_pair(3), "steering", Q_STEER_BEC2), (bec_pair(3), "bell", Q_BELL_BEC2),
+    (noon_pair(2), "steering", Q_STEER_NOON), (noon_pair(2), "bell", Q_BELL_NOON),
+    (bec_pair(1), "steering", AngleQuad(0.0, 0.0, 0.0, 0.0)),
+]
+# 1e-16 reaches the rounding guard; at 2^-30 a bracket is exactly as wide as tol
+TOLERANCES = (1e-4, 1e-9, 1e-13, 1e-16, 2.0 ** -30)
+
+
+class TestThresholdMatchesReference:
+    @staticmethod
+    def assert_identical(cases):
+        outcomes = []
+        for state, objective, q, alphas in cases:
+            for noise in ("sector", "factorized"):
+                for tol in TOLERANCES:
+                    args = (state, objective, q, *alphas, noise, tol)
+                    got = outcome(visibility_threshold, *args)
+                    assert got == outcome(reference_threshold, *args), args
+                    outcomes.append(got)
+        return outcomes
+
+    def test_documented_working_points(self):
+        rng = np.random.default_rng(29)
+        alphas = [(BALANCED_ALPHA, None), UNEVEN, (math.sqrt(0.98), math.sqrt(0.02))]
+        alphas += [tuple(np.sqrt(rng.uniform(0.2, 0.8, 2))) for _ in range(3)]
+        outcomes = self.assert_identical(
+            [point + (a,) for point in DOCUMENTED_POINTS for a in alphas])
+        messages = {o.split(" is ")[0] for o in outcomes if o.startswith("NoViolation")}
+        assert messages == {"NoViolationError: objective at p=1",
+                            "NoViolationError: objective of the noise alone"}
+        assert sum(not o.startswith("NoViolation") for o in outcomes) >= 200
+
+    def test_optimize_argmaxes_at_random_alphas(self):
+        rng = np.random.default_rng(31)
+        cases = []
+        for state in (bec_pair(1), bec_pair(2), bec_pair(3), noon_pair(2), bec_pair(1, 2)):
+            for objective in ("steering", "bell"):
+                alphas = tuple(float(a) for a in np.sqrt(rng.uniform(0.4, 0.6, 2)))
+                q = optimize(objective, state, restarts=8, seed=5, alpha=alphas[0],
+                             bob_alpha=alphas[1]).argmax
+                cases.append((state, objective, q, alphas))
+        outcomes = self.assert_identical(cases)
+        assert sum(not o.startswith("NoViolation") for o in outcomes) > 20
 
 
 def random_sector_state(rng, n1, n2):

@@ -93,6 +93,75 @@ def test_blocks_stay_reflections_up_to_the_largest_block(alpha):
             sum(epsilon(n, k - n) for n in range(k + 1)), abs=1e-12)
 
 
+def reference_transfer_blocks(alpha, beta, n_max):
+    """The recurrence of ``measurement._transfer_blocks`` as first written:
+    a fresh zero-padded copy of S_(k-1) and fresh square roots at every k.
+    The engine keeps its arithmetic and association, so it must match this
+    bit for bit."""
+    blocks = [np.ones((1, 1))]
+    for k in range(1, n_max + 1):
+        padded = np.zeros((k + 2, k + 2))
+        padded[1:-1, 1:-1] = blocks[-1]
+        first = np.sqrt(np.arange(k + 1))
+        second = first[::-1]
+        blocks.append((first * (alpha * first[:, None] * padded[:-1, :-1]
+                                 + beta * second[:, None] * padded[1:, :-1])
+                        + second * (beta * first[:, None] * padded[:-1, 1:]
+                                    - alpha * second[:, None] * padded[1:, 1:])) / k)
+    return blocks
+
+
+def reference_parity_blocks(alpha, beta, n_max):
+    blocks = np.zeros((n_max + 1,) * 3)
+    blocks[0, 0, 0] = 1.0
+    for k, s in enumerate(reference_transfer_blocks(alpha, beta, n_max)[1:], 1):
+        signs = np.array([epsilon(m, k - m) for m in range(k + 1)], dtype=float)
+        blocks[k, :k + 1, :k + 1] = np.einsum("np,n,nq->pq", s, signs, s)
+    return blocks
+
+
+def random_splitters(seed, count):
+    rng = np.random.default_rng(seed)
+    alphas = [0.0, 1.0, 1.0 / math.sqrt(2.0)] + list(np.sqrt(rng.uniform(0.0, 1.0, count)))
+    for alpha in alphas:
+        yield setting(float(alpha), 0.0), int(rng.integers(0, 41))
+
+
+def test_blocks_match_reference_recurrence_bit_for_bit():
+    for bs, n_max in random_splitters(15, 40):
+        got = measurement._transfer_blocks(bs.alpha, bs.beta, n_max)
+        want = reference_transfer_blocks(bs.alpha, bs.beta, n_max)
+        assert len(got) == len(want) == n_max + 1
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        blocks = parity_blocks(bs, n_max)
+        assert blocks.tobytes() == reference_parity_blocks(bs.alpha, bs.beta, n_max).tobytes()
+
+
+def test_parity_blocks_are_read_only_and_phase_free():
+    blocks = parity_blocks(setting(0.6, 0.0), 6)
+    assert not blocks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[1, 0, 0] = 2.0
+    for phase in (0.4, -3.0, 2.0 * TWO_PI + 1.0):
+        assert np.array_equal(parity_blocks(setting(0.6, phase), 6), blocks)
+        assert np.array_equal(parity_blocks(BeamSplitterSetting(0.6, 0.8, phase), 6),
+                              parity_blocks(BeamSplitterSetting(0.6, 0.8, 0.0), 6))
+
+
+@pytest.mark.parametrize("noise, alphas, builds, reads", [
+    ("sector", (0.69, 0.72), 2, 4), ("sector", (0.69, 0.69), 1, 4),
+    ("factorized", (0.69, 0.72), 2, 2)])
+def test_visibility_builds_each_party_blocks_once(noise, alphas, builds, reads):
+    # the profile reads both parties' blocks, and the sector trace reads them again
+    inequalities._profile.cache_clear()
+    measurement._cached_parity_blocks.cache_clear()
+    visibility_threshold(bec_pair(2), "steering", AngleQuad(0.0, 1.07, 3.93, 3.00),
+                         alpha=alphas[0], bob_alpha=alphas[1], noise=noise)
+    info = measurement._cached_parity_blocks.cache_info()
+    assert (info.misses, info.hits + info.misses) == (builds, reads)
+
+
 # -- dense oracle, one party at a time ----------------------------------------
 
 

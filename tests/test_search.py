@@ -15,6 +15,7 @@ import twocopy
 from twocopy import inequalities, search
 from twocopy.fock import from_fock_amplitudes
 from twocopy.inequalities import (
+    ANGLE_NAMES,
     AngleQuad,
     QUANTUM_BOUND,
     TWO_PI,
@@ -660,6 +661,16 @@ class TestScan:
             scan_1d(("steering",), bec_pair(1), {"phi1": 0, "phi2": 1}, axis="theta2")
         with pytest.raises(ValueError):
             scan_1d(("steering",), bec_pair(1),
+                    {"phi1": 0, "phi2": 1, "theta1": 2, "theta2": 3}, axis="theta2")
+
+    def test_stray_key_is_not_an_angle(self):
+        message = f"fixed sigma is not an angle; angles are {ANGLE_NAMES}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan_1d(["bell"], bec_pair(1), {"phi1": 0, "phi2": 1, "theta1": 2, "sigma": 3})
+
+    def test_fixed_axis_angle_conflicts(self):
+        with pytest.raises(ValueError, match="^fixed theta2 conflicts with axis theta2$"):
+            scan_1d(["bell"], bec_pair(1),
                     {"phi1": 0, "phi2": 1, "theta1": 2, "theta2": 3}, axis="theta2")
 
     def test_empty_objective_list_rejected(self):
