@@ -135,7 +135,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         "restarts_used": result.restarts_used,
         "evaluations": result.evaluations,
         "converged": result.converged,
-        "polished": result.polished,
     }, args.output)
     return 0
 

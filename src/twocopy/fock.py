@@ -181,10 +181,14 @@ def monomial_state(occupations: Mapping[str, int],
     """Normalized Fock basis state with the given occupations.
 
     The single stored coefficient is ``1 / prod sqrt(n_k!)``, rounded, so
-    the Fock amplitude is 1 to within rounding.
+    the Fock amplitude is 1 to within rounding.  Every key of
+    ``occupations`` must be one of ``modes``; a mode it omits is empty.
     """
     if modes is None:
         modes = tuple(occupations.keys())
+    stray = [m for m in occupations if m not in modes]
+    if stray:
+        raise ValueError(f"modes {stray} of the occupations are not in {tuple(modes)}")
     return from_fock_amplitudes(modes, {tuple(occupations.get(m, 0) for m in modes): 1.0})
 
 

@@ -377,8 +377,8 @@ _OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _steering_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The steering functional's gradient in (e11, e12, e21, e22), and two
+def _steering_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steering functional, its gradient in (e11, e12, e21, e22), and two
     factors f, shape (..., 2, 4), whose outer products f f^T sum to its
     Hessian.
 
@@ -386,25 +386,26 @@ def _steering_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1).  Neither is finite
     where r = 0, where the functional is not differentiable.
     """
-    e11, e12, e21, e22 = np.moveaxis(e, -1, 0)
-    p1, p2, m1, m2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
-    rp, rm = np.hypot(p1, p2), np.hypot(m1, m2)
-    n1, n2, n3, n4 = p1 / rp, p2 / rp, m1 / rm, m2 / rm
-    gradient = np.stack([n1 + n3, n2 + n4, n1 - n3, n2 - n4], axis=-1)
-    tp, tm = rp ** -1.5, rm ** -1.5
-    factors = np.stack([np.stack([-p2 * tp, p1 * tp, -p2 * tp, p1 * tp], axis=-1),
-                        np.stack([-m2 * tm, m1 * tm, m2 * tm, -m1 * tm], axis=-1)],
-                       axis=-2)
-    return gradient, factors
+    row1, row2 = e[..., :2], e[..., 2:]  # (e11, e12) and (e21, e22)
+    # v[..., 0, :] = (e11 + e21, e12 + e22) and v[..., 1, :] = (e11 - e21, e12 - e22)
+    v = np.concatenate([row1 + row2, row1 - row2], axis=-1).reshape(e.shape[:-1] + (2, 2))
+    r = np.hypot(v[..., 0], v[..., 1])[..., None]
+    n = v / r
+    gradient = np.concatenate([n[..., 0, :] + n[..., 1, :], n[..., 0, :] - n[..., 1, :]], axis=-1)
+    t = v[..., ::-1] * _ROTATION * r ** -1.5
+    return r[..., 0, 0] + r[..., 1, 0], gradient, np.concatenate([t, t * _PAIR_SIGNS], axis=-1)
 
 
+_ROTATION = np.array([-1.0, 1.0])  # (v1, v2) reversed and rotated to t = (-v2, v1)
+_PAIR_SIGNS = np.array([[1.0], [-1.0]])  # the sign of e21 and e22 in each term's v
 _BELL_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 
-def _abs_bell_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _abs_bell_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|Bell| is linear in the correlations on either side of Bell = 0:
     gradient sign(Bell) * (1, 1, 1, -1), and no Hessian factors."""
-    return np.sign(_bell(e))[..., None] * _BELL_SIGNS, np.zeros(e.shape[:-1] + (0, 4))
+    bell = _bell(e)
+    return np.abs(bell), np.sign(bell)[..., None] * _BELL_SIGNS, np.zeros(e.shape[:-1] + (0, 4))
 
 
 _DERIVATIVES = {_steering: _steering_derivatives, _abs_bell: _abs_bell_derivatives}

@@ -4,17 +4,22 @@ one-dimensional scans, and peak counting.
 Every objective depends on the angles only through the differences
 phi_j - theta_k, so the search runs over the three coordinates
 u = (phi1 - theta1, phi2 - theta1, theta2 - theta1), with theta1 = 0 in
-every argmax.  It is a multistart in two stages, deterministic for a fixed
-seed:
-
-* a coarse Nelder-Mead from every start, to a simplex coordinate spread of
-  SIMPLEX_TOL;
-* an exact Newton finish: up to NEWTON_STEPS steps, each solving the 3x3
-  system of the objective's exact Hessian and gradient, taken from the
-  derivative series of the state's cached trigonometric polynomial.  A
-  step is kept only where it raises the value; a restart stops at its
-  first refused step.  Steering is not differentiable where a hypot
-  argument vanishes, and there the step is refused.
+every argmax.  It is a multistart of damped exact-Newton (Levenberg-
+Marquardt) ascents, deterministic for a fixed seed.  One call to the
+state's cached trigonometric series gives the objective, its gradient g and
+its Hessian H at every point asked for.  Each restart steps by
+s = (mu I - H)^-1 g with mu = max(lambda_max(H), 0) + lam (1 + max|lambda(H)|),
+so mu I - H is positive definite and s points uphill; lam starts at
+LAMBDA_START and is divided by 10 after a step that raises the value, which
+is kept, and multiplied by 10 after one that does not.  Coordinates are
+wrapped into [0, 2*pi) after every kept step.  A restart stops, converged,
+when its step is not finite (steering is not differentiable where a hypot
+argument vanishes), when the step is shorter than STEP_TOL in every
+coordinate, when the quadratic model g.s + s.H.s/2 promises at most
+GAIN_TOL, when a kept step gained less than GAIN_TOL, or when lam exceeds
+LAMBDA_MAX; otherwise it stops at MAX_STEPS steps.
+(Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4 and 10; More,
+The Levenberg-Marquardt algorithm, LNM 630 (1978).)
 
 The starting points are scipy's scrambled Sobol points in the four angles,
 reproduced bit for bit in numpy, so scipy is not needed at run time:
@@ -22,16 +27,14 @@ Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635
 (2008)) under Matousek's linear matrix scramble and a digital shift
 (Matousek, J. Complexity 14, 527 (1998)).  Each is shifted by its theta1.
 
-The restarts run in lockstep.  Each simplex is one block of a
-(restarts, 4, 4) array, a vertex per row: its three coordinates, then its
-value; the stable sort of every simplex is one argsort and one take.  Each
-stage of a step (reflect, expand or contract, shrink) evaluates the
-objective in one call on just the points the running restarts need, and a
-restart that stops leaves the array.  A restart's path does not depend on
-the others: it runs the floating-point operations of a one-start
-Nelder-Mead in the same order, so, given the same objective values, its
-vertices, values and evaluation count are the same bit for bit.  The
-Newton steps of all restarts are solved together in closed form.
+The restarts run in lockstep: every step solves the 3x3 systems of all
+running restarts at once, in closed form, and evaluates all their trial
+points in one series call; a restart that stops leaves the arrays.  The
+arithmetic is elementwise, so a restart's path does not depend on the
+others.  No step calls numpy.linalg: the extreme eigenvalues come from the
+trigonometric solution of the characteristic cubic and the step from the
+adjugate, which keeps BLAS, and the memory its first call takes, out of
+the search.
 """
 from __future__ import annotations
 
@@ -46,10 +49,11 @@ from .inequalities import (_DERIVATIVES, ANGLE_NAMES, TWO_PI, AngleQuad, _functi
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
 
-SIMPLEX_TOL = 1e-3
-SIMPLEX_STEP = 0.6  # the start simplex's edge along each coordinate
-MAX_ITERATIONS = 2000
-NEWTON_STEPS = 4
+MAX_STEPS = 40  # per restart, kept or not
+LAMBDA_START = 1e-3
+LAMBDA_MAX = 1e8
+STEP_TOL = 1e-12
+GAIN_TOL = 1e-15
 PLATEAU_TOL = 1e-9
 # Bounds on one call.  An objective call builds an array per series order
 # (at most MAX_PARTICLES orders) over the four angle differences of every
@@ -71,6 +75,8 @@ _ARGUMENT_COLUMNS = [0, 0, 1, 1]  # of e11 .. e22, before theta2 is subtracted
 # d(e11, e12, e21, e22) / d(phi1, phi2, theta2), and each row's outer product
 _JACOBIAN = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
 _JACOBIAN_SQUARES = _JACOBIAN[:, :, None] * _JACOBIAN[:, None, :]
+_TWO_THIRDS_PI = 2.0 * np.pi / 3.0
+_TINY = np.finfo(float).tiny
 
 
 def _direction_numbers() -> np.ndarray:
@@ -98,8 +104,7 @@ class OptimizationResult:
     restarts_used: int
     evaluations: int
     seed: int
-    converged: int  # restarts whose simplex met SIMPLEX_TOL within MAX_ITERATIONS
-    polished: int  # restarts whose Newton finish kept at least one step
+    converged: int  # restarts stopped by a stop rule before MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -116,90 +121,6 @@ class ScanSeries:
     def peak(self) -> tuple[float, float]:
         """(axis value, objective value) of the largest sample."""
         return max(self.samples, key=lambda s: s[1])
-
-
-def _nelder_mead(func: Callable[[np.ndarray], np.ndarray], starts: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize ``func`` from every row of ``starts`` at once.
-
-    ``func`` maps an array of points of shape (..., n) to its values, of
-    shape (...).  Each restart follows its own simplex through the same
-    steps as a one-start Nelder-Mead: a stable sort of the vertices, then
-    reflect, expand, contract or shrink.  A restart stops when its simplex
-    coordinate spread drops below SIMPLEX_TOL, or after MAX_ITERATIONS
-    iterations; a stopped restart leaves the arrays, so each step evaluates
-    only the points that some running restart needs.
-
-    Returns, per restart, the best vertex, its value, the evaluations used,
-    and whether the simplex converged.
-    """
-    restarts, n = starts.shape
-    # s[r, i] is vertex i of restart r: its n coordinates, then its value
-    s = np.empty((restarts, n + 1, n + 1))
-    s[:, :, :n] = starts[:, None, :]
-    s[:, 1:, :n] += SIMPLEX_STEP * np.eye(n)
-    s[:, :, n] = func(s[:, :, :n])
-    offsets = np.arange(0, restarts * (n + 1), n + 1)[:, None]  # in s.reshape(-1, n + 1)
-    rows = np.arange(restarts)
-    extra = np.zeros(restarts, dtype=int)  # evaluations of trial and shrunk points
-    best = np.empty((restarts, n + 1))
-    used = np.empty(restarts, dtype=int)
-    converged = np.zeros(restarts, dtype=bool)
-
-    for iteration in range(MAX_ITERATIONS):
-        order = np.argsort(s[:, :, n], axis=1, kind="stable") + offsets
-        s = s.reshape(-1, n + 1).take(order, axis=0)
-        # A coordinate's spread is at least |best - worst|, rounded or not.
-        near = (np.abs(s[:, 0, :n] - s[:, n, :n]).max(axis=1) < SIMPLEX_TOL).nonzero()[0]
-        if near.size:
-            x = s[near, :, :n]
-            done = near[(x.max(axis=1) - x.min(axis=1)).max(axis=1) < SIMPLEX_TOL]
-            if done.size:
-                finished = rows[done]
-                best[finished], used[finished] = s[done, 0], n + 1 + iteration + extra[done]
-                converged[finished] = True
-                running = np.ones(rows.size, dtype=bool)
-                running[done] = False
-                s, extra, rows = s[running], extra[running], rows[running]
-                offsets = offsets[:rows.size]
-                if not rows.size:
-                    break
-        centroid = s[:, :n, :n].sum(axis=1) / n
-        worst = s[:, n]
-        away = centroid - worst[:, :n]
-        # the reflected vertex, or the worst where that is better
-        candidate = np.empty_like(worst)
-        np.add(centroid, away, out=candidate[:, :n])
-        f_reflected = candidate[:, n] = func(candidate[:, :n])
-        np.copyto(candidate, worst, where=~(f_reflected < worst[:, n])[:, None])
-        expand = f_reflected < s[:, 0, n]
-        tried = expand | ~(f_reflected < s[:, n - 1, n])
-        extra += tried
-        tried = tried.nonzero()[0]
-        if tried.size:
-            # Expanded, or contracted toward the candidate, which it replaces
-            # where better; a contraction that is not shrinks the simplex.
-            trial = np.empty((tried.size, n + 1))
-            trial[:, :n] = (centroid + np.where(expand[:, None], 2.0 * away,
-                                                0.5 * (candidate[:, :n] - centroid))
-                            ).take(tried, axis=0)
-            trial[:, n] = func(trial[:, :n])
-            kept = candidate.take(tried, axis=0)
-            wins = trial[:, n] < kept[:, n]
-            candidate[tried] = np.where(wins[:, None], trial, kept)
-            shrink = tried.compress(~(wins | expand.take(tried)))
-            if shrink.size:
-                extra[shrink] += n
-                x = s[shrink, :, :n]
-                s[shrink, 1:, :n] = x[:, :1] + 0.5 * (x[:, 1:] - x[:, :1])
-                s[shrink, 1:, n] = func(s[shrink, 1:, :n])
-                candidate[shrink] = s[shrink, n]
-        s[:, n] = candidate
-
-    # restarts stopped by MAX_ITERATIONS
-    best[rows] = s.reshape(-1, n + 1)[np.argmin(s[:, :, n], axis=1) + offsets[:, 0]]
-    used[rows] = n + 1 + MAX_ITERATIONS + extra
-    return best[:, :n], best[:, n], used, converged
 
 
 def _start_points(restarts: int, seed: int) -> np.ndarray:
@@ -237,50 +158,6 @@ def _start_coordinates(restarts: int, seed: int) -> np.ndarray:
     return points[:, _COORDINATES] - points[:, 2:3]
 
 
-def _newton(value: Callable[[np.ndarray], np.ndarray],
-            derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-            x: np.ndarray, f: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Raise ``value`` by Newton steps from every row of ``x``, valued ``f``.
-
-    ``derivatives`` maps points of shape (k, 3) to the gradient (k, 3) and
-    Hessian (k, 3, 3).  Every running restart takes its step
-    -H^{-1} g at once, solved by the adjugate over the determinant.  A step
-    is kept where it is finite and raises the value; a restart stops at the
-    first step it does not keep, or after NEWTON_STEPS steps.  Each
-    derivative call and each trial value count as one evaluation.
-
-    Updates ``x`` and ``f`` in place and returns them, with the steps
-    kept and the evaluations used per restart.
-    """
-    kept = np.zeros(len(x), dtype=int)
-    evaluations = np.zeros(len(x), dtype=int)
-    rows = np.arange(len(x))
-    for _ in range(NEWTON_STEPS):
-        gradient, hessian = derivatives(x[rows])
-        (a, b, c), (_, d, e), (_, _, h) = np.moveaxis(hessian, 0, -1)
-        g1, g2, g3 = gradient.T
-        # cofactors of the symmetric Hessian [[a, b, c], [b, d, e], [c, e, h]]
-        c11, c12, c13 = d * h - e * e, c * e - b * h, b * e - c * d
-        c22, c23, c33 = a * h - c * c, b * c - a * e, a * d - b * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.stack([c11 * g1 + c12 * g2 + c13 * g3,
-                             c12 * g1 + c22 * g2 + c23 * g3,
-                             c13 * g1 + c23 * g2 + c33 * g3], axis=1
-                            ) / -(a * c11 + b * c12 + c * c13)[:, None]
-        finite = np.isfinite(step).all(axis=1)
-        evaluations[rows] += 1 + finite
-        trial = x[rows[finite]] + step[finite]
-        f_trial = value(trial)
-        up = f_trial > f[rows[finite]]
-        rows = rows[finite][up]
-        x[rows], f[rows] = trial[up], f_trial[up]
-        kept[rows] += 1
-        if not rows.size:
-            break
-    return x, f, kept, evaluations
-
-
 def _quads(u: np.ndarray) -> np.ndarray:
     """Angle quads (phi1, phi2, 0, theta2) from search coordinates of shape (..., 3)."""
     return np.insert(u, 2, 0.0, axis=-1)
@@ -295,32 +172,121 @@ def _arguments(u: np.ndarray) -> np.ndarray:
 
 def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
                           bob_alpha: float | None
-                          ) -> tuple[Callable[[np.ndarray], np.ndarray],
-                                     Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
-    """An objective over search coordinates, shape (..., 3), and its exact
-    gradient and Hessian over points of shape (k, 3): the chain rule through
-    each correlation and the derivative series of its polynomial.  Both are
-    not finite where a hypot argument of ``steering`` vanishes, with no
-    warning."""
-    functional = _functional(objective)
-    derivative = _DERIVATIVES[functional]
+                          ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The objective over search coordinates of shape (k, 3), with its exact
+    gradient (k, 3) and Hessian (k, 3, 3), from one call to the derivative
+    series of the state's polynomial and the chain rule through each
+    correlation.  The derivatives are not finite where a hypot argument of
+    ``steering`` vanishes, with no warning."""
+    derivative = _DERIVATIVES[_functional(objective)]
     series = _series(state, alpha, bob_alpha)
 
-    def value(u: np.ndarray) -> np.ndarray:
-        return functional(series.evaluate(_arguments(u)))
-
-    def derivatives(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e, first, second = series.derivatives(_arguments(u))
-            gradient, factors = derivative(e)
+            value, gradient, factors = derivative(e)
             # Correlation i moves by first[i] along row i of _JACOBIAN.  Not
             # matmul: a first matmul starts BLAS buffers, adding peak memory.
             slopes = (gradient * first)[..., None] * _JACOBIAN
             vectors = ((factors * first[..., None, :])[..., None] * _JACOBIAN).sum(axis=-2)
             hessian = (((gradient * second)[..., None, None] * _JACOBIAN_SQUARES).sum(axis=-3)
                        + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
-            return slopes.sum(axis=-2), hessian
-    return value, derivatives
+            return value, slopes.sum(axis=-2), hessian
+    return evaluate
+
+
+def _extreme_eigenvalues(a, b, c, d, e, k) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and largest eigenvalues of the symmetric 3x3 matrices
+    [[a, b, c], [b, d, e], [c, e, k]], one per element of the arrays.
+
+    The trigonometric solution of the characteristic cubic (Smith, Commun.
+    ACM 4, 168 (1961)): with q the mean eigenvalue and p the root mean
+    square of the eigenvalues of B = H - q I, the eigenvalues are
+    q + 2 p cos(t + 2 pi j / 3), where cos 3t = det(B) / (2 p^3).  Not finite
+    where an entry is not, with no warning.
+    """
+    q = (a + d + k) / 3.0
+    a, d, k = a - q, d - q, k - q
+    p = np.sqrt((a * a + d * d + k * k + 2.0 * (b * b + c * c + e * e)) / 6.0)
+    det = a * (d * k - e * e) - b * (b * k - c * e) + c * (b * e - c * d)
+    # det = 0 where p = 0 (H a multiple of the identity), and there every angle serves
+    cos3 = det / np.maximum(2.0 * p * p * p, _TINY)
+    third = np.arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0
+    return q + 2.0 * p * np.cos(third + _TWO_THIRDS_PI), q + 2.0 * p * np.cos(third)
+
+
+def _damped_step(g: np.ndarray, h: np.ndarray, lam: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The steps s = (mu I - H)^-1 g of the module docstring for gradients
+    (k, 3), Hessians (k, 3, 3) and dampings (k,), and the gain g.s + s.H.s / 2
+    that the quadratic model promises for each.  Not finite where g or H is
+    not, or where mu I - H is singular, with no warning."""
+    a, b, c, _, d, e, _, _, k = h.reshape(-1, 9).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low, high = _extreme_eigenvalues(a, b, c, d, e, k)
+        mu = np.maximum(high, 0.0) + lam * (1.0 + np.maximum(-low, high))
+        # mu I - H = [[a, -b, -c], [-b, d, -e], [-c, -e, k]] after this line,
+        # solved by its adjugate over its determinant
+        a, d, k = mu - a, mu - d, mu - k
+        c11, c12, c13 = d * k - e * e, c * e + b * k, b * e + c * d
+        c22, c23, c33 = a * k - c * c, b * c + a * e, a * d - b * b
+        g1, g2, g3 = g.T
+        step = np.stack([c11 * g1 + c12 * g2 + c13 * g3,
+                         c12 * g1 + c22 * g2 + c23 * g3,
+                         c13 * g1 + c23 * g2 + c33 * g3], axis=1)
+        step /= (a * c11 - b * c12 - c * c13)[:, None]
+        # H s = mu s - g
+        return step, 0.5 * ((g * step).sum(axis=1) + mu * (step * step).sum(axis=1))
+
+
+def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+               x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize from every row of ``x`` at once by damped Newton steps.
+
+    ``evaluate`` maps points of shape (k, 3) to the values, gradients and
+    Hessians there; the steps and stop rules are the module docstring's.
+    Each point evaluated, start or trial, counts as one evaluation.
+
+    Returns, per restart, the last kept point, its value, the evaluations
+    used and whether a stop rule (not MAX_STEPS) ended it.
+    """
+    f, g, h = evaluate(x)
+    x, done_x, done_f = x.copy(), np.empty_like(x), np.empty_like(f)
+    lam = np.full(len(x), LAMBDA_START)
+    evaluations = np.ones(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))  # the running restarts, whose state x .. lam hold
+
+    def finish(stop: np.ndarray) -> None:
+        nonlocal x, f, g, h, lam, rows
+        finished = rows[stop]
+        done_x[finished], done_f[finished], converged[finished] = x[stop], f[stop], True
+        x, f, g, h, lam, rows = (v[~stop] for v in (x, f, g, h, lam, rows))
+
+    for _ in range(MAX_STEPS):
+        step, gain = _damped_step(g, h, lam)
+        # each test fails on NaN, which stops the restart
+        stop = ~((np.abs(step).max(axis=1) >= STEP_TOL) & np.isfinite(step).all(axis=1)
+                 & (gain > GAIN_TOL) & (lam <= LAMBDA_MAX))
+        if stop.any():
+            step = step[~stop]
+            finish(stop)
+            if not rows.size:
+                break
+        trial = (x + step) % TWO_PI
+        f_trial, g_trial, h_trial = evaluate(trial)
+        evaluations[rows] += 1
+        up = f_trial > f
+        gained = f_trial - f
+        x[up], f[up], g[up], h[up] = trial[up], f_trial[up], g_trial[up], h_trial[up]
+        lam = np.where(up, 0.1 * lam, 10.0 * lam)
+        stop = up & (gained < GAIN_TOL)
+        if stop.any():
+            finish(stop)
+            if not rows.size:
+                break
+    done_x[rows], done_f[rows] = x, f
+    return done_x, done_f, evaluations, converged
 
 
 def optimize(objective: str, state: CompositeState, restarts: int = 64,
@@ -329,26 +295,23 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     """Multistart maximization of an inequality objective over the angles.
 
     Quasi-uniform (scrambled Sobol) starting points, shifted to theta1 = 0,
-    all refined together by a coarse Nelder-Mead over the three angle
-    differences and then by exact Newton steps; the best local optimum
-    wins, with ties broken toward the lowest restart index.  Deterministic
-    for a fixed seed.
+    all raised together by damped exact-Newton steps over the three angle
+    differences; the best local optimum wins, with ties broken toward the
+    lowest restart index.  ``max_value`` is the objective re-evaluated at
+    the argmax.  Deterministic for a fixed seed.
     """
     _check_count("restarts", restarts, 1, MAX_RESTARTS)
     _check_count("seed", seed, 0, None)
-    value, derivatives = _coordinate_objective(objective, state, alpha, bob_alpha)
-    x, f, used, converged = _nelder_mead(lambda u: -value(u),
-                                         _start_coordinates(restarts, seed))
-    x, f, kept, polish = _newton(value, derivatives, x, -f)
-    best = x[int(np.argmax(f))] % TWO_PI
+    evaluate = _coordinate_objective(objective, state, alpha, bob_alpha)
+    x, f, used, converged = _levenberg(evaluate, _start_coordinates(restarts, seed))
+    best = _quads(x[int(np.argmax(f))] % TWO_PI)
     return OptimizationResult(
-        max_value=float(value(best)),
-        argmax=AngleQuad(*_quads(best).tolist()),
+        max_value=float(objective_array(objective, state, alpha, bob_alpha)(best)),
+        argmax=AngleQuad(*best.tolist()),
         restarts_used=int(restarts),
-        evaluations=int(used.sum() + polish.sum()) + 1,
+        evaluations=int(used.sum()) + 1,
         seed=int(seed),
         converged=int(converged.sum()),
-        polished=int(np.count_nonzero(kept)),
     )
 
 

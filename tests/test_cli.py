@@ -66,11 +66,13 @@ class TestOptimizeCommand:
             "--objective", "bell", "--restarts", "8", "--seed", "7")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) >= {"max_value", "angles", "seed", "converged", "polished"}
+        assert set(payload) == {"max_value", "angles", "seed", "restarts_used",
+                                "evaluations", "converged"}
         assert payload["seed"] == 7
-        assert payload["converged"] == 8
-        assert payload["polished"] == search.optimize(
-            "bell", bec_pair(1), restarts=8, seed=7).polished
+        result = search.optimize("bell", bec_pair(1), restarts=8, seed=7)
+        # every restart met a stop rule before the step cap
+        assert payload["converged"] == result.converged == 8
+        assert payload["evaluations"] == result.evaluations
         q = AngleQuad(**payload["angles"])
         value = abs(bell_value(bec_pair(1), q))
         assert value == pytest.approx(payload["max_value"], abs=1e-9)
@@ -384,7 +386,7 @@ class TestCountBounds:
     @pytest.mark.parametrize("flag, bound, argv, library_call", CASES,
                              ids=[case[0] for case in CASES])
     def test_bound(self, capsys, monkeypatch, flag, bound, argv, library_call):
-        monkeypatch.setattr(search, "MAX_ITERATIONS", 1)  # keeps optimize cheap
+        monkeypatch.setattr(search, "MAX_STEPS", 1)  # keeps optimize cheap
         code, out, err = run_cli(capsys, *argv.format(bound).split())
         assert (code, err) == (0, "") and out
         code, out, err = run_cli(capsys, *argv.format(bound + 1).split())

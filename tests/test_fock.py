@@ -92,6 +92,13 @@ class TestMonomialState:
         with pytest.raises(ValueError):
             monomial_state({"a": -1})
 
+    @pytest.mark.parametrize("occupations", [{"a": 1, "z": 3}, {"z": 0, "a": 1}])
+    def test_mode_outside_modes_rejected(self, occupations):
+        # not dropped with its particles
+        message = "modes ['z'] of the occupations are not in ('a', 'b')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monomial_state(occupations, modes=("a", "b"))
+
     @pytest.mark.parametrize("coefficient", [
         math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.0)])
     def test_non_finite_coefficient_rejected(self, coefficient):

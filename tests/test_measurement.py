@@ -304,11 +304,12 @@ def _ladder():
     return m
 
 
-def _mode_operators():
+def _mode_operators(modes=4):
+    """The annihilators of ``modes`` modes on the truncated register."""
     eye = np.eye(CUT, dtype=complex)
     ops = []
-    for position in range(4):
-        factors = [eye] * 4
+    for position in range(modes):
+        factors = [eye] * modes
         factors[position] = _ladder()
         op = factors[0]
         for f in factors[1:]:
@@ -328,11 +329,18 @@ def _splitter_unitary(op1, op2, setting):
     return expm(quad)
 
 
+def _dense_unitary(alice, bob):
+    """Both splitters on the register (a, A, b, B): each acts on one party's
+    pair of modes, so the unitary is the Kronecker product of the two
+    parties' CUT**2-dimensional exponentials."""
+    op1, op2 = _mode_operators(2)
+    return np.kron(_splitter_unitary(op1, op2, alice), _splitter_unitary(op1, op2, bob))
+
+
 def _dense_distribution(state, alice, bob):
     """Distribution via number-conserving matrix exponentials; mode order
     of the dense register is (a, A, b, B)."""
-    op_a, op_A, op_b, op_B = _mode_operators()
-    unitary = _splitter_unitary(op_a, op_A, alice) @ _splitter_unitary(op_b, op_B, bob)
+    unitary = _dense_unitary(alice, bob)
     probs = {}
     for weight, member in state.entries:
         vec = np.zeros(CUT ** 4, dtype=complex)
@@ -367,6 +375,16 @@ def test_distribution_matches_dense_unitary_oracle(state_factory):
         dist = joint_distribution(state, alice, bob)
         for outcome, p in dist.items():
             assert dense.get(tuple(outcome), 0.0) == pytest.approx(p, abs=1e-10)
+
+
+def test_kronecker_unitary_matches_register_exponential():
+    # the product of the two splitters, each exponentiated on the whole
+    # CUT**4-dimensional register
+    op_a, op_A, op_b, op_B = _mode_operators()
+    alice = BeamSplitterSetting.from_alpha(0.6, 2.1)
+    bob = BeamSplitterSetting.from_alpha(0.8, 4.4)
+    register = _splitter_unitary(op_a, op_A, alice) @ _splitter_unitary(op_b, op_B, bob)
+    assert np.abs(_dense_unitary(alice, bob) - register).max() < 1e-12
 
 
 def test_dense_oracle_on_complex_amplitudes():
