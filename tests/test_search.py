@@ -36,15 +36,77 @@ ORACLE_TOL = 1e-8
 ORACLE_ITERATIONS = 2000
 
 
-def lockstep_nelder_mead(func, starts, step=0.6):
+def scalar_nelder_mead(func, x0, step=0.6, tol=ORACLE_TOL, iterations=ORACLE_ITERATIONS):
+    """One-start Nelder-Mead, the reference for the lockstep one.
+
+    Minimizes ``func`` from ``x0``, a point at a time; returns the best
+    vertex, its value, the evaluations used and whether the simplex
+    coordinate spread dropped below ``tol`` within ``iterations``.
+    """
+    n = x0.size
+    vertices = [np.array(x0, dtype=float)]
+    for i in range(n):
+        v = np.array(x0, dtype=float)
+        v[i] += step
+        vertices.append(v)
+    values = [func(v) for v in vertices]
+    evaluations = n + 1
+    converged = False
+
+    for _ in range(iterations):
+        order = np.argsort(values, kind="stable")
+        vertices = [vertices[i] for i in order]
+        values = [values[i] for i in order]
+        stack = np.stack(vertices)
+        if float(np.max(stack.max(axis=0) - stack.min(axis=0))) < tol:
+            converged = True
+            break
+        centroid = stack[:-1].sum(axis=0) / n
+        worst = vertices[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = func(reflected)
+        evaluations += 1
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = func(expanded)
+            evaluations += 1
+            if f_expanded < f_reflected:
+                vertices[-1], values[-1] = expanded, f_expanded
+            else:
+                vertices[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            vertices[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (worst - centroid)
+            f_contracted = func(contracted)
+            evaluations += 1
+            if f_contracted < min(f_reflected, values[-1]):
+                vertices[-1], values[-1] = contracted, f_contracted
+            else:
+                best = vertices[0]
+                for i in range(1, n + 1):
+                    vertices[i] = best + 0.5 * (vertices[i] - best)
+                    values[i] = func(vertices[i])
+                evaluations += n
+
+    i_best = int(np.argmin(values))
+    return vertices[i_best], values[i_best], evaluations, converged
+
+
+def lockstep_nelder_mead(func, starts, step=0.6, tol=ORACLE_TOL, iterations=ORACLE_ITERATIONS):
     """The maxima oracle: a Nelder-Mead that moves every restart in lockstep,
     with one (restarts, n + 1, n) array of vertices and one of values,
     reordered by fancy indexing, and a nested ``where`` for the new worst
     vertex.  It shares no code with the engine's search.
 
     Minimizes ``func`` from every row of ``starts`` to a simplex coordinate
-    spread of ORACLE_TOL; returns the best vertex, its value, the
-    evaluations used and whether the simplex converged, per restart.
+    spread of ``tol`` or for ``iterations``; returns the best vertex, its
+    value, the evaluations used and whether the simplex converged, per
+    restart.  Restart by restart it takes the path of ``scalar_nelder_mead``
+    (TestPathIdentity).
     """
     restarts, n = starts.shape
     x = np.repeat(starts[:, None, :], n + 1, axis=1)
@@ -56,11 +118,11 @@ def lockstep_nelder_mead(func, starts, step=0.6):
     best_f = np.empty(restarts)
     used = np.empty(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
-    for _ in range(ORACLE_ITERATIONS):
+    for _ in range(iterations):
         order = np.argsort(f, axis=1, kind="stable")
         index = np.arange(rows.size)[:, None]
         f, x = f[index, order], x[index, order]
-        done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < ORACLE_TOL
+        done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < tol
         if done.any():
             finished = rows[done]
             best_x[finished], best_f[finished] = x[done, 0], f[done, 0]
@@ -96,7 +158,7 @@ def lockstep_nelder_mead(func, starts, step=0.6):
             best = x[shrink, :1]
             x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
             f[shrink, 1:] = func(x[shrink, 1:])
-    # restarts stopped by ORACLE_ITERATIONS
+    # restarts stopped by the iteration count
     at, pick = np.arange(rows.size), np.argmin(f, axis=1)
     best_x[rows], best_f[rows] = x[at, pick], f[at, pick]
     used[rows] = evaluations
@@ -322,9 +384,42 @@ def test_runtime_needs_no_scipy():
     assert '"converged": 8' in run.stdout
 
 
+# The path checks run the oracle's simplex to this coarser spread, which
+# keeps the one-start reference cheap; the arithmetic is the same.
+PATH_TOL = 1e-3
+
+
 class TestBatchedSimplex:
-    """The batched objective that the maxima oracle's lockstep simplex
-    evaluates, against the scalar reference."""
+    """The maxima oracle's lockstep simplex, and the batched objective it
+    evaluates, against the scalar references."""
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_matches_one_start_reference(self, objective, label, state, alpha,
+                                         bob_alpha):
+        # restart by restart, in the engine's search coordinates
+        # (phi1, phi2, theta2) at theta1 = 0
+        value = objective_array(objective, state, alpha, bob_alpha)
+        scalar = scalar_objective(objective)
+        starts = search._start_coordinates(6, seed=len(label))
+        x, f, used, converged = lockstep_nelder_mead(
+            lambda u: -value(search._quads(u)), starts, tol=PATH_TOL)
+        for i, start in enumerate(starts):
+            x_ref, f_ref, used_ref, _ = scalar_nelder_mead(
+                lambda v: -scalar(state, AngleQuad(v[0], v[1], 0.0, v[2]), alpha,
+                                  bob_alpha), start, tol=PATH_TOL)
+            # the requirement on every platform
+            assert f[i] == pytest.approx(f_ref, abs=1e-12)
+            if objective == "bell_abs":
+                # Both routes run the same float64 arithmetic, so the same
+                # path.  This holds as long as numpy's np.cos/np.sin give an
+                # element the same value whatever the array length; a
+                # failure here alone, with the check above passing, points
+                # at the platform's trig loops, not at the simplex.
+                assert used[i] == used_ref
+                assert np.array_equal(x[i], x_ref)
+        assert converged.all()
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
@@ -421,9 +516,64 @@ class TestLockstepAscent:
 
 
 class TestPathIdentity:
-    """The engine's fused objective against the reference it replaced, which
-    runs the same arithmetic in the same order, so the two are equal bit for
-    bit."""
+    """Code against a reference that runs the same arithmetic in the same
+    order, so the two are equal bit for bit: the maxima oracle's lockstep
+    simplex against the one-start simplex, restart by restart, and the
+    engine's fused objective against the reference it replaced."""
+
+    @staticmethod
+    def assert_same_paths(objective, state, alpha, bob_alpha, restarts, seed,
+                          iterations=ORACLE_ITERATIONS):
+        # over the four angles from the Sobol starts, as the oracle runs; at
+        # most eight restarts of each run are held to the one-start path
+        value = objective_array(objective, state, alpha, bob_alpha)
+        starts = search._start_points(restarts, seed)
+        got = lockstep_nelder_mead(lambda q: -value(q), starts, tol=PATH_TOL,
+                                   iterations=iterations)
+        for i in range(0, restarts, max(1, restarts // 8)):
+            want = scalar_nelder_mead(lambda q: -value(q), starts[i], tol=PATH_TOL,
+                                      iterations=iterations)
+            for name, a, b in zip(("x", "f", "used", "converged"), got, want):
+                assert np.array_equal(a[i], b), (i, name)
+        return got
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @pytest.mark.parametrize("restarts", [1, 5, 64])
+    def test_simplex_matches_reference(self, restarts, objective, label, state, alpha,
+                                       bob_alpha):
+        for seed in (0, 1):
+            _, _, _, converged = self.assert_same_paths(objective, state, alpha, bob_alpha,
+                                                        restarts, seed)
+            assert converged.all()
+
+    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                             ids=[case[0] for case in ORACLE_CASES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_simplex_matches_reference_at_iteration_cap(self, objective, label, state,
+                                                        alpha, bob_alpha):
+        for restarts, seed in ((1, 0), (5, 1), (64, 0)):
+            _, _, used, converged = self.assert_same_paths(objective, state, alpha,
+                                                           bob_alpha, restarts, seed,
+                                                           iterations=3)
+            assert not converged.any()
+            # five starting vertices and three reflections at the least
+            assert (used >= 8).all()
+
+    def test_reference_takes_a_shrink_step(self):
+        # a shrink evaluates the n shrunk vertices of each shrinking
+        # restart, the only call on points of shape (k, n, n) after the
+        # starting simplex
+        value = objective_array("steering", bec_pair(1), 1.0 / math.sqrt(2.0))
+        shapes = []
+
+        def func(q):
+            shapes.append(q.shape)
+            return -value(q)
+        lockstep_nelder_mead(func, search._start_points(1, 0), tol=PATH_TOL)
+        assert (1, 4, 4) in shapes[1:]
+        self.assert_same_paths("steering", bec_pair(1), 1.0 / math.sqrt(2.0), None, 1, 0)
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
@@ -510,6 +660,20 @@ class TestNewtonFinish:
         assert evaluations.sum() == sum(points)
         assert points[0] == 16 and len(points) == evaluations.max()
         assert optimize("bell_abs", bec_pair(2), restarts=16, seed=4).evaluations == sum(points) + 1
+
+    def test_every_restart_polished_on_smooth_maxima(self):
+        # |Bell| of bec2 is smooth at its maxima: at seed 1 every restart
+        # meets a stop rule on a strict local maximum, its gradient at
+        # rounding level
+        evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
+                                                1.0 / math.sqrt(2.0), None)
+        x, _, _, converged = search._levenberg(evaluate, search._start_coordinates(64, seed=1))
+        _, gradient, hessian = evaluate(x)
+        assert converged.all()
+        assert np.abs(gradient).max() <= 1e-7
+        assert (np.linalg.eigvalsh(hessian)[:, -1] < 0.0).all()
+        result = optimize("bell_abs", bec_pair(2), seed=1)
+        assert result.converged == result.restarts_used == 64
 
     def test_hypot_zero_maximum_left_unpolished(self):
         state, alpha = bec_pair(3), 1.0 / math.sqrt(2.0)
