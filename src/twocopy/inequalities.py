@@ -116,19 +116,9 @@ class _TrigSeries:
             value += term
         return value.reshape(deltas.shape)
 
-    def derivatives(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The polynomial and its first and second derivatives at ``deltas``.
-
-        The derivative series have the cosine and sine coefficients
-        (k b_k, -k a_k) and (-k^2 a_k, -k^2 b_k).
-        """
-        orders, a, b = self._columns
-        angles = orders * deltas.reshape(1, -1)
-        cos, sin = np.cos(angles), np.sin(angles)
-        terms = a * cos + b * sin
-        first = (orders * (b * cos - a * sin)).sum(axis=0)
-        second = -(orders * orders * terms).sum(axis=0)
-        return tuple(v.reshape(deltas.shape) for v in (self.c0 + terms.sum(axis=0), first, second))
+    def terms(self) -> list[list[float]]:
+        """[k, a_k, b_k] for k = 1 .. degree, as Python floats."""
+        return self._columns[:, :, 0].T.tolist()
 
 
 @lru_cache(maxsize=512)
@@ -375,40 +365,6 @@ _OBJECTIVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "bell": _abs_bell,
     "bell_abs": _abs_bell,
 }
-
-
-def _steering_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The steering functional, its gradient in (e11, e12, e21, e22), and two
-    factors f, shape (..., 2, 4), whose outer products f f^T sum to its
-    Hessian.
-
-    A term hypot(v1, v2) = r has gradient n = v / r and Hessian
-    (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1).  Neither is finite
-    where r = 0, where the functional is not differentiable.
-    """
-    row1, row2 = e[..., :2], e[..., 2:]  # (e11, e12) and (e21, e22)
-    # v[..., 0, :] = (e11 + e21, e12 + e22) and v[..., 1, :] = (e11 - e21, e12 - e22)
-    v = np.concatenate([row1 + row2, row1 - row2], axis=-1).reshape(e.shape[:-1] + (2, 2))
-    r = np.hypot(v[..., 0], v[..., 1])[..., None]
-    n = v / r
-    gradient = np.concatenate([n[..., 0, :] + n[..., 1, :], n[..., 0, :] - n[..., 1, :]], axis=-1)
-    t = v[..., ::-1] * _ROTATION * r ** -1.5
-    return r[..., 0, 0] + r[..., 1, 0], gradient, np.concatenate([t, t * _PAIR_SIGNS], axis=-1)
-
-
-_ROTATION = np.array([-1.0, 1.0])  # (v1, v2) reversed and rotated to t = (-v2, v1)
-_PAIR_SIGNS = np.array([[1.0], [-1.0]])  # the sign of e21 and e22 in each term's v
-_BELL_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
-
-
-def _abs_bell_derivatives(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|Bell| is linear in the correlations on either side of Bell = 0:
-    gradient sign(Bell) * (1, 1, 1, -1), and no Hessian factors."""
-    bell = _bell(e)
-    return np.abs(bell), np.sign(bell)[..., None] * _BELL_SIGNS, np.zeros(e.shape[:-1] + (0, 4))
-
-
-_DERIVATIVES = {_steering: _steering_derivatives, _abs_bell: _abs_bell_derivatives}
 
 
 def _functional(name: str) -> Callable[[np.ndarray], np.ndarray]:

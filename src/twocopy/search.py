@@ -5,9 +5,9 @@ Every objective depends on the angles only through the differences
 phi_j - theta_k, so the search runs over the three coordinates
 u = (phi1 - theta1, phi2 - theta1, theta2 - theta1), with theta1 = 0 in
 every argmax.  It is a multistart of damped exact-Newton (Levenberg-
-Marquardt) ascents, deterministic for a fixed seed.  One call to the
+Marquardt) ascents, deterministic for a fixed seed.  One pass over the
 state's cached trigonometric series gives the objective, its gradient g and
-its Hessian H at every point asked for.  Each restart steps by
+its Hessian H at a point.  Each restart steps by
 s = (mu I - H)^-1 g with mu = max(lambda_max(H), 0) + lam (1 + max|lambda(H)|),
 so mu I - H is positive definite and s points uphill; lam starts at
 LAMBDA_START and is divided by 10 after a step that raises the value, which
@@ -27,25 +27,33 @@ Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635
 (2008)) under Matousek's linear matrix scramble and a digital shift
 (Matousek, J. Complexity 14, 527 (1998)).  Each is shifted by its theta1.
 
-The restarts run in lockstep: every step solves the 3x3 systems of all
-running restarts at once, in closed form, and evaluates all their trial
-points in one series call; a restart that stops leaves the arrays.  The
-arithmetic is elementwise, so a restart's path does not depend on the
-others.  No step calls numpy.linalg: the extreme eigenvalues come from the
-trigonometric solution of the characteristic cubic and the step from the
-adjugate, which keeps BLAS, and the memory its first call takes, out of
-the search.
+The restarts run one after another, each on Python floats, so a
+restart's path cannot depend on the others and a restart that stops costs
+nothing more.  The arithmetic keeps, term by term, the order of the
+lockstep array ascent that tests/test_search.py holds as the reference the
+results equal bit for bit.  Only np.hypot, np.arccos and the power
+r ** -1.5 (on a two-element array) go through numpy: Python's math.hypot,
+math.acos and float power round differently from numpy's loops.  A zero
+hypot argument or a singular mu I - H gives a NaN step, not a
+ZeroDivisionError, and optimize holds numpy's overflow warning for
+r ** -1.5, so each ends its restart on the non-finite step rule, as in the
+reference.  No step calls numpy.linalg: the extreme eigenvalues come from
+the trigonometric solution of the characteristic cubic and the step from
+the adjugate, which keeps BLAS, and the memory its first call takes, out
+of the search.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .fock import _check_count
-from .inequalities import (_DERIVATIVES, ANGLE_NAMES, TWO_PI, AngleQuad, _functional,
-                           _series, objective_array)
+from .inequalities import (ANGLE_NAMES, TWO_PI, AngleQuad, _functional, _series, _steering,
+                           objective_array)
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
 
@@ -55,10 +63,11 @@ LAMBDA_MAX = 1e8
 STEP_TOL = 1e-12
 GAIN_TOL = 1e-15
 PLATEAU_TOL = 1e-9
-# Bounds on one call.  An objective call builds an array per series order
-# (at most MAX_PARTICLES orders) over the four angle differences of every
-# quad it evaluates: up to 4 * MAX_RESTARTS quads in optimize and
-# MAX_POINTS in scan_1d.
+# Bounds on one call.  optimize runs its restarts one after another, so
+# MAX_RESTARTS bounds its time: 0.3-1.0 s at 4096 restarts on bec1, bec2,
+# noon2 and bec(4,4), either objective (one core of a shared 2-core Xeon).
+# A scan_1d call builds an array per series order (at most MAX_PARTICLES
+# orders) over the four angle differences of each of its MAX_POINTS quads.
 MAX_RESTARTS = 4096
 MAX_POINTS = 10_000
 
@@ -71,12 +80,10 @@ _SOBOL_BITS = 30
 _DIGITS = np.arange(_SOBOL_BITS - 1, -1, -1)
 # The quad columns the search moves: phi1, phi2 and theta2, with theta1 = 0.
 _COORDINATES = [0, 1, 3]
-_ARGUMENT_COLUMNS = [0, 0, 1, 1]  # of e11 .. e22, before theta2 is subtracted
-# d(e11, e12, e21, e22) / d(phi1, phi2, theta2), and each row's outer product
-_JACOBIAN = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
-_JACOBIAN_SQUARES = _JACOBIAN[:, :, None] * _JACOBIAN[:, None, :]
-_TWO_THIRDS_PI = 2.0 * np.pi / 3.0
-_TINY = np.finfo(float).tiny
+_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_TINY = sys.float_info.min
+_NAN_VECTOR = (math.nan,) * 3
+_NAN_HESSIAN = (math.nan,) * 6
 
 
 def _direction_numbers() -> np.ndarray:
@@ -163,130 +170,153 @@ def _quads(u: np.ndarray) -> np.ndarray:
     return np.insert(u, 2, 0.0, axis=-1)
 
 
-def _arguments(u: np.ndarray) -> np.ndarray:
-    """The arguments (x, x - z, y, y - z) of e11 .. e22 at u = (x, y, z)."""
-    arguments = u.take(_ARGUMENT_COLUMNS, axis=-1)
-    arguments[..., 1::2] -= u[..., 2:]
-    return arguments
-
-
 def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
                           bob_alpha: float | None
-                          ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The objective over search coordinates of shape (k, 3), with its exact
-    gradient (k, 3) and Hessian (k, 3, 3), from one call to the derivative
-    series of the state's polynomial and the chain rule through each
-    correlation.  The derivatives are not finite where a hypot argument of
-    ``steering`` vanishes, with no warning."""
-    derivative = _DERIVATIVES[_functional(objective)]
+                          ) -> Callable[[float, float, float], tuple[float, tuple, tuple]]:
+    """The objective at search coordinates (x, y, z), with its exact gradient
+    (3-tuple) and the upper triangle (H00, H01, H02, H11, H12, H22) of its
+    Hessian, by the chain rule through each correlation and its first two
+    derivatives in one pass over the state's series.  The derivatives are
+    NaN where a hypot argument of ``steering`` vanishes, where it is not
+    differentiable, and not finite where one lies below about 3e-206, where
+    r ** -1.5 overflows with numpy's warning."""
+    steering = _functional(objective) is _steering
     series = _series(state, alpha, bob_alpha)
+    c0, terms = series.c0, series.terms()
 
-    def evaluate(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e, first, second = series.derivatives(_arguments(u))
-            value, gradient, factors = derivative(e)
-            # Correlation i moves by first[i] along row i of _JACOBIAN.  Not
-            # matmul: a first matmul starts BLAS buffers, adding peak memory.
-            slopes = (gradient * first)[..., None] * _JACOBIAN
-            vectors = ((factors * first[..., None, :])[..., None] * _JACOBIAN).sum(axis=-2)
-            hessian = (((gradient * second)[..., None, None] * _JACOBIAN_SQUARES).sum(axis=-3)
-                       + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
-            return value, slopes.sum(axis=-2), hessian
+    def evaluate(x: float, y: float, z: float) -> tuple[float, tuple, tuple]:
+        # e11 .. e22 at x, x - z, y, y - z, with their first and second
+        # derivatives; each series term is a_k cos kd + b_k sin kd
+        rows = []
+        for delta in (x, x - z, y, y - z):
+            value = slope = curvature = 0.0
+            for k, a, b in terms:
+                angle = k * delta
+                cos, sin = math.cos(angle), math.sin(angle)
+                term = a * cos + b * sin
+                value += term
+                slope += k * (b * cos - a * sin)
+                curvature += k * k * term
+            rows.append((c0 + value, slope, -curvature))
+        (e11, d0, dd0), (e12, d1, dd1), (e21, d2, dd2), (e22, d3, dd3) = rows
+        if steering:
+            # A term hypot(v1, v2) = r has gradient n = v / r and Hessian
+            # (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1); here
+            # v = (e11 + e21, e12 + e22) and u = (e11 - e21, e12 - e22).
+            v1, v2, u1, u2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
+            r = np.hypot((v1, u1), (v2, u2))
+            rv, ru = r.tolist()
+            if not (rv and ru):
+                return rv + ru, _NAN_VECTOR, _NAN_HESSIAN
+            n1, n2, m1, m2 = v1 / rv, v2 / rv, u1 / ru, u2 / ru
+            g0, g1, g2, g3 = n1 + m1, n2 + m2, n1 - m1, n2 - m2
+            pv, pu = (r ** -1.5).tolist()
+            t1, t2, s1, s2 = -v2 * pv, v1 * pv, -u2 * pu, u1 * pu
+            # the Hessian in e is f f^T + h h^T for the factors
+            # f = (t1, t2, t1, t2) and h = (s1, s2, -s1, -s2), here taken
+            # through the chain rule below
+            p1, p3 = t2 * d1, t2 * d3
+            f0, f1, f2 = t1 * d0 + p1, t1 * d2 + p3, -p1 - p3
+            p1, p3 = s2 * d1, -s2 * d3
+            h0, h1, h2 = s1 * d0 + p1, -s1 * d2 + p3, -p1 - p3
+            value = rv + ru
+        else:
+            bell = e11 + e12 + e21 - e22
+            g0 = 1.0 if bell > 0.0 else -1.0 if bell < 0.0 else 0.0
+            g1 = g2 = g0
+            g3, value = -g0, abs(bell)
+        # Correlation i moves by its first derivative along row i of
+        # d(e11, e12, e21, e22) / d(x, y, z) = [[1, 0, 0], [1, 0, -1], [0, 1, 0], [0, 1, -1]].
+        w1, w3 = g1 * d1, g3 * d3
+        gradient = (g0 * d0 + w1, g2 * d2 + w3, -w1 - w3)
+        q1, q3 = g1 * dd1, g3 * dd3
+        hessian = (g0 * dd0 + q1, 0.0, -q1, g2 * dd2 + q3, -q3, q1 + q3)
+        if steering:
+            hessian = (hessian[0] + (f0 * f0 + h0 * h0), f0 * f1 + h0 * h1,
+                       hessian[2] + (f0 * f2 + h0 * h2), hessian[3] + (f1 * f1 + h1 * h1),
+                       hessian[4] + (f1 * f2 + h1 * h2), hessian[5] + (f2 * f2 + h2 * h2))
+        return value, gradient, hessian
     return evaluate
 
 
-def _extreme_eigenvalues(a, b, c, d, e, k) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest and largest eigenvalues of the symmetric 3x3 matrices
-    [[a, b, c], [b, d, e], [c, e, k]], one per element of the arrays.
+def _extreme_eigenvalues(a: float, b: float, c: float, d: float, e: float,
+                         k: float) -> tuple[float, float]:
+    """The smallest and largest eigenvalues of the symmetric 3x3 matrix
+    [[a, b, c], [b, d, e], [c, e, k]].
 
     The trigonometric solution of the characteristic cubic (Smith, Commun.
     ACM 4, 168 (1961)): with q the mean eigenvalue and p the root mean
     square of the eigenvalues of B = H - q I, the eigenvalues are
     q + 2 p cos(t + 2 pi j / 3), where cos 3t = det(B) / (2 p^3).  Not finite
-    where an entry is not, with no warning.
+    where an entry is not.
     """
     q = (a + d + k) / 3.0
     a, d, k = a - q, d - q, k - q
-    p = np.sqrt((a * a + d * d + k * k + 2.0 * (b * b + c * c + e * e)) / 6.0)
+    p = math.sqrt((a * a + d * d + k * k + 2.0 * (b * b + c * c + e * e)) / 6.0)
     det = a * (d * k - e * e) - b * (b * k - c * e) + c * (b * e - c * d)
     # det = 0 where p = 0 (H a multiple of the identity), and there every angle serves
-    cos3 = det / np.maximum(2.0 * p * p * p, _TINY)
-    third = np.arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0
-    return q + 2.0 * p * np.cos(third + _TWO_THIRDS_PI), q + 2.0 * p * np.cos(third)
+    cos3 = det / max(2.0 * p * p * p, _TINY)
+    third = float(np.arccos(min(max(cos3, -1.0), 1.0))) / 3.0
+    return q + 2.0 * p * math.cos(third + _TWO_THIRDS_PI), q + 2.0 * p * math.cos(third)
 
 
-def _damped_step(g: np.ndarray, h: np.ndarray, lam: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The steps s = (mu I - H)^-1 g of the module docstring for gradients
-    (k, 3), Hessians (k, 3, 3) and dampings (k,), and the gain g.s + s.H.s / 2
-    that the quadratic model promises for each.  Not finite where g or H is
-    not, or where mu I - H is singular, with no warning."""
-    a, b, c, _, d, e, _, _, k = h.reshape(-1, 9).T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        low, high = _extreme_eigenvalues(a, b, c, d, e, k)
-        mu = np.maximum(high, 0.0) + lam * (1.0 + np.maximum(-low, high))
-        # mu I - H = [[a, -b, -c], [-b, d, -e], [-c, -e, k]] after this line,
-        # solved by its adjugate over its determinant
-        a, d, k = mu - a, mu - d, mu - k
-        c11, c12, c13 = d * k - e * e, c * e + b * k, b * e + c * d
-        c22, c23, c33 = a * k - c * c, b * c + a * e, a * d - b * b
-        g1, g2, g3 = g.T
-        step = np.stack([c11 * g1 + c12 * g2 + c13 * g3,
-                         c12 * g1 + c22 * g2 + c23 * g3,
-                         c13 * g1 + c23 * g2 + c33 * g3], axis=1)
-        step /= (a * c11 - b * c12 - c * c13)[:, None]
-        # H s = mu s - g
-        return step, 0.5 * ((g * step).sum(axis=1) + mu * (step * step).sum(axis=1))
+def _damped_step(g: tuple, h: tuple, lam: float) -> tuple[tuple, float]:
+    """The step s = (mu I - H)^-1 g of the module docstring for a gradient
+    (3-tuple), a Hessian's upper triangle (6-tuple) and a damping, and the
+    gain g.s + s.H.s / 2 that the quadratic model promises.  Not finite
+    where g or H is not, or where mu I - H is singular."""
+    a, b, c, d, e, k = h
+    low, high = _extreme_eigenvalues(a, b, c, d, e, k)
+    mu = max(high, 0.0) + lam * (1.0 + max(-low, high))
+    # mu I - H = [[a, -b, -c], [-b, d, -e], [-c, -e, k]] after this line,
+    # solved by its adjugate over its determinant
+    a, d, k = mu - a, mu - d, mu - k
+    c11, c12, c13 = d * k - e * e, c * e + b * k, b * e + c * d
+    c22, c23, c33 = a * k - c * c, b * c + a * e, a * d - b * b
+    det = a * c11 - b * c12 - c * c13
+    if det == 0.0:  # singular: no finite step
+        return _NAN_VECTOR, math.nan
+    g1, g2, g3 = g
+    s1 = (c11 * g1 + c12 * g2 + c13 * g3) / det
+    s2 = (c12 * g1 + c22 * g2 + c23 * g3) / det
+    s3 = (c13 * g1 + c23 * g2 + c33 * g3) / det
+    # H s = mu s - g
+    gain = 0.5 * ((g1 * s1 + g2 * s2 + g3 * s3) + mu * (s1 * s1 + s2 * s2 + s3 * s3))
+    return (s1, s2, s3), gain
 
 
-def _levenberg(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-               x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize from every row of ``x`` at once by damped Newton steps.
+def _ascend(evaluate: Callable[[float, float, float], tuple[float, tuple, tuple]],
+            x: Sequence[float]) -> tuple[Sequence[float], float, int, bool]:
+    """Maximize from the point ``x`` by damped Newton steps.
 
-    ``evaluate`` maps points of shape (k, 3) to the values, gradients and
-    Hessians there; the steps and stop rules are the module docstring's.
-    Each point evaluated, start or trial, counts as one evaluation.
+    ``evaluate`` maps (x, y, z) to the value, gradient and Hessian there;
+    the steps and stop rules are the module docstring's.  Each point
+    evaluated, start or trial, counts as one evaluation.
 
-    Returns, per restart, the last kept point, its value, the evaluations
-    used and whether a stop rule (not MAX_STEPS) ended it.
+    Returns the last kept point, its value, the evaluations used and whether
+    a stop rule (not MAX_STEPS) ended the ascent.
     """
-    f, g, h = evaluate(x)
-    x, done_x, done_f = x.copy(), np.empty_like(x), np.empty_like(f)
-    lam = np.full(len(x), LAMBDA_START)
-    evaluations = np.ones(len(x), dtype=int)
-    converged = np.zeros(len(x), dtype=bool)
-    rows = np.arange(len(x))  # the running restarts, whose state x .. lam hold
-
-    def finish(stop: np.ndarray) -> None:
-        nonlocal x, f, g, h, lam, rows
-        finished = rows[stop]
-        done_x[finished], done_f[finished], converged[finished] = x[stop], f[stop], True
-        x, f, g, h, lam, rows = (v[~stop] for v in (x, f, g, h, lam, rows))
-
-    for _ in range(MAX_STEPS):
-        step, gain = _damped_step(g, h, lam)
-        # each test fails on NaN, which stops the restart
-        stop = ~((np.abs(step).max(axis=1) >= STEP_TOL) & np.isfinite(step).all(axis=1)
-                 & (gain > GAIN_TOL) & (lam <= LAMBDA_MAX))
-        if stop.any():
-            step = step[~stop]
-            finish(stop)
-            if not rows.size:
-                break
-        trial = (x + step) % TWO_PI
-        f_trial, g_trial, h_trial = evaluate(trial)
-        evaluations[rows] += 1
-        up = f_trial > f
-        gained = f_trial - f
-        x[up], f[up], g[up], h[up] = trial[up], f_trial[up], g_trial[up], h_trial[up]
-        lam = np.where(up, 0.1 * lam, 10.0 * lam)
-        stop = up & (gained < GAIN_TOL)
-        if stop.any():
-            finish(stop)
-            if not rows.size:
-                break
-    done_x[rows], done_f[rows] = x, f
-    return done_x, done_f, evaluations, converged
+    f, g, h = evaluate(*x)
+    lam = LAMBDA_START
+    isfinite = math.isfinite
+    for evaluations in range(1, MAX_STEPS + 1):
+        (s1, s2, s3), gain = _damped_step(g, h, lam)
+        # each test fails on NaN, which stops the ascent
+        if not (isfinite(s1) and isfinite(s2) and isfinite(s3)
+                and max(abs(s1), abs(s2), abs(s3)) >= STEP_TOL
+                and gain > GAIN_TOL and lam <= LAMBDA_MAX):
+            return x, f, evaluations, True
+        x1, x2, x3 = x
+        trial = [(x1 + s1) % TWO_PI, (x2 + s2) % TWO_PI, (x3 + s3) % TWO_PI]
+        f_trial, g_trial, h_trial = evaluate(*trial)
+        if f_trial > f:
+            gained = f_trial - f
+            x, f, g, h, lam = trial, f_trial, g_trial, h_trial, 0.1 * lam
+            if gained < GAIN_TOL:
+                return x, f, evaluations + 1, True
+        else:
+            lam = 10.0 * lam
+    return x, f, MAX_STEPS + 1, False
 
 
 def optimize(objective: str, state: CompositeState, restarts: int = 64,
@@ -295,7 +325,7 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     """Multistart maximization of an inequality objective over the angles.
 
     Quasi-uniform (scrambled Sobol) starting points, shifted to theta1 = 0,
-    all raised together by damped exact-Newton steps over the three angle
+    each raised by damped exact-Newton steps over the three angle
     differences; the best local optimum wins, with ties broken toward the
     lowest restart index.  ``max_value`` is the objective re-evaluated at
     the argmax.  Deterministic for a fixed seed.
@@ -303,15 +333,24 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     _check_count("restarts", restarts, 1, MAX_RESTARTS)
     _check_count("seed", seed, 0, None)
     evaluate = _coordinate_objective(objective, state, alpha, bob_alpha)
-    x, f, used, converged = _levenberg(evaluate, _start_coordinates(restarts, seed))
-    best = _quads(x[int(np.argmax(f))] % TWO_PI)
+    best_x = best_f = None
+    evaluations, converged = 1, 0
+    # r ** -1.5 overflows to inf where a steering hypot argument is tiny
+    with np.errstate(over="ignore"):
+        for start in _start_coordinates(restarts, seed).tolist():
+            x, f, used, stopped = _ascend(evaluate, start)
+            evaluations += used
+            converged += stopped
+            if best_x is None or f > best_f:
+                best_x, best_f = x, f
+    best = _quads(np.array(best_x) % TWO_PI)
     return OptimizationResult(
         max_value=float(objective_array(objective, state, alpha, bob_alpha)(best)),
         argmax=AngleQuad(*best.tolist()),
         restarts_used=int(restarts),
-        evaluations=int(used.sum()) + 1,
+        evaluations=evaluations,
         seed=int(seed),
-        converged=int(converged.sum()),
+        converged=converged,
     )
 
 

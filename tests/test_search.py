@@ -216,6 +216,184 @@ def scalar_objective(objective):
     return value
 
 
+# The lockstep array ascent that the engine's one-restart float ascent
+# replaced, kept as its reference: every running restart advances together,
+# one series call per step over all their points, a stopped restart leaves
+# the arrays.  reference_optimize builds the OptimizationResult the engine
+# must match bit for bit.
+
+REFERENCE_ARGUMENT_COLUMNS = [0, 0, 1, 1]  # of e11 .. e22, before theta2 is subtracted
+# d(e11, e12, e21, e22) / d(phi1, phi2, theta2), and each row's outer product
+REFERENCE_JACOBIAN = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.0],
+                               [0.0, 1.0, -1.0]])
+REFERENCE_JACOBIAN_SQUARES = REFERENCE_JACOBIAN[:, :, None] * REFERENCE_JACOBIAN[:, None, :]
+REFERENCE_ROTATION = np.array([-1.0, 1.0])  # (v1, v2) reversed and rotated to t = (-v2, v1)
+REFERENCE_PAIR_SIGNS = np.array([[1.0], [-1.0]])  # the sign of e21 and e22 in each term's v
+REFERENCE_BELL_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def reference_series_derivatives(series, deltas):
+    """The series and its first and second derivatives at ``deltas``: the
+    derivative series have the cosine and sine coefficients (k b_k, -k a_k)
+    and (-k^2 a_k, -k^2 b_k)."""
+    orders, a, b = series._columns
+    angles = orders * deltas.reshape(1, -1)
+    cos, sin = np.cos(angles), np.sin(angles)
+    terms = a * cos + b * sin
+    first = (orders * (b * cos - a * sin)).sum(axis=0)
+    second = -(orders * orders * terms).sum(axis=0)
+    return tuple(v.reshape(deltas.shape) for v in (series.c0 + terms.sum(axis=0), first, second))
+
+
+def reference_steering_derivatives(e):
+    """Steering, its gradient in (e11, e12, e21, e22), and two factors f,
+    shape (..., 2, 4), whose outer products f f^T sum to its Hessian."""
+    row1, row2 = e[..., :2], e[..., 2:]
+    v = np.concatenate([row1 + row2, row1 - row2], axis=-1).reshape(e.shape[:-1] + (2, 2))
+    r = np.hypot(v[..., 0], v[..., 1])[..., None]
+    n = v / r
+    gradient = np.concatenate([n[..., 0, :] + n[..., 1, :], n[..., 0, :] - n[..., 1, :]], axis=-1)
+    t = v[..., ::-1] * REFERENCE_ROTATION * r ** -1.5
+    return (r[..., 0, 0] + r[..., 1, 0], gradient,
+            np.concatenate([t, t * REFERENCE_PAIR_SIGNS], axis=-1))
+
+
+def reference_abs_bell_derivatives(e):
+    """|Bell|, its gradient sign(Bell) * (1, 1, 1, -1), and no Hessian factors."""
+    bell = e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
+    return (np.abs(bell), np.sign(bell)[..., None] * REFERENCE_BELL_SIGNS,
+            np.zeros(e.shape[:-1] + (0, 4)))
+
+
+def reference_derivatives(objective):
+    if inequalities._functional(objective) is inequalities._steering:
+        return reference_steering_derivatives
+    return reference_abs_bell_derivatives
+
+
+def reference_coordinate_objective(objective, state, alpha, bob_alpha):
+    """The objective with its gradient (k, 3) and Hessian (k, 3, 3) over
+    search coordinates of shape (k, 3)."""
+    derivative = reference_derivatives(objective)
+    series = inequalities._series(state, alpha, bob_alpha)
+
+    def evaluate(u):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            arguments = u.take(REFERENCE_ARGUMENT_COLUMNS, axis=-1)
+            arguments[..., 1::2] -= u[..., 2:]
+            e, first, second = reference_series_derivatives(series, arguments)
+            value, gradient, factors = derivative(e)
+            slopes = (gradient * first)[..., None] * REFERENCE_JACOBIAN
+            vectors = ((factors * first[..., None, :])[..., None]
+                       * REFERENCE_JACOBIAN).sum(axis=-2)
+            hessian = (((gradient * second)[..., None, None]
+                        * REFERENCE_JACOBIAN_SQUARES).sum(axis=-3)
+                       + (vectors[..., :, None] * vectors[..., None, :]).sum(axis=-3))
+            return value, slopes.sum(axis=-2), hessian
+    return evaluate
+
+
+def reference_extreme_eigenvalues(a, b, c, d, e, k):
+    """The extreme eigenvalues of [[a, b, c], [b, d, e], [c, e, k]] per array element."""
+    q = (a + d + k) / 3.0
+    a, d, k = a - q, d - q, k - q
+    p = np.sqrt((a * a + d * d + k * k + 2.0 * (b * b + c * c + e * e)) / 6.0)
+    det = a * (d * k - e * e) - b * (b * k - c * e) + c * (b * e - c * d)
+    cos3 = det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
+    third = np.arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0
+    return q + 2.0 * p * np.cos(third + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(third)
+
+
+def reference_damped_step(g, h, lam):
+    """The steps for gradients (k, 3), Hessians (k, 3, 3) and dampings (k,),
+    and each one's model gain."""
+    a, b, c, _, d, e, _, _, k = h.reshape(-1, 9).T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low, high = reference_extreme_eigenvalues(a, b, c, d, e, k)
+        mu = np.maximum(high, 0.0) + lam * (1.0 + np.maximum(-low, high))
+        a, d, k = mu - a, mu - d, mu - k
+        c11, c12, c13 = d * k - e * e, c * e + b * k, b * e + c * d
+        c22, c23, c33 = a * k - c * c, b * c + a * e, a * d - b * b
+        g1, g2, g3 = g.T
+        step = np.stack([c11 * g1 + c12 * g2 + c13 * g3,
+                         c12 * g1 + c22 * g2 + c23 * g3,
+                         c13 * g1 + c23 * g2 + c33 * g3], axis=1)
+        step /= (a * c11 - b * c12 - c * c13)[:, None]
+        return step, 0.5 * ((g * step).sum(axis=1) + mu * (step * step).sum(axis=1))
+
+
+def reference_levenberg(evaluate, x):
+    """Every row of ``x`` raised at once; per restart, the last kept point,
+    its value, the evaluations used and whether a stop rule ended it."""
+    f, g, h = evaluate(x)
+    x, done_x, done_f = x.copy(), np.empty_like(x), np.empty_like(f)
+    lam = np.full(len(x), search.LAMBDA_START)
+    evaluations = np.ones(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
+
+    def finish(stop):
+        nonlocal x, f, g, h, lam, rows
+        finished = rows[stop]
+        done_x[finished], done_f[finished], converged[finished] = x[stop], f[stop], True
+        x, f, g, h, lam, rows = (v[~stop] for v in (x, f, g, h, lam, rows))
+
+    for _ in range(search.MAX_STEPS):
+        step, gain = reference_damped_step(g, h, lam)
+        stop = ~((np.abs(step).max(axis=1) >= search.STEP_TOL) & np.isfinite(step).all(axis=1)
+                 & (gain > search.GAIN_TOL) & (lam <= search.LAMBDA_MAX))
+        if stop.any():
+            step = step[~stop]
+            finish(stop)
+            if not rows.size:
+                break
+        trial = (x + step) % TWO_PI
+        f_trial, g_trial, h_trial = evaluate(trial)
+        evaluations[rows] += 1
+        up = f_trial > f
+        gained = f_trial - f
+        x[up], f[up], g[up], h[up] = trial[up], f_trial[up], g_trial[up], h_trial[up]
+        lam = np.where(up, 0.1 * lam, 10.0 * lam)
+        stop = up & (gained < search.GAIN_TOL)
+        if stop.any():
+            finish(stop)
+            if not rows.size:
+                break
+    done_x[rows], done_f[rows] = x, f
+    return done_x, done_f, evaluations, converged
+
+
+def reference_optimize(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2.0),
+                       bob_alpha=None):
+    evaluate = reference_coordinate_objective(objective, state, alpha, bob_alpha)
+    x, f, used, converged = reference_levenberg(evaluate,
+                                                search._start_coordinates(restarts, seed))
+    best = search._quads(x[int(np.argmax(f))] % TWO_PI)
+    return search.OptimizationResult(
+        max_value=float(objective_array(objective, state, alpha, bob_alpha)(best)),
+        argmax=AngleQuad(*best.tolist()), restarts_used=restarts,
+        evaluations=int(used.sum()) + 1, seed=seed, converged=int(converged.sum()))
+
+
+def ascend_each(evaluate, starts):
+    """search._ascend from every row of ``starts``, one at a time, as arrays
+    of the last points, values, evaluations and stop flags."""
+    with np.errstate(over="ignore"):
+        runs = [search._ascend(evaluate, start) for start in np.asarray(starts).tolist()]
+    x, f, used, converged = zip(*runs)
+    return np.array(x), np.array(f), np.array(used), np.array(converged)
+
+
+def evaluate_each(evaluate, u):
+    """The engine's evaluate at every row of ``u``: values (k,), gradients
+    (k, 3) and full Hessians (k, 3, 3)."""
+    values, gradients, uppers = zip(*(evaluate(*point) for point in np.asarray(u).tolist()))
+    hessians = np.empty((len(values), 3, 3))
+    rows, columns = np.triu_indices(3)
+    hessians[:, rows, columns] = hessians[:, columns, rows] = uppers
+    return np.array(values), np.array(gradients), hessians
+
+
 # d(e11, e12, e21, e22) / d(phi1, phi2, theta1, theta2), and the outer
 # product of each row with itself
 DIFFERENCES = np.array([[1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0],
@@ -225,20 +403,20 @@ DIFFERENCE_SQUARES = DIFFERENCES[:, :, None] * DIFFERENCES[:, None, :]
 
 def quad_derivatives(objective, state, alpha, bob_alpha):
     """The objective with its exact gradient and Hessian over the four angles,
-    as the engine first took them: the objective table's functional, and
+    as the engine first took them: the reference functional derivatives, and
     the chain rule through every correlation's difference phi_j - theta_k,
     over quads of shape (k, 4), sliced to the search coordinates
     (phi1, phi2, theta2).  The reference for the engine's fused
     evaluation in those coordinates."""
     functional = inequalities._functional(objective)
-    derivative = inequalities._DERIVATIVES[functional]
+    derivative = reference_derivatives(objective)
     series = inequalities._series(state, alpha, bob_alpha)
 
     def evaluate(u):
         quads = search._quads(u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e, first, second = series.derivatives(
-                quads.take([0, 0, 1, 1], axis=-1) - quads.take([2, 3, 2, 3], axis=-1))
+            e, first, second = reference_series_derivatives(
+                series, quads.take([0, 0, 1, 1], axis=-1) - quads.take([2, 3, 2, 3], axis=-1))
             _, gradient, factors = derivative(e)
             slopes = (gradient * first)[..., None] * DIFFERENCES
             vectors = ((factors * first[..., None, :])[..., None] * DIFFERENCES).sum(axis=-2)
@@ -434,26 +612,59 @@ class TestBatchedSimplex:
                 scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
 
 
+BENCHMARK_STATES = [("bec1", bec_pair(1)), ("bec2", bec_pair(2)), ("bec3", bec_pair(3)),
+                    ("noon2", noon_pair(2, 0)), ("bec12", bec_pair(1, 2))]
+
+
 class TestLockstepAscent:
-    """The damped Newton ascent of all restarts at once, in the engine's
-    search coordinates (phi1, phi2, theta2) at theta1 = 0."""
+    """The engine's ascent, one restart at a time on floats, against the
+    lockstep array ascent it replaced (reference_levenberg), in the search
+    coordinates (phi1, phi2, theta2) at theta1 = 0."""
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
     @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
     def test_matches_one_start_reference(self, objective, label, state, alpha,
                                          bob_alpha):
-        evaluate = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        # each restart run alone takes, bit for bit, its path in the
+        # lockstep run of all six
         starts = search._start_coordinates(6, seed=len(label))
-        together = search._levenberg(evaluate, starts)
-        for i in range(len(starts)):
-            # The same float64 arithmetic on one restart alone, so the same
-            # path, as long as numpy's np.cos/np.sin give an element the same
-            # value whatever the array length; a failure here alone points
-            # at the platform's trig loops, not at the search.
-            alone = search._levenberg(evaluate, starts[i:i + 1])
-            for name, a, b in zip(("x", "f", "evaluations", "converged"), together, alone):
-                assert np.array_equal(a[i], b[0]), name
+        together = reference_levenberg(
+            reference_coordinate_objective(objective, state, alpha, bob_alpha), starts)
+        alone = ascend_each(search._coordinate_objective(objective, state, alpha, bob_alpha),
+                            starts)
+        for name, a, b in zip(("x", "f", "evaluations", "converged"), together, alone):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("label, state", BENCHMARK_STATES,
+                             ids=[case[0] for case in BENCHMARK_STATES])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_results_match_reference(self, objective, label, state):
+        # a random pair of splitters, the balanced one, and the ends 0 and 1
+        rng = np.random.default_rng(len(label))
+        alphas = [(float(a), float(b)) for a, b in rng.uniform(0.05, 0.95, (1, 2))]
+        alphas += [(1.0 / math.sqrt(2.0), None), (0.0, 1.0), (1.0, 0.0)]
+        for restarts in (1, 8, 64):
+            for seed, (alpha, bob_alpha) in enumerate(alphas):
+                got = optimize(objective, state, restarts=restarts, seed=seed,
+                               alpha=alpha, bob_alpha=bob_alpha)
+                want = reference_optimize(objective, state, restarts, seed, alpha, bob_alpha)
+                # repr tells every float bit apart but NaN payloads
+                assert repr(got) == repr(want), (restarts, alpha, bob_alpha)
+
+    @given(data=st.data(), objective=st.sampled_from(["steering", "bell_abs"]),
+           alphas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           restarts=st.sampled_from([1, 8, 64]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_results_match_reference_on_random_states(self, data, objective, alphas,
+                                                      restarts, seed):
+        n1, n2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
+        alpha, bob_alpha = alphas
+        got = optimize(objective, state, restarts=restarts, seed=seed, alpha=alpha,
+                       bob_alpha=bob_alpha)
+        want = reference_optimize(objective, state, restarts, seed, alpha, bob_alpha)
+        assert repr(got) == repr(want)
 
     def test_extreme_eigenvalues_match_eigvalsh(self):
         rng = np.random.default_rng(5)
@@ -466,11 +677,12 @@ class TestLockstepAscent:
         m[4] = np.diag([1.0, 1.0, -3.0])
         m[5] = np.diag([-2.0, 4.0, 4.0])
         m[6] = np.outer(v, v)
-        low, high = search._extreme_eigenvalues(*m.reshape(-1, 9).T[[0, 1, 2, 4, 5, 8]])
         want = np.linalg.eigvalsh(m)
-        scale = np.abs(want).max(axis=1)
-        assert (np.abs(low - want[:, 0]) <= 1e-13 * scale + 1e-300).all()
-        assert (np.abs(high - want[:, 2]) <= 1e-13 * scale + 1e-300).all()
+        for row, (lowest, _, highest) in zip(m, want):
+            low, high = search._extreme_eigenvalues(*row[np.triu_indices(3)].tolist())
+            scale = max(abs(lowest), abs(highest))
+            assert abs(low - lowest) <= 1e-13 * scale + 1e-300
+            assert abs(high - highest) <= 1e-13 * scale + 1e-300
 
     def test_damped_step_matches_linalg_solve(self):
         # random symmetric Hessians, definite and indefinite, at dampings
@@ -480,14 +692,17 @@ class TestLockstepAscent:
         h = rng.normal(size=(300, 3, 3))
         h = h + h.transpose(0, 2, 1)
         lam = 10.0 ** rng.uniform(-3.0, 3.0, 300)
-        step, gain = search._damped_step(g, h, lam)
-        eigenvalues = np.linalg.eigvalsh(h)
-        mu = np.maximum(eigenvalues[:, -1], 0.0) + lam * (1.0 + np.abs(eigenvalues).max(axis=1))
-        want = np.linalg.solve(mu[:, None, None] * np.eye(3) - h, g[..., None])[..., 0]
-        assert (np.abs(step - want).max(axis=1) <= 1e-11 * np.abs(want).max(axis=1)).all()
-        model = (g * want).sum(axis=1) + 0.5 * np.einsum("ki,kij,kj->k", want, h, want)
-        assert (np.abs(gain - model) <= 1e-11 * np.abs(model)).all()
-        assert (gain > 0.0).all()
+        for g_row, h_row, lam_row in zip(g, h, lam):
+            step, gain = search._damped_step(tuple(g_row.tolist()),
+                                             tuple(h_row[np.triu_indices(3)].tolist()),
+                                             float(lam_row))
+            eigenvalues = np.linalg.eigvalsh(h_row)
+            mu = max(eigenvalues[-1], 0.0) + lam_row * (1.0 + np.abs(eigenvalues).max())
+            want = np.linalg.solve(mu * np.eye(3) - h_row, g_row)
+            assert np.abs(np.array(step) - want).max() <= 1e-11 * np.abs(want).max()
+            model = g_row @ want + 0.5 * want @ h_row @ want
+            assert abs(gain - model) <= 1e-11 * abs(model)
+            assert gain > 0.0
 
     def test_kept_points_wrapped(self):
         # a restart's point is wrapped into [0, 2*pi) at every kept step, and
@@ -495,11 +710,11 @@ class TestLockstepAscent:
         evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
                                                 1.0 / math.sqrt(2.0), None)
         starts = search._start_coordinates(64, seed=3)
-        x, f, _, _ = search._levenberg(evaluate, starts)
+        x, f, _, _ = ascend_each(evaluate, starts)
         moved = (x != starts).any(axis=1)
         assert moved.any() and (starts < 0.0).any()
         assert ((0.0 <= x[moved]) & (x[moved] < TWO_PI)).all()
-        assert np.array_equal(f, evaluate(x)[0])
+        assert np.array_equal(f, evaluate_each(evaluate, x)[0])
 
     def test_stops_at_a_maximum(self):
         # from the point an ascent from near bec1's Bell working point ends
@@ -508,11 +723,11 @@ class TestLockstepAscent:
         q = AngleQuad(0.0, math.pi / 2, 3.93, 2.36)
         evaluate = search._coordinate_objective("bell_abs", bec_pair(1),
                                                 1.0 / math.sqrt(2.0), None)
-        start = np.array([[q.phi1, q.phi2, q.theta2]]) - q.theta1
-        x, f, _, _ = search._levenberg(evaluate, start)
-        x, f, evaluations, converged = search._levenberg(evaluate, x)
-        assert f[0] == pytest.approx(GOLDEN, abs=1e-12)
-        assert evaluations.tolist() == [1] and converged.tolist() == [True]
+        x, _, _, _ = search._ascend(evaluate, [q.phi1 - q.theta1, q.phi2 - q.theta1,
+                                               q.theta2 - q.theta1])
+        x, f, evaluations, converged = search._ascend(evaluate, x)
+        assert f == pytest.approx(GOLDEN, abs=1e-12)
+        assert (evaluations, converged) == (1, True)
 
 
 class TestPathIdentity:
@@ -586,7 +801,7 @@ class TestPathIdentity:
         # correlations agree there, a steering hypot argument vanishes, and
         # both derivatives are NaN (TestNewtonFinish)
         u = np.vstack([u, [[-math.pi, -math.pi, 0.0]]])
-        for got, want in zip(evaluate(u), reference(u)):
+        for got, want in zip(evaluate_each(evaluate, u), reference(u)):
             assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -616,7 +831,7 @@ class TestNewtonFinish:
                                        np.abs(e11 + e12 + e21 - e22)])
         u = u[clearance > np.abs([e11, e12, e21, e22]).max() / 3]
         assert len(u) >= 10
-        fused, gradient, hessian = evaluate(u)
+        fused, gradient, hessian = evaluate_each(evaluate, u)
         assert np.abs(fused - value(u)).max() <= 1e-14
         h, unit = 1e-5, np.eye(3)
         numeric = np.stack([(value(u + h * unit[i]) - value(u - h * unit[i])) / (2 * h)
@@ -635,31 +850,65 @@ class TestNewtonFinish:
                                                 1.0 / math.sqrt(2.0), None)
         # the quad (0, 0, pi, pi): all four correlations agree, so E11 - E21
         # and E12 - E22 vanish
-        u = np.array([[-math.pi, -math.pi, 0.0]])
+        u = [-math.pi, -math.pi, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            start, gradient, hessian = evaluate(u)
-            x, f, evaluations, converged = search._levenberg(evaluate, u)
+            start, gradient, hessian = evaluate(*u)
+            x, f, evaluations, converged = search._ascend(evaluate, u)
             optimize("steering", bec_pair(1), restarts=16, seed=0)
-        assert start[0] == pytest.approx(QUANTUM_BOUND, abs=1e-12)
+        assert start == pytest.approx(QUANTUM_BOUND, abs=1e-12)
         assert not np.isfinite(hessian).all()
         # the step is not finite, a stop rule: no trial point is evaluated
-        assert evaluations.tolist() == [1] and converged.tolist() == [True]
-        assert np.array_equal(x, u) and np.array_equal(f, start)
+        assert (evaluations, converged) == (1, True)
+        assert x == u and f == start
+
+    def test_step_refused_at_zero_determinant_without_warning(self, monkeypatch):
+        # a zero Hessian at a damping of 1e-120: mu = 1e-120, and the
+        # determinant mu^3 of mu I - H underflows to 0, so the step is not
+        # finite, as in the reference, and the ascent stops at its start
+        g, h = (1.0, 0.0, 0.0), (0.0,) * 6
+        step, _ = search._damped_step(g, h, 1e-120)
+        want, _ = reference_damped_step(np.array([g]), np.zeros((1, 3, 3)), np.array([1e-120]))
+        assert not np.isfinite(step).all() and not np.isfinite(want).all()
+        monkeypatch.setattr(search, "LAMBDA_START", 1e-120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, f, evaluations, converged = search._ascend(lambda *u: (0.5, g, h), [1.0, 2.0, 3.0])
+        assert (x, f, evaluations, converged) == ([1.0, 2.0, 3.0], 0.5, 1, True)
+
+    def test_step_refused_at_subnormal_hypot_without_warning(self, monkeypatch):
+        # Correlations 2e-310 cos(d): both hypot arguments are subnormal at
+        # every start, r ** -1.5 overflows, the Hessian is not finite, and
+        # every restart stops at its start, as in the reference.
+        tiny = inequalities._TrigSeries(np.array([0.0, 1e-310 + 0j]))
+        monkeypatch.setattr(inequalities, "_series", lambda *args: tiny)
+        monkeypatch.setattr(search, "_series", lambda *args: tiny)
+        evaluate = search._coordinate_objective("steering", bec_pair(1), 0.5, None)
+        with np.errstate(over="ignore"):
+            value, gradient, hessian = evaluate(0.3, 1.2, 2.5)
+        assert 0.0 < value < 1e-300 and np.isfinite(gradient).all()
+        assert not np.isfinite(hessian).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize("steering", bec_pair(1), restarts=8, seed=3, alpha=0.5)
+        assert result.converged == 8 and result.evaluations == 8 + 1
+        assert repr(result) == repr(reference_optimize("steering", bec_pair(1), 8, 3, 0.5))
 
     def test_each_derivative_and_trial_counts_as_evaluation(self):
         evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
                                                 1.0 / math.sqrt(2.0), None)
         points = []
 
-        def counted(u):
-            points.append(len(u))
-            return evaluate(u)
-        _, _, evaluations, _ = search._levenberg(counted, search._start_coordinates(16, seed=4))
-        # one call per step, each on the points of the running restarts
-        assert evaluations.sum() == sum(points)
-        assert points[0] == 16 and len(points) == evaluations.max()
-        assert optimize("bell_abs", bec_pair(2), restarts=16, seed=4).evaluations == sum(points) + 1
+        def counted(*u):
+            points.append(u)
+            return evaluate(*u)
+        # one call per point, the start and each trial of every restart
+        for start in search._start_coordinates(16, seed=4).tolist():
+            before = len(points)
+            _, _, evaluations, _ = search._ascend(counted, start)
+            assert len(points) - before == evaluations and points[before] == tuple(start)
+        result = optimize("bell_abs", bec_pair(2), restarts=16, seed=4)
+        assert result.evaluations == len(points) + 1
 
     def test_every_restart_polished_on_smooth_maxima(self):
         # |Bell| of bec2 is smooth at its maxima: at seed 1 every restart
@@ -667,8 +916,8 @@ class TestNewtonFinish:
         # rounding level
         evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
                                                 1.0 / math.sqrt(2.0), None)
-        x, _, _, converged = search._levenberg(evaluate, search._start_coordinates(64, seed=1))
-        _, gradient, hessian = evaluate(x)
+        x, _, _, converged = ascend_each(evaluate, search._start_coordinates(64, seed=1))
+        _, gradient, hessian = evaluate_each(evaluate, x)
         assert converged.all()
         assert np.abs(gradient).max() <= 1e-7
         assert (np.linalg.eigvalsh(hessian)[:, -1] < 0.0).all()
@@ -678,8 +927,7 @@ class TestNewtonFinish:
     def test_hypot_zero_maximum_left_unpolished(self):
         state, alpha = bec_pair(3), 1.0 / math.sqrt(2.0)
         evaluate = search._coordinate_objective("steering", state, alpha, None)
-        x, _, evaluations, converged = search._levenberg(evaluate,
-                                                         search._start_coordinates(64, seed=0))
+        x, _, evaluations, converged = ascend_each(evaluate, search._start_coordinates(64, seed=0))
         e = np.array([[correlation(state, phi, theta, alpha) for phi, theta in
                        ((p1, 0.0), (p1, t2), (p2, 0.0), (p2, t2))] for p1, p2, t2 in x])
         smallest = np.minimum(np.hypot(e[:, 0] + e[:, 2], e[:, 1] + e[:, 3]),
