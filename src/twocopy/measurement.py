@@ -5,6 +5,16 @@ particles in the outputs.  An outcome ``(n, m)`` is mapped to a dichotomic
 value by the weighting coefficient :func:`epsilon`, and the effective
 measurement applied to the input modes is the basis returned by
 :func:`effective_basis`.
+
+The splitter's amplitudes come from one recurrence,
+:func:`_transfer_blocks`.  A party's observable, block by block, is
+O_k = S_k^T diag(eps) S_k (:func:`parity_blocks`).  Since diag(eps) is a
+sign times the parity of the second output mode, O_k is the signed
+transfer block at the doubled splitter angle, and the Fourier form of
+Wigner's d writes that as the balanced splitter's blocks around a diagonal
+of phases e^{i (k-2j) phi}.  So the balanced blocks are built once and
+every splitter's blocks are one batched product with them; the derivation
+is in :func:`parity_blocks`.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ from .fock import (
     from_fock_amplitudes,
     substitute,
 )
-from .states import ALICE_MODES, BOB_MODES, CompositeState, _check_particles
+from .states import ALICE_MODES, BOB_MODES, MAX_PARTICLES, CompositeState, _check_particles
 
 BALANCED_ALPHA = 1.0 / math.sqrt(2.0)
 PROB_TOL = 1e-10
@@ -204,13 +214,40 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
     return blocks
 
 
+# W[k, n, j] = i^n B_k[n, j], B_k the balanced splitter's transfer blocks,
+# and the weights eps(n, k - n) at [k, n] for n <= k (0 elsewhere), for
+# k, n, j up to the largest n_max asked for; _balanced_table grows them.
+_balanced = (np.ones((1, 1, 1), dtype=complex), np.ones((1, 1)))
+
+
+def _balanced_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """W and the signs of ``_balanced``, cut to k, n, j <= n_max.
+
+    Entries do not depend on how far the table has grown: the recurrence
+    gives every B_k the same bits at any n_max.
+    """
+    global _balanced
+    if len(_balanced[0]) <= n_max:
+        k = np.arange(n_max + 1)
+        table = np.zeros((n_max + 1,) * 3, dtype=complex)
+        for order, block in enumerate(_transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, n_max)):
+            table[order, :order + 1, :order + 1] = block
+        table *= np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4, None]
+        exponent = k[:, None] - k + k[:, None] * (k[:, None] + 1) // 2  # epsilon at m = k - n
+        _balanced = (table, np.where(k <= k[:, None], 1.0 - 2.0 * (exponent % 2), 0.0))
+    table, signs = _balanced
+    return table[:n_max + 1, :n_max + 1, :n_max + 1], signs[:n_max + 1, :n_max + 1]
+
+
 @lru_cache(maxsize=4)
 def _cached_parity_blocks(alpha: float, beta: float, n_max: int) -> np.ndarray:
-    blocks = np.zeros((n_max + 1,) * 3)
-    blocks[0, 0, 0] = 1.0
-    for k, s in enumerate(_transfer_blocks(alpha, beta, n_max)[1:], 1):
-        signs = np.array([epsilon(m, k - m) for m in range(k + 1)], dtype=float)
-        blocks[k, :k + 1, :k + 1] = np.einsum("np,n,nq->pq", s, signs, s)
+    table, signs = _balanced_table(n_max)
+    k = np.arange(n_max + 1)
+    phi = 2.0 * math.atan2(beta, alpha)
+    phases = np.exp(1j * phi * (k[:, None] - 2 * k))  # e^{i (k - 2j) phi} at [k, j]
+    product = (table * phases[:, None, :]) @ table.conj().transpose(0, 2, 1)
+    blocks = signs[:, :, None] * product.real
+    blocks += 0.0  # turns the -0.0 a sign leaves outside the blocks into +0.0
     blocks.flags.writeable = False
     return blocks
 
@@ -219,13 +256,42 @@ def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
     """One party's dichotomic observable on its input modes, block by block.
 
     Returns O of shape (n_max + 1,) * 3 with
-    O[k, :k+1, :k+1] = S_k^T diag(eps) S_k, S_k from
-    :func:`_transfer_blocks`, and zeros elsewhere.  The setting's phase
-    does not enter; it only multiplies the input |p, k-p> by
+    O[k, :k+1, :k+1] = O_k = S_k^T diag(eps) S_k, S_k from
+    :func:`_transfer_blocks`, and +0.0 elsewhere; n_max is at most
+    2 * MAX_PARTICLES, the largest block a state reaches.  The setting's
+    phase does not enter; it only multiplies the input |p, k-p> by
     e^{i phase (k-p)}.  So the array is built once per (alpha, beta,
     n_max) and kept for the next few calls (a profile and a sector trace
     at the same splitter share it), and it is read-only.
+
+    O_k comes from a table that does not depend on the splitter.  Write
+    alpha = cos t, beta = sin t, Z = diag(1, -1) and R(x) for the rotation
+    by x.  The splitter's mode matrix [[alpha, beta], [beta, -alpha]] is
+    Z R(-t), so S_k = Z_k D_k(-t), with Z_k = diag((-1)^(k-n)) and D_k(x)
+    the real orthogonal k-particle block of R(x), Wigner's d^(k/2)(2x)
+    (Yurke, McCall & Klauder, PRA 33, 4033 (1986)).  The weight is
+    diag(eps) = s_k Z_k, s_k = (-1)^(k(k+1)/2).  As D_k(x)^T = D_k(-x) and
+    Z_k D_k(x) Z_k = D_k(-x),
+
+        O_k = s_k D_k(t) Z_k D_k(-t) = s_k Z_k D_k(-2t),
+
+    the transfer block at the doubled angle phi = 2t, signed.  Next,
+    R(x) = P^H H diag(e^{ix}, e^{-ix}) H P with P = diag(1, i) and H the
+    balanced splitter's matrix; in k-particle blocks P is diag(i^(k-n)),
+    H is the balanced block B_k (real, symmetric) and the diagonal is
+    e^{i (2j-k) x} on |j, k-j>, the Fourier form of Wigner's d (Risbo,
+    J. Geodesy 70, 383 (1996)).  So
+
+        O_k[n, p] = s_k (-1)^(k-n) Re sum_j i^(n-p) B_k[n, j] B_k[p, j]
+                    e^{i (k-2j) phi},   phi = 2 atan2(beta, alpha),
+
+    one batched product (W e^{i (k-2j) phi}) W^H over every k at once, with
+    W = i^n B_k built once by the recurrence and grown to the largest n_max
+    asked for.  As phi depends only on beta / alpha, a setting off the unit
+    circle (the setting allows 1e-12) gives its normalized splitter's
+    blocks.
     """
+    _check_count("n_max", n_max, 0, 2 * MAX_PARTICLES)
     return _cached_parity_blocks(setting.alpha, setting.beta, n_max)
 
 

@@ -9,6 +9,7 @@ the physical bounds; and the polynomial engine is kept off its path.
 import math
 import sys
 from dataclasses import astuple
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -134,8 +135,81 @@ def test_blocks_match_reference_recurrence_bit_for_bit():
         assert len(got) == len(want) == n_max + 1
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-        blocks = parity_blocks(bs, n_max)
-        assert blocks.tobytes() == reference_parity_blocks(bs.alpha, bs.beta, n_max).tobytes()
+
+
+def assert_blocks_near(blocks, want, tol):
+    """Within ``tol`` of ``want``, and +0.0 (sign bit clear) outside the blocks."""
+    assert blocks.shape == want.shape
+    assert np.max(np.abs(blocks - want)) <= tol
+    k = np.arange(len(blocks))
+    outside = (k[None, :, None] > k[:, None, None]) | (k[None, None, :] > k[:, None, None])
+    assert not blocks[outside].any() and not np.signbit(blocks[outside]).any()
+
+
+def test_parity_blocks_match_reference_einsum():
+    # the batched Fourier-form product against S_k^T diag(eps) S_k, block by block
+    for bs, n_max in random_splitters(15, 40):
+        assert_blocks_near(parity_blocks(bs, n_max),
+                           reference_parity_blocks(bs.alpha, bs.beta, n_max), 2e-14)
+
+
+@given(st.floats(0.0, 1.0), st.integers(0, 12))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_parity_blocks_match_reference_einsum_at_random_splitters(alpha, n_max):
+    bs = setting(alpha, 0.0)
+    assert_blocks_near(parity_blocks(bs, n_max),
+                       reference_parity_blocks(bs.alpha, bs.beta, n_max), 2e-14)
+
+
+def decimal_parity_blocks(alpha, beta, n_max, digits=50):
+    """S_k^T diag(eps) S_k in ``digits``-digit decimal arithmetic, rounded once.
+
+    S_k runs the recurrence of ``reference_transfer_blocks`` from the exact
+    values of the floats alpha and beta.
+    """
+    out = np.zeros((n_max + 1,) * 3)
+    out[0, 0, 0] = 1.0
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a, b, zero = Decimal(alpha), Decimal(beta), Decimal(0)
+        roots = [Decimal(i).sqrt() for i in range(n_max + 1)]
+        s = [[Decimal(1)]]
+        for k in range(1, n_max + 1):
+            def padded(i, j, prev=s, k=k):  # P[i, j] = S_(k-1)[i-1, j-1], zero elsewhere
+                return prev[i - 1][j - 1] if 1 <= i <= k and 1 <= j <= k else zero
+            s = [[(roots[p] * (a * roots[n] * padded(n, p) + b * roots[k - n] * padded(n + 1, p))
+                   + roots[k - p] * (b * roots[n] * padded(n, p + 1)
+                                     - a * roots[k - n] * padded(n + 1, p + 1))) / k
+                  for p in range(k + 1)] for n in range(k + 1)]
+            signs = [epsilon(n, k - n) for n in range(k + 1)]
+            for p in range(k + 1):
+                for q in range(p, k + 1):
+                    value = sum(e * row[p] * row[q] for e, row in zip(signs, s))
+                    out[k, p, q] = out[k, q, p] = float(value)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.0 / math.sqrt(2.0)]
+                         + list(np.random.default_rng(18).uniform(0.0, 1.0, 3)))
+def test_parity_blocks_match_decimal_oracle(alpha):
+    bs = setting(float(alpha), 0.0)
+    assert_blocks_near(parity_blocks(bs, 24), decimal_parity_blocks(bs.alpha, bs.beta, 24), 1e-14)
+
+
+def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
+    # a fresh table, then one grown to n = 40 first: the n = 4 blocks agree byte for byte
+    bs = setting(0.37, 0.0)
+    monkeypatch.setattr(measurement, "_balanced", (np.ones((1, 1, 1), dtype=complex),
+                                                   np.ones((1, 1))))
+    measurement._cached_parity_blocks.cache_clear()
+    fresh = parity_blocks(bs, 4).tobytes()
+    assert len(measurement._balanced[0]) == 5
+    measurement._cached_parity_blocks.cache_clear()
+    parity_blocks(bs, 40)
+    measurement._cached_parity_blocks.cache_clear()
+    assert parity_blocks(bs, 4).tobytes() == fresh
+    assert len(measurement._balanced[0]) == 41
+    measurement._cached_parity_blocks.cache_clear()
 
 
 def test_parity_blocks_are_read_only_and_phase_free():

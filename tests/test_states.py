@@ -265,6 +265,8 @@ class TestCountValidation:
         pytest.param("n_total", 0, None, measurement.local_outcomes, id="local_outcomes"),
         pytest.param("n_total", 0, measurement.MAX_BASIS_TOTAL,
                      lambda v: measurement.effective_basis(v, SPLITTER), id="effective_basis"),
+        pytest.param("n_max", 0, 2 * MAX_PARTICLES,
+                     lambda v: measurement.parity_blocks(SPLITTER, v).tolist(), id="parity_blocks"),
         pytest.param("n1", 0, MAX_PARTICLES,
                      lambda v: measurement.sector_trace_product(v, 1, SPLITTER, SPLITTER),
                      id="sector_trace_product-n1"),
