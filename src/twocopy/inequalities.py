@@ -413,10 +413,6 @@ def _noise_correlation(state: CompositeState, alpha: float,
     raise ValueError(f"unknown noise model {noise!r}")
 
 
-# The 15 interior sixteenths of a bracket, j / 16 for j = 1 .. 15.
-_SIXTEENTHS = np.arange(1, 16) / 16.0
-
-
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
                          alpha: float = BALANCED_ALPHA,
                          bob_alpha: float | None = None,
@@ -443,22 +439,21 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
 
     The bisection halves [lo, hi] from [0, 1] until it is no wider than
     ``tol`` or its midpoint rounds onto an end, and returns the final
-    midpoint.  It takes four halvings per pass: the objective is evaluated
-    once on the 15 points lo + (hi - lo) j / 16 that they can visit, and
-    the halvings replay the comparisons, the width test and the rounding
-    guard on those values.  Every bracket end is a dyadic rational, so
-    these points are the midpoints 0.5 (lo + hi) the halvings compute,
-    exactly, wherever the guard lets one be used.
+    midpoint.  Each halving evaluates the objective once, on Python floats
+    with the arithmetic of the array functionals (complex abs is libm's
+    hypot, as np.hypot is).
     """
-    functional = _functional(objective)
+    steering = _functional(objective) is _steering
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol={tol} must be a finite number > 0")
-    pure = _correlations(_series(state, alpha, bob_alpha), q.as_tuple())
+    pure = _correlations(_series(state, alpha, bob_alpha), q.as_tuple()).tolist()
     white = _noise_correlation(state, alpha, bob_alpha, noise)
 
-    def value_at(p: float | np.ndarray) -> np.ndarray:
-        p = np.asarray(p)[..., None]
-        return functional(p * pure + (1.0 - p) * white)
+    def value_at(p: float) -> float:
+        e11, e12, e21, e22 = [p * e + (1.0 - p) * white for e in pure]
+        if steering:
+            return abs(complex(e11 + e21, e12 + e22)) + abs(complex(e11 - e21, e12 - e22))
+        return abs(e11 + e12 + e21 - e22)
 
     top = value_at(1.0)
     if top <= CLASSICAL_BOUND:
@@ -473,16 +468,11 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
         )
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
-        above = value_at(lo + (hi - lo) * _SIXTEENTHS) >= CLASSICAL_BOUND
-        j = 8  # the next midpoint is lo + (hi - lo) j / 16 of this pass
-        for half in (4, 2, 1, 0):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                return mid
-            if above[j - 1]:
-                hi, j = mid, j - half
-            else:
-                lo, j = mid, j + half
-            if not hi - lo > tol:
-                break
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if value_at(mid) >= CLASSICAL_BOUND:
+            hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)

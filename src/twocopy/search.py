@@ -6,13 +6,16 @@ phi_j - theta_k, so the search runs over the three coordinates
 u = (phi1 - theta1, phi2 - theta1, theta2 - theta1), with theta1 = 0 in
 every argmax.  It is a multistart of damped exact-Newton (Levenberg-
 Marquardt) ascents, deterministic for a fixed seed.  One pass over the
-state's cached trigonometric series gives the objective, its gradient g and
-its Hessian H at a point.  Each restart steps by
+state's cached trigonometric series gives the objective at a point and the
+correlation derivatives from which its gradient g and Hessian H follow by
+the chain rule.  Each restart steps by
 s = (mu I - H)^-1 g with mu = max(lambda_max(H), 0) + lam (1 + max|lambda(H)|),
 so mu I - H is positive definite and s points uphill; lam starts at
 LAMBDA_START and is divided by 10 after a step that raises the value, which
 is kept, and multiplied by 10 after one that does not.  Coordinates are
-wrapped into [0, 2*pi) after every kept step.  A restart stops, converged,
+wrapped into [0, 2*pi) after every kept step.  A trial point costs only its
+value; g, H and the extreme eigenvalues of H are built at the start and at
+each kept trial that does not end the restart.  A restart stops, converged,
 when its step is not finite (steering is not differentiable where a hypot
 argument vanishes), when the step is shorter than STEP_TOL in every
 coordinate, when the quadratic model g.s + s.H.s/2 promises at most
@@ -31,16 +34,16 @@ The restarts run one after another, each on Python floats, so a
 restart's path cannot depend on the others and a restart that stops costs
 nothing more.  The arithmetic keeps, term by term, the order of the
 lockstep array ascent that tests/test_search.py holds as the reference the
-results equal bit for bit.  Only np.hypot, np.arccos and the power
-r ** -1.5 (on a two-element array) go through numpy: Python's math.hypot,
-math.acos and float power round differently from numpy's loops.  A zero
+results equal bit for bit.  No step calls numpy: every function is libm's,
+through Python floats (a steering radius is abs(complex(v1, v2)), which is
+libm's hypot; math.hypot rounds differently), so a seeded result does not
+depend on the SIMD loops numpy dispatches to on the CPU at hand.  A zero
 hypot argument or a singular mu I - H gives a NaN step, not a
-ZeroDivisionError, and optimize holds numpy's overflow warning for
-r ** -1.5, so each ends its restart on the non-finite step rule, as in the
-reference.  No step calls numpy.linalg: the extreme eigenvalues come from
-the trigonometric solution of the characteristic cubic and the step from
-the adjugate, which keeps BLAS, and the memory its first call takes, out
-of the search.
+ZeroDivisionError, and r ** -1.5 is inf where it overflows, so each ends
+its restart on the non-finite step rule, as in the reference.  The extreme
+eigenvalues come from the trigonometric solution of the characteristic
+cubic and the step from the adjugate, which keeps BLAS, and the memory its
+first call takes, out of the search.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ STEP_TOL = 1e-12
 GAIN_TOL = 1e-15
 PLATEAU_TOL = 1e-9
 # Bounds on one call.  optimize runs its restarts one after another, so
-# MAX_RESTARTS bounds its time: 0.3-1.0 s at 4096 restarts on bec1, bec2,
+# MAX_RESTARTS bounds its time: 0.25-0.7 s at 4096 restarts on bec1, bec2,
 # noon2 and bec(4,4), either objective (one core of a shared 2-core Xeon).
 # A scan_1d call builds an array per series order (at most MAX_PARTICLES
 # orders) over the four angle differences of each of its MAX_POINTS quads.
@@ -172,45 +175,57 @@ def _quads(u: np.ndarray) -> np.ndarray:
 
 def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
                           bob_alpha: float | None
-                          ) -> Callable[[float, float, float], tuple[float, tuple, tuple]]:
-    """The objective at search coordinates (x, y, z), with its exact gradient
-    (3-tuple) and the upper triangle (H00, H01, H02, H11, H12, H22) of its
-    Hessian, by the chain rule through each correlation and its first two
-    derivatives in one pass over the state's series.  The derivatives are
-    NaN where a hypot argument of ``steering`` vanishes, where it is not
-    differentiable, and not finite where one lies below about 3e-206, where
-    r ** -1.5 overflows with numpy's warning."""
+                          ) -> tuple[Callable[[float, float, float], tuple[float, tuple]],
+                                     Callable[[tuple], tuple[tuple, tuple]]]:
+    """The objective at search coordinates, as two functions.
+
+    ``value(x, y, z)`` returns the objective and the point's record: one
+    pass over the state's series gives each correlation with its first two
+    derivatives.  ``derivatives(point)`` turns a record into the exact
+    gradient (3-tuple) and the upper triangle (H00, H01, H02, H11, H12,
+    H22) of the Hessian, by the chain rule through each correlation.  The
+    derivatives are NaN where a hypot argument of ``steering`` vanishes,
+    where it is not differentiable, and the Hessian is not finite where one
+    lies below about 3e-206, where r ** -1.5 overflows."""
     steering = _functional(objective) is _steering
     series = _series(state, alpha, bob_alpha)
     c0, terms = series.c0, series.terms()
 
-    def evaluate(x: float, y: float, z: float) -> tuple[float, tuple, tuple]:
+    def value(x: float, y: float, z: float) -> tuple[float, tuple]:
         # e11 .. e22 at x, x - z, y, y - z, with their first and second
         # derivatives; each series term is a_k cos kd + b_k sin kd
         rows = []
         for delta in (x, x - z, y, y - z):
-            value = slope = curvature = 0.0
+            total = slope = curvature = 0.0
             for k, a, b in terms:
                 angle = k * delta
                 cos, sin = math.cos(angle), math.sin(angle)
                 term = a * cos + b * sin
-                value += term
+                total += term
                 slope += k * (b * cos - a * sin)
                 curvature += k * k * term
-            rows.append((c0 + value, slope, -curvature))
-        (e11, d0, dd0), (e12, d1, dd1), (e21, d2, dd2), (e22, d3, dd3) = rows
+            rows.append((c0 + total, slope, -curvature))
+        (e11, _, _), (e12, _, _), (e21, _, _), (e22, _, _) = rows
+        if steering:
+            # complex abs is libm's hypot
+            v1, v2, u1, u2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
+            rv, ru = abs(complex(v1, v2)), abs(complex(u1, u2))
+            return rv + ru, (rows, v1, v2, u1, u2, rv, ru)
+        bell = e11 + e12 + e21 - e22
+        return abs(bell), (rows, bell)
+
+    def derivatives(point: tuple) -> tuple[tuple, tuple]:
+        (_, d0, dd0), (_, d1, dd1), (_, d2, dd2), (_, d3, dd3) = point[0]
         if steering:
             # A term hypot(v1, v2) = r has gradient n = v / r and Hessian
             # (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1); here
             # v = (e11 + e21, e12 + e22) and u = (e11 - e21, e12 - e22).
-            v1, v2, u1, u2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
-            r = np.hypot((v1, u1), (v2, u2))
-            rv, ru = r.tolist()
+            _, v1, v2, u1, u2, rv, ru = point
             if not (rv and ru):
-                return rv + ru, _NAN_VECTOR, _NAN_HESSIAN
+                return _NAN_VECTOR, _NAN_HESSIAN
             n1, n2, m1, m2 = v1 / rv, v2 / rv, u1 / ru, u2 / ru
             g0, g1, g2, g3 = n1 + m1, n2 + m2, n1 - m1, n2 - m2
-            pv, pu = (r ** -1.5).tolist()
+            pv, pu = _inverse_power(rv), _inverse_power(ru)
             t1, t2, s1, s2 = -v2 * pv, v1 * pv, -u2 * pu, u1 * pu
             # the Hessian in e is f f^T + h h^T for the factors
             # f = (t1, t2, t1, t2) and h = (s1, s2, -s1, -s2), here taken
@@ -219,12 +234,11 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
             f0, f1, f2 = t1 * d0 + p1, t1 * d2 + p3, -p1 - p3
             p1, p3 = s2 * d1, -s2 * d3
             h0, h1, h2 = s1 * d0 + p1, -s1 * d2 + p3, -p1 - p3
-            value = rv + ru
         else:
-            bell = e11 + e12 + e21 - e22
+            bell = point[1]
             g0 = 1.0 if bell > 0.0 else -1.0 if bell < 0.0 else 0.0
             g1 = g2 = g0
-            g3, value = -g0, abs(bell)
+            g3 = -g0
         # Correlation i moves by its first derivative along row i of
         # d(e11, e12, e21, e22) / d(x, y, z) = [[1, 0, 0], [1, 0, -1], [0, 1, 0], [0, 1, -1]].
         w1, w3 = g1 * d1, g3 * d3
@@ -235,8 +249,16 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
             hessian = (hessian[0] + (f0 * f0 + h0 * h0), f0 * f1 + h0 * h1,
                        hessian[2] + (f0 * f2 + h0 * h2), hessian[3] + (f1 * f1 + h1 * h1),
                        hessian[4] + (f1 * f2 + h1 * h2), hessian[5] + (f2 * f2 + h2 * h2))
-        return value, gradient, hessian
-    return evaluate
+        return gradient, hessian
+    return value, derivatives
+
+
+def _inverse_power(r: float) -> float:
+    """r ** -1.5 by libm's pow, inf where it overflows."""
+    try:
+        return r ** -1.5
+    except OverflowError:
+        return math.inf
 
 
 def _extreme_eigenvalues(a: float, b: float, c: float, d: float, e: float,
@@ -256,17 +278,18 @@ def _extreme_eigenvalues(a: float, b: float, c: float, d: float, e: float,
     det = a * (d * k - e * e) - b * (b * k - c * e) + c * (b * e - c * d)
     # det = 0 where p = 0 (H a multiple of the identity), and there every angle serves
     cos3 = det / max(2.0 * p * p * p, _TINY)
-    third = float(np.arccos(min(max(cos3, -1.0), 1.0))) / 3.0
+    third = math.acos(min(max(cos3, -1.0), 1.0)) / 3.0
     return q + 2.0 * p * math.cos(third + _TWO_THIRDS_PI), q + 2.0 * p * math.cos(third)
 
 
-def _damped_step(g: tuple, h: tuple, lam: float) -> tuple[tuple, float]:
+def _damped_step(g: tuple, h: tuple, low: float, high: float,
+                 lam: float) -> tuple[tuple, float]:
     """The step s = (mu I - H)^-1 g of the module docstring for a gradient
-    (3-tuple), a Hessian's upper triangle (6-tuple) and a damping, and the
-    gain g.s + s.H.s / 2 that the quadratic model promises.  Not finite
-    where g or H is not, or where mu I - H is singular."""
+    (3-tuple), a Hessian's upper triangle (6-tuple) with its smallest and
+    largest eigenvalues, and a damping, and the gain g.s + s.H.s / 2 that
+    the quadratic model promises.  Not finite where g or H is not, or where
+    mu I - H is singular."""
     a, b, c, d, e, k = h
-    low, high = _extreme_eigenvalues(a, b, c, d, e, k)
     mu = max(high, 0.0) + lam * (1.0 + max(-low, high))
     # mu I - H = [[a, -b, -c], [-b, d, -e], [-c, -e, k]] after this line,
     # solved by its adjugate over its determinant
@@ -285,22 +308,27 @@ def _damped_step(g: tuple, h: tuple, lam: float) -> tuple[tuple, float]:
     return (s1, s2, s3), gain
 
 
-def _ascend(evaluate: Callable[[float, float, float], tuple[float, tuple, tuple]],
+def _ascend(value: Callable[[float, float, float], tuple[float, tuple]],
+            derivatives: Callable[[tuple], tuple[tuple, tuple]],
             x: Sequence[float]) -> tuple[Sequence[float], float, int, bool]:
     """Maximize from the point ``x`` by damped Newton steps.
 
-    ``evaluate`` maps (x, y, z) to the value, gradient and Hessian there;
+    ``value`` and ``derivatives`` are those of ``_coordinate_objective``;
     the steps and stop rules are the module docstring's.  Each point
-    evaluated, start or trial, counts as one evaluation.
+    evaluated, start or trial, counts as one evaluation.  The derivatives
+    and the Hessian's extreme eigenvalues are built at the start and at
+    each kept trial that does not end the ascent, never at a refused one.
 
     Returns the last kept point, its value, the evaluations used and whether
     a stop rule (not MAX_STEPS) ended the ascent.
     """
-    f, g, h = evaluate(*x)
+    f, point = value(*x)
+    g, h = derivatives(point)
+    low, high = _extreme_eigenvalues(*h)
     lam = LAMBDA_START
     isfinite = math.isfinite
     for evaluations in range(1, MAX_STEPS + 1):
-        (s1, s2, s3), gain = _damped_step(g, h, lam)
+        (s1, s2, s3), gain = _damped_step(g, h, low, high, lam)
         # each test fails on NaN, which stops the ascent
         if not (isfinite(s1) and isfinite(s2) and isfinite(s3)
                 and max(abs(s1), abs(s2), abs(s3)) >= STEP_TOL
@@ -308,12 +336,16 @@ def _ascend(evaluate: Callable[[float, float, float], tuple[float, tuple, tuple]
             return x, f, evaluations, True
         x1, x2, x3 = x
         trial = [(x1 + s1) % TWO_PI, (x2 + s2) % TWO_PI, (x3 + s3) % TWO_PI]
-        f_trial, g_trial, h_trial = evaluate(*trial)
+        f_trial, point = value(*trial)
         if f_trial > f:
             gained = f_trial - f
-            x, f, g, h, lam = trial, f_trial, g_trial, h_trial, 0.1 * lam
+            x, f, lam = trial, f_trial, 0.1 * lam
             if gained < GAIN_TOL:
                 return x, f, evaluations + 1, True
+            if evaluations == MAX_STEPS:
+                break
+            g, h = derivatives(point)
+            low, high = _extreme_eigenvalues(*h)
         else:
             lam = 10.0 * lam
     return x, f, MAX_STEPS + 1, False
@@ -332,17 +364,15 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     """
     _check_count("restarts", restarts, 1, MAX_RESTARTS)
     _check_count("seed", seed, 0, None)
-    evaluate = _coordinate_objective(objective, state, alpha, bob_alpha)
+    value, derivatives = _coordinate_objective(objective, state, alpha, bob_alpha)
     best_x = best_f = None
     evaluations, converged = 1, 0
-    # r ** -1.5 overflows to inf where a steering hypot argument is tiny
-    with np.errstate(over="ignore"):
-        for start in _start_coordinates(restarts, seed).tolist():
-            x, f, used, stopped = _ascend(evaluate, start)
-            evaluations += used
-            converged += stopped
-            if best_x is None or f > best_f:
-                best_x, best_f = x, f
+    for start in _start_coordinates(restarts, seed).tolist():
+        x, f, used, stopped = _ascend(value, derivatives, start)
+        evaluations += used
+        converged += stopped
+        if best_x is None or f > best_f:
+            best_x, best_f = x, f
     best = _quads(np.array(best_x) % TWO_PI)
     return OptimizationResult(
         max_value=float(objective_array(objective, state, alpha, bob_alpha)(best)),

@@ -1,5 +1,6 @@
 """Optimizer, scans, and peak counting."""
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -245,6 +246,22 @@ def reference_series_derivatives(series, deltas):
     return tuple(v.reshape(deltas.shape) for v in (series.c0 + terms.sum(axis=0), first, second))
 
 
+def libm_inverse_power(r):
+    """r ** -1.5 per element by libm's pow, through Python floats, inf where
+    r is 0 or the power overflows: numpy's own power loop can take a SIMD
+    path that rounds differently from libm."""
+    def power(v):
+        try:
+            return v ** -1.5
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+    return np.vectorize(power, otypes=[float])(r)
+
+
+# arccos per element by libm, for the same reason
+libm_arccos = np.vectorize(math.acos, otypes=[float])
+
+
 def reference_steering_derivatives(e):
     """Steering, its gradient in (e11, e12, e21, e22), and two factors f,
     shape (..., 2, 4), whose outer products f f^T sum to its Hessian."""
@@ -253,7 +270,7 @@ def reference_steering_derivatives(e):
     r = np.hypot(v[..., 0], v[..., 1])[..., None]
     n = v / r
     gradient = np.concatenate([n[..., 0, :] + n[..., 1, :], n[..., 0, :] - n[..., 1, :]], axis=-1)
-    t = v[..., ::-1] * REFERENCE_ROTATION * r ** -1.5
+    t = v[..., ::-1] * REFERENCE_ROTATION * libm_inverse_power(r)
     return (r[..., 0, 0] + r[..., 1, 0], gradient,
             np.concatenate([t, t * REFERENCE_PAIR_SIGNS], axis=-1))
 
@@ -300,7 +317,7 @@ def reference_extreme_eigenvalues(a, b, c, d, e, k):
     p = np.sqrt((a * a + d * d + k * k + 2.0 * (b * b + c * c + e * e)) / 6.0)
     det = a * (d * k - e * e) - b * (b * k - c * e) + c * (b * e - c * d)
     cos3 = det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
-    third = np.arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0
+    third = libm_arccos(np.minimum(np.maximum(cos3, -1.0), 1.0)) / 3.0
     return q + 2.0 * p * np.cos(third + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(third)
 
 
@@ -375,19 +392,21 @@ def reference_optimize(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2
         evaluations=int(used.sum()) + 1, seed=seed, converged=int(converged.sum()))
 
 
-def ascend_each(evaluate, starts):
-    """search._ascend from every row of ``starts``, one at a time, as arrays
-    of the last points, values, evaluations and stop flags."""
-    with np.errstate(over="ignore"):
-        runs = [search._ascend(evaluate, start) for start in np.asarray(starts).tolist()]
+def ascend_each(engine, starts):
+    """search._ascend with the engine's (value, derivatives) pair from every
+    row of ``starts``, one at a time, as arrays of the last points, values,
+    evaluations and stop flags."""
+    runs = [search._ascend(*engine, start) for start in np.asarray(starts).tolist()]
     x, f, used, converged = zip(*runs)
     return np.array(x), np.array(f), np.array(used), np.array(converged)
 
 
-def evaluate_each(evaluate, u):
-    """The engine's evaluate at every row of ``u``: values (k,), gradients
-    (k, 3) and full Hessians (k, 3, 3)."""
-    values, gradients, uppers = zip(*(evaluate(*point) for point in np.asarray(u).tolist()))
+def evaluate_each(engine, u):
+    """The engine's (value, derivatives) pair at every row of ``u``: values
+    (k,), gradients (k, 3) and full Hessians (k, 3, 3)."""
+    value, derivatives = engine
+    values, points = zip(*(value(*point) for point in np.asarray(u).tolist()))
+    gradients, uppers = zip(*map(derivatives, points))
     hessians = np.empty((len(values), 3, 3))
     rows, columns = np.triu_indices(3)
     hessians[:, rows, columns] = hessians[:, columns, rows] = uppers
@@ -562,6 +581,42 @@ def test_runtime_needs_no_scipy():
     assert '"converged": 8' in run.stdout
 
 
+# 40 seeded results, as reprs, which tell every float bit apart
+DISPATCH_GRID = """
+from twocopy.search import optimize
+from twocopy.states import bec_pair, noon_pair
+reprs = [repr(optimize(objective, state, restarts=64, seed=seed))
+         for state in (bec_pair(1), bec_pair(2), noon_pair(2, 0), bec_pair(1, 2))
+         for objective in ("steering", "bell_abs") for seed in range(5)]
+"""
+
+
+def dispatched_cpu_features():
+    """The CPU features numpy dispatches its SIMD loops to and finds on this
+    machine, as NPY_DISABLE_CPU_FEATURES names them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+
+
+def test_results_do_not_depend_on_numpy_cpu_dispatch():
+    # The search runs on libm through Python floats, so seeded results are
+    # the same with numpy's dispatched SIMD loops disabled.  Under a run
+    # that already disables them the list is empty, and the subprocess runs
+    # with them enabled.
+    src = str(pathlib.Path(twocopy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())}
+    run = subprocess.run([sys.executable, "-c", DISPATCH_GRID + "print(*reprs, sep='\\n')"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    here = {}
+    exec(DISPATCH_GRID, here)
+    assert len(here["reprs"]) == 40 and run.stdout.splitlines() == here["reprs"]
+
+
 # The path checks run the oracle's simplex to this coarser spread, which
 # keeps the one-start reference cheap; the arithmetic is the same.
 PATH_TOL = 1e-3
@@ -693,8 +748,9 @@ class TestLockstepAscent:
         h = h + h.transpose(0, 2, 1)
         lam = 10.0 ** rng.uniform(-3.0, 3.0, 300)
         for g_row, h_row, lam_row in zip(g, h, lam):
-            step, gain = search._damped_step(tuple(g_row.tolist()),
-                                             tuple(h_row[np.triu_indices(3)].tolist()),
+            upper = tuple(h_row[np.triu_indices(3)].tolist())
+            step, gain = search._damped_step(tuple(g_row.tolist()), upper,
+                                             *search._extreme_eigenvalues(*upper),
                                              float(lam_row))
             eigenvalues = np.linalg.eigvalsh(h_row)
             mu = max(eigenvalues[-1], 0.0) + lam_row * (1.0 + np.abs(eigenvalues).max())
@@ -707,25 +763,25 @@ class TestLockstepAscent:
     def test_kept_points_wrapped(self):
         # a restart's point is wrapped into [0, 2*pi) at every kept step, and
         # its value is that of the wrapped point
-        evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
-                                                1.0 / math.sqrt(2.0), None)
+        engine = search._coordinate_objective("bell_abs", bec_pair(2),
+                                              1.0 / math.sqrt(2.0), None)
         starts = search._start_coordinates(64, seed=3)
-        x, f, _, _ = ascend_each(evaluate, starts)
+        x, f, _, _ = ascend_each(engine, starts)
         moved = (x != starts).any(axis=1)
         assert moved.any() and (starts < 0.0).any()
         assert ((0.0 <= x[moved]) & (x[moved] < TWO_PI)).all()
-        assert np.array_equal(f, evaluate_each(evaluate, x)[0])
+        assert np.array_equal(f, evaluate_each(engine, x)[0])
 
     def test_stops_at_a_maximum(self):
         # from the point an ascent from near bec1's Bell working point ends
         # on, the model promises no gain, so a second ascent stops there,
         # converged, after one evaluation
         q = AngleQuad(0.0, math.pi / 2, 3.93, 2.36)
-        evaluate = search._coordinate_objective("bell_abs", bec_pair(1),
-                                                1.0 / math.sqrt(2.0), None)
-        x, _, _, _ = search._ascend(evaluate, [q.phi1 - q.theta1, q.phi2 - q.theta1,
-                                               q.theta2 - q.theta1])
-        x, f, evaluations, converged = search._ascend(evaluate, x)
+        engine = search._coordinate_objective("bell_abs", bec_pair(1),
+                                              1.0 / math.sqrt(2.0), None)
+        x, _, _, _ = search._ascend(*engine, [q.phi1 - q.theta1, q.phi2 - q.theta1,
+                                              q.theta2 - q.theta1])
+        x, f, evaluations, converged = search._ascend(*engine, x)
         assert f == pytest.approx(GOLDEN, abs=1e-12)
         assert (evaluations, converged) == (1, True)
 
@@ -794,14 +850,14 @@ class TestPathIdentity:
                              ids=[case[0] for case in ORACLE_CASES])
     @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
     def test_derivatives_match_reference(self, objective, label, state, alpha, bob_alpha):
-        evaluate = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        engine = search._coordinate_objective(objective, state, alpha, bob_alpha)
         reference = quad_derivatives(objective, state, alpha, bob_alpha)
         u = np.random.default_rng(len(label)).uniform(-10.0, 10.0, (50, 3))
         # and the quad (0, 0, pi, pi) shifted to theta1 = 0: for bec1 all four
         # correlations agree there, a steering hypot argument vanishes, and
         # both derivatives are NaN (TestNewtonFinish)
         u = np.vstack([u, [[-math.pi, -math.pi, 0.0]]])
-        for got, want in zip(evaluate_each(evaluate, u), reference(u)):
+        for got, want in zip(evaluate_each(engine, u), reference(u)):
             assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -817,7 +873,7 @@ class TestNewtonFinish:
 
         def value(u):
             return quad_value(search._quads(u))
-        evaluate = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        engine = search._coordinate_objective(objective, state, alpha, bob_alpha)
         rng = np.random.default_rng(len(label))
         u = rng.uniform(0.0, TWO_PI, (60, 3))
         # only points well away from the kinks, where both hypot arguments
@@ -831,7 +887,7 @@ class TestNewtonFinish:
                                        np.abs(e11 + e12 + e21 - e22)])
         u = u[clearance > np.abs([e11, e12, e21, e22]).max() / 3]
         assert len(u) >= 10
-        fused, gradient, hessian = evaluate_each(evaluate, u)
+        fused, gradient, hessian = evaluate_each(engine, u)
         assert np.abs(fused - value(u)).max() <= 1e-14
         h, unit = 1e-5, np.eye(3)
         numeric = np.stack([(value(u + h * unit[i]) - value(u - h * unit[i])) / (2 * h)
@@ -846,15 +902,16 @@ class TestNewtonFinish:
         assert np.abs(hessian - numeric).max() <= 1e-6 * max(1.0, np.abs(hessian).max())
 
     def test_step_refused_at_hypot_zero_without_warning(self):
-        evaluate = search._coordinate_objective("steering", bec_pair(1),
-                                                1.0 / math.sqrt(2.0), None)
+        value, derivatives = search._coordinate_objective("steering", bec_pair(1),
+                                                          1.0 / math.sqrt(2.0), None)
         # the quad (0, 0, pi, pi): all four correlations agree, so E11 - E21
         # and E12 - E22 vanish
         u = [-math.pi, -math.pi, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            start, gradient, hessian = evaluate(*u)
-            x, f, evaluations, converged = search._ascend(evaluate, u)
+            start, point = value(*u)
+            gradient, hessian = derivatives(point)
+            x, f, evaluations, converged = search._ascend(value, derivatives, u)
             optimize("steering", bec_pair(1), restarts=16, seed=0)
         assert start == pytest.approx(QUANTUM_BOUND, abs=1e-12)
         assert not np.isfinite(hessian).all()
@@ -867,13 +924,14 @@ class TestNewtonFinish:
         # determinant mu^3 of mu I - H underflows to 0, so the step is not
         # finite, as in the reference, and the ascent stops at its start
         g, h = (1.0, 0.0, 0.0), (0.0,) * 6
-        step, _ = search._damped_step(g, h, 1e-120)
+        step, _ = search._damped_step(g, h, *search._extreme_eigenvalues(*h), 1e-120)
         want, _ = reference_damped_step(np.array([g]), np.zeros((1, 3, 3)), np.array([1e-120]))
         assert not np.isfinite(step).all() and not np.isfinite(want).all()
         monkeypatch.setattr(search, "LAMBDA_START", 1e-120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, f, evaluations, converged = search._ascend(lambda *u: (0.5, g, h), [1.0, 2.0, 3.0])
+            x, f, evaluations, converged = search._ascend(lambda *u: (0.5, None),
+                                                          lambda point: (g, h), [1.0, 2.0, 3.0])
         assert (x, f, evaluations, converged) == ([1.0, 2.0, 3.0], 0.5, 1, True)
 
     def test_step_refused_at_subnormal_hypot_without_warning(self, monkeypatch):
@@ -883,41 +941,97 @@ class TestNewtonFinish:
         tiny = inequalities._TrigSeries(np.array([0.0, 1e-310 + 0j]))
         monkeypatch.setattr(inequalities, "_series", lambda *args: tiny)
         monkeypatch.setattr(search, "_series", lambda *args: tiny)
-        evaluate = search._coordinate_objective("steering", bec_pair(1), 0.5, None)
-        with np.errstate(over="ignore"):
-            value, gradient, hessian = evaluate(0.3, 1.2, 2.5)
-        assert 0.0 < value < 1e-300 and np.isfinite(gradient).all()
-        assert not np.isfinite(hessian).all()
+        value, derivatives = search._coordinate_objective("steering", bec_pair(1), 0.5, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            f, point = value(0.3, 1.2, 2.5)
+            gradient, hessian = derivatives(point)
             result = optimize("steering", bec_pair(1), restarts=8, seed=3, alpha=0.5)
+        assert 0.0 < f < 1e-300 and np.isfinite(gradient).all()
+        assert not np.isfinite(hessian).all()
         assert result.converged == 8 and result.evaluations == 8 + 1
         assert repr(result) == repr(reference_optimize("steering", bec_pair(1), 8, 3, 0.5))
 
     def test_each_derivative_and_trial_counts_as_evaluation(self):
-        evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
-                                                1.0 / math.sqrt(2.0), None)
+        value, derivatives = search._coordinate_objective("bell_abs", bec_pair(2),
+                                                          1.0 / math.sqrt(2.0), None)
         points = []
 
         def counted(*u):
             points.append(u)
-            return evaluate(*u)
+            return value(*u)
         # one call per point, the start and each trial of every restart
         for start in search._start_coordinates(16, seed=4).tolist():
             before = len(points)
-            _, _, evaluations, _ = search._ascend(counted, start)
+            _, _, evaluations, _ = search._ascend(counted, derivatives, start)
             assert len(points) - before == evaluations and points[before] == tuple(start)
         result = optimize("bell_abs", bec_pair(2), restarts=16, seed=4)
         assert result.evaluations == len(points) + 1
+
+    @pytest.mark.parametrize("objective, state, restarts", [
+        ("steering", bec_pair(1), 16), ("bell_abs", bec_pair(2), 16),
+        ("steering", bec_pair(1), 64)],
+        ids=["bec1-steering", "bec2-bell_abs", "bec1-steering-64"])
+    def test_derivatives_built_only_where_a_step_follows(self, objective, state, restarts,
+                                                         monkeypatch):
+        # one value call per point evaluated; the derivatives and the
+        # Hessian's extreme eigenvalues once at each start and at each kept
+        # trial that does not end its restart, never at a refused trial (at
+        # 64 restarts one restart ends on a kept trial at the step cap)
+        value, derivatives = search._coordinate_objective(objective, state,
+                                                          1.0 / math.sqrt(2.0), None)
+        values, built, eigenvalues = [], [], []
+
+        def counted_value(*u):
+            f, point = value(*u)
+            values.append(f)
+            return f, point
+
+        def counted_derivatives(point):
+            built.append(point)
+            return derivatives(point)
+
+        extreme = search._extreme_eigenvalues
+
+        def counted_eigenvalues(*h):
+            eigenvalues.append(h)
+            return extreme(*h)
+        monkeypatch.setattr(search, "_extreme_eigenvalues", counted_eigenvalues)
+        monkeypatch.setattr(search, "_coordinate_objective",
+                            lambda *args: (counted_value, counted_derivatives))
+        starts = search._start_coordinates(restarts, seed=0).tolist()
+        refused = 0
+        for start in starts:
+            before = len(values), len(built), len(eigenvalues)
+            _, _, evaluations, converged = search._ascend(counted_value, counted_derivatives,
+                                                          start)
+            path = values[before[0]:]
+            assert len(path) == evaluations
+            # a trial is kept where it beats every point before it in its restart
+            kept = [i for i in range(1, len(path)) if path[i] > max(path[:i])]
+            refused += len(path) - 1 - len(kept)
+            # a kept last trial ends the restart at the step cap or on the gain rule
+            ends = bool(kept) and kept[-1] == len(path) - 1 and (
+                not converged or path[-1] - max(path[:-1]) < search.GAIN_TOL)
+            assert len(built) - before[1] == 1 + len(kept) - ends
+            assert len(eigenvalues) - before[2] == len(built) - before[1]
+        assert refused > 0
+        totals = len(values), len(built), len(eigenvalues)
+        del values[:], built[:], eigenvalues[:]
+        result = optimize(objective, state, restarts=restarts, seed=0)
+        # the final re-evaluation of the argmax counts as one more
+        assert (len(values) + 1, len(built), len(eigenvalues)) == (result.evaluations,
+                                                                    *totals[1:])
+        assert len(values) == totals[0]
 
     def test_every_restart_polished_on_smooth_maxima(self):
         # |Bell| of bec2 is smooth at its maxima: at seed 1 every restart
         # meets a stop rule on a strict local maximum, its gradient at
         # rounding level
-        evaluate = search._coordinate_objective("bell_abs", bec_pair(2),
-                                                1.0 / math.sqrt(2.0), None)
-        x, _, _, converged = ascend_each(evaluate, search._start_coordinates(64, seed=1))
-        _, gradient, hessian = evaluate_each(evaluate, x)
+        engine = search._coordinate_objective("bell_abs", bec_pair(2),
+                                              1.0 / math.sqrt(2.0), None)
+        x, _, _, converged = ascend_each(engine, search._start_coordinates(64, seed=1))
+        _, gradient, hessian = evaluate_each(engine, x)
         assert converged.all()
         assert np.abs(gradient).max() <= 1e-7
         assert (np.linalg.eigvalsh(hessian)[:, -1] < 0.0).all()
@@ -926,8 +1040,8 @@ class TestNewtonFinish:
 
     def test_hypot_zero_maximum_left_unpolished(self):
         state, alpha = bec_pair(3), 1.0 / math.sqrt(2.0)
-        evaluate = search._coordinate_objective("steering", state, alpha, None)
-        x, _, evaluations, converged = ascend_each(evaluate, search._start_coordinates(64, seed=0))
+        engine = search._coordinate_objective("steering", state, alpha, None)
+        x, _, evaluations, converged = ascend_each(engine, search._start_coordinates(64, seed=0))
         e = np.array([[correlation(state, phi, theta, alpha) for phi, theta in
                        ((p1, 0.0), (p1, t2), (p2, 0.0), (p2, t2))] for p1, p2, t2 in x])
         smallest = np.minimum(np.hypot(e[:, 0] + e[:, 2], e[:, 1] + e[:, 3]),
