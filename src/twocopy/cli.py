@@ -7,11 +7,13 @@ failure (e.g. no violation to threshold).
 
 This module holds the flags and the formatting.  The library validates the
 values: counts that are not integers or lie past their bounds, alphas
-outside [0, 1], non-finite angles and phases, state parameters, and scan
-angles that are missing or that conflict with ``--axis`` (``scan`` passes
-every angle flag given) all raise ``ValueError`` there, which ``main``
-reports as exit 2.  The CLI itself checks only which state flags belong
-to ``--state`` and that ``trace --sign`` comes with ``--phi2``.
+outside [0, 1], non-finite angles and phases, state parameters, objective,
+noise-model and axis names, and scan angles that are missing or that
+conflict with ``--axis`` (``scan`` passes every angle flag given) all raise
+``ValueError`` there, which ``main`` reports as exit 2.  Help text that
+lists names reads them from the library's tables.  The CLI itself checks
+only which state flags belong to ``--state`` and that ``trace --sign``
+comes with ``--phi2``.
 """
 from __future__ import annotations
 
@@ -21,12 +23,13 @@ import json
 import math
 import re
 import sys
-from typing import Sequence
+from typing import Sequence, get_args
 
 from . import inequalities, measurement, search, states
 from .fock import fock_amplitudes
 from .inequalities import ANGLE_NAMES, AngleQuad, NoViolationError
 from .measurement import BALANCED_ALPHA, BeamSplitterSetting
+from .states import NoiseModel
 
 # Amplitudes, and their real and imaginary parts, below this are rounding
 # residue and are not printed by ``basis``.
@@ -35,6 +38,7 @@ _PI_LITERAL = re.compile(
     r"^\s*([+-]?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
     re.IGNORECASE,
 )
+_OBJECTIVE_NAMES = ", ".join(inequalities._OBJECTIVES)
 
 
 def parse_angle(text: str) -> float:
@@ -226,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize an objective over the angles")
     _add_state_arguments(p)
     _add_reflectivity_arguments(p)
-    p.add_argument("--objective", choices=("steering", "bell", "bell_abs"),
-                   required=True)
+    p.add_argument("--objective", required=True, help=f"one of {_OBJECTIVE_NAMES}")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_optimize)
@@ -236,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arguments(p)
     _add_reflectivity_arguments(p)
     p.add_argument("--objective", required=True,
-                   help="comma-separated list, e.g. steering,bell")
+                   help=f"comma-separated list from {_OBJECTIVE_NAMES}")
     _add_quad_arguments(p, required=False)
-    p.add_argument("--axis", choices=ANGLE_NAMES, default="theta2")
+    p.add_argument("--axis", default="theta2", help=f"one of {', '.join(ANGLE_NAMES)}")
     p.add_argument("--points", type=int, default=720)
     p.set_defaults(func=_cmd_scan)
 
@@ -254,11 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("visibility", help="white-noise visibility threshold")
     _add_state_arguments(p)
     _add_reflectivity_arguments(p)
-    p.add_argument("--objective", choices=("steering", "bell", "bell_abs"),
-                   required=True)
+    p.add_argument("--objective", required=True, help=f"one of {_OBJECTIVE_NAMES}")
     _add_quad_arguments(p, required=True)
-    p.add_argument("--noise", choices=("factorized", "sector"),
-                   default="factorized")
+    p.add_argument("--noise", default="factorized",
+                   help=f"one of {', '.join(get_args(NoiseModel))}")
     p.set_defaults(func=_cmd_visibility)
 
     p = sub.add_parser("verify", help="engine vs reference closed forms")

@@ -16,6 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+__all__ = ["ModePolynomial", "LinearModeMap", "monomial_state", "from_fock_amplitudes",
+           "tensor", "substitute", "fock_amplitudes", "inner",
+           "ModeCollisionError", "ModeMismatchError", "NonUnitaryMapError"]
+
 UNITARY_TOL = 1e-12
 NORM_TOL = 1e-12
 

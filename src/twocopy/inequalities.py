@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
 from .fock import _check_count, fock_amplitudes
-from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, epsilon, local_outcomes,
-                          parity_blocks, sector_trace_product)
+from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, outcome_count, parity_blocks,
+                          sector_trace_product)
 from .states import CompositeState, NoiseModel, bec_pair, noon_pair
+
+__all__ = ["AngleQuad", "CorrelationVector", "correlation", "correlation_vector",
+           "bell_value", "steering_value", "closed_form", "closed_form_state",
+           "verify_closed_forms", "visibility_threshold", "CLOSED_FORM_FAMILIES",
+           "FORM_ORIENTATION", "CLASSICAL_BOUND", "QUANTUM_BOUND", "NoViolationError",
+           "NegativeRadicandError"]
 
 TWO_PI = 2.0 * math.pi
 CLASSICAL_BOUND = 2.0
@@ -283,51 +289,50 @@ def _bell_noon(q: AngleQuad) -> float:
             + math.cos(t1 - p1) ** 2 + math.cos(t2 - p1) ** 2)
 
 
-_CLOSED_FORMS: dict[str, Callable[[AngleQuad], float]] = {
-    "steer_bec1": _steer_bec1,
-    "bell_bec1": _bell_bec1,
-    "steer_bec2": _steer_bec2,
-    "bell_bec2": _bell_bec2,
-    "steer_noon": _steer_noon,
-    "bell_noon": _bell_noon,
-}
+class _ClosedForm(NamedTuple):
+    form: Callable[[AngleQuad], float]
+    state: Callable[[], CompositeState]
+    functional: Callable[[np.ndarray], np.ndarray]
+    orientation: float | None
+
 
 # Engine value = orientation * closed form.  The bell form of the
 # single-particle condensate pair is tabulated with the opposite overall
 # sign relative to the weighted-parity convention used throughout the
-# engine; its |value| and maxima are unaffected.  The steer_noon form is
-# excluded: its second radicand is negative on most of the angle domain
-# (see NegativeRadicandError), so it cannot equal the engine anywhere.
-FORM_ORIENTATION: dict[str, float] = {
-    "steer_bec1": 1.0,
-    "bell_bec1": -1.0,
-    "steer_bec2": 1.0,
-    "bell_bec2": 1.0,
-    "bell_noon": 1.0,
+# engine; its |value| and maxima are unaffected.  The steer_noon form has
+# no orientation: its second radicand is negative on most of the angle
+# domain (see NegativeRadicandError), so it cannot equal the engine anywhere.
+_FAMILIES: dict[str, _ClosedForm] = {
+    "steer_bec1": _ClosedForm(_steer_bec1, partial(bec_pair, 1), _steering, 1.0),
+    "bell_bec1": _ClosedForm(_bell_bec1, partial(bec_pair, 1), _bell, -1.0),
+    "steer_bec2": _ClosedForm(_steer_bec2, partial(bec_pair, 2), _steering, 1.0),
+    "bell_bec2": _ClosedForm(_bell_bec2, partial(bec_pair, 2), _bell, 1.0),
+    "steer_noon": _ClosedForm(_steer_noon, partial(noon_pair, 2, 0), _steering, None),
+    "bell_noon": _ClosedForm(_bell_noon, partial(noon_pair, 2, 0), _bell, 1.0),
 }
 
-CLOSED_FORM_FAMILIES = tuple(_CLOSED_FORMS)
+CLOSED_FORM_FAMILIES = tuple(_FAMILIES)
+FORM_ORIENTATION: dict[str, float] = {
+    family: entry.orientation for family, entry in _FAMILIES.items()
+    if entry.orientation is not None}
+
+
+def _family(family: str) -> _ClosedForm:
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; "
+                         f"choose from {CLOSED_FORM_FAMILIES}") from None
 
 
 def closed_form(family: str, q: AngleQuad) -> float:
     """Evaluate a reference closed form verbatim."""
-    try:
-        form = _CLOSED_FORMS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; "
-                         f"choose from {CLOSED_FORM_FAMILIES}") from None
-    return form(q)
+    return _family(family).form(q)
 
 
 def closed_form_state(family: str) -> CompositeState:
     """The composite state whose engine values the family describes."""
-    if family.endswith("bec1"):
-        return bec_pair(1)
-    if family.endswith("bec2"):
-        return bec_pair(2)
-    if family.endswith("noon"):
-        return noon_pair(2, 0)
-    raise ValueError(f"unknown family {family!r}")
+    return _family(family).state()
 
 
 def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
@@ -340,12 +345,12 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     _check_count("seed", seed, 0, None)
     rng = np.random.default_rng(seed)
     deviations: dict[str, float] = {}
-    for family, orientation in FORM_ORIENTATION.items():
+    for family, (form, state, functional, orientation) in _FAMILIES.items():
+        if orientation is None:
+            continue
         quads = rng.uniform(0.0, TWO_PI, (draws, 4))
-        functional = _steering if family.startswith("steer") else _bell
-        series = _series(closed_form_state(family), BALANCED_ALPHA, None)
-        engine = functional(_correlations(series, quads))
-        forms = [orientation * closed_form(family, AngleQuad(*q)) for q in quads]
+        engine = functional(_correlations(_series(state(), BALANCED_ALPHA, None), quads))
+        forms = [orientation * form(AngleQuad(*q)) for q in quads]
         deviations[family] = float(np.max(np.abs(engine - forms)))
     return {
         "families": deviations,
@@ -399,8 +404,11 @@ def _noise_correlation(state: CompositeState, alpha: float,
     """The correlation of ``admix(state, 0.0, noise)``, alike at all angles.
 
     Sector noise: the sector trace over the sector dimension.  Factorized
-    noise: (sum of eps / count)^2 over each party's outcomes for n1 + n2
-    particles, as each block S_k^T diag(eps) S_k has the trace of diag(eps).
+    noise: (sum of eps / count)^2 over each party's outcomes for
+    N = n1 + n2 particles, as each block S_k^T diag(eps) S_k has the trace
+    of diag(eps).  The outcomes with n + m = s sum eps to (-1)^(s/2) for
+    even s and to 0 for odd s, so the sum is 1 when N mod 4 is 0 or 1 and
+    0 otherwise.
     """
     if noise == "sector":
         alice = BeamSplitterSetting.from_alpha(alpha, 0.0)
@@ -408,9 +416,8 @@ def _noise_correlation(state: CompositeState, alpha: float,
         return (sector_trace_product(state.n1, state.n2, alice, bob)
                 / ((state.n1 + 1) * (state.n2 + 1)))
     if noise == "factorized":
-        weights = [epsilon(n, m) for n, m in local_outcomes(state.n_total)]
-        return (sum(weights) / len(weights)) ** 2
-    raise ValueError(f"unknown noise model {noise!r}")
+        return (1.0 / outcome_count(state.n_total)) ** 2 if state.n_total % 4 < 2 else 0.0
+    raise ValueError(f"unknown noise model {noise!r}; choose from {get_args(NoiseModel)}")
 
 
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,

@@ -35,6 +35,10 @@ from .fock import (
 )
 from .states import ALICE_MODES, BOB_MODES, MAX_PARTICLES, CompositeState, _check_particles
 
+__all__ = ["BeamSplitterSetting", "BALANCED_ALPHA", "Outcome", "BasisVector", "epsilon",
+           "outcome_count", "local_outcomes", "effective_basis", "joint_distribution",
+           "weighted_parity", "sector_trace_product"]
+
 BALANCED_ALPHA = 1.0 / math.sqrt(2.0)
 PROB_TOL = 1e-10
 _SETTING_TOL = 1e-12

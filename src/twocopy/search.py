@@ -55,10 +55,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .fock import _check_count
-from .inequalities import (ANGLE_NAMES, TWO_PI, AngleQuad, _functional, _series, _steering,
-                           objective_array)
+from .inequalities import (ANGLE_NAMES, TWO_PI, AngleQuad, _correlations, _functional, _series,
+                           _steering, objective_array)
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
+
+__all__ = ["OptimizationResult", "ScanSeries", "optimize", "scan_1d", "count_local_maxima"]
 
 MAX_STEPS = 40  # per restart, kept or not
 LAMBDA_START = 1e-3
@@ -391,7 +393,8 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
     """Evaluate objectives on a uniform angle grid over [0, 2*pi).
 
     ``fixed`` must provide the three angles other than ``axis``, and no
-    other key; ``objectives`` must not be empty.
+    other key; ``objectives`` must not be empty.  The grid's correlations
+    are evaluated once and every objective is read from them.
     """
     if not objectives:
         raise ValueError("no objectives given")
@@ -407,21 +410,18 @@ def scan_1d(objectives: Sequence[str], state: CompositeState,
         raise ValueError(f"missing fixed angles: {missing}")
     if axis in fixed:
         raise ValueError(f"fixed {axis} conflicts with axis {axis}")
+    functionals = [_functional(name) for name in objectives]
 
     grid = [TWO_PI * i / points for i in range(points)]
     base = {name: float(fixed[name]) for name in needed}
     # AngleQuad rejects a non-finite fixed angle
     quads = np.tile(AngleQuad(**{**base, axis: 0.0}).as_tuple(), (points, 1))
     quads[:, ANGLE_NAMES.index(axis)] = grid
-    series = []
-    for name in objectives:
-        values = objective_array(name, state, alpha, bob_alpha)(quads)
-        series.append(ScanSeries(
-            axis=axis,
-            samples=tuple(zip(grid, values.tolist())),
-            fixed=tuple(sorted(base.items())),
-        ))
-    return tuple(series)
+    correlations = _correlations(_series(state, alpha, bob_alpha), quads)
+    return tuple(ScanSeries(axis=axis,
+                            samples=tuple(zip(grid, functional(correlations).tolist())),
+                            fixed=tuple(sorted(base.items())))
+                 for functional in functionals)
 
 
 def count_local_maxima(series: ScanSeries | Sequence[float],

@@ -13,6 +13,9 @@ from typing import Literal
 from .fock import (ModePolynomial, ModeMismatchError, _check_count, from_fock_amplitudes,
                    monomial_state, tensor)
 
+__all__ = ["CompositeState", "DegenerateComponentError", "bec_state", "noon_state",
+           "two_copy", "bec_pair", "noon_pair", "sector_basis", "admix"]
+
 SYSTEM1_MODES = ("a", "b")
 SYSTEM2_MODES = ("A", "B")
 COMPOSITE_MODES = ("a", "b", "A", "B")

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -341,6 +342,53 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert "phase" in err
+
+
+class TestLibraryNames:
+    """Objective, noise-model and axis names are the library's to check."""
+
+    STATE = ("--state", "bec", "--n1", "1")
+    QUAD = ("--phi1", "0", "--phi2", "pi/2", "--theta1", "3.93", "--theta2", "2.90")
+    Q = AngleQuad(0, math.pi / 2, 3.93, 2.90)
+    OBJECTIVES = tuple(inequalities._OBJECTIVES)
+    NOISE_MODELS = typing.get_args(states.NoiseModel)
+    # (argv, the library call that rejects the name, the names its message lists)
+    CASES = [
+        (("optimize", *STATE, "--objective", "nope", "--restarts", "1"),
+         lambda: search.optimize("nope", bec_pair(1), restarts=1), OBJECTIVES),
+        (("visibility", *STATE, "--objective", "nope", *QUAD),
+         lambda: inequalities.visibility_threshold(bec_pair(1), "nope", TestLibraryNames.Q),
+         OBJECTIVES),
+        (("visibility", *STATE, "--objective", "steering", *QUAD, "--noise", "nope"),
+         lambda: inequalities.visibility_threshold(bec_pair(1), "steering",
+                                                   TestLibraryNames.Q, noise="nope"),
+         NOISE_MODELS),
+        (("scan", *STATE, "--objective", "bell", "--phi1", "0", "--phi2", "0",
+          "--theta1", "0", "--axis", "nope"),
+         lambda: search.scan_1d(["bell"], bec_pair(1),
+                                {"phi1": 0, "phi2": 0, "theta1": 0}, axis="nope"),
+         inequalities.ANGLE_NAMES),
+    ]
+
+    @pytest.mark.parametrize("argv, library_call, names", CASES,
+                             ids=["optimize-objective", "visibility-objective", "noise", "axis"])
+    def test_bad_name_exits_2_with_library_message(self, capsys, argv, library_call, names):
+        with pytest.raises(ValueError) as library:
+            library_call()
+        assert all(name in str(library.value) for name in names)
+        assert run_cli(capsys, *argv) == (2, "", f"twocopy: error: {library.value}\n")
+
+    def test_help_lists_the_library_names(self):
+        commands, = (action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        helps = {(command, action.dest): action.help
+                 for command, parser in commands.items() for action in parser._actions}
+        for key, names in [(("optimize", "objective"), self.OBJECTIVES),
+                           (("scan", "objective"), self.OBJECTIVES),
+                           (("visibility", "objective"), self.OBJECTIVES),
+                           (("visibility", "noise"), self.NOISE_MODELS),
+                           (("scan", "axis"), inequalities.ANGLE_NAMES)]:
+            assert all(name in helps[key] for name in names), key
 
 
 class TestStateFamilyFlags:

@@ -235,6 +235,24 @@ class TestClosedForms:
         assert closed_form_state("bell_bec2") == bec_pair(2)
         assert closed_form_state("bell_noon") == noon_pair(2, 0)
 
+    @pytest.mark.parametrize("family", ["nonsense_bec1", "bec2", "xnoon", "nope", "",
+                                        "STEER_BEC1", " bell_noon"])
+    def test_unknown_family_rejected_alike(self, family):
+        # closed_form_state once matched by suffix and took all but the last two
+        with pytest.raises(ValueError) as form:
+            closed_form(family, AngleQuad(0, 0, 0, 0))
+        with pytest.raises(ValueError) as state:
+            closed_form_state(family)
+        assert str(state.value) == str(form.value) == (
+            f"unknown family {family!r}; choose from {CLOSED_FORM_FAMILIES}")
+
+    def test_orientations_are_the_orientable_families(self):
+        # every family but the N00N steering form, in registry order
+        assert list(FORM_ORIENTATION) == [family for family in CLOSED_FORM_FAMILIES
+                                          if family != "steer_noon"]
+        assert FORM_ORIENTATION == {"steer_bec1": 1.0, "bell_bec1": -1.0, "steer_bec2": 1.0,
+                                    "bell_bec2": 1.0, "bell_noon": 1.0}
+
     def test_noon_steering_form_negative_radicand(self):
         # the verbatim form's bracket reads 2 - cos - cos - 2, which is
         # negative for generic angles; the error carries the radicand

@@ -29,6 +29,7 @@ from twocopy.inequalities import (
     visibility_threshold,
 )
 from twocopy.measurement import (
+    BALANCED_ALPHA,
     BeamSplitterSetting,
     epsilon,
     joint_distribution,
@@ -346,6 +347,17 @@ def test_factorized_noise_correlation(n1, n2):
     for alpha, bob_alpha, phi, theta in random_settings(10 * n1 + n2):
         assert correlation(noise, phi, theta, alpha, bob_alpha) == pytest.approx(
             want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_total", range(65))
+def test_factorized_noise_correlation_from_the_outcome_sum(n_total):
+    # the rule N mod 4 < 2 gives the bytes of the sum over every outcome
+    weights = [epsilon(n, m) for n, m in local_outcomes(n_total)]
+    want = (sum(weights) / len(weights)) ** 2
+    n1 = n_total // 2
+    got = inequalities._noise_correlation(bec_pair(n1, n_total - n1), BALANCED_ALPHA, None,
+                                          "factorized")
+    assert got.hex() == want.hex()
 
 
 @pytest.mark.parametrize("n1, n2", SECTORS)

@@ -1132,6 +1132,26 @@ class TestScan:
             assert vs == pytest.approx(steering_value(state, q))
             assert vb == pytest.approx(abs(bell_value(state, q)))
 
+    def test_one_correlation_pass_for_every_objective(self, monkeypatch):
+        state = bec_pair(1, 2)
+        fixed = {"phi1": 0.3, "phi2": 1.9, "theta2": 4.1}
+        singles = [scan_1d([name], state, fixed, axis="theta1", points=64)[0]
+                   for name in ("steering", "bell")]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return inequalities._correlations(*args)
+        monkeypatch.setattr(search, "_correlations", counted)
+        both = scan_1d(["steering", "bell"], state, fixed, axis="theta1", points=64)
+        assert list(both) == singles
+        assert len(calls) == 1
+
+    def test_every_objective_checked_before_evaluation(self, monkeypatch):
+        monkeypatch.setattr(search, "_correlations", None)
+        with pytest.raises(ValueError, match="^unknown objective 'nope'; choose from "):
+            scan_1d(["steering", "nope"], bec_pair(1), {"phi1": 0, "phi2": 1, "theta1": 2})
+
     def test_peak_below_optimizer_maximum(self):
         state = bec_pair(2)
         series, = scan_1d(("steering",), state,
