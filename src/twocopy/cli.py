@@ -150,12 +150,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
              if getattr(args, name) is not None}
     series = search.scan_1d(objectives, state, fixed, axis=args.axis, points=args.points,
                             alpha=args.alpha, bob_alpha=args.alpha_bob)
-    lines = ["param," + ",".join(objectives)]
-    for i in range(args.points):
-        x = series[0].samples[i][0]
-        row = [f"{x:.12g}"] + [f"{s.samples[i][1]:.12g}" for s in series]
-        lines.append(",".join(row))
-    _emit("\n".join(lines), args.output)
+    # "%.12g" % x is f"{x:.12g}"; one format over the flattened rows
+    row = ",".join(["%.12g"] * (len(series) + 1))
+    columns = [[x for x, _ in series[0].samples]] + [s.values() for s in series]
+    body = "\n".join([row] * args.points) % tuple(v for r in zip(*columns) for v in r)
+    _emit("param," + ",".join(objectives) + "\n" + body, args.output)
     return 0
 
 

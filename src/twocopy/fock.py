@@ -9,10 +9,11 @@ are small.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,6 +63,36 @@ def _sqrt_factorial(n: int) -> float:
     return math.sqrt(math.factorial(n))
 
 
+def _checked_terms(modes: tuple[str, ...], terms: Mapping, check_counts: bool) -> dict:
+    """``terms`` as complex coefficients without exact zeros, after every
+    check a ModePolynomial makes: distinct modes, and for each term in order
+    its exponents as counts (unless they are known to be), one per mode,
+    and a finite coefficient."""
+    if len(set(modes)) != len(modes):
+        raise ModeCollisionError(f"duplicate mode labels in {modes}")
+    cleaned: dict[Exponents, complex] = {}
+    for expo, coef in terms.items():
+        if check_counts:
+            expo = _counts("exponent", expo)
+        if len(expo) != len(modes):
+            raise ValueError(f"exponent tuple {expo} does not match modes {modes}")
+        c = complex(coef)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {c} of {expo} is not finite")
+        if c != 0:
+            cleaned[expo] = c
+    return cleaned
+
+
+def _trusted(modes: tuple[str, ...], terms: dict) -> ModePolynomial:
+    """A ModePolynomial over terms that already passed its checks, built
+    without repeating them."""
+    p = object.__new__(ModePolynomial)
+    object.__setattr__(p, "modes", modes)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
 def _term_product(t1: dict, t2: dict) -> dict:
     out: dict[Exponents, complex] = {}
     for e1, c1 in t1.items():
@@ -100,18 +131,7 @@ class ModePolynomial:
 
     def __post_init__(self):
         modes = tuple(self.modes)
-        if len(set(modes)) != len(modes):
-            raise ModeCollisionError(f"duplicate mode labels in {modes}")
-        cleaned: dict[Exponents, complex] = {}
-        for expo, coef in self.terms.items():
-            expo = _counts("exponent", expo)
-            if len(expo) != len(modes):
-                raise ValueError(f"exponent tuple {expo} does not match modes {modes}")
-            c = complex(coef)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"coefficient {c} of {expo} is not finite")
-            if c != 0:
-                cleaned[expo] = c
+        cleaned = _checked_terms(modes, self.terms, check_counts=True)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "terms", cleaned)
 
@@ -141,8 +161,18 @@ class ModePolynomial:
             return degrees.pop()
         return None if degrees else 0
 
+    def _amplitudes(self) -> dict[Exponents, complex]:
+        """The Fock amplitudes, computed on first use and kept; not to be
+        mutated (:func:`fock_amplitudes` hands out copies)."""
+        amplitudes = getattr(self, "_fock", None)
+        if amplitudes is None:
+            amplitudes = {expo: coef * math.prod(map(_sqrt_factorial, expo))
+                          for expo, coef in self.terms.items()}
+            object.__setattr__(self, "_fock", amplitudes)
+        return amplitudes
+
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in fock_amplitudes(self).values())
+        return sum(abs(a) ** 2 for a in self._amplitudes().values())
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm_squared() - 1.0) <= tol
@@ -200,17 +230,29 @@ def from_fock_amplitudes(modes: Sequence[str],
                          amplitudes: Mapping[Exponents, complex]) -> ModePolynomial:
     """Build a state from Fock amplitudes (inverse of fock_amplitudes).
 
-    Each occupation must be an int or numpy integer >= 0.
+    Each occupation must be an int or numpy integer >= 0; the modes and
+    values are checked as ModePolynomial checks them.
     """
-    terms = {}
-    for occ, amp in amplitudes.items():
-        occ = _counts("occupation", occ)
-        terms[occ] = complex(amp) / math.prod(map(_sqrt_factorial, occ))
-    return ModePolynomial(tuple(modes), terms)
+    return _from_amplitudes(modes, ((_counts("occupation", occ), amp)
+                                    for occ, amp in amplitudes.items()))
+
+
+def _from_amplitudes(modes: Sequence[str],
+                     items: Iterable[tuple[Exponents, complex]]) -> ModePolynomial:
+    """from_fock_amplitudes for (occupation, amplitude) pairs whose
+    occupations are tuples of ints >= 0 already."""
+    terms = {occ: complex(amp) / math.prod(map(_sqrt_factorial, occ)) for occ, amp in items}
+    modes = tuple(modes)
+    return _trusted(modes, _checked_terms(modes, terms, check_counts=False))
 
 
 def tensor(p: ModePolynomial, q: ModePolynomial) -> ModePolynomial:
-    """Product state over the disjoint union of modes; norms multiply."""
+    """Product state over the disjoint union of modes; norms multiply.
+
+    The factors' checks cover the product's modes and exponents, so only
+    its coefficients are checked: a non-finite one raises and an exact
+    zero is dropped.
+    """
     overlap = set(p.modes) & set(q.modes)
     if overlap:
         raise ModeCollisionError(f"modes {sorted(overlap)} appear in both factors")
@@ -218,8 +260,12 @@ def tensor(p: ModePolynomial, q: ModePolynomial) -> ModePolynomial:
     terms: dict[Exponents, complex] = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
-            terms[e1 + e2] = terms.get(e1 + e2, 0.0) + c1 * c2
-    return ModePolynomial(modes, terms)
+            e = e1 + e2
+            terms[e] = terms.get(e, 0.0) + c1 * c2
+    if not all(map(cmath.isfinite, terms.values())):
+        expo, c = next((e, c) for e, c in terms.items() if not cmath.isfinite(c))
+        raise ValueError(f"coefficient {c} of {expo} is not finite")
+    return _trusted(modes, {e: c for e, c in terms.items() if c != 0})
 
 
 def substitute(p: ModePolynomial, mode_map: LinearModeMap) -> ModePolynomial:
@@ -251,20 +297,20 @@ def substitute(p: ModePolynomial, mode_map: LinearModeMap) -> ModePolynomial:
 
 
 def fock_amplitudes(p: ModePolynomial) -> dict[Exponents, complex]:
-    """Fock-basis amplitudes; probabilities are their squared magnitudes."""
-    out = {}
-    for expo, coef in p.terms.items():
-        out[expo] = coef * math.prod(map(_sqrt_factorial, expo))
-    return out
+    """Fock-basis amplitudes; probabilities are their squared magnitudes.
+
+    A new dict each call, copied from the state's kept amplitudes.
+    """
+    return dict(p._amplitudes())
 
 
 def inner(p: ModePolynomial, q: ModePolynomial) -> complex:
     """Fock-space inner product <p|q>; conjugate-symmetric."""
     if p.modes != q.modes:
         raise ModeMismatchError(f"mode sets differ: {p.modes} vs {q.modes}")
-    amps_q = fock_amplitudes(q)
+    amps_q = q._amplitudes()
     total = 0.0 + 0.0j
-    for expo, amp_p in fock_amplitudes(p).items():
+    for expo, amp_p in p._amplitudes().items():
         amp_q = amps_q.get(expo)
         if amp_q is not None:
             total += amp_p.conjugate() * amp_q

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
-from .fock import _check_count, fock_amplitudes
+from .fock import _check_count
 from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, outcome_count, parity_blocks,
                           sector_trace_product)
 from .states import CompositeState, NoiseModel, bec_pair, noon_pair
@@ -141,17 +142,17 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeri
     checks it), so B_y - B_x = -(A_y - A_x) and the pairs with
     A_y - A_x = k make C_k.
     """
-    n_max = max((max(e[0] + e[2], e[1] + e[3])
-                 for _, member in state.entries for e in member.terms), default=0)
+    amplitudes = [member._amplitudes() for _, member in state.entries]
+    n_max = max((max(e[0] + e[2], e[1] + e[3]) for amps in amplitudes for e in amps),
+                default=0)
     alice = parity_blocks(BeamSplitterSetting.from_alpha(alpha, 0.0), n_max)
     bob = parity_blocks(BeamSplitterSetting.from_alpha(bob_alpha, 0.0), n_max)
     orders, terms = [], []
-    for weight, member in state.entries:
+    for (weight, _), amps in zip(state.entries, amplitudes):
         if weight == 0.0:
             continue
-        amplitudes = fock_amplitudes(member)
-        a, b, A, B = np.array(list(amplitudes), dtype=int).reshape(-1, 4).T
-        psi = np.array(list(amplitudes.values()))
+        a, b, A, B = np.fromiter(chain.from_iterable(amps), int, 4 * len(amps)).reshape(-1, 4).T
+        psi = np.fromiter(amps.values(), complex, len(amps))
         ka, kb = a + A, b + B
         # C_-k = conj(C_k), so only the pairs with A_x <= A_y are summed
         x, y = np.nonzero((ka[:, None] == ka) & (kb[:, None] == kb) & (A[:, None] <= A))

@@ -175,8 +175,11 @@ def weighted_parity(dist: dict[Outcome, float]) -> float:
                for o, p in dist.items())
 
 
-def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
-    """The beam splitter's amplitude blocks S_0, ..., S_n_max at phase 0.
+def _transfer_blocks(alpha: float, beta: float, n_max: int,
+                     start: np.ndarray | None = None) -> list[np.ndarray]:
+    """The beam splitter's amplitude blocks S_0, ..., S_n_max at phase 0;
+    given ``start``, the block S_m of an earlier call, it resumes from
+    there and returns S_m, ..., S_n_max.
 
     The splitter maps the k-particle input states |p, k-p> (p particles in
     the first input mode) onto the output states |n, k-n>; the real,
@@ -197,13 +200,14 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
     arithmetic and association of S_k[n, p] =
     (sqrt(p) (alpha sqrt(n) P[n, p] + beta sqrt(k-n) P[n+1, p])
     + sqrt(k-p) (beta sqrt(n) P[n, p+1] - alpha sqrt(k-n) P[n+1, p+1])) / k,
-    with P[i + 1, j + 1] = S_(k-1)[i, j] and zero elsewhere.
+    with P[i + 1, j + 1] = S_(k-1)[i, j] and zero elsewhere.  S_k depends
+    only on S_(k-1), so a resumed call gives the blocks' bits unchanged.
     """
     roots = np.sqrt(np.arange(n_max + 1))
     alpha_roots, beta_roots = alpha * roots[:, None], beta * roots[:, None]
     padded = np.zeros((n_max + 2, n_max + 2))
-    blocks = [np.ones((1, 1))]
-    for k in range(1, n_max + 1):
+    blocks = [np.ones((1, 1)) if start is None else start]
+    for k in range(len(blocks[0]), n_max + 1):
         padded[1:k + 1, 1:k + 1] = blocks[-1]
         # rows are outputs n, columns inputs p; roots[k::-1] holds sqrt(k - m)
         block = alpha_roots[:k + 1] * padded[:k + 1, :k + 1]
@@ -220,7 +224,8 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
 
 # W[k, n, j] = i^n B_k[n, j], B_k the balanced splitter's transfer blocks,
 # and the weights eps(n, k - n) at [k, n] for n <= k (0 elsewhere), for
-# k, n, j up to the largest n_max asked for; _balanced_table grows them.
+# k, n, j up to at least the largest n_max asked for; _balanced_table
+# grows them.
 _balanced = (np.ones((1, 1, 1), dtype=complex), np.ones((1, 1)))
 
 
@@ -228,15 +233,26 @@ def _balanced_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """W and the signs of ``_balanced``, cut to k, n, j <= n_max.
 
     Entries do not depend on how far the table has grown: the recurrence
-    gives every B_k the same bits at any n_max.
+    gives every B_k the same bits at any n_max.  A growth at least doubles
+    the largest k (up to 2 * MAX_PARTICLES), so that rising sizes grow it
+    a few times only, and resumes the recurrence from the last block it
+    has, read back from W: the factors i^n are exact, so row n of B_k is
+    the real part, the imaginary part or their negation.
     """
     global _balanced
-    if len(_balanced[0]) <= n_max:
-        k = np.arange(n_max + 1)
-        table = np.zeros((n_max + 1,) * 3, dtype=complex)
-        for order, block in enumerate(_transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, n_max)):
+    table, _ = _balanced
+    grown = len(table)
+    if grown <= n_max:
+        size = min(max(n_max, 2 * (grown - 1)), 2 * MAX_PARTICLES) + 1
+        k = np.arange(size)
+        last = table[-1]
+        resumed = _transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, size - 1, np.choose(
+            k[:grown, None] % 4, (last.real, last.imag, -last.real, -last.imag)))
+        table = np.zeros((size,) * 3, dtype=complex)
+        for order, block in enumerate(resumed[1:], grown):
             table[order, :order + 1, :order + 1] = block
         table *= np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4, None]
+        table[:grown, :grown, :grown] = _balanced[0]
         exponent = k[:, None] - k + k[:, None] * (k[:, None] + 1) // 2  # epsilon at m = k - n
         _balanced = (table, np.where(k <= k[:, None], 1.0 - 2.0 * (exponent % 2), 0.0))
     table, signs = _balanced

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .fock import (ModePolynomial, ModeMismatchError, _check_count, from_fock_amplitudes,
+from .fock import (ModePolynomial, ModeMismatchError, _check_count, _from_amplitudes,
                    monomial_state, tensor)
 
 __all__ = ["CompositeState", "DegenerateComponentError", "bec_state", "noon_state",
@@ -85,6 +85,16 @@ class CompositeState:
                 raise ValueError(f"member in sector {sectors.pop()} violates sector "
                                  f"(n1={self.n1}, n2={self.n2})")
 
+    @classmethod
+    def _trusted(cls, entries: tuple, n1: int, n2: int) -> CompositeState:
+        """A sector-pure state whose entries already passed the checks of
+        ``__post_init__``, built without repeating them."""
+        state = object.__new__(cls)
+        for name, value in (("entries", entries), ("n1", n1), ("n2", n2),
+                            ("sector_pure", True)):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
@@ -95,8 +105,8 @@ def bec_state(n: int, modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
     symmetrically over two modes: (1/sqrt(2))^n sum_k sqrt(C(n,k)) |k, n-k>.
     """
     _check_particles(n=n)
-    return from_fock_amplitudes(
-        modes, {(k, n - k): math.sqrt(math.comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)})
+    return _from_amplitudes(
+        modes, (((k, n - k), math.sqrt(math.comb(n, k)) / 2 ** (n / 2)) for k in range(n + 1)))
 
 
 def noon_state(n: int, m: int = 0,
@@ -108,8 +118,8 @@ def noon_state(n: int, m: int = 0,
         raise DegenerateComponentError(
             f"components |{n - m},{m}> and |{m},{n - m}> coincide"
         )
-    return from_fock_amplitudes(modes, {(n - m, m): 1.0 / math.sqrt(2.0),
-                                        (m, n - m): 1.0 / math.sqrt(2.0)})
+    return _from_amplitudes(modes, (((n - m, m), 1.0 / math.sqrt(2.0)),
+                                    ((m, n - m), 1.0 / math.sqrt(2.0))))
 
 
 def two_copy(s1: ModePolynomial, s2: ModePolynomial) -> CompositeState:
@@ -124,7 +134,13 @@ def two_copy(s1: ModePolynomial, s2: ModePolynomial) -> CompositeState:
         raise ValueError("each factor must have a fixed particle number")
     if not (s1.is_normalized(1e-10) and s2.is_normalized(1e-10)):
         raise ValueError("factors must be normalized")
-    return CompositeState(((1.0, tensor(s1, s2)),), n1=n1, n2=n2)
+    product = tensor(s1, s2)
+    # the factor checks imply the product's modes and its one sector, (n1, n2);
+    # these are the checks of CompositeState they do not imply
+    _check_particles(n1=n1, n2=n2)
+    if not product.is_normalized(1e-10):
+        raise ValueError("mixture members must be normalized")
+    return CompositeState._trusted(((1.0, product),), n1, n2)
 
 
 def bec_pair(n1: int, n2: int | None = None) -> CompositeState:

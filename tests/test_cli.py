@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -138,6 +139,30 @@ class TestScanCommand:
         code, _, err = run_cli(capsys, *self.ARGS, "--output", str(target))
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_csv_matches_per_row_formatting(self, capsys, seed):
+        rng = random.Random(seed)
+        objectives = rng.sample(list(inequalities._OBJECTIVES), rng.randint(1, 3))
+        axis = rng.choice(search.ANGLE_NAMES)
+        fixed = {name: rng.uniform(-7.0, 7.0) for name in search.ANGLE_NAMES if name != axis}
+        points = rng.randint(8, 400)
+        alpha = rng.uniform(0.05, 1.0)
+        state = bec_pair(rng.randint(0, 3), rng.randint(0, 3))
+        argv = ["scan", "--state", "bec", "--n1", str(state.n1), "--n2", str(state.n2),
+                "--objective", ",".join(objectives), "--axis", axis,
+                "--points", str(points), "--alpha", repr(alpha)]
+        for name, value in fixed.items():
+            argv += [f"--{name}", repr(value)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        series = search.scan_1d(objectives, state, fixed, axis=axis, points=points, alpha=alpha)
+        lines = ["param," + ",".join(objectives)]
+        for i in range(points):
+            row = [f"{series[0].samples[i][0]:.12g}"]
+            row += [f"{s.samples[i][1]:.12g}" for s in series]
+            lines.append(",".join(row))
+        assert out == "\n".join(lines) + "\n"
 
     def test_axis_flag_conflict(self, capsys):
         code, _, err = run_cli(

@@ -175,6 +175,91 @@ class TestTensor:
             tensor(monomial_state({"a": 1}), monomial_state({"a": 1}))
 
 
+class TestCheckedOnce:
+    """Each constructor makes every check of the public ModePolynomial once,
+    with its messages, and each state's Fock amplitudes are computed once."""
+
+    @pytest.mark.parametrize("modes, amplitudes, error, message", [
+        (("a", "b"), {(1, 0, 0): 1.0}, ValueError,
+         "exponent tuple (1, 0, 0) does not match modes ('a', 'b')"),
+        (("a", "b"), {(0, 1): 0.5, (1,): 1.0}, ValueError,
+         "exponent tuple (1,) does not match modes ('a', 'b')"),
+        (("a", "a"), {(1, 0): 1.0}, ModeCollisionError, "duplicate mode labels in ('a', 'a')"),
+        (["a", "b", "a"], {(1, 0): 1.0}, ModeCollisionError,
+         "duplicate mode labels in ('a', 'b', 'a')"),
+        # the amplitude over prod sqrt(n!) is the coefficient checked
+        (("a", "b"), {(1, 0): 0.6, (0, 1): math.nan}, ValueError,
+         "coefficient (nan+nanj) of (0, 1) is not finite"),
+        (("a", "b"), {(2, 0): complex(0.0, -math.inf)}, ValueError,
+         "coefficient (nan-infj) of (2, 0) is not finite"),
+        # every occupation is checked before the modes, the modes before
+        # the terms, and the terms in order
+        (("a", "a"), {(1, 0): 1.0, (0, -1): 1.0}, ValueError,
+         "occupation=-1 must be an integer >= 0"),
+        (("a", "a"), {(1, 0, 0): 1.0}, ModeCollisionError, "duplicate mode labels in ('a', 'a')"),
+        (("a", "b"), {(1, 0): math.inf, (1, 0, 0): 1.0}, ValueError,
+         "coefficient (inf+nanj) of (1, 0) is not finite"),
+        (("a", "b"), {(1, 0, 0): math.inf, (1, 0): 1.0}, ValueError,
+         "exponent tuple (1, 0, 0) does not match modes ('a', 'b')"),
+    ])
+    def test_from_fock_amplitudes_rejects_as_the_public_constructor(
+            self, modes, amplitudes, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            from_fock_amplitudes(modes, amplitudes)
+        if "occupation" not in message and "coefficient" not in message:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                ModePolynomial(modes, amplitudes)
+
+    def test_amplitude_that_is_no_number_raises_before_a_later_occupation(self):
+        with pytest.raises(TypeError):
+            from_fock_amplitudes(("a", "b"), {(1, 0): None, (0, -1): 1.0})
+
+    def test_exact_zeros_dropped(self):
+        state = from_fock_amplitudes(("a", "b"), {(1, 0): 0.0, (0, 1): 1.0, (1, 1): -0.0j})
+        assert state.terms == {(0, 1): 1.0}
+        assert fock_amplitudes(state) == {(0, 1): 1.0}
+
+    def test_matches_the_public_constructor_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            occupations = [tuple(int(v) for v in rng.integers(0, 12, 3)) for _ in range(6)]
+            amplitudes = dict(zip(occupations, rng.normal(size=6) + 1j * rng.normal(size=6)))
+            got = from_fock_amplitudes(("a", "b", "c"), amplitudes)
+            want = ModePolynomial(("a", "b", "c"), {
+                occ: complex(amp) / math.prod(math.sqrt(math.factorial(n)) for n in occ)
+                for occ, amp in amplitudes.items()})
+            assert [(e, c.real.hex(), c.imag.hex()) for e, c in got.terms.items()] == \
+                [(e, c.real.hex(), c.imag.hex()) for e, c in want.terms.items()]
+            assert fock_amplitudes(got) == fock_amplitudes(want)
+
+    def test_tensor_raises_on_an_overflowing_product(self):
+        p = ModePolynomial(("a", "b"), {(1, 0): 1e-300, (0, 1): 1e200})
+        q = ModePolynomial(("A", "B"), {(0, 1): 1.0, (1, 0): 1e200})
+        with pytest.raises(ValueError,
+                           match=re.escape("coefficient (inf+0j) of (0, 1, 1, 0) is not finite")):
+            tensor(p, q)
+
+    def test_tensor_drops_an_underflowing_product(self):
+        p = ModePolynomial(("a", "b"), {(1, 0): 1e-200, (0, 1): 1.0})
+        q = ModePolynomial(("A", "B"), {(0, 1): 1e-200})
+        out = tensor(p, q)
+        assert out.terms == {(0, 1, 0, 1): 1e-200 + 0.0j}
+        assert out == ModePolynomial(out.modes, {(1, 0, 0, 1): 0.0, (0, 1, 0, 1): 1e-200})
+
+    def test_amplitudes_are_computed_once_and_handed_out_as_copies(self):
+        state = from_fock_amplitudes(("a", "b"), {(2, 0): 0.6, (0, 2): 0.8j})
+        kept = state._amplitudes()
+        assert state._amplitudes() is kept
+        copy = fock_amplitudes(state)
+        assert copy == kept and copy is not kept
+        copy[(2, 0)] = 5.0
+        del copy[(0, 2)]
+        twin = from_fock_amplitudes(("a", "b"), {(2, 0): 0.6, (0, 2): 0.8j})
+        assert fock_amplitudes(state) == kept == fock_amplitudes(twin)
+        assert state.norm_squared() == twin.norm_squared()
+        assert inner(state, twin) == inner(twin, twin)
+
+
 class TestSubstitute:
     def test_single_particle_balanced_split(self):
         out = substitute(monomial_state({"a": 1, "A": 0}), balanced_map())

@@ -213,6 +213,38 @@ def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
     measurement._cached_parity_blocks.cache_clear()
 
 
+def test_balanced_table_grown_in_steps_matches_one_build(monkeypatch):
+    def table_after(*steps):
+        monkeypatch.setattr(measurement, "_balanced", (np.ones((1, 1, 1), dtype=complex),
+                                                       np.ones((1, 1))))
+        for n_max in steps:
+            measurement._balanced_table(n_max)
+        return measurement._balanced
+
+    def cut(parts, n_max):
+        table, signs = parts
+        return (table[:n_max + 1, :n_max + 1, :n_max + 1].tobytes(),
+                signs[:n_max + 1, :n_max + 1].tobytes())
+
+    # a growth at least doubles the table: 4, then 10, then 20
+    stepped = table_after(4, 10, 16)
+    assert len(stepped[0]) == 21
+    assert cut(stepped, 16) == cut(table_after(16), 16)
+    top = 2 * states.MAX_PARTICLES
+    whole = table_after(top)
+    for steps in (range(1, top + 1), (3, 40), (5, 7, 30, 61)):
+        assert cut(table_after(*steps), steps[-1]) == cut(whole, steps[-1])
+
+
+def test_resumed_transfer_blocks_match_one_run():
+    for alpha in (BALANCED_ALPHA, 0.37, 1.0):
+        beta = math.sqrt(1.0 - alpha * alpha)
+        whole = measurement._transfer_blocks(alpha, beta, 24)
+        resumed = measurement._transfer_blocks(alpha, beta, 24, start=whole[9])
+        assert len(resumed) == 16
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(resumed, whole[9:]))
+
+
 def test_parity_blocks_are_read_only_and_phase_free():
     blocks = parity_blocks(setting(0.6, 0.0), 6)
     assert not blocks.flags.writeable

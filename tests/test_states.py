@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from twocopy import inequalities, measurement, search
-from twocopy.fock import ModeMismatchError, ModePolynomial, fock_amplitudes
+from twocopy import fock, inequalities, measurement, search
+from twocopy.fock import ModeCollisionError, ModeMismatchError, ModePolynomial, fock_amplitudes
 from twocopy.states import (
     COMPOSITE_MODES,
     MAX_FACTORIZED_TOTAL,
@@ -129,6 +129,145 @@ class TestTwoCopy:
         ok = bec_state(1, ("A", "B"))
         with pytest.raises(ValueError):
             two_copy(lopsided, ok)
+
+
+def sqrt_factorials(occupation):
+    return math.prod(math.sqrt(math.factorial(n)) for n in occupation)
+
+
+def checked_state(modes, amplitudes):
+    """A state from Fock amplitudes through the public ModePolynomial,
+    which runs every check."""
+    return ModePolynomial(modes, {occ: complex(amp) / sqrt_factorials(occ)
+                                  for occ, amp in amplitudes.items()})
+
+
+def checked_pair(s1, s2):
+    """two_copy through the public constructors: the product's terms as
+    tensor forms them, then every check of ModePolynomial and CompositeState."""
+    terms = {}
+    for e1, c1 in s1.terms.items():
+        for e2, c2 in s2.terms.items():
+            terms[e1 + e2] = terms.get(e1 + e2, 0.0) + c1 * c2
+    product = ModePolynomial(s1.modes + s2.modes, terms)
+    return CompositeState(((1.0, product),), s1.particle_number(), s2.particle_number())
+
+
+def bits(mapping):
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in mapping.items()]
+
+
+def assert_same_bits(got, want):
+    """Same modes, and terms and Fock amplitudes equal bit for bit, in order."""
+    assert got.modes == want.modes
+    assert bits(got.terms) == bits(want.terms)
+    assert bits(fock_amplitudes(got)) == bits(
+        {e: c * sqrt_factorials(e) for e, c in want.terms.items()})
+
+
+def bec_amplitudes(n):
+    return {(k, n - k): math.sqrt(math.comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)}
+
+
+def noon_amplitudes(n, m):
+    return {(n - m, m): 1.0 / math.sqrt(2.0), (m, n - m): 1.0 / math.sqrt(2.0)}
+
+
+class TestTrustedConstruction:
+    """The state constructors skip the checks their inputs already passed
+    and give the bits of the fully checked route."""
+
+    @pytest.mark.parametrize("n1", range(9))
+    def test_bec_pairs_match_the_checked_route(self, n1):
+        for n2 in range(9):
+            got = bec_pair(n1, n2)
+            want = checked_pair(checked_state(("a", "b"), bec_amplitudes(n1)),
+                                checked_state(("A", "B"), bec_amplitudes(n2)))
+            assert got == want and hash(got) == hash(want)
+            assert_same_bits(got.entries[0][1], want.entries[0][1])
+
+    def test_noon_pairs_match_the_checked_route(self):
+        for n in range(1, 9):
+            for m in range(n + 1):
+                if 2 * m == n:
+                    continue
+                got = noon_pair(n, m)
+                want = checked_pair(checked_state(("a", "b"), noon_amplitudes(n, m)),
+                                    checked_state(("A", "B"), noon_amplitudes(n, m)))
+                assert got == want
+                assert_same_bits(got.entries[0][1], want.entries[0][1])
+
+    def test_sector_bases_match_the_checked_route(self):
+        for n1 in range(9):
+            for n2 in range(9):
+                for state in sector_basis(n1, n2):
+                    (occupation,) = state.terms
+                    assert_same_bits(state, checked_state(COMPOSITE_MODES, {occupation: 1.0}))
+
+    def test_effective_bases_match_the_checked_route(self):
+        setting = measurement.BeamSplitterSetting.from_alpha(0.37, 1.3)
+        for n_total in range(0, measurement.MAX_BASIS_TOTAL + 1, 4):
+            blocks = measurement._transfer_blocks(setting.alpha, setting.beta, n_total)
+            phases = np.exp(-1j * setting.phase * np.arange(n_total + 1))
+            for vector in measurement.effective_basis(n_total, setting):
+                n, m = vector.outcome
+                k = n + m
+                want = checked_state(("a", "A"), {(p, k - p): blocks[k][n, p] * phases[k - p]
+                                                  for p in range(k + 1)})
+                assert_same_bits(vector.vector, want)
+
+    def test_pairs_run_each_check_once(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a public constructor's checks ran")
+
+        monkeypatch.setattr(ModePolynomial, "__post_init__", refuse)
+        monkeypatch.setattr(CompositeState, "__post_init__", refuse)
+        checked = []
+        original = fock._checked_terms
+        monkeypatch.setattr(fock, "_checked_terms",
+                            lambda *args, **kwargs: checked.append(args) or original(*args, **kwargs))
+        bec_pair(3, 2)
+        noon_pair(3, 1)
+        assert [len(args[1]) for args in checked] == [4, 3, 2, 2]
+
+    def test_factor_modes_checked_as_before(self):
+        with pytest.raises(ModeCollisionError, match=re.escape("duplicate mode labels in ('a', 'a')")):
+            bec_state(2, ("a", "a"))
+        with pytest.raises(ValueError, match=re.escape(
+                "exponent tuple (2, 1) does not match modes ('a', 'b', 'c')")):
+            noon_state(3, 1, ("a", "b", "c"))
+
+    def test_factor_beyond_max_particles_rejected(self):
+        big = fock.from_fock_amplitudes(("a", "b"), {(MAX_PARTICLES + 1, 0): 1.0})
+        with pytest.raises(ValueError, match=re.escape(
+                f"n1={MAX_PARTICLES + 1} must be an integer in [0, {MAX_PARTICLES}]")):
+            two_copy(big, bec_state(1, ("A", "B")))
+
+    def test_product_of_nearly_normalized_factors_rejected(self):
+        # each factor is off by 0.9e-10, inside the factors' 1e-10; the
+        # product is off by 1.8e-10
+        scale = math.sqrt(1.0 + 0.9e-10)
+        s1 = fock.from_fock_amplitudes(("a", "b"), {(1, 0): scale})
+        s2 = fock.from_fock_amplitudes(("A", "B"), {(0, 2): scale})
+        assert s1.is_normalized(1e-10) and s2.is_normalized(1e-10)
+        with pytest.raises(ValueError, match="^mixture members must be normalized$"):
+            two_copy(s1, s2)
+
+    def test_mutating_handed_out_amplitudes_changes_no_profile(self):
+        state = bec_pair(2, 1)
+        member = state.entries[0][1]
+        copy = fock_amplitudes(member)
+        for occupation in copy:
+            copy[occupation] = 0.0
+        copy[(9, 9, 9, 9)] = 1.0
+        q = inequalities.AngleQuad(0.3, 1.1, 2.0, 0.4)
+        inequalities._profile.cache_clear()
+        got = inequalities.correlation_vector(state, q, 0.6, 0.7)
+        inequalities._profile.cache_clear()
+        want = inequalities.correlation_vector(bec_pair(2, 1), q, 0.6, 0.7)
+        inequalities._profile.cache_clear()
+        assert got == want
+        assert fock_amplitudes(member) == fock_amplitudes(bec_pair(2, 1).entries[0][1])
 
 
 class TestNoiseEnsembles:
