@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,7 +90,7 @@ def _trusted(modes: tuple[str, ...], terms: dict) -> ModePolynomial:
     without repeating them."""
     p = object.__new__(ModePolynomial)
     object.__setattr__(p, "modes", modes)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "terms", MappingProxyType(terms))
     return p
 
 
@@ -123,7 +124,8 @@ class ModePolynomial:
         modes: ordered, distinct mode labels; the order fixes the meaning of
             every exponent tuple and is canonical for the lifetime of the value.
         terms: mapping from exponent tuple to complex coefficient.  Exact
-            zeros are dropped on construction.
+            zeros are dropped on construction, and the value keeps a
+            read-only view, so its cached amplitudes and hash stay valid.
     """
 
     modes: tuple[str, ...]
@@ -133,7 +135,7 @@ class ModePolynomial:
         modes = tuple(self.modes)
         cleaned = _checked_terms(modes, self.terms, check_counts=True)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModePolynomial):

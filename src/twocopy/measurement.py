@@ -331,6 +331,8 @@ def sector_trace_product(n1: int, n2: int,
     two parties' block diagonals there, which no phase changes.
     """
     _check_particles(n1=n1, n2=n2)
+    if not math.isfinite(sign):
+        raise ValueError(f"sign={sign} is not finite")
     n_total = n1 + n2
     k = np.arange(n1 + 1)[:, None]
     l = np.arange(n2 + 1)[None, :]

@@ -259,6 +259,16 @@ class TestCheckedOnce:
         assert state.norm_squared() == twin.norm_squared()
         assert inner(state, twin) == inner(twin, twin)
 
+    def test_terms_are_read_only(self):
+        # by the checked and the trusted route: a change would leave the kept
+        # amplitudes and the hash stale
+        for state in (ModePolynomial(("a", "b"), {(0, 1): 0.5}),
+                      tensor(monomial_state({"a": 1}), monomial_state({"b": 0}))):
+            amplitudes, key = fock_amplitudes(state), hash(state)
+            with pytest.raises(TypeError):
+                state.terms[(0, 1)] = 1.0
+            assert fock_amplitudes(state) == amplitudes and hash(state) == key
+
 
 class TestSubstitute:
     def test_single_particle_balanced_split(self):

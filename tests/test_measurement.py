@@ -468,6 +468,13 @@ class TestSectorTrace:
         assert plus == pytest.approx(t1 + t2, abs=1e-12)
         assert minus == pytest.approx(t1 - t2, abs=1e-12)
 
+    @pytest.mark.parametrize("sign", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sign_rejected(self, sign):
+        # a NaN or infinite sign gave nan or -inf, a silent wrong number
+        for alice2 in (BAL(1.7), None):
+            with pytest.raises(ValueError, match=f"^sign={sign} is not finite$"):
+                sector_trace_product(1, 2, BAL(0.3), BAL(2.4), alice2=alice2, sign=sign)
+
     def test_particle_bound(self):
         # In the (N, 0) sector Alice holds |k, 0> and Bob |N-k, 0>.  A party
         # holding |k, 0> sees n ~ Binomial(k, alpha^2) particles in c.

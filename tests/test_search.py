@@ -9,9 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import qmc
 
+import oracle
 import twocopy
 from twocopy import inequalities, search
 from twocopy.fock import from_fock_amplitudes
@@ -29,150 +31,6 @@ from twocopy.search import count_local_maxima, optimize, scan_1d
 from twocopy.states import COMPOSITE_MODES, CompositeState, bec_pair, noon_pair
 
 GOLDEN = 1.0 + math.sqrt(2.0)
-
-
-# The maxima oracle's simplex stops at this coordinate spread, or after this
-# many iterations.
-ORACLE_TOL = 1e-8
-ORACLE_ITERATIONS = 2000
-
-
-def scalar_nelder_mead(func, x0, step=0.6, tol=ORACLE_TOL, iterations=ORACLE_ITERATIONS):
-    """One-start Nelder-Mead, the reference for the lockstep one.
-
-    Minimizes ``func`` from ``x0``, a point at a time; returns the best
-    vertex, its value, the evaluations used and whether the simplex
-    coordinate spread dropped below ``tol`` within ``iterations``.
-    """
-    n = x0.size
-    vertices = [np.array(x0, dtype=float)]
-    for i in range(n):
-        v = np.array(x0, dtype=float)
-        v[i] += step
-        vertices.append(v)
-    values = [func(v) for v in vertices]
-    evaluations = n + 1
-    converged = False
-
-    for _ in range(iterations):
-        order = np.argsort(values, kind="stable")
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
-        stack = np.stack(vertices)
-        if float(np.max(stack.max(axis=0) - stack.min(axis=0))) < tol:
-            converged = True
-            break
-        centroid = stack[:-1].sum(axis=0) / n
-        worst = vertices[-1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = func(reflected)
-        evaluations += 1
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = func(expanded)
-            evaluations += 1
-            if f_expanded < f_reflected:
-                vertices[-1], values[-1] = expanded, f_expanded
-            else:
-                vertices[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            vertices[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-            f_contracted = func(contracted)
-            evaluations += 1
-            if f_contracted < min(f_reflected, values[-1]):
-                vertices[-1], values[-1] = contracted, f_contracted
-            else:
-                best = vertices[0]
-                for i in range(1, n + 1):
-                    vertices[i] = best + 0.5 * (vertices[i] - best)
-                    values[i] = func(vertices[i])
-                evaluations += n
-
-    i_best = int(np.argmin(values))
-    return vertices[i_best], values[i_best], evaluations, converged
-
-
-def lockstep_nelder_mead(func, starts, step=0.6, tol=ORACLE_TOL, iterations=ORACLE_ITERATIONS):
-    """The maxima oracle: a Nelder-Mead that moves every restart in lockstep,
-    with one (restarts, n + 1, n) array of vertices and one of values,
-    reordered by fancy indexing, and a nested ``where`` for the new worst
-    vertex.  It shares no code with the engine's search.
-
-    Minimizes ``func`` from every row of ``starts`` to a simplex coordinate
-    spread of ``tol`` or for ``iterations``; returns the best vertex, its
-    value, the evaluations used and whether the simplex converged, per
-    restart.  Restart by restart it takes the path of ``scalar_nelder_mead``
-    (TestPathIdentity).
-    """
-    restarts, n = starts.shape
-    x = np.repeat(starts[:, None, :], n + 1, axis=1)
-    x[:, 1:] += step * np.eye(n)
-    f = func(x)
-    evaluations = np.full(restarts, n + 1)
-    rows = np.arange(restarts)
-    best_x = np.empty((restarts, n))
-    best_f = np.empty(restarts)
-    used = np.empty(restarts, dtype=int)
-    converged = np.zeros(restarts, dtype=bool)
-    for _ in range(iterations):
-        order = np.argsort(f, axis=1, kind="stable")
-        index = np.arange(rows.size)[:, None]
-        f, x = f[index, order], x[index, order]
-        done = (x.max(axis=1) - x.min(axis=1)).max(axis=1) < tol
-        if done.any():
-            finished = rows[done]
-            best_x[finished], best_f[finished] = x[done, 0], f[done, 0]
-            used[finished] = evaluations[done]
-            converged[finished] = True
-            running = ~done
-            x, f = x[running], f[running]
-            evaluations, rows = evaluations[running], rows[running]
-            if not rows.size:
-                break
-        centroid = x[:, :-1].sum(axis=1) / n
-        worst = x[:, -1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = func(reflected)
-        expand = f_reflected < f[:, 0]
-        contract = ~expand & ~(f_reflected < f[:, -2])
-        # the second point tried: expanded, or contracted toward the better
-        # of the reflected and the worst vertex
-        toward = np.where((f_reflected < f[:, -1])[:, None], reflected, worst)
-        trial = np.where(expand[:, None], centroid + 2.0 * (centroid - worst),
-                         centroid + 0.5 * (toward - centroid))
-        tried = expand | contract
-        f_trial = np.full(rows.size, np.inf)
-        if tried.any():
-            f_trial[tried] = func(trial[tried])
-        take = f_trial < np.where(expand, f_reflected, np.minimum(f_reflected, f[:, -1]))
-        shrink = contract & ~take
-        f[:, -1] = np.where(take, f_trial, np.where(shrink, f[:, -1], f_reflected))
-        x[:, -1] = np.where(take[:, None], trial,
-                            np.where(shrink[:, None], worst, reflected))
-        evaluations += 1 + tried + n * shrink
-        if shrink.any():
-            best = x[shrink, :1]
-            x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
-            f[shrink, 1:] = func(x[shrink, 1:])
-    # restarts stopped by the iteration count
-    at, pick = np.arange(rows.size), np.argmin(f, axis=1)
-    best_x[rows], best_f[rows] = x[at, pick], f[at, pick]
-    used[rows] = evaluations
-    return best_x, best_f, used, converged
-
-
-def oracle_maximum(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2.0),
-                   bob_alpha=None):
-    """The maximum over the four angles from the same Sobol starts, by
-    ``lockstep_nelder_mead`` alone."""
-    value = objective_array(objective, state, alpha, bob_alpha)
-    _, f, _, _ = lockstep_nelder_mead(lambda q: -value(q), search._start_points(restarts, seed))
-    return -float(f.min())
 
 
 def random_pure_state(rng, n1, n2):
@@ -528,7 +386,7 @@ class TestOptimize:
     def test_reaches_basin_the_simplex_missed(self, restarts):
         # the 31st draw of oracle_cases' generator for a (3, 2) state, where
         # the Nelder-Mead search this replaced gave 0.807320 at 8 and 64
-        # restarts and reached 0.813371 only at 512
+        # restarts and reached 0.813371 only at 512; it is the global maximum
         rng = np.random.default_rng(23)
         for _ in range(31):
             state = random_pure_state(rng, 3, 2)
@@ -537,6 +395,8 @@ class TestOptimize:
         result = optimize("bell_abs", state, restarts=restarts, seed=41, alpha=float(alpha),
                           bob_alpha=float(bob_alpha))
         assert abs(result.max_value - 0.8133710806405092) <= 1e-12
+        want = oracle.maximum("bell_abs", state, float(alpha), float(bob_alpha))
+        assert abs(want.value - 0.8133710806405092) <= 1e-12
 
 
 class TestStartPoints:
@@ -615,56 +475,6 @@ def test_results_do_not_depend_on_numpy_cpu_dispatch():
     here = {}
     exec(DISPATCH_GRID, here)
     assert len(here["reprs"]) == 40 and run.stdout.splitlines() == here["reprs"]
-
-
-# The path checks run the oracle's simplex to this coarser spread, which
-# keeps the one-start reference cheap; the arithmetic is the same.
-PATH_TOL = 1e-3
-
-
-class TestBatchedSimplex:
-    """The maxima oracle's lockstep simplex, and the batched objective it
-    evaluates, against the scalar references."""
-
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
-    def test_matches_one_start_reference(self, objective, label, state, alpha,
-                                         bob_alpha):
-        # restart by restart, in the engine's search coordinates
-        # (phi1, phi2, theta2) at theta1 = 0
-        value = objective_array(objective, state, alpha, bob_alpha)
-        scalar = scalar_objective(objective)
-        starts = search._start_coordinates(6, seed=len(label))
-        x, f, used, converged = lockstep_nelder_mead(
-            lambda u: -value(search._quads(u)), starts, tol=PATH_TOL)
-        for i, start in enumerate(starts):
-            x_ref, f_ref, used_ref, _ = scalar_nelder_mead(
-                lambda v: -scalar(state, AngleQuad(v[0], v[1], 0.0, v[2]), alpha,
-                                  bob_alpha), start, tol=PATH_TOL)
-            # the requirement on every platform
-            assert f[i] == pytest.approx(f_ref, abs=1e-12)
-            if objective == "bell_abs":
-                # Both routes run the same float64 arithmetic, so the same
-                # path.  This holds as long as numpy's np.cos/np.sin give an
-                # element the same value whatever the array length; a
-                # failure here alone, with the check above passing, points
-                # at the platform's trig loops, not at the simplex.
-                assert used[i] == used_ref
-                assert np.array_equal(x[i], x_ref)
-        assert converged.all()
-
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
-    def test_array_objective_matches_scalar(self, objective, label, state, alpha,
-                                            bob_alpha):
-        quads = np.random.default_rng(29).uniform(-10.0, 10.0, (200, 4))
-        values = objective_array(objective, state, alpha, bob_alpha)(quads)
-        scalar = scalar_objective(objective)
-        for quad, v in zip(quads, values):
-            assert v == pytest.approx(
-                scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
 
 
 BENCHMARK_STATES = [("bec1", bec_pair(1)), ("bec2", bec_pair(2)), ("bec3", bec_pair(3)),
@@ -787,64 +597,22 @@ class TestLockstepAscent:
 
 
 class TestPathIdentity:
-    """Code against a reference that runs the same arithmetic in the same
-    order, so the two are equal bit for bit: the maxima oracle's lockstep
-    simplex against the one-start simplex, restart by restart, and the
-    engine's fused objective against the reference it replaced."""
-
-    @staticmethod
-    def assert_same_paths(objective, state, alpha, bob_alpha, restarts, seed,
-                          iterations=ORACLE_ITERATIONS):
-        # over the four angles from the Sobol starts, as the oracle runs; at
-        # most eight restarts of each run are held to the one-start path
-        value = objective_array(objective, state, alpha, bob_alpha)
-        starts = search._start_points(restarts, seed)
-        got = lockstep_nelder_mead(lambda q: -value(q), starts, tol=PATH_TOL,
-                                   iterations=iterations)
-        for i in range(0, restarts, max(1, restarts // 8)):
-            want = scalar_nelder_mead(lambda q: -value(q), starts[i], tol=PATH_TOL,
-                                      iterations=iterations)
-            for name, a, b in zip(("x", "f", "used", "converged"), got, want):
-                assert np.array_equal(a[i], b), (i, name)
-        return got
+    """The engine's objectives against references: the fused objective
+    against the reference it replaced, which runs the same arithmetic in
+    the same order, so the two are equal bit for bit, and the batched
+    objective against four scalar correlation calls."""
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
     @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
-    @pytest.mark.parametrize("restarts", [1, 5, 64])
-    def test_simplex_matches_reference(self, restarts, objective, label, state, alpha,
-                                       bob_alpha):
-        for seed in (0, 1):
-            _, _, _, converged = self.assert_same_paths(objective, state, alpha, bob_alpha,
-                                                        restarts, seed)
-            assert converged.all()
-
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
-    def test_simplex_matches_reference_at_iteration_cap(self, objective, label, state,
-                                                        alpha, bob_alpha):
-        for restarts, seed in ((1, 0), (5, 1), (64, 0)):
-            _, _, used, converged = self.assert_same_paths(objective, state, alpha,
-                                                           bob_alpha, restarts, seed,
-                                                           iterations=3)
-            assert not converged.any()
-            # five starting vertices and three reflections at the least
-            assert (used >= 8).all()
-
-    def test_reference_takes_a_shrink_step(self):
-        # a shrink evaluates the n shrunk vertices of each shrinking
-        # restart, the only call on points of shape (k, n, n) after the
-        # starting simplex
-        value = objective_array("steering", bec_pair(1), 1.0 / math.sqrt(2.0))
-        shapes = []
-
-        def func(q):
-            shapes.append(q.shape)
-            return -value(q)
-        lockstep_nelder_mead(func, search._start_points(1, 0), tol=PATH_TOL)
-        assert (1, 4, 4) in shapes[1:]
-        self.assert_same_paths("steering", bec_pair(1), 1.0 / math.sqrt(2.0), None, 1, 0)
+    def test_array_objective_matches_scalar(self, objective, label, state, alpha,
+                                            bob_alpha):
+        quads = np.random.default_rng(29).uniform(-10.0, 10.0, (200, 4))
+        values = objective_array(objective, state, alpha, bob_alpha)(quads)
+        scalar = scalar_objective(objective)
+        for quad, v in zip(quads, values):
+            assert v == pytest.approx(
+                scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
@@ -1079,36 +847,89 @@ AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
 
 
 class TestMaximaOracle:
-    """optimize against the four-angle lockstep simplex run to 1e-8."""
+    """optimize against the exact global maximum (tests/oracle.py)."""
 
     @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                              ids=[case[0] for case in ORACLE_CASES])
     @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
     @pytest.mark.parametrize("restarts", [8, 64])
     def test_same_maximum(self, restarts, objective, label, state, alpha, bob_alpha):
-        seed = len(label)
-        result = optimize(objective, state, restarts=restarts, seed=seed, alpha=alpha,
+        result = optimize(objective, state, restarts=restarts, seed=len(label), alpha=alpha,
                           bob_alpha=bob_alpha)
-        want = oracle_maximum(objective, state, restarts, seed, alpha, bob_alpha)
-        assert abs(result.max_value - want) <= 1e-12
+        want = oracle.maximum(objective, state, alpha, bob_alpha)
+        assert abs(result.max_value - want.value) <= 1e-12
+        assert result.max_value <= want.upper + 1e-12
 
     @given(data=st.data(), objective=st.sampled_from(["steering", "bell_abs"]),
            alphas=st.tuples(st.floats(0.1, 0.95), st.floats(0.1, 0.95)),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=15, deadline=None, derandomize=True)
     def test_never_below_oracle(self, data, objective, alphas, seed):
-        # One-sided: from the same starts the two searches can settle in
-        # different basins, and the three-angle one sometimes finds a higher
-        # maximum.  Neither is a global oracle: on a few random (3, 2)
-        # states at unbalanced splitters the four-angle search finds a
-        # basin the three-angle one misses at 64 restarts, so this is
-        # checked on these draws, not claimed for every state.
+        # at the default 64 restarts optimize reaches the global maximum on
+        # every draw, vacuum sectors among them
         n1, n2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
         state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
         alpha, bob_alpha = alphas
         result = optimize(objective, state, seed=seed, alpha=alpha, bob_alpha=bob_alpha)
-        want = oracle_maximum(objective, state, 64, seed, alpha, bob_alpha)
-        assert result.max_value >= want - 1e-12
+        want = oracle.maximum(objective, state, alpha, bob_alpha)
+        assert abs(result.max_value - want.value) <= 1e-12
+        assert result.max_value <= want.upper + 1e-12
+
+
+class TestExactOracle:
+    """tests/oracle.py against brute force."""
+
+    @given(coefficients=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False),
+                                 min_size=1, max_size=9), vanish=st.booleans(),
+           odd=st.sampled_from([1.0, 1e-12, 0.0]))
+    # f'(pi) = 8e-13: the eigenvalue for the maximum near x = 0 is 1e-4 off,
+    # and the Newton step mends it
+    @example(coefficients=[-0.7 - 0.3j, 0.7 - 0.4j], vanish=False, odd=1e-12)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_trig_extremes_match_dense_grid(self, coefficients, vanish, odd):
+        # degree 0 to 8, with a vanishing top order, and odd parts scaled
+        # down: f'(pi), the leading coefficient in t, is then 0 or nearly
+        F = np.array([coefficients[:-1] + [coefficients[-1] * (not vanish)]])
+        F = F.real + 1j * odd * F.imag
+        low, high, _, _ = oracle.trig_extremes(F)
+        grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        tolerance = 1e-12 * (1.0 + 2.0 * np.abs(F).sum())
+        for G, extreme in ((F, high[0]), (-F, -low[0])):
+            values = oracle.trig_values(G, grid[None])[0][0]
+            # the grid's largest maxima, at most d of them, polished
+            peaks = np.flatnonzero((values >= np.roll(values, 1))
+                                   & (values >= np.roll(values, -1)))
+            polished = min(minimize_scalar(
+                lambda x: -oracle.trig_values(G, np.array([[x]]))[0][0, 0], method="bounded",
+                bounds=grid[i] + [-grid[1], grid[1]], options={"xatol": 1e-10}).fun
+                for i in peaks[np.argsort(values[peaks])[-F.shape[1]:]])
+            assert values.max() <= extreme + tolerance and abs(extreme + polished) <= tolerance
+
+    @given(data=st.data(), objective=st.sampled_from(["steering", "bell_abs"]),
+           alphas=st.tuples(st.floats(0.1, 0.95), st.floats(0.1, 0.95)))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_reduction_against_four_angle_grid(self, data, objective, alphas):
+        # the maximum is reached at the oracle's quad, neither a 16^4 grid over
+        # the four angles nor a local search from its best point beats it, and
+        # the reduced objective is reached at its quads everywhere and keeps
+        # to its Lipschitz constants
+        n1, n2 = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
+        want = oracle.maximum(objective, state, *alphas)
+        value = objective_array(objective, state, *alphas)
+        axis = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+        quads = np.stack(np.meshgrid(*[axis] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+        grid = value(quads)
+        polished = minimize(lambda q: -value(q), quads[np.argmax(grid)], method="Powell")
+        assert abs(value(np.array(want.quad)) - want.value) <= 1e-12
+        assert max(grid.max(), -polished.fun) <= want.value + 1e-12 <= want.upper + 2e-12
+        reduced, lipschitz, _, _ = oracle.reduction(objective, state, *alphas)
+        rng = np.random.default_rng(0)
+        p = rng.uniform(0.0, TWO_PI, (400, len(lipschitz)))
+        q = p + rng.normal(0.0, 0.01, p.shape)
+        (at_p, quads), (at_q, _) = reduced(p), reduced(q)
+        assert (at_p <= value(quads) + 1e-12).all()
+        assert (abs(at_p - at_q) <= abs(p - q) @ lipschitz + 1e-12).all()
 
 
 class TestScan:
