@@ -62,6 +62,13 @@ def oracle_cases():
 ORACLE_CASES = oracle_cases()
 
 
+def on_oracle_cases(test):
+    """Run `test` on each of ORACLE_CASES with each search objective."""
+    test = pytest.mark.parametrize("objective", ["steering", "bell_abs"])(test)
+    return pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
+                                   ids=[case[0] for case in ORACLE_CASES])(test)
+
+
 def scalar_objective(objective):
     """The reference objective, called as ``(state, q, alpha, bob_alpha)``:
     four scalar ``correlation`` calls combined with ``math.hypot`` and
@@ -486,9 +493,7 @@ class TestLockstepAscent:
     lockstep array ascent it replaced (reference_levenberg), in the search
     coordinates (phi1, phi2, theta2) at theta1 = 0."""
 
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @on_oracle_cases
     def test_matches_one_start_reference(self, objective, label, state, alpha,
                                          bob_alpha):
         # each restart run alone takes, bit for bit, its path in the
@@ -596,15 +601,10 @@ class TestLockstepAscent:
         assert (evaluations, converged) == (1, True)
 
 
-class TestPathIdentity:
-    """The engine's objectives against references: the fused objective
-    against the reference it replaced, which runs the same arithmetic in
-    the same order, so the two are equal bit for bit, and the batched
-    objective against four scalar correlation calls."""
+class TestBatchedSimplex:
+    """The batched objective against four scalar correlation calls."""
 
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @on_oracle_cases
     def test_array_objective_matches_scalar(self, objective, label, state, alpha,
                                             bob_alpha):
         quads = np.random.default_rng(29).uniform(-10.0, 10.0, (200, 4))
@@ -614,9 +614,12 @@ class TestPathIdentity:
             assert v == pytest.approx(
                 scalar(state, AngleQuad(*quad), alpha, bob_alpha), abs=1e-14)
 
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+
+class TestPathIdentity:
+    """The fused objective against the reference it replaced, which runs the
+    same arithmetic in the same order, so the two are equal bit for bit."""
+
+    @on_oracle_cases
     def test_derivatives_match_reference(self, objective, label, state, alpha, bob_alpha):
         engine = search._coordinate_objective(objective, state, alpha, bob_alpha)
         reference = quad_derivatives(objective, state, alpha, bob_alpha)
@@ -632,9 +635,7 @@ class TestPathIdentity:
 class TestNewtonFinish:
     """The Newton steps' exact derivatives, and where they are not finite."""
 
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @on_oracle_cases
     def test_derivatives_match_central_differences(self, objective, label, state,
                                                    alpha, bob_alpha):
         quad_value = objective_array(objective, state, alpha, bob_alpha)
@@ -849,9 +850,7 @@ AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
 class TestMaximaOracle:
     """optimize against the exact global maximum (tests/oracle.py)."""
 
-    @pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
-                             ids=[case[0] for case in ORACLE_CASES])
-    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    @on_oracle_cases
     @pytest.mark.parametrize("restarts", [8, 64])
     def test_same_maximum(self, restarts, objective, label, state, alpha, bob_alpha):
         result = optimize(objective, state, restarts=restarts, seed=len(label), alpha=alpha,
