@@ -381,25 +381,6 @@ def _functional(name: str) -> Callable[[np.ndarray], np.ndarray]:
                          f"choose from {sorted(_OBJECTIVES)}") from None
 
 
-def objective_array(name: str, state: CompositeState,
-                    alpha: float = BALANCED_ALPHA,
-                    bob_alpha: float | None = None
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """An inequality objective for one state, over arrays of angle quads.
-
-    The result maps an array of shape (..., 4), each row ordered as
-    (phi1, phi2, theta1, theta2), to the objective values of shape (...).
-    ``steering`` is the steering functional; ``bell`` and ``bell_abs`` both
-    mean |bell_value|.
-    """
-    functional = _functional(name)
-    series = _series(state, alpha, bob_alpha)
-
-    def objective(quads: np.ndarray) -> np.ndarray:
-        return functional(_correlations(series, quads))
-    return objective
-
-
 def _noise_correlation(state: CompositeState, alpha: float,
                        bob_alpha: float | None, noise: NoiseModel) -> float:
     """The correlation of ``admix(state, 0.0, noise)``, alike at all angles.

@@ -28,16 +28,21 @@ The starting points are scipy's scrambled Sobol points in the four angles,
 reproduced bit for bit in numpy, so scipy is not needed at run time:
 Joe-Kuo direction numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635
 (2008)) under Matousek's linear matrix scramble and a digital shift
-(Matousek, J. Complexity 14, 527 (1998)).  Each is shifted by its theta1.
+(Matousek, J. Complexity 14, 527 (1998)).  One seeded draw gives the shift
+and the scrambling matrices, and one XOR scan in Gray-code order (Antonov &
+Saleev, USSR Comput. Math. 19, 252 (1979)) gives every point from the
+shift and the scrambled direction numbers.  Each is shifted by its theta1.
 
 The restarts run one after another, each on Python floats, so a
 restart's path cannot depend on the others and a restart that stops costs
 nothing more.  The arithmetic keeps, term by term, the order of the
 lockstep array ascent that tests/test_search.py holds as the reference the
-results equal bit for bit.  No step calls numpy: every function is libm's,
-through Python floats (a steering radius is abs(complex(v1, v2)), which is
-libm's hypot; math.hypot rounds differently), so a seeded result does not
-depend on the SIMD loops numpy dispatches to on the CPU at hand.  A zero
+results equal bit for bit.  No step calls numpy, nor does the final
+re-evaluation of the argmax, which is the same ``value`` the steps use:
+every function is libm's, through Python floats (a steering radius is
+abs(complex(v1, v2)), which is libm's hypot; math.hypot rounds
+differently), so a seeded result, its maximum included, does not depend on
+the SIMD loops numpy dispatches to on the CPU at hand.  A zero
 hypot argument or a singular mu I - H gives a NaN step, not a
 ZeroDivisionError, and r ** -1.5 is inf where it overflows, so each ends
 its restart on the non-finite step rule, as in the reference.  The extreme
@@ -56,7 +61,7 @@ import numpy as np
 
 from .fock import _check_count
 from .inequalities import (ANGLE_NAMES, TWO_PI, AngleQuad, _correlations, _functional, _series,
-                           _steering, objective_array)
+                           _steering)
 from .measurement import BALANCED_ALPHA
 from .states import CompositeState
 
@@ -139,40 +144,43 @@ def _start_points(restarts: int, seed: int) -> np.ndarray:
     """The first ``restarts`` scrambled Sobol points in [0, 2*pi)^4.
 
     Bit for bit scipy's ``qmc.Sobol(d=4, scramble=True, seed=seed)
-    .random(restarts) * TWO_PI``.  The digital shift, then the lower
-    triangular scrambling matrices (unit diagonal), are drawn from
-    ``np.random.default_rng(seed)`` in scipy's order.  The matrices act on
-    the binary digits of each Joe-Kuo direction number (Joe & Kuo, SIAM J.
-    Sci. Comput. 30, 2635 (2008); Matousek's linear matrix scramble,
-    J. Complexity 14, 527 (1998)), and point i is the shift XOR the
-    scrambled direction numbers at the set bits of the Gray code of i.
+    .random(restarts) * TWO_PI``.  One draw from
+    ``np.random.default_rng(seed)`` holds, in scipy's order, the digital
+    shift's bits and then the lower triangular scrambling matrices, whose
+    unit diagonal is not read: a scrambled direction number has the binary
+    digits of the Joe-Kuo one plus those times the strict lower part, mod 2
+    (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635 (2008); Matousek's linear
+    matrix scramble, J. Complexity 14, 527 (1998)).  Point 0 is the shift
+    and point i is point i - 1 XOR the scrambled direction number at the
+    trailing-zero count of i (the Gray-code order of Antonov & Saleev, USSR
+    Comput. Math. 19, 252 (1979)), so one XOR scan over the rows builds
+    every point.
     """
-    rng = np.random.default_rng(seed)
-    bits = np.arange(_SOBOL_BITS)
-    shift = rng.integers(2, size=(4, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
-    lower = np.tril(rng.integers(2, size=(4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    lower[:, bits, bits] = 1
-    # only the direction numbers of the bits a Gray code below restarts sets
-    gray_bits = int(restarts).bit_length()
-    digits = _DIRECTIONS[:, :gray_bits, None] >> _DIGITS & 1
-    directions = (digits @ lower.transpose(0, 2, 1) % 2) @ (1 << _DIGITS)
+    draw = np.random.default_rng(seed).integers(2, size=4 * _SOBOL_BITS * (_SOBOL_BITS + 1),
+                                                 dtype=np.uint32)
+    weights = 1 << _DIGITS
+    # A Gray code below restarts sets only the lowest `bits` bits, and the
+    # first `bits` direction numbers have no digit past the first `bits`:
+    # only those columns of each matrix's strict lower part (row > column) act.
+    bits = int(restarts - 1).bit_length()
+    lower = (draw[4 * _SOBOL_BITS:].reshape(4, _SOBOL_BITS, _SOBOL_BITS)[:, :, :bits]
+             * (_DIGITS[:, None] < _DIGITS[:bits]))
+    digits = _DIRECTIONS[:, :bits, None] >> _DIGITS[:bits] & 1
+    # row 0 the shift (its bits drawn least significant first), row b + 1
+    # the scrambled direction number of bit b
+    rows = np.vstack((draw[:4 * _SOBOL_BITS].reshape(4, _SOBOL_BITS)[:, ::-1] @ weights,
+                      ((digits @ lower.transpose(0, 2, 1)) % 2 @ weights
+                       ^ _DIRECTIONS[:, :bits]).T))
+    # frexp's exponent of i & -i is the trailing-zero count of i plus one, and 0 at i = 0
     index = np.arange(restarts)
-    gray = index ^ index >> 1
-    points = np.tile(shift, (restarts, 1))
-    for bit in range(gray_bits):
-        points ^= np.where((gray >> bit & 1)[:, None] == 1, directions[:, bit], 0)
-    return points * (TWO_PI / 2 ** _SOBOL_BITS)
+    return (np.bitwise_xor.accumulate(rows[np.frexp(index & -index)[1]])
+            * (TWO_PI / 2 ** _SOBOL_BITS))
 
 
 def _start_coordinates(restarts: int, seed: int) -> np.ndarray:
     """The Sobol start quads, shifted by their theta1, as search coordinates."""
     points = _start_points(restarts, seed)
     return points[:, _COORDINATES] - points[:, 2:3]
-
-
-def _quads(u: np.ndarray) -> np.ndarray:
-    """Angle quads (phi1, phi2, 0, theta2) from search coordinates of shape (..., 3)."""
-    return np.insert(u, 2, 0.0, axis=-1)
 
 
 def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
@@ -361,8 +369,9 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     Quasi-uniform (scrambled Sobol) starting points, shifted to theta1 = 0,
     each raised by damped exact-Newton steps over the three angle
     differences; the best local optimum wins, with ties broken toward the
-    lowest restart index.  ``max_value`` is the objective re-evaluated at
-    the argmax.  Deterministic for a fixed seed.
+    lowest restart index.  ``max_value`` is the search's own objective,
+    on libm, re-evaluated at the argmax wrapped into [0, 2*pi).
+    Deterministic for a fixed seed.
     """
     _check_count("restarts", restarts, 1, MAX_RESTARTS)
     _check_count("seed", seed, 0, None)
@@ -375,10 +384,10 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
         converged += stopped
         if best_x is None or f > best_f:
             best_x, best_f = x, f
-    best = _quads(np.array(best_x) % TWO_PI)
+    x1, x2, x3 = (u % TWO_PI for u in best_x)
     return OptimizationResult(
-        max_value=float(objective_array(objective, state, alpha, bob_alpha)(best)),
-        argmax=AngleQuad(*best.tolist()),
+        max_value=value(x1, x2, x3)[0],
+        argmax=AngleQuad(x1, x2, 0.0, x3),
         restarts_used=int(restarts),
         evaluations=evaluations,
         seed=int(seed),

@@ -24,7 +24,6 @@ from twocopy.inequalities import (
     TWO_PI,
     bell_value,
     correlation,
-    objective_array,
     steering_value,
 )
 from twocopy.search import count_local_maxima, optimize, scan_1d
@@ -67,6 +66,19 @@ def on_oracle_cases(test):
     test = pytest.mark.parametrize("objective", ["steering", "bell_abs"])(test)
     return pytest.mark.parametrize("label, state, alpha, bob_alpha", ORACLE_CASES,
                                    ids=[case[0] for case in ORACLE_CASES])(test)
+
+
+def angle_quads(u):
+    """Angle quads (phi1, phi2, 0, theta2) from search coordinates of shape (..., 3)."""
+    return np.insert(u, 2, 0.0, axis=-1)
+
+
+def objective_array(objective, state, alpha, bob_alpha):
+    """The objective over arrays of angle quads (..., 4), each row ordered as
+    (phi1, phi2, theta1, theta2), by the cached series' numpy evaluation."""
+    functional = inequalities._functional(objective)
+    series = inequalities._series(state, alpha, bob_alpha)
+    return lambda q: functional(inequalities._correlations(series, q))
 
 
 def scalar_objective(objective):
@@ -250,10 +262,11 @@ def reference_optimize(objective, state, restarts, seed, alpha=1.0 / math.sqrt(2
     evaluate = reference_coordinate_objective(objective, state, alpha, bob_alpha)
     x, f, used, converged = reference_levenberg(evaluate,
                                                 search._start_coordinates(restarts, seed))
-    best = search._quads(x[int(np.argmax(f))] % TWO_PI)
+    # the objective re-evaluated at the wrapped argmax
+    best = x[int(np.argmax(f))] % TWO_PI
     return search.OptimizationResult(
-        max_value=float(objective_array(objective, state, alpha, bob_alpha)(best)),
-        argmax=AngleQuad(*best.tolist()), restarts_used=restarts,
+        max_value=float(evaluate(best[None])[0][0]),
+        argmax=AngleQuad(*angle_quads(best).tolist()), restarts_used=restarts,
         evaluations=int(used.sum()) + 1, seed=seed, converged=int(converged.sum()))
 
 
@@ -297,10 +310,10 @@ def quad_derivatives(objective, state, alpha, bob_alpha):
     series = inequalities._series(state, alpha, bob_alpha)
 
     def evaluate(u):
-        quads = search._quads(u)
+        q = angle_quads(u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             e, first, second = reference_series_derivatives(
-                series, quads.take([0, 0, 1, 1], axis=-1) - quads.take([2, 3, 2, 3], axis=-1))
+                series, q.take([0, 0, 1, 1], axis=-1) - q.take([2, 3, 2, 3], axis=-1))
             _, gradient, factors = derivative(e)
             slopes = (gradient * first)[..., None] * DIFFERENCES
             vectors = ((factors * first[..., None, :])[..., None] * DIFFERENCES).sum(axis=-2)
@@ -411,7 +424,10 @@ class TestStartPoints:
     # seed=int.  A Generator in place of the int would make scipy spawn a
     # child stream and draw other points.
     @pytest.mark.filterwarnings("ignore:The balance properties")
-    @pytest.mark.parametrize("restarts", [1, 2, 3, 5, 8, 17, 64, 100, 512, 4096])
+    # and the counts at the edges of the XOR scan: 2^k - 1, 2^k and 2^k + 1
+    # rows, and a numpy integer
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 5, 8, 17, 64, 100, 512, 4096, 4095, 1025,
+                                          2048, pytest.param(np.int64(33), id="int64-33")])
     def test_bit_identical_to_scipy_sobol(self, restarts):
         for seed in [*range(64), 301, 12345, 2 ** 31 - 1]:
             sobol = qmc.Sobol(d=4, scramble=True, seed=seed).random(restarts)
@@ -420,6 +436,36 @@ class TestStartPoints:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             search._start_points(4, -1)
+
+
+class TestFinish:
+    """max_value is the search's own libm objective at the wrapped argmax."""
+
+    @pytest.mark.parametrize("n", [1, 2], ids=["bec1", "bec2"])
+    @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
+    def test_no_array_evaluation(self, objective, n, monkeypatch):
+        want = optimize(objective, bec_pair(n), restarts=8, seed=n)
+
+        def refused(*args):
+            raise AssertionError("the array objective was called")
+        monkeypatch.setattr(inequalities, "_correlations", refused)
+        monkeypatch.setattr(search, "_correlations", refused)
+        monkeypatch.setattr(inequalities._TrigSeries, "evaluate", refused)
+        assert optimize(objective, bec_pair(n), restarts=8, seed=n) == want
+
+    @on_oracle_cases
+    @pytest.mark.parametrize("restarts", [1, 8, 64])
+    def test_max_value_is_search_objective_at_argmax(self, restarts, objective, label, state,
+                                                     alpha, bob_alpha):
+        result = optimize(objective, state, restarts=restarts, seed=len(label), alpha=alpha,
+                          bob_alpha=bob_alpha)
+        q = result.argmax
+        value, _ = search._coordinate_objective(objective, state, alpha, bob_alpha)
+        assert q.theta1 == 0.0
+        assert result.max_value == value(q.phi1, q.phi2, q.theta2)[0]
+        # the series' numpy evaluation sums its orders in another order
+        array = objective_array(objective, state, alpha, bob_alpha)(np.array(q.as_tuple()))
+        assert abs(result.max_value - array) <= 1e-15
 
 
 # Run in a fresh interpreter where every scipy import fails.
@@ -641,7 +687,7 @@ class TestNewtonFinish:
         quad_value = objective_array(objective, state, alpha, bob_alpha)
 
         def value(u):
-            return quad_value(search._quads(u))
+            return quad_value(angle_quads(u))
         engine = search._coordinate_objective(objective, state, alpha, bob_alpha)
         rng = np.random.default_rng(len(label))
         u = rng.uniform(0.0, TWO_PI, (60, 3))
@@ -788,10 +834,9 @@ class TestNewtonFinish:
         totals = len(values), len(built), len(eigenvalues)
         del values[:], built[:], eigenvalues[:]
         result = optimize(objective, state, restarts=restarts, seed=0)
-        # the final re-evaluation of the argmax counts as one more
-        assert (len(values) + 1, len(built), len(eigenvalues)) == (result.evaluations,
-                                                                    *totals[1:])
-        assert len(values) == totals[0]
+        # the final re-evaluation of the argmax is one more value call
+        assert len(values) == result.evaluations == totals[0] + 1
+        assert (len(built), len(eigenvalues)) == totals[1:]
 
     def test_every_restart_polished_on_smooth_maxima(self):
         # |Bell| of bec2 is smooth at its maxima: at seed 1 every restart
