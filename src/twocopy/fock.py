@@ -9,10 +9,9 @@ are small.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -38,6 +37,52 @@ class ModeMismatchError(ValueError):
 
 class NonUnitaryMapError(ValueError):
     """Raised when a linear mode map does not conserve particle number."""
+
+
+def _isfinite(c: complex) -> bool:
+    """Whether both parts of ``c`` are finite, as ``cmath.isfinite``."""
+    return math.isfinite(c.real) and math.isfinite(c.imag)
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in order in ``__slots__`` (a name with a
+    leading underscore is a private cache, not a field) and sets them with
+    ``object.__setattr__`` in its own ``__init__``.  As with a frozen
+    dataclass, a record equals only a record of its class with equal
+    fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)`` and refuses assignment and deletion;
+    ``pickle`` and ``copy`` rebuild it through ``__init__``.  Unlike a
+    dataclass, it generates and compiles no code.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = attrgetter(*cls.__match_args__)  # every record has two fields or more
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 def _check_count(name: str, value, low: int, high: int | None) -> None:
@@ -78,7 +123,8 @@ def _checked_terms(modes: tuple[str, ...], terms: Mapping, check_counts: bool) -
         if len(expo) != len(modes):
             raise ValueError(f"exponent tuple {expo} does not match modes {modes}")
         c = complex(coef)
-        if not cmath.isfinite(c):
+        # abs(c) is finite when c is, unless it overflows: _isfinite decides then
+        if not (math.isfinite(abs(c)) or _isfinite(c)):
             raise ValueError(f"coefficient {c} of {expo} is not finite")
         if c != 0:
             cleaned[expo] = c
@@ -91,6 +137,8 @@ def _trusted(modes: tuple[str, ...], terms: dict) -> ModePolynomial:
     p = object.__new__(ModePolynomial)
     object.__setattr__(p, "modes", modes)
     object.__setattr__(p, "terms", MappingProxyType(terms))
+    object.__setattr__(p, "_hash_key", None)
+    object.__setattr__(p, "_fock", None)
     return p
 
 
@@ -116,8 +164,7 @@ def _linear_power(vector: Sequence[complex], power: int) -> dict:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
-class ModePolynomial:
+class ModePolynomial(_Record):
     """A multimode bosonic state as a creation-operator polynomial on vacuum.
 
     Args:
@@ -128,14 +175,16 @@ class ModePolynomial:
             read-only view, so its cached amplitudes and hash stay valid.
     """
 
-    modes: tuple[str, ...]
-    terms: Mapping[Exponents, complex]
+    __slots__ = ("modes", "terms", "_hash_key", "_fock")
 
-    def __post_init__(self):
-        modes = tuple(self.modes)
-        cleaned = _checked_terms(modes, self.terms, check_counts=True)
+    def __init__(self, modes: Sequence[str], terms: Mapping[Exponents, complex]):
+        modes = tuple(modes)
+        cleaned = _checked_terms(modes, terms, check_counts=True)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "terms", MappingProxyType(cleaned))
+        # the caches start empty; reading an unset slot would raise
+        object.__setattr__(self, "_hash_key", None)
+        object.__setattr__(self, "_fock", None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModePolynomial):
@@ -143,7 +192,7 @@ class ModePolynomial:
         return self.modes == other.modes and self.terms == other.terms
 
     def __hash__(self) -> int:
-        key = getattr(self, "_hash_key", None)
+        key = self._hash_key
         if key is None:
             key = hash((self.modes, tuple(sorted(self.terms.items()))))
             object.__setattr__(self, "_hash_key", key)
@@ -166,7 +215,7 @@ class ModePolynomial:
     def _amplitudes(self) -> dict[Exponents, complex]:
         """The Fock amplitudes, computed on first use and kept; not to be
         mutated (:func:`fock_amplitudes` hands out copies)."""
-        amplitudes = getattr(self, "_fock", None)
+        amplitudes = self._fock
         if amplitudes is None:
             amplitudes = {expo: coef * math.prod(map(_sqrt_factorial, expo))
                           for expo, coef in self.terms.items()}
@@ -180,23 +229,23 @@ class ModePolynomial:
         return abs(self.norm_squared() - 1.0) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class LinearModeMap:
+class LinearModeMap(_Record):
     """A unitary linear substitution of creation operators.
 
     ``matrix[i, j]`` is the coefficient of ``outputs[i]`` in the image of
     ``inputs[j]``, i.e. input_j† -> sum_i matrix[i, j] output_i†.  The matrix
     must be unitary; that is what conserves particle number and norms.
+    Maps compare by identity.
     """
 
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    matrix: np.ndarray
+    __slots__ = ("inputs", "outputs", "matrix")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        inputs = tuple(self.inputs)
-        outputs = tuple(self.outputs)
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, inputs: Sequence[str], outputs: Sequence[str], matrix):
+        inputs = tuple(inputs)
+        outputs = tuple(outputs)
+        m = np.array(matrix, dtype=complex)
         if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
             raise ModeCollisionError("duplicate mode labels in map")
         if m.shape != (len(outputs), len(inputs)):
@@ -264,9 +313,11 @@ def tensor(p: ModePolynomial, q: ModePolynomial) -> ModePolynomial:
         for e2, c2 in q.terms.items():
             e = e1 + e2
             terms[e] = terms.get(e, 0.0) + c1 * c2
-    if not all(map(cmath.isfinite, terms.values())):
-        expo, c = next((e, c) for e, c in terms.items() if not cmath.isfinite(c))
-        raise ValueError(f"coefficient {c} of {expo} is not finite")
+    # a non-finite term makes the sum non-finite, so a finite sum clears them all
+    if not _isfinite(sum(terms.values(), 0j)):
+        for expo, c in terms.items():
+            if not _isfinite(c):
+                raise ValueError(f"coefficient {c} of {expo} is not finite")
     return _trusted(modes, {e: c for e, c in terms.items() if c != 0})
 
 

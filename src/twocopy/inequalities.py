@@ -14,14 +14,13 @@ one number at every angle pair, read from the parity traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, NamedTuple, get_args
+from typing import Callable, get_args
 
 import numpy as np
 
-from .fock import _check_count
+from .fock import _check_count, _Record
 from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, outcome_count, parity_blocks,
                           sector_trace_product)
 from .states import CompositeState, NoiseModel, bec_pair, noon_pair
@@ -58,33 +57,35 @@ class NegativeRadicandError(ValueError):
         self.radicand = radicand
 
 
-@dataclass(frozen=True)
-class AngleQuad:
+class AngleQuad(_Record):
     """The four measurement angles, in radians."""
 
-    phi1: float
-    phi2: float
-    theta1: float
-    theta2: float
+    __slots__ = ANGLE_NAMES
 
-    def __post_init__(self):
-        for name in ANGLE_NAMES:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name}={v} is not finite")
+    def __init__(self, phi1: float, phi2: float, theta1: float, theta2: float):
+        angles = (phi1, phi2, theta1, theta2)
+        if not all(map(math.isfinite, angles)):
+            name, v = next((n, v) for n, v in zip(ANGLE_NAMES, angles) if not math.isfinite(v))
+            raise ValueError(f"{name}={v} is not finite")
+        object.__setattr__(self, "phi1", phi1)
+        object.__setattr__(self, "phi2", phi2)
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta2", theta2)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.phi1, self.phi2, self.theta1, self.theta2)
 
 
-@dataclass(frozen=True)
-class CorrelationVector:
+class CorrelationVector(_Record):
     """The four correlations <A(phi_j) B(theta_k)>."""
 
-    e11: float
-    e12: float
-    e21: float
-    e22: float
+    __slots__ = ("e11", "e12", "e21", "e22")
+
+    def __init__(self, e11: float, e12: float, e21: float, e22: float):
+        object.__setattr__(self, "e11", e11)
+        object.__setattr__(self, "e12", e12)
+        object.__setattr__(self, "e21", e21)
+        object.__setattr__(self, "e22", e22)
 
 
 class _TrigSeries:
@@ -290,35 +291,30 @@ def _bell_noon(q: AngleQuad) -> float:
             + math.cos(t1 - p1) ** 2 + math.cos(t2 - p1) ** 2)
 
 
-class _ClosedForm(NamedTuple):
-    form: Callable[[AngleQuad], float]
-    state: Callable[[], CompositeState]
-    functional: Callable[[np.ndarray], np.ndarray]
-    orientation: float | None
-
-
-# Engine value = orientation * closed form.  The bell form of the
-# single-particle condensate pair is tabulated with the opposite overall
-# sign relative to the weighted-parity convention used throughout the
-# engine; its |value| and maxima are unaffected.  The steer_noon form has
+# Each family's (form, state factory, functional, orientation).  Engine
+# value = orientation * closed form.  The bell form of the single-particle
+# condensate pair is tabulated with the opposite overall sign relative to
+# the weighted-parity convention used throughout the engine; its |value|
+# and maxima are unaffected.  The steer_noon form has
 # no orientation: its second radicand is negative on most of the angle
 # domain (see NegativeRadicandError), so it cannot equal the engine anywhere.
-_FAMILIES: dict[str, _ClosedForm] = {
-    "steer_bec1": _ClosedForm(_steer_bec1, partial(bec_pair, 1), _steering, 1.0),
-    "bell_bec1": _ClosedForm(_bell_bec1, partial(bec_pair, 1), _bell, -1.0),
-    "steer_bec2": _ClosedForm(_steer_bec2, partial(bec_pair, 2), _steering, 1.0),
-    "bell_bec2": _ClosedForm(_bell_bec2, partial(bec_pair, 2), _bell, 1.0),
-    "steer_noon": _ClosedForm(_steer_noon, partial(noon_pair, 2, 0), _steering, None),
-    "bell_noon": _ClosedForm(_bell_noon, partial(noon_pair, 2, 0), _bell, 1.0),
+_FAMILIES: dict[str, tuple[Callable[[AngleQuad], float], Callable[[], CompositeState],
+                           Callable[[np.ndarray], np.ndarray], float | None]] = {
+    "steer_bec1": (_steer_bec1, partial(bec_pair, 1), _steering, 1.0),
+    "bell_bec1": (_bell_bec1, partial(bec_pair, 1), _bell, -1.0),
+    "steer_bec2": (_steer_bec2, partial(bec_pair, 2), _steering, 1.0),
+    "bell_bec2": (_bell_bec2, partial(bec_pair, 2), _bell, 1.0),
+    "steer_noon": (_steer_noon, partial(noon_pair, 2, 0), _steering, None),
+    "bell_noon": (_bell_noon, partial(noon_pair, 2, 0), _bell, 1.0),
 }
 
 CLOSED_FORM_FAMILIES = tuple(_FAMILIES)
 FORM_ORIENTATION: dict[str, float] = {
-    family: entry.orientation for family, entry in _FAMILIES.items()
-    if entry.orientation is not None}
+    family: orientation for family, (_, _, _, orientation) in _FAMILIES.items()
+    if orientation is not None}
 
 
-def _family(family: str) -> _ClosedForm:
+def _family(family: str) -> tuple:
     try:
         return _FAMILIES[family]
     except KeyError:
@@ -328,12 +324,14 @@ def _family(family: str) -> _ClosedForm:
 
 def closed_form(family: str, q: AngleQuad) -> float:
     """Evaluate a reference closed form verbatim."""
-    return _family(family).form(q)
+    form, _, _, _ = _family(family)
+    return form(q)
 
 
 def closed_form_state(family: str) -> CompositeState:
     """The composite state whose engine values the family describes."""
-    return _family(family).state()
+    _, state, _, _ = _family(family)
+    return state()
 
 
 def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:

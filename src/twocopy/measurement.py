@@ -19,7 +19,6 @@ is in :func:`parity_blocks`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -29,6 +28,7 @@ from .fock import (
     LinearModeMap,
     ModePolynomial,
     _check_count,
+    _Record,
     fock_amplitudes,
     from_fock_amplitudes,
     substitute,
@@ -47,21 +47,21 @@ _SETTING_TOL = 1e-12
 MAX_BASIS_TOTAL = 32
 
 
-@dataclass(frozen=True)
-class BeamSplitterSetting:
+class BeamSplitterSetting(_Record):
     """One party's beam splitter: amplitudes (alpha, beta) and phase angle."""
 
-    alpha: float
-    beta: float
-    phase: float
+    __slots__ = ("alpha", "beta", "phase")
 
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):  # NaN fails too
-            raise ValueError(f"alpha={self.alpha} and beta={self.beta} must lie in [0, 1]")
-        if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > _SETTING_TOL:
+    def __init__(self, alpha: float, beta: float, phase: float):
+        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):  # NaN fails too
+            raise ValueError(f"alpha={alpha} and beta={beta} must lie in [0, 1]")
+        if abs(alpha ** 2 + beta ** 2 - 1.0) > _SETTING_TOL:
             raise ValueError("alpha^2 + beta^2 must equal 1")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase {self.phase} is not finite")
+        if not math.isfinite(phase):
+            raise ValueError(f"phase {phase} is not finite")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "phase", phase)
 
     @classmethod
     def balanced(cls, phase: float) -> "BeamSplitterSetting":
@@ -99,13 +99,15 @@ def local_outcomes(n_total: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(n_total + 1) for m in range(n_total + 1 - n)]
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(_Record):
     """One effective measurement vector with its dichotomic weight."""
 
-    outcome: tuple[int, int]
-    vector: ModePolynomial
-    weight: int
+    __slots__ = ("outcome", "vector", "weight")
+
+    def __init__(self, outcome: tuple[int, int], vector: ModePolynomial, weight: int):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "weight", weight)
 
 
 def effective_basis(n_total: int, setting: BeamSplitterSetting,

@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import _check_count
+from .fock import _check_count, _Record
 from .inequalities import (ANGLE_NAMES, TWO_PI, AngleQuad, _correlations, _functional, _series,
                            _steering)
 from .measurement import BALANCED_ALPHA
@@ -114,23 +113,30 @@ def _direction_numbers() -> np.ndarray:
 _DIRECTIONS = _direction_numbers()
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    max_value: float
-    argmax: AngleQuad
-    restarts_used: int
-    evaluations: int
-    seed: int
-    converged: int  # restarts stopped by a stop rule before MAX_STEPS
+class OptimizationResult(_Record):
+    # converged: the restarts stopped by a stop rule before MAX_STEPS
+    __slots__ = ("max_value", "argmax", "restarts_used", "evaluations", "seed", "converged")
+
+    def __init__(self, max_value: float, argmax: AngleQuad, restarts_used: int,
+                 evaluations: int, seed: int, converged: int):
+        object.__setattr__(self, "max_value", max_value)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "restarts_used", restarts_used)
+        object.__setattr__(self, "evaluations", evaluations)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "converged", converged)
 
 
-@dataclass(frozen=True)
-class ScanSeries:
+class ScanSeries(_Record):
     """Objective values along one angle with the other three held fixed."""
 
-    axis: str
-    samples: tuple[tuple[float, float], ...]
-    fixed: tuple[tuple[str, float], ...]
+    __slots__ = ("axis", "samples", "fixed")
+
+    def __init__(self, axis: str, samples: tuple[tuple[float, float], ...],
+                 fixed: tuple[tuple[str, float], ...]):
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "fixed", fixed)
 
     def values(self) -> list[float]:
         return [v for _, v in self.samples]

@@ -7,10 +7,9 @@ system 2 on ``(A, B)``; Alice controls ``(a, A)`` and Bob ``(b, B)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
-from .fock import (ModePolynomial, ModeMismatchError, _check_count, _from_amplitudes,
+from .fock import (ModePolynomial, ModeMismatchError, _check_count, _from_amplitudes, _Record,
                    monomial_state, tensor)
 
 __all__ = ["CompositeState", "DegenerateComponentError", "bec_state", "noon_state",
@@ -43,36 +42,36 @@ class DegenerateComponentError(ValueError):
     """Raised for a N00N state whose two components coincide (2m == N)."""
 
 
-@dataclass(frozen=True)
-class CompositeState:
+class CompositeState(_Record):
     """Two systems split between Alice and Bob: a convex mixture of
     normalized pure states on the composite modes.
 
-    ``n1`` and ``n2`` are the particle numbers of the signal sector (system 1
-    on modes a,b and system 2 on modes A,B).  Noise entries added by
-    :func:`admix` with the factorized model may live outside that sector;
-    ``sector_pure`` records whether every entry obeys it.  Each entry lies
-    in one sector, whatever ``sector_pure`` says.
+    ``entries`` holds (weight, state) pairs, kept as a tuple of tuples
+    whatever sequences they are given as.  ``n1`` and ``n2`` are the
+    particle numbers of the signal sector (system 1 on modes a,b and
+    system 2 on modes A,B).  Noise entries added by :func:`admix` with the
+    factorized model may live outside that sector; ``sector_pure`` records
+    whether every entry obeys it.  Each entry lies in one sector, whatever
+    ``sector_pure`` says.
     """
 
-    entries: tuple[tuple[float, ModePolynomial], ...]
-    n1: int
-    n2: int
-    sector_pure: bool = True
+    __slots__ = ("entries", "n1", "n2", "sector_pure")
 
-    def __post_init__(self):
-        _check_particles(n1=self.n1, n2=self.n2)
-        if not self.entries:
+    def __init__(self, entries: Sequence[tuple[float, ModePolynomial]], n1: int, n2: int,
+                 sector_pure: bool = True):
+        _check_particles(n1=n1, n2=n2)
+        if not entries:
             raise ValueError("mixture must contain at least one entry")
-        for w, _ in self.entries:
+        entries = tuple((w, s) for w, s in entries)
+        for w, _ in entries:
             if not math.isfinite(w):
                 raise ValueError(f"mixture weight {w} is not finite")
-        if any(w < -WEIGHT_TOL for w, _ in self.entries):
+        if any(w < -WEIGHT_TOL for w, _ in entries):
             raise ValueError("mixture weights must be nonnegative")
-        total = sum(w for w, _ in self.entries)
+        total = sum(w for w, _ in entries)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
-        for w, s in self.entries:
+        for w, s in entries:
             if s.modes != COMPOSITE_MODES:
                 raise ModeMismatchError(f"composite states use modes {COMPOSITE_MODES}")
             if w > WEIGHT_TOL and not s.is_normalized(1e-10):
@@ -81,14 +80,19 @@ class CompositeState:
             if len(sectors) > 1:
                 raise ValueError("ensemble member superposes different "
                                  "particle-number sectors")
-            if self.sector_pure and sectors - {(self.n1, self.n2)}:
+            if sector_pure and sectors - {(n1, n2)}:
                 raise ValueError(f"member in sector {sectors.pop()} violates sector "
-                                 f"(n1={self.n1}, n2={self.n2})")
+                                 f"(n1={n1}, n2={n2})")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "sector_pure", sector_pure)
 
     @classmethod
     def _trusted(cls, entries: tuple, n1: int, n2: int) -> CompositeState:
-        """A sector-pure state whose entries already passed the checks of
-        ``__post_init__``, built without repeating them."""
+        """A sector-pure state whose entries, a tuple of (weight, state)
+        tuples, already passed the checks of ``__init__``, built without
+        repeating them."""
         state = object.__new__(cls)
         for name, value in (("entries", entries), ("n1", n1), ("n2", n2),
                             ("sector_pure", True)):
