@@ -35,20 +35,21 @@ shift and the scrambled direction numbers.  Each is shifted by its theta1.
 
 The restarts run one after another, each on Python floats, so a
 restart's path cannot depend on the others and a restart that stops costs
-nothing more.  The arithmetic keeps, term by term, the order of the
-lockstep array ascent that tests/test_search.py holds as the reference the
-results equal bit for bit.  No step calls numpy, nor does the final
-re-evaluation of the argmax, which is the same ``value`` the steps use:
-every function is libm's, through Python floats (a steering radius is
-abs(complex(v1, v2)), which is libm's hypot; math.hypot rounds
-differently), so a seeded result, its maximum included, does not depend on
-the SIMD loops numpy dispatches to on the CPU at hand.  A zero
-hypot argument or a singular mu I - H gives a NaN step, not a
+nothing more.  No step calls numpy, nor does the final re-evaluation of
+the argmax, which is the same ``value`` the steps use: every function is
+libm's, through Python floats (a steering radius is abs(complex(v1, v2)),
+which is libm's hypot; math.hypot rounds differently).  So, given its
+series, a seeded result, its maximum included, depends on libm alone, not
+on the SIMD loops numpy dispatches to on the CPU at hand; the series
+itself follows the OpenBLAS kernel that contracts the parity blocks in its
+last bits, and a result with it.  tests/golden_search.json holds seeded
+results bit for bit, each with the series it was run on.  A zero hypot
+argument or a singular mu I - H gives a NaN step, not a
 ZeroDivisionError, and r ** -1.5 is inf where it overflows, so each ends
-its restart on the non-finite step rule, as in the reference.  The extreme
-eigenvalues come from the trigonometric solution of the characteristic
-cubic and the step from the adjugate, which keeps BLAS, and the memory its
-first call takes, out of the search.
+its restart on the non-finite step rule.  The extreme eigenvalues come
+from the trigonometric solution of the characteristic cubic and the step
+from the adjugate, which keeps BLAS, and the memory its first call takes,
+out of the search.
 """
 from __future__ import annotations
 

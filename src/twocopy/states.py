@@ -55,7 +55,7 @@ class CompositeState(_Record):
     ``sector_pure`` says.
     """
 
-    __slots__ = ("entries", "n1", "n2", "sector_pure")
+    __slots__ = ("entries", "n1", "n2", "sector_pure", "_hash_key")
 
     def __init__(self, entries: Sequence[tuple[float, ModePolynomial]], n1: int, n2: int,
                  sector_pure: bool = True):
@@ -87,6 +87,15 @@ class CompositeState(_Record):
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "sector_pure", sector_pure)
+        # the hash, kept from its first use; reading an unset slot would raise
+        object.__setattr__(self, "_hash_key", None)
+
+    def __hash__(self) -> int:
+        key = self._hash_key
+        if key is None:
+            key = hash(self._fields(self))
+            object.__setattr__(self, "_hash_key", key)
+        return key
 
     @classmethod
     def _trusted(cls, entries: tuple, n1: int, n2: int) -> CompositeState:
@@ -95,7 +104,7 @@ class CompositeState(_Record):
         repeating them."""
         state = object.__new__(cls)
         for name, value in (("entries", entries), ("n1", n1), ("n2", n2),
-                            ("sector_pure", True)):
+                            ("sector_pure", True), ("_hash_key", None)):
             object.__setattr__(state, name, value)
         return state
 

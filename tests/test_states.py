@@ -1,5 +1,6 @@
 """State constructors, composites, noise mixtures, and the count check
 every count input of the library goes through."""
+import copy
 import math
 import re
 
@@ -411,6 +412,38 @@ class TestListEntries:
             return repr((vector, best, threshold))
 
         assert results(self.rebuilt(state, list)) == results(state)
+
+
+
+class TestHashKept:
+    """A state keeps its hash from the first use, whether __init__ or
+    _trusted built it; copies start without one and hash alike."""
+
+    BUILDERS = {"trusted": lambda: bec_pair(2, 1),
+                "init": lambda: admix(bec_pair(1, 2), 0.4, "factorized")}
+
+    @pytest.mark.parametrize("built", BUILDERS)
+    def test_computed_once(self, built, monkeypatch):
+        state = self.BUILDERS[built]()
+        fields, calls = CompositeState._fields, []
+
+        def counted(record):
+            calls.append(record)
+            return fields(record)
+        monkeypatch.setattr(CompositeState, "_fields", staticmethod(counted))
+        assert state._hash_key is None
+        assert hash(state) == hash(state) == hash(state) == hash(fields(state))
+        assert calls == [state]
+
+    @pytest.mark.parametrize("built", BUILDERS)
+    def test_rebuilt_and_copied_hash_alike(self, built):
+        state = self.BUILDERS[built]()
+        key = hash(state)
+        # pickle refuses the members' mappingproxy terms; copy takes the same
+        # __reduce__ route through __init__
+        for other in (TestListEntries.rebuilt(state, list), copy.copy(state)):
+            assert other._hash_key is None
+            assert other == state and hash(other) == key
 
 
 SPLITTER = measurement.BeamSplitterSetting.balanced(0.0)
