@@ -110,9 +110,8 @@ class BasisVector(_Record):
         object.__setattr__(self, "weight", weight)
 
 
-def effective_basis(n_total: int, setting: BeamSplitterSetting,
-                    input_modes: tuple[str, str] = ALICE_MODES) -> tuple[BasisVector, ...]:
-    """Effective measurement vectors on the input modes, one per outcome.
+def effective_basis(n_total: int, setting: BeamSplitterSetting) -> tuple[BasisVector, ...]:
+    """Effective measurement vectors on the input modes (a, A), one per outcome.
 
     The vector for outcome (n, m) is
     ((alpha a† + beta e^{-i phase} A†)^n / sqrt(n!))
@@ -120,7 +119,7 @@ def effective_basis(n_total: int, setting: BeamSplitterSetting,
     the input state the beam splitter sends to |n, m>.  With k = n + m its
     amplitude on |p, k-p> is S_k[n, p] e^{-i phase (k-p)}, read from the
     blocks of :func:`_transfer_blocks`.  Vectors of equal total particle
-    number are orthonormal.
+    number are orthonormal.  Bob's vectors have the same amplitudes on (b, B).
     """
     _check_count("n_total", n_total, 0, MAX_BASIS_TOTAL)
     blocks = _transfer_blocks(setting.alpha, setting.beta, n_total)
@@ -129,7 +128,7 @@ def effective_basis(n_total: int, setting: BeamSplitterSetting,
     for (n, m) in local_outcomes(n_total):
         k = n + m
         amplitudes = {(p, k - p): blocks[k][n, p] * phases[k - p] for p in range(k + 1)}
-        vectors.append(BasisVector((n, m), from_fock_amplitudes(input_modes, amplitudes),
+        vectors.append(BasisVector((n, m), from_fock_amplitudes(ALICE_MODES, amplitudes),
                                    epsilon(n, m)))
     return tuple(vectors)
 
@@ -177,11 +176,8 @@ def weighted_parity(dist: dict[Outcome, float]) -> float:
                for o, p in dist.items())
 
 
-def _transfer_blocks(alpha: float, beta: float, n_max: int,
-                     start: np.ndarray | None = None) -> list[np.ndarray]:
-    """The beam splitter's amplitude blocks S_0, ..., S_n_max at phase 0;
-    given ``start``, the block S_m of an earlier call, it resumes from
-    there and returns S_m, ..., S_n_max.
+def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
+    """The beam splitter's amplitude blocks S_0, ..., S_n_max at phase 0.
 
     The splitter maps the k-particle input states |p, k-p> (p particles in
     the first input mode) onto the output states |n, k-n>; the real,
@@ -202,14 +198,14 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int,
     arithmetic and association of S_k[n, p] =
     (sqrt(p) (alpha sqrt(n) P[n, p] + beta sqrt(k-n) P[n+1, p])
     + sqrt(k-p) (beta sqrt(n) P[n, p+1] - alpha sqrt(k-n) P[n+1, p+1])) / k,
-    with P[i + 1, j + 1] = S_(k-1)[i, j] and zero elsewhere.  S_k depends
-    only on S_(k-1), so a resumed call gives the blocks' bits unchanged.
+    with P[i + 1, j + 1] = S_(k-1)[i, j] and zero elsewhere, so S_k has the
+    same bits whatever n_max is.
     """
     roots = np.sqrt(np.arange(n_max + 1))
     alpha_roots, beta_roots = alpha * roots[:, None], beta * roots[:, None]
     padded = np.zeros((n_max + 2, n_max + 2))
-    blocks = [np.ones((1, 1)) if start is None else start]
-    for k in range(len(blocks[0]), n_max + 1):
+    blocks = [np.ones((1, 1))]
+    for k in range(1, n_max + 1):
         padded[1:k + 1, 1:k + 1] = blocks[-1]
         # rows are outputs n, columns inputs p; roots[k::-1] holds sqrt(k - m)
         block = alpha_roots[:k + 1] * padded[:k + 1, :k + 1]
@@ -227,7 +223,7 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int,
 # W[k, n, j] = i^n B_k[n, j], B_k the balanced splitter's transfer blocks,
 # and the weights eps(n, k - n) at [k, n] for n <= k (0 elsewhere), for
 # k, n, j up to at least the largest n_max asked for; _balanced_table
-# grows them.
+# rebuilds them larger.
 _balanced = (np.ones((1, 1, 1), dtype=complex), np.ones((1, 1)))
 
 
@@ -237,27 +233,21 @@ def _balanced_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     Entries do not depend on how far the table has grown: the recurrence
     gives every B_k the same bits at any n_max.  A growth at least doubles
     the largest k (up to 2 * MAX_PARTICLES), so that rising sizes grow it
-    a few times only, and resumes the recurrence from the last block it
-    has, read back from W: the factors i^n are exact, so row n of B_k is
-    the real part, the imaginary part or their negation.
+    a few times only, and rebuilds the table from k = 0.
     """
     global _balanced
-    table, _ = _balanced
-    grown = len(table)
-    if grown <= n_max:
-        size = min(max(n_max, 2 * (grown - 1)), 2 * MAX_PARTICLES) + 1
+    table, signs = _balanced
+    if len(table) <= n_max:
+        size = min(max(n_max, 2 * (len(table) - 1)), 2 * MAX_PARTICLES) + 1
         k = np.arange(size)
-        last = table[-1]
-        resumed = _transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, size - 1, np.choose(
-            k[:grown, None] % 4, (last.real, last.imag, -last.real, -last.imag)))
+        blocks = _transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, size - 1)
         table = np.zeros((size,) * 3, dtype=complex)
-        for order, block in enumerate(resumed[1:], grown):
+        for order, block in enumerate(blocks):
             table[order, :order + 1, :order + 1] = block
         table *= np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4, None]
-        table[:grown, :grown, :grown] = _balanced[0]
         exponent = k[:, None] - k + k[:, None] * (k[:, None] + 1) // 2  # epsilon at m = k - n
-        _balanced = (table, np.where(k <= k[:, None], 1.0 - 2.0 * (exponent % 2), 0.0))
-    table, signs = _balanced
+        signs = np.where(k <= k[:, None], 1.0 - 2.0 * (exponent % 2), 0.0)
+        _balanced = (table, signs)
     return table[:n_max + 1, :n_max + 1, :n_max + 1], signs[:n_max + 1, :n_max + 1]
 
 

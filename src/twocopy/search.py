@@ -17,10 +17,9 @@ wrapped into [0, 2*pi) after every kept step.  A trial point costs only its
 value; g, H and the extreme eigenvalues of H are built at the start and at
 each kept trial that does not end the restart.  A restart stops, converged,
 when its step is not finite (steering is not differentiable where a hypot
-argument vanishes), when the step is shorter than STEP_TOL in every
-coordinate, when the quadratic model g.s + s.H.s/2 promises at most
-GAIN_TOL, when a kept step gained less than GAIN_TOL, or when lam exceeds
-LAMBDA_MAX; otherwise it stops at MAX_STEPS steps.
+argument vanishes), when the quadratic model g.s + s.H.s/2 promises at
+most GAIN_TOL, or when a kept step gained less than GAIN_TOL; otherwise it
+stops at MAX_STEPS steps.
 (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4 and 10; More,
 The Levenberg-Marquardt algorithm, LNM 630 (1978).)
 
@@ -69,8 +68,6 @@ __all__ = ["OptimizationResult", "ScanSeries", "optimize", "scan_1d", "count_loc
 
 MAX_STEPS = 40  # per restart, kept or not
 LAMBDA_START = 1e-3
-LAMBDA_MAX = 1e8
-STEP_TOL = 1e-12
 GAIN_TOL = 1e-15
 PLATEAU_TOL = 1e-9
 # Bounds on one call.  optimize runs its restarts one after another, so
@@ -346,10 +343,10 @@ def _ascend(value: Callable[[float, float, float], tuple[float, tuple]],
     isfinite = math.isfinite
     for evaluations in range(1, MAX_STEPS + 1):
         (s1, s2, s3), gain = _damped_step(g, h, low, high, lam)
-        # each test fails on NaN, which stops the ascent
-        if not (isfinite(s1) and isfinite(s2) and isfinite(s3)
-                and max(abs(s1), abs(s2), abs(s3)) >= STEP_TOL
-                and gain > GAIN_TOL and lam <= LAMBDA_MAX):
+        # Each test fails on NaN, which stops the ascent.  lam needs no cap:
+        # it is at most LAMBDA_START * 10 ** MAX_STEPS, which is finite, and a
+        # non-finite shift would give a NaN step.
+        if not (isfinite(s1) and isfinite(s2) and isfinite(s3) and gain > GAIN_TOL):
             return x, f, evaluations, True
         x1, x2, x3 = x
         trial = [(x1 + s1) % TWO_PI, (x2 + s2) % TWO_PI, (x3 + s3) % TWO_PI]

@@ -15,6 +15,7 @@ from scipy.linalg import expm, logm
 
 from twocopy.fock import (
     LinearModeMap,
+    ModePolynomial,
     fock_amplitudes,
     from_fock_amplitudes,
     inner,
@@ -133,6 +134,7 @@ def substitution_basis(n_total, setting, input_modes):
 class TestEffectiveBasis:
     @pytest.mark.parametrize("input_modes", [("a", "A"), ("b", "B")])
     def test_matches_substitution_oracle(self, input_modes):
+        # the basis lies on (a, A); either party's substitution has its amplitudes
         rng = np.random.default_rng(29)
         fixed = [BAL(0.4), BeamSplitterSetting.from_alpha(0.0, 1.1),
                  BeamSplitterSetting.from_alpha(1.0, 2.0)]
@@ -141,10 +143,10 @@ class TestEffectiveBasis:
                                                    rng.uniform(0.0, 2 * math.pi))
             for setting in fixed + [drawn]:
                 oracle = substitution_basis(n_total, setting, input_modes)
-                basis = effective_basis(n_total, setting, input_modes)
+                basis = effective_basis(n_total, setting)
                 assert [v.outcome for v in basis] == list(oracle)
                 for v in basis:
-                    assert v.vector.modes == input_modes
+                    assert v.vector.modes == ("a", "A")
                     got = fock_amplitudes(v.vector)
                     want = fock_amplitudes(oracle[v.outcome])
                     for occ in set(got) | set(want):
@@ -272,19 +274,19 @@ class TestJointDistribution:
                 rng.uniform(0.2, 0.95), rng.uniform(0, 2 * math.pi))
             n_total = n1 + n2
             dist = joint_distribution(state, alice, bob)
-            basis_a = effective_basis(n_total, alice, ("a", "A"))
-            basis_b = effective_basis(n_total, bob, ("b", "B"))
+            basis_a = effective_basis(n_total, alice)
+            basis_b = effective_basis(n_total, bob)
             for va in basis_a:
                 for vb in basis_b:
                     if sum(va.outcome) + sum(vb.outcome) != n_total:
                         continue
-                    projector = tensor(va.vector, vb.vector)
+                    # Bob's vectors have the same amplitudes on (b, B)
+                    projector = tensor(va.vector, ModePolynomial(("b", "B"), vb.vector.terms))
                     # reorder modes (a, A, b, B) -> (a, b, A, B)
                     reordered = {
                         (ea, eb, eA, eB): c
                         for (ea, eA, eb, eB), c in projector.terms.items()
                     }
-                    from twocopy.fock import ModePolynomial
                     projector = ModePolynomial(("a", "b", "A", "B"), reordered)
                     amp = inner(projector, member)
                     outcome = Outcome(va.outcome[0], va.outcome[1],
