@@ -5,10 +5,14 @@ Every objective depends on the angles only through the differences
 phi_j - theta_k, so the search runs over the three coordinates
 u = (phi1 - theta1, phi2 - theta1, theta2 - theta1), with theta1 = 0 in
 every argmax.  It is a multistart of damped exact-Newton (Levenberg-
-Marquardt) ascents, deterministic for a fixed seed.  One pass over the
-state's cached trigonometric series gives the objective at a point and the
-correlation derivatives from which its gradient g and Hessian H follow by
-the chain rule.  Each restart steps by
+Marquardt) ascents, deterministic for a fixed seed.  A point costs one
+pass over the orders of the state's cached trigonometric series: twelve
+float accumulators collect the four correlations, at u1, u1 - u3, u2 and
+u2 - u3, with their first and second derivatives, from which follow the
+objective and, by the chain rule, its gradient g and Hessian H.  Each
+accumulator receives the same libm calls and additions in the same order
+as a loop over its angle alone, so the pass is bit for bit that loop.
+Each restart steps by
 s = (mu I - H)^-1 g with mu = max(lambda_max(H), 0) + lam (1 + max|lambda(H)|),
 so mu I - H is positive definite and s points uphill; lam starts at
 LAMBDA_START and is divided by 10 after a step that raises the value, which
@@ -203,38 +207,54 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
     lies below about 3e-206, where r ** -1.5 overflows."""
     steering = _functional(objective) is _steering
     series = _series(state, alpha, bob_alpha)
-    c0, terms = series.c0, series.terms()
+    c0, terms = series.c0, [(k, k * k, a, b) for k, a, b in series.terms()]
+    cos, sin = math.cos, math.sin
 
     def value(x: float, y: float, z: float) -> tuple[float, tuple]:
-        # e11 .. e22 at x, x - z, y, y - z, with their first and second
-        # derivatives; each series term is a_k cos kd + b_k sin kd
-        rows = []
-        for delta in (x, x - z, y, y - z):
-            total = slope = curvature = 0.0
-            for k, a, b in terms:
-                angle = k * delta
-                cos, sin = math.cos(angle), math.sin(angle)
-                term = a * cos + b * sin
-                total += term
-                slope += k * (b * cos - a * sin)
-                curvature += k * k * term
-            rows.append((c0 + total, slope, -curvature))
-        (e11, _, _), (e12, _, _), (e21, _, _), (e22, _, _) = rows
+        # e11 .. e22 at x, x - z, y, y - z and their first two derivatives in
+        # one pass over the orders; each series term is a_k cos kd + b_k sin kd
+        w, v = x - z, y - z
+        t0 = t1 = t2 = t3 = d0 = d1 = d2 = d3 = q0 = q1 = q2 = q3 = 0.0
+        for k, kk, a, b in terms:
+            angle = k * x
+            c, s = cos(angle), sin(angle)
+            term = a * c + b * s
+            t0 += term
+            d0 += k * (b * c - a * s)
+            q0 += kk * term
+            angle = k * w
+            c, s = cos(angle), sin(angle)
+            term = a * c + b * s
+            t1 += term
+            d1 += k * (b * c - a * s)
+            q1 += kk * term
+            angle = k * y
+            c, s = cos(angle), sin(angle)
+            term = a * c + b * s
+            t2 += term
+            d2 += k * (b * c - a * s)
+            q2 += kk * term
+            angle = k * v
+            c, s = cos(angle), sin(angle)
+            term = a * c + b * s
+            t3 += term
+            d3 += k * (b * c - a * s)
+            q3 += kk * term
+        e11, e12, e21, e22 = c0 + t0, c0 + t1, c0 + t2, c0 + t3
         if steering:
             # complex abs is libm's hypot
             v1, v2, u1, u2 = e11 + e21, e12 + e22, e11 - e21, e12 - e22
             rv, ru = abs(complex(v1, v2)), abs(complex(u1, u2))
-            return rv + ru, (rows, v1, v2, u1, u2, rv, ru)
+            return rv + ru, (d0, -q0, d1, -q1, d2, -q2, d3, -q3, v1, v2, u1, u2, rv, ru)
         bell = e11 + e12 + e21 - e22
-        return abs(bell), (rows, bell)
+        return abs(bell), (d0, -q0, d1, -q1, d2, -q2, d3, -q3, bell)
 
     def derivatives(point: tuple) -> tuple[tuple, tuple]:
-        (_, d0, dd0), (_, d1, dd1), (_, d2, dd2), (_, d3, dd3) = point[0]
         if steering:
             # A term hypot(v1, v2) = r has gradient n = v / r and Hessian
             # (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1); here
             # v = (e11 + e21, e12 + e22) and u = (e11 - e21, e12 - e22).
-            _, v1, v2, u1, u2, rv, ru = point
+            d0, dd0, d1, dd1, d2, dd2, d3, dd3, v1, v2, u1, u2, rv, ru = point
             if not (rv and ru):
                 return _NAN_VECTOR, _NAN_HESSIAN
             n1, n2, m1, m2 = v1 / rv, v2 / rv, u1 / ru, u2 / ru
@@ -249,7 +269,7 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
             p1, p3 = s2 * d1, -s2 * d3
             h0, h1, h2 = s1 * d0 + p1, -s1 * d2 + p3, -p1 - p3
         else:
-            bell = point[1]
+            d0, dd0, d1, dd1, d2, dd2, d3, dd3, bell = point
             g0 = 1.0 if bell > 0.0 else -1.0 if bell < 0.0 else 0.0
             g1 = g2 = g0
             g3 = -g0
@@ -291,8 +311,12 @@ def _extreme_eigenvalues(a: float, b: float, c: float, d: float, e: float,
     p = math.sqrt((a * a + d * d + k * k + 2.0 * (b * b + c * c + e * e)) / 6.0)
     det = a * (d * k - e * e) - b * (b * k - c * e) + c * (b * e - c * d)
     # det = 0 where p = 0 (H a multiple of the identity), and there every angle serves
-    cos3 = det / max(2.0 * p * p * p, _TINY)
-    third = math.acos(min(max(cos3, -1.0), 1.0)) / 3.0
+    # max(u, v) is written out as v if v > u else u, and min(u, v) as
+    # v if v < u else u, which keep the builtins' NaN and -0.0
+    cube = 2.0 * p * p * p
+    cos3 = det / (_TINY if _TINY > cube else cube)
+    cos3 = -1.0 if -1.0 > cos3 else cos3
+    third = math.acos(1.0 if 1.0 < cos3 else cos3) / 3.0
     return q + 2.0 * p * math.cos(third + _TWO_THIRDS_PI), q + 2.0 * p * math.cos(third)
 
 
@@ -304,7 +328,8 @@ def _damped_step(g: tuple, h: tuple, low: float, high: float,
     the quadratic model promises.  Not finite where g or H is not, or where
     mu I - H is singular."""
     a, b, c, d, e, k = h
-    mu = max(high, 0.0) + lam * (1.0 + max(-low, high))
+    # max(high, 0.0) + lam * (1 + max(-low, high)), written out as in _extreme_eigenvalues
+    mu = (0.0 if 0.0 > high else high) + lam * (1.0 + (high if high > -low else -low))
     # mu I - H = [[a, -b, -c], [-b, d, -e], [-c, -e, k]] after this line,
     # solved by its adjugate over its determinant
     a, d, k = mu - a, mu - d, mu - k

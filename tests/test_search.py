@@ -233,7 +233,7 @@ class TestStartPoints:
 class TestFinish:
     """max_value is the search's own libm objective at the wrapped argmax."""
 
-    @pytest.mark.parametrize("n", [1, 2], ids=["bec1", "bec2"])
+    @pytest.mark.parametrize("n", [1, 2, 0], ids=["bec1", "bec2", "bec0"])
     @pytest.mark.parametrize("objective", ["steering", "bell_abs"])
     def test_no_array_evaluation(self, objective, n, monkeypatch):
         want = optimize(objective, bec_pair(n), restarts=8, seed=n)
@@ -525,6 +525,45 @@ class TestNewtonFinish:
             x, f, evaluations, converged = search._ascend(lambda *u: (0.5, None),
                                                           lambda point: (g, h), [1.0, 2.0, 3.0])
         assert (x, f, evaluations, converged) == ([1.0, 2.0, 3.0], 0.5, 1, True)
+
+    def test_step_refused_where_infinite_without_warning(self):
+        # g = (1e308, 0, 0) and a zero Hessian: at lam = LAMBDA_START the
+        # step is (inf, 0, 0) and the model gain inf, so only the finite-step
+        # rule stops the ascent at its start
+        g, h = (1e308, 0.0, 0.0), (0.0,) * 6
+        step, gain = search._damped_step(g, h, *search._extreme_eigenvalues(*h),
+                                         search.LAMBDA_START)
+        assert step == (math.inf, 0.0, 0.0) and gain == math.inf
+        calls = []
+
+        def value(*u):
+            calls.append(u)
+            return 0.5, None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, f, evaluations, converged = search._ascend(value, lambda point: (g, h),
+                                                          [1.0, 2.0, 3.0])
+        assert (x, f, evaluations, converged) == ([1.0, 2.0, 3.0], 0.5, 1, True)
+        assert calls == [(1.0, 2.0, 3.0)]
+
+    @pytest.mark.parametrize("restarts", [1, 8, 64])
+    @pytest.mark.parametrize("objective, want", [("steering", 2.0 * math.sqrt(2.0)),
+                                                 ("bell_abs", 2.0)])
+    @pytest.mark.parametrize("state, scale", [(bec_pair(0), 1.0), (bec_pair(0, 3), 0.0)],
+                             ids=["bec0", "bec03"])
+    def test_constant_series_stops_every_restart_at_its_start(self, state, scale, objective,
+                                                              want, restarts):
+        # A series with no orders: E is its constant term (1 for bec0 and,
+        # to rounding, 0 for bec03), the gradient vanishes or is NaN, and
+        # every restart stops at its start.
+        assert inequalities._series(state, 1.0 / math.sqrt(2.0), None).terms() == []
+        result = optimize(objective, state, restarts=restarts, seed=restarts)
+        assert (result.evaluations, result.converged) == (restarts + 1, restarts)
+        assert abs(result.max_value - scale * want) <= 1e-15
+        # so the argmax is the first start, wrapped
+        first = search._start_coordinates(restarts, seed=restarts).tolist()[0]
+        x1, x2, x3 = (u % TWO_PI for u in first)
+        assert result.argmax == AngleQuad(x1, x2, 0.0, x3)
 
     def test_step_refused_at_subnormal_hypot_without_warning(self, monkeypatch):
         # Correlations 2e-310 cos(d): both hypot arguments are subnormal at
