@@ -63,8 +63,6 @@ def _sig12(value):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
         return {k: _sig12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sig12(v) for v in value]
     return value
 
 
@@ -298,7 +296,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"twocopy: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

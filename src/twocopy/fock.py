@@ -17,11 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ModePolynomial", "LinearModeMap", "monomial_state", "from_fock_amplitudes",
-           "tensor", "substitute", "fock_amplitudes", "inner",
-           "ModeCollisionError", "ModeMismatchError", "NonUnitaryMapError"]
+__all__ = ["ModePolynomial", "monomial_state", "from_fock_amplitudes", "tensor",
+           "fock_amplitudes", "inner", "ModeCollisionError", "ModeMismatchError"]
 
-UNITARY_TOL = 1e-12
 NORM_TOL = 1e-12
 
 Exponents = tuple[int, ...]
@@ -33,10 +31,6 @@ class ModeCollisionError(ValueError):
 
 class ModeMismatchError(ValueError):
     """Raised when an operation requires identical or covered mode sets."""
-
-
-class NonUnitaryMapError(ValueError):
-    """Raised when a linear mode map does not conserve particle number."""
 
 
 def _isfinite(c: complex) -> bool:
@@ -142,28 +136,6 @@ def _trusted(modes: tuple[str, ...], terms: dict) -> ModePolynomial:
     return p
 
 
-def _term_product(t1: dict, t2: dict) -> dict:
-    out: dict[Exponents, complex] = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
-    return out
-
-
-def _linear_power(vector: Sequence[complex], power: int) -> dict:
-    """Expansion of (sum_i vector[i] * mode_i)^power over exponent tuples."""
-    n = len(vector)
-    acc: dict[Exponents, complex] = {tuple([0] * n): 1.0 + 0.0j}
-    linear = {}
-    for i, v in enumerate(vector):
-        if v != 0:
-            linear[tuple(1 if j == i else 0 for j in range(n))] = complex(v)
-    for _ in range(power):
-        acc = _term_product(acc, linear)
-    return acc
-
-
 class ModePolynomial(_Record):
     """A multimode bosonic state as a creation-operator polynomial on vacuum.
 
@@ -229,38 +201,6 @@ class ModePolynomial(_Record):
         return abs(self.norm_squared() - 1.0) <= tol
 
 
-class LinearModeMap(_Record):
-    """A unitary linear substitution of creation operators.
-
-    ``matrix[i, j]`` is the coefficient of ``outputs[i]`` in the image of
-    ``inputs[j]``, i.e. input_j† -> sum_i matrix[i, j] output_i†.  The matrix
-    must be unitary; that is what conserves particle number and norms.
-    Maps compare by identity.
-    """
-
-    __slots__ = ("inputs", "outputs", "matrix")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, inputs: Sequence[str], outputs: Sequence[str], matrix):
-        inputs = tuple(inputs)
-        outputs = tuple(outputs)
-        m = np.array(matrix, dtype=complex)
-        if len(set(inputs)) != len(inputs) or len(set(outputs)) != len(outputs):
-            raise ModeCollisionError("duplicate mode labels in map")
-        if m.shape != (len(outputs), len(inputs)):
-            raise ValueError(f"matrix shape {m.shape} does not match modes")
-        if m.shape[0] != m.shape[1]:
-            raise NonUnitaryMapError("mode map must have as many outputs as inputs")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if not dev <= UNITARY_TOL:  # also rejects NaN entries
-            raise NonUnitaryMapError(f"map is not unitary (deviation {dev:.3e})")
-        m.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "matrix", m)
-
-
 def monomial_state(occupations: Mapping[str, int],
                    modes: Sequence[str] | None = None) -> ModePolynomial:
     """Normalized Fock basis state with the given occupations.
@@ -319,34 +259,6 @@ def tensor(p: ModePolynomial, q: ModePolynomial) -> ModePolynomial:
             if not _isfinite(c):
                 raise ValueError(f"coefficient {c} of {expo} is not finite")
     return _trusted(modes, {e: c for e, c in terms.items() if c != 0})
-
-
-def substitute(p: ModePolynomial, mode_map: LinearModeMap) -> ModePolynomial:
-    """Rewrite the state in the map's output modes.
-
-    Each monomial is expanded multinomially; unitarity of the map guarantees
-    that norms and total particle numbers are preserved.
-    """
-    column = {mode: j for j, mode in enumerate(mode_map.inputs)}
-    missing = [m for m in p.modes if m not in column]
-    if missing:
-        raise ModeMismatchError(f"modes {missing} are not in the map's domain")
-    n_out = len(mode_map.outputs)
-    zero = tuple([0] * n_out)
-    power_cache: dict[tuple[str, int], dict] = {}
-    out_terms: dict[Exponents, complex] = {}
-    for expo, coef in p.terms.items():
-        acc = {zero: complex(coef)}
-        for mode, e in zip(p.modes, expo):
-            if e == 0:
-                continue
-            key = (mode, e)
-            if key not in power_cache:
-                power_cache[key] = _linear_power(mode_map.matrix[:, column[mode]], e)
-            acc = _term_product(acc, power_cache[key])
-        for eo, c in acc.items():
-            out_terms[eo] = out_terms.get(eo, 0.0) + c
-    return ModePolynomial(mode_map.outputs, out_terms)
 
 
 def fock_amplitudes(p: ModePolynomial) -> dict[Exponents, complex]:

@@ -24,16 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (
-    LinearModeMap,
-    ModePolynomial,
-    _check_count,
-    _Record,
-    fock_amplitudes,
-    from_fock_amplitudes,
-    substitute,
-)
-from .states import ALICE_MODES, BOB_MODES, MAX_PARTICLES, CompositeState, _check_particles
+from .fock import ModePolynomial, _check_count, _Record, _sqrt_factorial, from_fock_amplitudes
+from .states import ALICE_MODES, MAX_PARTICLES, CompositeState, _check_particles
 
 __all__ = ["BeamSplitterSetting", "BALANCED_ALPHA", "Outcome", "BasisVector", "epsilon",
            "outcome_count", "local_outcomes", "effective_basis", "joint_distribution",
@@ -133,32 +125,50 @@ def effective_basis(n_total: int, setting: BeamSplitterSetting) -> tuple[BasisVe
     return tuple(vectors)
 
 
-def _joint_map(alice: BeamSplitterSetting, bob: BeamSplitterSetting) -> LinearModeMap:
-    """Both parties' substitutions, (a,A)->(c,C) and (b,B)->(d,D).
+def _party_image(p: int, q: int, setting: BeamSplitterSetting) -> dict[tuple[int, int], complex]:
+    """One party's splitter applied to a†^p A†^q, as output exponents (i, j)
+    of c†^i C†^j -> coefficient.
 
-    With inputs (a, A) and outputs (c, C):
-    a† -> alpha c† + beta C†  and  A† -> e^{i phase}(beta c† - alpha C†).
-    This is the inverse of the annihilation-operator mixing, so measuring
-    output occupations is equivalent to projecting onto the effective basis.
+    The splitter sends a† -> alpha c† + beta C† and
+    A† -> e^{i phase}(beta c† - alpha C†), the inverse of the
+    annihilation-operator mixing, so counting output particles projects
+    onto the effective basis.  Both powers are expanded binomially, and the
+    phase enters once, as e^{i phase q}.  Bob's (b, B) -> (d, D) is the
+    same map.
     """
-    matrix = np.zeros((4, 4), dtype=complex)
-    for i, setting in ((0, alice), (2, bob)):
-        a, b, ph = setting.alpha, setting.beta, np.exp(1j * setting.phase)
-        matrix[i:i + 2, i:i + 2] = [[a, b * ph], [b, -a * ph]]
-    return LinearModeMap(ALICE_MODES + BOB_MODES, ("c", "C", "d", "D"), matrix)
+    alpha, beta = setting.alpha, setting.beta
+    image: dict[tuple[int, int], float] = {}
+    for r in range(p + 1):
+        left = math.comb(p, r) * alpha ** r * beta ** (p - r)
+        for s in range(q + 1):
+            right = math.comb(q, s) * beta ** s * (-alpha) ** (q - s)
+            key = (r + s, p + q - r - s)
+            image[key] = image.get(key, 0.0) + left * right
+    phase = complex(math.cos(q * setting.phase), math.sin(q * setting.phase))
+    return {key: c * phase for key, c in image.items()}
 
 
 def joint_distribution(state: CompositeState,
                        alice: BeamSplitterSetting,
                        bob: BeamSplitterSetting) -> dict[Outcome, float]:
     """Joint particle-count distribution over the four output modes, as
-    outcome -> probability in sorted outcome order."""
-    mapping = _joint_map(alice, bob)
+    outcome -> probability in sorted outcome order.
+
+    A member's monomial a†^i b†^j A†^k B†^l goes to the product of Alice's
+    image of a†^i A†^k and Bob's of b†^j B†^l (:func:`_party_image`)."""
     probs: dict[Outcome, float] = {}
     for weight, member in state.entries:
         if weight == 0.0:
             continue
-        for occ, amp in fock_amplitudes(substitute(member, mapping)).items():
+        terms: dict[tuple[int, int, int, int], complex] = {}
+        for (a, b, A, B), coef in member.terms.items():
+            bob_image = _party_image(b, B, bob)
+            for (n_c, m_C), x in _party_image(a, A, alice).items():
+                for (n_d, m_D), y in bob_image.items():
+                    key = (n_c, m_C, n_d, m_D)
+                    terms[key] = terms.get(key, 0.0) + coef * x * y
+        for occ, c in terms.items():
+            amp = c * math.prod(map(_sqrt_factorial, occ))
             p = weight * (amp.real ** 2 + amp.imag ** 2)
             if p > 0.0:
                 key = Outcome(*occ)

@@ -470,8 +470,6 @@ def count_local_maxima(series: ScanSeries | Sequence[float],
     counted as a single candidate.  A constant series has no maxima.
     """
     values = series.values() if isinstance(series, ScanSeries) else list(series)
-    if not values:
-        return 0
     segments: list[float] = []
     for v in values:
         if segments and abs(v - segments[-1]) < PLATEAU_TOL:

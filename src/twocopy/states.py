@@ -22,6 +22,7 @@ ALICE_MODES = ("a", "A")
 BOB_MODES = ("b", "B")
 
 WEIGHT_TOL = 1e-12
+NORMALIZATION_TOL = 1e-10  # of a mixture member's or a two_copy factor's norm squared
 
 # Largest particle number per system.  A member's correlation sums over
 # pairs of its (n1+1)(n2+1) Fock states, about 1.2 million pairs here.
@@ -74,7 +75,7 @@ class CompositeState(_Record):
         for w, s in entries:
             if s.modes != COMPOSITE_MODES:
                 raise ModeMismatchError(f"composite states use modes {COMPOSITE_MODES}")
-            if w > WEIGHT_TOL and not s.is_normalized(1e-10):
+            if w > WEIGHT_TOL and not s.is_normalized(NORMALIZATION_TOL):
                 raise ValueError("mixture members must be normalized")
             sectors = {(ea + eb, eA + eB) for ea, eb, eA, eB in s.terms}
             if len(sectors) > 1:
@@ -145,13 +146,13 @@ def two_copy(s1: ModePolynomial, s2: ModePolynomial) -> CompositeState:
     n2 = s2.particle_number()
     if n1 is None or n2 is None:
         raise ValueError("each factor must have a fixed particle number")
-    if not (s1.is_normalized(1e-10) and s2.is_normalized(1e-10)):
+    if not (s1.is_normalized(NORMALIZATION_TOL) and s2.is_normalized(NORMALIZATION_TOL)):
         raise ValueError("factors must be normalized")
     product = tensor(s1, s2)
     # the factor checks imply the product's modes and its one sector, (n1, n2);
     # these are the checks of CompositeState they do not imply
     _check_particles(n1=n1, n2=n2)
-    if not product.is_normalized(1e-10):
+    if not product.is_normalized(NORMALIZATION_TOL):
         raise ValueError("mixture members must be normalized")
     return CompositeState._trusted(((1.0, product),), n1, n2)
 

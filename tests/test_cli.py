@@ -95,6 +95,11 @@ class TestOptimizeCommand:
         assert code == 2
         assert "n1" in err
 
+    def test_noon_without_n(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--state", "noon", "--objective", "steering")
+        assert (code, out) == (2, "")
+        assert err == "twocopy: error: --state noon requires --n (and optionally --m)\n"
+
     def test_noon_occupation_above_n(self, capsys):
         code, out, err = run_cli(
             capsys, "optimize", "--state", "noon", "--n", "3", "--m", "5",
@@ -204,6 +209,15 @@ class TestBasisCommand:
         assert fock != raw
         row22 = next(line for line in raw.splitlines() if line.startswith("|2 2>"))
         assert "0.125" in row22  # monomial coefficients (1, -2, 1)/8
+
+    def test_purely_imaginary_amplitude(self, capsys):
+        # at phi = pi/2 the |0 1> amplitudes are +-i/sqrt(2); their real
+        # parts are rounding residue and are not printed
+        code, out, _ = run_cli(capsys, "basis", "--n-total", "1", "--phi", "pi/2")
+        assert code == 0
+        rows = [line.split(" | ")[1].rstrip() for line in out.splitlines()[2:]]
+        assert rows == ["(1)|0 0>", "(0.707107i)|0 1> + (0.707107)|1 0>",
+                        "(-0.707107i)|0 1> + (0.707107)|1 0>"]
 
     @pytest.mark.parametrize("n_total,raw", [(2, False), (24, True)], ids=["fock", "raw"])
     def test_printed_terms_follow_amplitudes(self, capsys, n_total, raw):

@@ -1,8 +1,9 @@
-"""Core algebra tests: constructors, tensor products, substitutions.
+"""Core algebra tests: constructors, tensor products, and one party's
+beam-splitter substitution of creation operators (``measurement._party_image``).
 
-The substitution route is cross-checked against a brute-force permanent
-computation of single-map transition amplitudes, which shares no code with
-the polynomial engine.
+The substitution is cross-checked against a brute-force permanent
+computation of the splitter's transition amplitudes, which shares no code
+with the binomial expansion.
 """
 import itertools
 import math
@@ -13,34 +14,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twocopy.fock import (
-    LinearModeMap,
     ModeCollisionError,
     ModeMismatchError,
     ModePolynomial,
-    NonUnitaryMapError,
     fock_amplitudes,
     from_fock_amplitudes,
     inner,
     monomial_state,
-    substitute,
     tensor,
 )
+from twocopy.measurement import BeamSplitterSetting, _party_image, joint_distribution
+from twocopy.states import two_copy
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def balanced_map(phase=0.0, inputs=("a", "A"), outputs=("c", "C")):
-    ph = np.exp(1j * phase)
-    m = np.array([[INV_SQRT2, INV_SQRT2 * ph], [INV_SQRT2, -INV_SQRT2 * ph]])
-    return LinearModeMap(inputs, outputs, m)
+def party_image(state, setting):
+    """A state on (a, A) sent through the splitter, on the outputs (c, C)."""
+    terms = {}
+    for (p, q), coef in state.terms.items():
+        for expo, c in _party_image(p, q, setting).items():
+            terms[expo] = terms.get(expo, 0.0) + coef * c
+    return ModePolynomial(("c", "C"), terms)
 
 
-def unitary_2x2(theta, phi, psi):
-    """Generic U(2) element (up to global phase)."""
-    return np.array([
-        [math.cos(theta) * np.exp(1j * phi), math.sin(theta) * np.exp(1j * psi)],
-        [-math.sin(theta) * np.exp(-1j * psi), math.cos(theta) * np.exp(-1j * phi)],
-    ])
+def splitter_matrix(setting):
+    """[i, j]: the coefficient of output i (c, C) in the image of input j (a, A)."""
+    ph = np.exp(1j * setting.phase)
+    return np.array([[setting.alpha, setting.beta * ph],
+                     [setting.beta, -setting.alpha * ph]])
 
 
 def permanent(matrix):
@@ -272,51 +274,40 @@ class TestCheckedOnce:
 
 class TestSubstitute:
     def test_single_particle_balanced_split(self):
-        out = substitute(monomial_state({"a": 1, "A": 0}), balanced_map())
+        out = party_image(monomial_state({"a": 1, "A": 0}), BeamSplitterSetting.balanced(0.0))
         assert out.coefficient((1, 0)) == pytest.approx(INV_SQRT2)
         assert out.coefficient((0, 1)) == pytest.approx(INV_SQRT2)
 
     def test_identity_map(self):
+        # alpha = 1 at phase pi sends a† -> c† and A† -> C†
         state = from_fock_amplitudes(("a", "A"), {(2, 0): 0.6, (1, 1): 0.8})
-        out = substitute(state, LinearModeMap(("a", "A"), ("a", "A"), np.eye(2)))
+        out = party_image(state, BeamSplitterSetting(1.0, 0.0, math.pi))
         assert out.terms == pytest.approx(state.terms)
-
-    def test_missing_mode_rejected(self):
-        with pytest.raises(ModeMismatchError):
-            substitute(monomial_state({"x": 1}), balanced_map())
-
-    def test_non_unitary_map_rejected(self):
-        with pytest.raises(NonUnitaryMapError):
-            LinearModeMap(("a", "A"), ("c", "C"), np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_nan_map_rejected(self):
-        with pytest.raises(NonUnitaryMapError):
-            LinearModeMap(("a", "A"), ("c", "C"), np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_permanent_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        matrix = unitary_2x2(*rng.uniform(0, 2 * math.pi, 3))
-        mode_map = LinearModeMap(("a", "A"), ("c", "C"), matrix)
-        for n_in in [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)]:
-            state = monomial_state({"a": n_in[0], "A": n_in[1]}, ("a", "A"))
-            engine = fock_amplitudes(substitute(state, mode_map))
-            total = sum(n_in)
-            for n_out in [(k, total - k) for k in range(total + 1)]:
-                expected = transition_amplitude(matrix, n_in, n_out)
-                assert engine.get(n_out, 0.0) == pytest.approx(expected, abs=1e-12)
+        for setting in (BeamSplitterSetting.from_alpha(rng.uniform(), rng.uniform(0, 2 * math.pi)),
+                        BeamSplitterSetting.from_alpha(0.6, rng.uniform(0, 2 * math.pi))):
+            matrix = splitter_matrix(setting)
+            for n_in in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (1, 4)]:
+                state = monomial_state({"a": n_in[0], "A": n_in[1]}, ("a", "A"))
+                engine = fock_amplitudes(party_image(state, setting))
+                total = sum(n_in)
+                assert all(sum(n_out) == total for n_out in engine)
+                for n_out in [(k, total - k) for k in range(total + 1)]:
+                    expected = transition_amplitude(matrix, n_in, n_out)
+                    assert engine.get(n_out, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_four_mode_distribution_normalized(self):
         # both parties balanced, all phases zero: probabilities sum to one
-        state = tensor(
+        state = two_copy(
             from_fock_amplitudes(("a", "b"), {(1, 0): INV_SQRT2, (0, 1): INV_SQRT2}),
             from_fock_amplitudes(("A", "B"), {(1, 0): INV_SQRT2, (0, 1): INV_SQRT2}),
         )
-        # one balanced splitter on (a, A) -> (c, C), one on (b, B) -> (d, D)
-        mapping = LinearModeMap(("a", "A", "b", "B"), ("c", "C", "d", "D"),
-                                np.kron(np.eye(2), balanced_map().matrix))
-        amps = fock_amplitudes(substitute(state, mapping))
-        assert sum(abs(a) ** 2 for a in amps.values()) == pytest.approx(1.0)
+        balanced = BeamSplitterSetting.balanced(0.0)
+        dist = joint_distribution(state, balanced, balanced)
+        assert sum(dist.values()) == pytest.approx(1.0)
 
 
 class TestInner:
@@ -362,18 +353,12 @@ class TestRoundTrips:
             assert state.terms[occ] == amp / scale
             assert back[occ] == amp / scale * scale
 
-    def test_adjoint_inverts_substitution(self):
-        mode_map = balanced_map(phase=0.7)
-        state = from_fock_amplitudes(("a", "A"), {(2, 0): 0.6, (1, 1): 0.64, (0, 2): 0.48})
-        inverse = LinearModeMap(mode_map.outputs, mode_map.inputs, mode_map.matrix.conj().T)
-        back = substitute(substitute(state, mode_map), inverse)
-        assert back.terms == pytest.approx(state.terms, abs=1e-12)
-
 
 # -- property tests ---------------------------------------------------------
 
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+splitters = st.builds(BeamSplitterSetting.from_alpha, st.floats(0.0, 1.0), angles)
 
 
 @st.composite
@@ -388,21 +373,19 @@ def two_mode_states(draw, max_total=4):
     return ModePolynomial(("a", "A"), terms)
 
 
-@given(two_mode_states(), angles, angles, angles)
+@given(two_mode_states(), splitters)
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_substitution_preserves_norm(state, theta, phi, psi):
-    mode_map = LinearModeMap(("a", "A"), ("c", "C"), unitary_2x2(theta, phi, psi))
-    image = substitute(state, mode_map)
+def test_substitution_preserves_norm(state, setting):
+    image = party_image(state, setting)
     assert abs(inner(image, image) - inner(state, state)) < 1e-12
 
 
-@given(two_mode_states(), angles, angles, angles)
+@given(two_mode_states(), splitters)
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_substitution_preserves_particle_number(state, theta, phi, psi):
-    mode_map = LinearModeMap(("a", "A"), ("c", "C"), unitary_2x2(theta, phi, psi))
+def test_substitution_preserves_particle_number(state, setting):
     n = state.particle_number()
     if n is not None:
-        assert substitute(state, mode_map).particle_number() == n
+        assert party_image(state, setting).particle_number() == n
 
 
 @given(two_mode_states(), two_mode_states())

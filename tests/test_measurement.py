@@ -1,11 +1,12 @@
 """Measurement-layer tests.
 
 Two independent routes exist to every distribution: creation-operator
-substitution, and projection onto the effective basis vectors, which are
-read from the beam splitter's amplitude recurrence.  Both are tested against
-each other, and against a third fully independent oracle built from dense
-matrix exponentials on a truncated number basis.  The basis itself is also
-checked against its substitution construction.
+substitution, one party's splitter at a time, and projection onto the
+effective basis vectors, which are read from the beam splitter's amplitude
+recurrence.  Both are tested against each other, and against a third fully
+independent oracle built from dense matrix exponentials on a truncated
+number basis.  The basis itself is also checked against the binomial
+expansion of its defining formula.
 """
 import math
 
@@ -14,13 +15,11 @@ import pytest
 from scipy.linalg import expm, logm
 
 from twocopy.fock import (
-    LinearModeMap,
     ModePolynomial,
     fock_amplitudes,
     from_fock_amplitudes,
     inner,
     monomial_state,
-    substitute,
     tensor,
 )
 from twocopy.measurement import (
@@ -121,14 +120,23 @@ def reference_four_particle_monomials(phase):
 
 
 def substitution_basis(n_total, setting, input_modes):
-    """Outcome -> effective vector by creation-operator substitution: the
-    output Fock state |n, m> sent back through the inverse splitter map."""
-    a, b, ph = setting.alpha, setting.beta, np.exp(1j * setting.phase)
-    forward = np.array([[a, b * ph], [b, -a * ph]])
-    out_modes = ("_o1", "_o2")
-    back = LinearModeMap(out_modes, input_modes, forward.conj().T)
-    return {(n, m): substitute(monomial_state({"_o1": n, "_o2": m}, out_modes), back)
-            for (n, m) in local_outcomes(n_total)}
+    """Outcome -> effective vector on ``input_modes``, from the binomial
+    expansion of (alpha a† + beta x A†)^n (beta a† - alpha x A†)^m / sqrt(n! m!),
+    x = e^{-i phase}: the output Fock state |n, m> sent back through the
+    splitter, as ``effective_basis`` states it."""
+    a, b, x = setting.alpha, setting.beta, np.exp(-1j * setting.phase)
+    basis = {}
+    for n, m in local_outcomes(n_total):
+        terms = {}
+        for r in range(n + 1):
+            left = math.comb(n, r) * a ** r * (b * x) ** (n - r)
+            for s in range(m + 1):
+                right = math.comb(m, s) * b ** s * (-a * x) ** (m - s)
+                key = (r + s, n + m - r - s)
+                terms[key] = terms.get(key, 0.0) + left * right
+        scale = math.sqrt(math.factorial(n) * math.factorial(m))
+        basis[(n, m)] = ModePolynomial(input_modes, {e: c / scale for e, c in terms.items()})
+    return basis
 
 
 class TestEffectiveBasis:
@@ -261,6 +269,17 @@ class TestJointDistribution:
             phi, theta = rng.uniform(0, 2 * math.pi, 2)
             dist = joint_distribution(noise, BAL(phi), BAL(theta))
             assert dist == pytest.approx(ref, abs=1e-12)
+
+    def test_zero_weight_member_skipped(self):
+        # expanded, the member's 1e200 coefficient would overflow a squared
+        # amplitude, and its 1e308 one an amplitude
+        state = bec_pair(2)
+        member = ModePolynomial(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
+        padded = CompositeState(state.entries + ((0.0, member),), n1=2, n2=2)
+        for alice, bob in ((BAL(0.3), BAL(1.2)), (BeamSplitterSetting.from_alpha(0.6, 0.4),
+                                                  BeamSplitterSetting.from_alpha(0.8, 2.0))):
+            want = joint_distribution(state, alice, bob)
+            assert list(joint_distribution(padded, alice, bob).items()) == list(want.items())
 
     def test_dual_route_against_effective_basis(self):
         # substitution amplitudes must match projections onto the basis

@@ -415,6 +415,19 @@ def test_member_superposing_sectors_raises(other):
         CompositeState(((1.0, member),), n1=1, n2=1, sector_pure=False)
 
 
+def test_zero_weight_member_skipped():
+    # the member's (0, 2, 2, 0) amplitude, 2e308, overflows to inf, so that
+    # summing it at weight 0.0 would give nan
+    state = bec_pair(2)
+    member = fock.ModePolynomial(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
+    padded = CompositeState(state.entries + ((0.0, member),), n1=2, n2=2)
+    for alpha, bob_alpha in ((BALANCED_ALPHA, BALANCED_ALPHA), (0.6, 0.8)):
+        want = inequalities._profile(state, alpha, bob_alpha)
+        got = inequalities._profile(padded, alpha, bob_alpha)
+        assert got.c0.hex() == want.c0.hex()
+        assert got._columns.tobytes() == want._columns.tobytes()
+
+
 # -- the polynomial engine stays off the hot path ----------------------------------
 
 
@@ -435,8 +448,8 @@ def forbid(monkeypatch, originals, message):
 
 @pytest.fixture
 def without_polynomial_engine(monkeypatch):
-    """Every alias of ``fock.substitute`` and ``joint_distribution`` raises."""
-    forbid(monkeypatch, (fock.substitute, measurement.joint_distribution),
+    """Every alias of ``joint_distribution`` and ``_party_image`` raises."""
+    forbid(monkeypatch, (measurement.joint_distribution, measurement._party_image),
            "the polynomial engine was called")
 
 

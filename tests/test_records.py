@@ -1,4 +1,4 @@
-"""The value records (``fock._Record`` and its nine subclasses): reprs,
+"""The value records (``fock._Record`` and its eight subclasses): reprs,
 equality, hashing, immutability, pickling and copying, validation, and an
 engine import that generates no code."""
 import copy
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import twocopy
-from twocopy.fock import LinearModeMap, ModePolynomial
+from twocopy.fock import ModePolynomial
 from twocopy.inequalities import AngleQuad, CorrelationVector
 from twocopy.measurement import BasisVector, BeamSplitterSetting
 from twocopy.search import OptimizationResult, ScanSeries
@@ -28,7 +28,6 @@ def make(name):
     """A fresh record of the named class; two calls give equal records."""
     return {
         "ModePolynomial": lambda: ModePolynomial(("a", "b"), {(1, 0): 0.6, (0, 1): 0.8j}),
-        "LinearModeMap": lambda: LinearModeMap(("a", "b"), ("c", "d"), [[0, 1], [1, 0]]),
         "CompositeState": lambda: bec_pair(1),
         "BeamSplitterSetting": lambda: BeamSplitterSetting(0.6, 0.8, 1.5),
         "BasisVector": lambda: BasisVector((0, 1), POLYNOMIAL, -1),
@@ -44,8 +43,6 @@ def make(name):
 # repr(make(name)), as the frozen dataclasses printed them
 GOLDEN_REPRS = {
     "ModePolynomial": "ModePolynomial(modes=('a', 'b'), terms={(0, 1): 0+0.8j, (1, 0): 0.6+0j})",
-    "LinearModeMap": "LinearModeMap(inputs=('a', 'b'), outputs=('c', 'd'), "
-                     "matrix=array([[0.+0.j, 1.+0.j],\n       [1.+0.j, 0.+0.j]]))",
     "CompositeState": "CompositeState(entries=((1.0, ModePolynomial(modes=('a', 'b', 'A', 'B'), "
                       "terms={(0, 1, 0, 1): 0.5+0j, (0, 1, 1, 0): 0.5+0j, (1, 0, 0, 1): 0.5+0j, "
                       "(1, 0, 1, 0): 0.5+0j})),), n1=1, n2=1, sector_pure=True)",
@@ -61,7 +58,6 @@ GOLDEN_REPRS = {
                   "fixed=(('phi1', 0.1), ('phi2', 0.2)))",
 }
 NAMES = list(GOLDEN_REPRS)
-VALUE_NAMES = [name for name in NAMES if name != "LinearModeMap"]
 # records holding a ModePolynomial, whose terms are a mappingproxy, which
 # pickle and deepcopy refuse
 HOLDS_MAPPINGPROXY = {"ModePolynomial", "CompositeState", "BasisVector"}
@@ -72,14 +68,14 @@ def test_repr_unchanged(name):
     assert repr(make(name)) == GOLDEN_REPRS[name]
 
 
-@pytest.mark.parametrize("name", VALUE_NAMES)
+@pytest.mark.parametrize("name", NAMES)
 def test_equal_values_equal_and_hash_alike(name):
     a, b = make(name), make(name)
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b)
 
 
-@pytest.mark.parametrize("name", [n for n in VALUE_NAMES if n != "ModePolynomial"])
+@pytest.mark.parametrize("name", [n for n in NAMES if n != "ModePolynomial"])
 def test_hash_of_the_field_tuple(name):
     record = make(name)
     fields = tuple(getattr(record, field) for field in type(record).__match_args__)
@@ -93,12 +89,6 @@ def test_other_class_not_implemented(name):
                   (0.1, 0.2, 0.3, 0.4), None):
         assert record.__eq__(other) is NotImplemented
         assert record != other
-
-
-def test_maps_compare_by_identity():
-    a, b = make("LinearModeMap"), make("LinearModeMap")
-    assert a == a and a != b
-    assert hash(a) == object.__hash__(a)
 
 
 def test_unequal_fields_unequal():
@@ -150,10 +140,7 @@ def test_pickle_and_copy_as_the_dataclasses(name, how):
         return
     got = clone(record)
     assert type(got) is type(record) and repr(got) == repr(record)
-    if name == "LinearModeMap":
-        assert got != record and not got.matrix.flags.writeable
-    else:
-        assert got == record and hash(got) == hash(record)
+    assert got == record and hash(got) == hash(record)
 
 
 MEMBER = bec_pair(1).entries[0][1]
@@ -191,10 +178,6 @@ MEMBER = bec_pair(1).entries[0][1]
      "coefficient (nan+0j) of (1,) is not finite"),
     (lambda: ModePolynomial(("a",), {(1,): complex(1.0, math.inf)}), ValueError,
      "coefficient (1+infj) of (1,) is not finite"),
-    (lambda: LinearModeMap(("a", "b"), ("c", "d"), [[1, 1], [0, 1]]), ValueError,
-     "map is not unitary (deviation 1.000e+00)"),
-    (lambda: LinearModeMap(("a", "b"), ("c",), [[1, 0]]), ValueError,
-     "mode map must have as many outputs as inputs"),
     (lambda: OptimizationResult(1.0, QUAD, 1, 1, 0), TypeError,
      "OptimizationResult.__init__() missing 1 required positional argument: 'converged'"),
     (lambda: ScanSeries("theta2", ()), TypeError,

@@ -890,6 +890,9 @@ class TestScan:
 
 
 class TestCountLocalMaxima:
+    def test_empty_series(self):
+        assert count_local_maxima([], threshold=0.0) == 0
+
     def test_flat_series(self):
         assert count_local_maxima([1.0] * 50, threshold=0.0) == 0
 

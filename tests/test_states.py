@@ -124,6 +124,18 @@ class TestTwoCopy:
         with pytest.raises(ValueError):
             CompositeState(((1.0, good),), n1=2, n2=1)
 
+    @pytest.mark.parametrize("s1, s2, error, message", [
+        (bec_state(1, ("A", "B")), bec_state(1, ("A", "B")), ModeMismatchError,
+         "first factor must use modes ('a', 'b')"),
+        (bec_state(1), bec_state(1), ModeMismatchError,
+         "second factor must use modes ('A', 'B')"),
+        (bec_state(1), ModePolynomial(("A", "B"), {(1, 0): 0.6, (1, 1): 0.8}), ValueError,
+         "each factor must have a fixed particle number"),
+    ], ids=["first-modes", "second-modes", "particle-number"])
+    def test_rejects_factors(self, s1, s2, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            two_copy(s1, s2)
+
     def test_requires_normalization(self):
         from twocopy.fock import ModePolynomial
         lopsided = ModePolynomial(("a", "b"), {(1, 0): 2.0})
@@ -325,6 +337,10 @@ class TestAdmix:
     def test_probability_range_checked(self):
         with pytest.raises(ValueError):
             admix(bec_pair(1), 1.5)
+
+    def test_unknown_noise_model(self):
+        with pytest.raises(ValueError, match="^unknown noise model 'thermal'$"):
+            admix(bec_pair(1), 0.5, noise="thermal")
 
     def test_factorized_noise_bound(self):
         # rejected before any of the noise members is built
