@@ -7,16 +7,17 @@ degree.  Its Fourier coefficients are contracted exactly from the state's
 Fock amplitudes and each party's beam-splitter observable, one real matrix
 per particle-number block, and the polynomial is cached per (state,
 reflectivity), so repeated evaluations during optimization are cheap
-without any closed-form shortcuts.  Each objective is a numpy function of
-the four correlations on an array's last axis.  White noise correlates as
-one number at every angle pair, read from the parity traces.
+without any closed-form shortcuts.  A value at one angle setting is summed
+on Python floats with the search's arithmetic, so the value at optimize's
+argmax is its max_value; scan grids use numpy arrays.  White noise
+correlates as one number at every angle pair, read from the parity traces.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, get_args
+from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
@@ -88,49 +89,18 @@ class CorrelationVector(_Record):
         object.__setattr__(self, "e22", e22)
 
 
-class _TrigSeries:
+class _Series(NamedTuple):
     """Real trigonometric polynomial c0 + sum_k (a_k cos k*d + b_k sin k*d).
 
-    Built from the complex Fourier coefficients C_0 .. C_degree of
-    sum_k C_k e^{ikd} over k = -degree .. degree, with C_-k = conj(C_k):
-    c0 = Re C_0, a_k = 2 Re C_k and b_k = -2 Im C_k.
+    ``terms`` holds (k, a_k, b_k) for k = 1 .. degree, as Python floats.
     """
 
-    __slots__ = ("c0", "_columns")
-
-    def __init__(self, fourier: np.ndarray):
-        degree = len(fourier) - 1
-        self.c0 = float(fourier[0].real)
-        # the orders k, a_k and b_k, each as a (degree, 1) column
-        self._columns = np.array(
-            [range(1, degree + 1), 2.0 * fourier[1:].real, -2.0 * fourier[1:].imag],
-            dtype=float,
-        ).reshape(3, degree, 1)
-
-    def evaluate(self, deltas: np.ndarray) -> np.ndarray:
-        """The polynomial at every element of ``deltas``, same shape.
-
-        The orders are added one at a time from k = 1 up.  An element's
-        value then does not depend on the other elements of the array,
-        provided numpy's float64 cos and sin give an element the same
-        value whatever the array length.  numpy does not promise that;
-        where it fails, values move in the last bit only.
-        """
-        orders, a, b = self._columns
-        angles = orders * deltas.reshape(1, -1)
-        terms = a * np.cos(angles) + b * np.sin(angles)
-        value = self.c0 + terms[0] if len(terms) else np.full(deltas.size, self.c0)
-        for term in terms[1:]:
-            value += term
-        return value.reshape(deltas.shape)
-
-    def terms(self) -> list[list[float]]:
-        """[k, a_k, b_k] for k = 1 .. degree, as Python floats."""
-        return self._columns[:, :, 0].T.tolist()
+    c0: float
+    terms: tuple[tuple[float, float, float], ...]
 
 
 @lru_cache(maxsize=512)
-def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeries:
+def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
     """The correlation as a trigonometric series in phi - theta.
 
     With psi_x the Fock amplitudes of a member over x = (a, b, A, B), the
@@ -141,7 +111,9 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeri
     unless x and y lie in one Alice block (a + A) and one Bob block
     (b + B); every member has fixed a + b and A + B (CompositeState
     checks it), so B_y - B_x = -(A_y - A_x) and the pairs with
-    A_y - A_x = k make C_k.
+    A_y - A_x = k make C_k, the Fourier coefficient of e^{ikd} in
+    d = phi - theta.  With C_-k = conj(C_k), c0 = Re C_0, a_k = 2 Re C_k and
+    b_k = -2 Im C_k.
     """
     amplitudes = [member._amplitudes() for _, member in state.entries]
     n_max = max((max(e[0] + e[2], e[1] + e[3]) for amps in amplitudes for e in amps),
@@ -161,26 +133,56 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _TrigSeri
         terms.append(weight * psi[x].conj() * psi[y]
                      * alice[ka[x], a[x], a[y]] * bob[kb[x], b[x], b[y]])
     order, term = np.concatenate(orders), np.concatenate(terms)
-    return _TrigSeries(np.bincount(order, term.real) + 1j * np.bincount(order, term.imag))
+    real, imag = np.bincount(order, term.real), np.bincount(order, term.imag)
+    k = np.arange(1.0, len(real))
+    return _Series(float(real[0]), tuple(zip(k.tolist(), (2.0 * real[1:]).tolist(),
+                                             (-2.0 * imag[1:]).tolist())))
 
 
-def _series(state: CompositeState, alpha: float, bob_alpha: float | None) -> _TrigSeries:
+def _series(state: CompositeState, alpha: float, bob_alpha: float | None) -> _Series:
     if bob_alpha is None:
         bob_alpha = alpha
     return _profile(state, float(alpha), float(bob_alpha))
 
 
-# Columns of (phi1, phi2, theta1, theta2) whose differences give e11, e12,
-# e21 and e22.
-_ALICE_COLUMNS = np.array([0, 0, 1, 1])
-_BOB_COLUMNS = np.array([2, 3, 2, 3])
+def _correlations(series: _Series, quads) -> np.ndarray:
+    """(e11, e12, e21, e22) on the last axis, for angle quads of shape (..., 4).
 
-
-def _correlations(series: _TrigSeries, quads) -> np.ndarray:
-    """(e11, e12, e21, e22) on the last axis, for angle quads of shape (..., 4)."""
+    numpy's cos and sin, with the orders added onto c0 one at a time from
+    k = 1 up, so an element's value does not depend on the others wherever
+    numpy's cos and sin give an element the same value at any array length
+    (numpy does not promise that; where it fails, the last bit moves).
+    """
     quads = np.asarray(quads)
-    return series.evaluate(quads.take(_ALICE_COLUMNS, axis=-1)
-                           - quads.take(_BOB_COLUMNS, axis=-1))
+    deltas = quads[..., [0, 0, 1, 1]] - quads[..., [2, 3, 2, 3]]
+    value = np.full(deltas.shape, series.c0)
+    for k, a, b in series.terms:
+        angle = k * deltas
+        value += a * np.cos(angle) + b * np.sin(angle)
+    return value
+
+
+def _at(series: _Series, d: float) -> float:
+    """The series at the angle difference ``d`` on Python floats, with the
+    search's arithmetic: libm's cos and sin, and each order's
+    a_k cos k*d + b_k sin k*d added from k = 1 up, then c0."""
+    total = 0.0
+    for k, a, b in series.terms:
+        angle = k * d
+        total += a * math.cos(angle) + b * math.sin(angle)
+    return series.c0 + total
+
+
+def _point(state: CompositeState, q: AngleQuad, alpha: float,
+           bob_alpha: float | None) -> list[float]:
+    """[e11, e12, e21, e22] at the angle quad ``q``, by ``_at``."""
+    series = _series(state, alpha, bob_alpha)
+    return [_at(series, phi - theta) for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
+
+
+def _radii(e11: float, e12: float, e21: float, e22: float) -> float:
+    """The steering functional on Python floats; complex abs is libm's hypot."""
+    return abs(complex(e11 + e21, e12 + e22)) + abs(complex(e11 - e21, e12 - e22))
 
 
 def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
@@ -192,30 +194,21 @@ def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
     """
     if not (math.isfinite(alice_angle) and math.isfinite(bob_angle)):
         raise ValueError(f"angles ({alice_angle}, {bob_angle}) are not finite")
-    return float(_series(state, alpha, bob_alpha).evaluate(np.array(alice_angle - bob_angle)))
+    return _at(_series(state, alpha, bob_alpha), alice_angle - bob_angle)
 
 
 def correlation_vector(state: CompositeState, q: AngleQuad,
                        alpha: float = BALANCED_ALPHA,
                        bob_alpha: float | None = None) -> CorrelationVector:
-    e = _correlations(_series(state, alpha, bob_alpha), q.as_tuple())
-    return CorrelationVector(*e.tolist())
-
-
-def _bell(e: np.ndarray) -> np.ndarray:
-    return e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
-
-
-def _steering(e: np.ndarray) -> np.ndarray:
-    e11, e12, e21, e22 = e[..., 0], e[..., 1], e[..., 2], e[..., 3]
-    return np.hypot(e11 + e21, e12 + e22) + np.hypot(e11 - e21, e12 - e22)
+    return CorrelationVector(*_point(state, q, alpha, bob_alpha))
 
 
 def bell_value(state: CompositeState, q: AngleQuad,
                alpha: float = BALANCED_ALPHA,
                bob_alpha: float | None = None) -> float:
     """Standard CHSH combination E11 + E12 + E21 - E22 (signed)."""
-    return float(_bell(_correlations(_series(state, alpha, bob_alpha), q.as_tuple())))
+    e11, e12, e21, e22 = _point(state, q, alpha, bob_alpha)
+    return e11 + e12 + e21 - e22
 
 
 def steering_value(state: CompositeState, q: AngleQuad,
@@ -226,7 +219,7 @@ def steering_value(state: CompositeState, q: AngleQuad,
     sqrt((E11+E21)^2 + (E12+E22)^2) + sqrt((E11-E21)^2 + (E12-E22)^2);
     nonnegative, and at most 2*sqrt(2) for quantum correlations.
     """
-    return float(_steering(_correlations(_series(state, alpha, bob_alpha), q.as_tuple())))
+    return _radii(*_point(state, q, alpha, bob_alpha))
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +284,7 @@ def _bell_noon(q: AngleQuad) -> float:
             + math.cos(t1 - p1) ** 2 + math.cos(t2 - p1) ** 2)
 
 
-# Each family's (form, state factory, functional, orientation).  Engine
+# Each family's (form, state factory, point function, orientation).  Engine
 # value = orientation * closed form.  The bell form of the single-particle
 # condensate pair is tabulated with the opposite overall sign relative to
 # the weighted-parity convention used throughout the engine; its |value|
@@ -299,13 +292,13 @@ def _bell_noon(q: AngleQuad) -> float:
 # no orientation: its second radicand is negative on most of the angle
 # domain (see NegativeRadicandError), so it cannot equal the engine anywhere.
 _FAMILIES: dict[str, tuple[Callable[[AngleQuad], float], Callable[[], CompositeState],
-                           Callable[[np.ndarray], np.ndarray], float | None]] = {
-    "steer_bec1": (_steer_bec1, partial(bec_pair, 1), _steering, 1.0),
-    "bell_bec1": (_bell_bec1, partial(bec_pair, 1), _bell, -1.0),
-    "steer_bec2": (_steer_bec2, partial(bec_pair, 2), _steering, 1.0),
-    "bell_bec2": (_bell_bec2, partial(bec_pair, 2), _bell, 1.0),
-    "steer_noon": (_steer_noon, partial(noon_pair, 2, 0), _steering, None),
-    "bell_noon": (_bell_noon, partial(noon_pair, 2, 0), _bell, 1.0),
+                           Callable[[CompositeState, AngleQuad], float], float | None]] = {
+    "steer_bec1": (_steer_bec1, partial(bec_pair, 1), steering_value, 1.0),
+    "bell_bec1": (_bell_bec1, partial(bec_pair, 1), bell_value, -1.0),
+    "steer_bec2": (_steer_bec2, partial(bec_pair, 2), steering_value, 1.0),
+    "bell_bec2": (_bell_bec2, partial(bec_pair, 2), bell_value, 1.0),
+    "steer_noon": (_steer_noon, partial(noon_pair, 2, 0), steering_value, None),
+    "bell_noon": (_bell_noon, partial(noon_pair, 2, 0), bell_value, 1.0),
 }
 
 CLOSED_FORM_FAMILIES = tuple(_FAMILIES)
@@ -347,20 +340,25 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     for family, (form, state, functional, orientation) in _FAMILIES.items():
         if orientation is None:
             continue
-        quads = rng.uniform(0.0, TWO_PI, (draws, 4))
-        engine = functional(_correlations(_series(state(), BALANCED_ALPHA, None), quads))
-        forms = [orientation * form(AngleQuad(*q)) for q in quads]
-        deviations[family] = float(np.max(np.abs(engine - forms)))
+        composite = state()
+        quads = [AngleQuad(*q) for q in rng.uniform(0.0, TWO_PI, (draws, 4)).tolist()]
+        deviations[family] = max(abs(functional(composite, q) - orientation * form(q))
+                                 for q in quads)
     return {
         "families": deviations,
-        "max_abs_deviation": float(np.max(list(deviations.values()))),
+        "max_abs_deviation": max(deviations.values()),
         "draws": draws,
         "seed": seed,
     }
 
 
+def _steering(e: np.ndarray) -> np.ndarray:
+    e11, e12, e21, e22 = e[..., 0], e[..., 1], e[..., 2], e[..., 3]
+    return np.hypot(e11 + e21, e12 + e22) + np.hypot(e11 - e21, e12 - e22)
+
+
 def _abs_bell(e: np.ndarray) -> np.ndarray:
-    return np.abs(_bell(e))
+    return np.abs(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
 
 
 # Each objective as a function of an array whose last axis holds (e11, e12, e21, e22).
@@ -427,20 +425,17 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     The bisection halves [lo, hi] from [0, 1] until it is no wider than
     ``tol`` or its midpoint rounds onto an end, and returns the final
     midpoint.  Each halving evaluates the objective once, on Python floats
-    with the arithmetic of the array functionals (complex abs is libm's
-    hypot, as np.hypot is).
+    with the arithmetic of ``bell_value`` and ``steering_value``.
     """
     steering = _functional(objective) is _steering
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol={tol} must be a finite number > 0")
-    pure = _correlations(_series(state, alpha, bob_alpha), q.as_tuple()).tolist()
+    pure = _point(state, q, alpha, bob_alpha)
     white = _noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p: float) -> float:
         e11, e12, e21, e22 = [p * e + (1.0 - p) * white for e in pure]
-        if steering:
-            return abs(complex(e11 + e21, e12 + e22)) + abs(complex(e11 - e21, e12 - e22))
-        return abs(e11 + e12 + e21 - e22)
+        return _radii(e11, e12, e21, e22) if steering else abs(e11 + e12 + e21 - e22)
 
     top = value_at(1.0)
     if top <= CLASSICAL_BOUND:

@@ -207,7 +207,7 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
     lies below about 3e-206, where r ** -1.5 overflows."""
     steering = _functional(objective) is _steering
     series = _series(state, alpha, bob_alpha)
-    c0, terms = series.c0, [(k, k * k, a, b) for k, a, b in series.terms()]
+    c0, terms = series.c0, [(k, k * k, a, b) for k, a, b in series.terms]
     cos, sin = math.cos, math.sin
 
     def value(x: float, y: float, z: float) -> tuple[float, tuple]:

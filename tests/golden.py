@@ -2,9 +2,10 @@
 and the command that rewrites it.
 
 For each case of ``test_search.golden_cases()`` the file pins two things:
-the correlation series the search runs on, as ``float.hex`` of ``c0`` and
-of ``terms()``, and ``repr`` of the OptimizationResult, which tells every
-float bit apart.  ``TestGoldenGrid`` rebuilds each pinned series, runs
+the correlation series the search runs on, as the record itself (``c0``
+and every (k, a_k, b_k) of ``terms`` as ``float.hex``), and ``repr`` of
+the OptimizationResult, which tells every float bit apart.
+``TestGoldenGrid`` rebuilds each pinned series, runs
 ``optimize`` on it in place of the state's own, and compares reprs, so a
 pinned result depends on libm alone: not on the BLAS kernel that
 contracted the series, whose last bits differ between kernels, nor on
@@ -24,8 +25,6 @@ import json
 import pathlib
 from unittest import mock
 
-import numpy as np
-
 from twocopy import inequalities, search
 
 PATH = pathlib.Path(__file__).with_name("golden_search.json")
@@ -38,16 +37,14 @@ def key(case) -> list:
 
 
 def series_record(series) -> dict:
-    """A series' c0 and terms() as float.hex strings."""
-    return {"c0": series.c0.hex(), "terms": [[v.hex() for v in term] for term in series.terms()]}
+    """A series' c0 and terms as float.hex strings."""
+    return {"c0": series.c0.hex(), "terms": [[v.hex() for v in term] for term in series.terms]}
 
 
 def pinned_series(record: dict):
-    """The _TrigSeries whose c0 and terms() are ``record``'s: its Fourier
-    coefficients are C_0 = c0 and C_k = (a_k - i b_k) / 2."""
-    c0 = float.fromhex(record["c0"])
-    terms = [[float.fromhex(v) for v in term] for term in record["terms"]]
-    return inequalities._TrigSeries(np.array([c0] + [complex(a / 2, -b / 2) for _, a, b in terms]))
+    """The series whose c0 and terms are ``record``'s."""
+    return inequalities._Series(float.fromhex(record["c0"]),
+                                tuple(tuple(map(float.fromhex, term)) for term in record["terms"]))
 
 
 def result(case, series) -> str:

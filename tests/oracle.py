@@ -42,6 +42,18 @@ by its centre's value plus sum_i L_i w_i / 2.  Cells bounded below the best
 value found are dropped and the rest halved along the larger L_i w_i while
 the budget lasts; the largest bound left is the upper bound.  scipy's
 Powell search polishes the best centre.
+
+Steering's bound is capped at 2 sqrt(2).  With n and m the unit vectors
+above, S = sum_jk M_jk E_jk with rows M_1 = n + m and M_2 = n - m (j is
+Alice's setting, k Bob's), orthogonal and with |M_1|^2 + |M_2|^2 = 4.
+Alice's and Bob's +-1 observables act on different modes, so by
+Tsirelson's vector form (Lett. Math. Phys. 4, 93 (1980)) E_jk = a_j.b_k
+for unit vectors a_j, b_k, and S = sum_k (sum_j M_jk a_j).b_k <=
+sum_k |sum_j M_jk a_j| <= sqrt(2) (sum_k |sum_j M_jk a_j|^2)^(1/2)
+(Cauchy-Schwarz over the two k) = sqrt(2) (|M_1|^2 + |M_2|^2)^(1/2) =
+2 sqrt(2), the cross term 2 (M_1.M_2) a_1.a_2 dropping out because the
+rows are orthogonal.  Where the maximum is 2 sqrt(2) (bec1, bec2, noon2)
+the certificate is then tight.
 """
 import math
 from functools import lru_cache, partial
@@ -126,7 +138,7 @@ def reduction(objective: str, state, alpha: float = BALANCED_ALPHA, bob_alpha=No
     the quads that reach them; its Lipschitz constants; the first grid's
     cell counts and widths."""
     series = inequalities._series(state, alpha, bob_alpha)
-    k, a, b = np.array(series.terms()).reshape(-1, 3).T
+    k, a, b = np.array(series.terms).reshape(-1, 3).T
     C = np.concatenate([[series.c0], (a - 1j * b) / 2.0])
     lip, bound = (k * np.hypot(a, b)).sum(), abs(series.c0) + np.hypot(a, b).sum()
     if inequalities._functional(objective) is inequalities._steering:
@@ -158,4 +170,6 @@ def maximum(objective: str, state, alpha: float = BALANCED_ALPHA, bob_alpha=None
                         options={"xtol": 1e-8, "ftol": 1e-14})
     value, quad = (v[0] for v in reduced(polished.x[None]))
     upper = max(value, best, (values + (lipschitz * width).sum() / 2).max())
+    if inequalities._functional(objective) is inequalities._steering:
+        upper = min(upper, inequalities.QUANTUM_BOUND)
     return Maximum(float(value), float(upper), tuple(quad.tolist()))

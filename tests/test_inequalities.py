@@ -7,6 +7,7 @@ the N=1 condensate pair is (cos(d) - 1)/2 in d = phi - theta, the N=2 pair
 gives sin(d/2)^4, and the two-particle N00N pair gives cos(d)^2.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -386,8 +387,7 @@ def reference_threshold(state, objective, q, alpha=BALANCED_ALPHA, bob_alpha=Non
     value per halving.  The engine evaluates four halvings per call and
     must match this bit for bit, raised messages included."""
     functional = inequalities._functional(objective)
-    pure = inequalities._correlations(inequalities._series(state, alpha, bob_alpha),
-                                      q.as_tuple())
+    pure = np.array(inequalities._point(state, q, alpha, bob_alpha))
     white = inequalities._noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p):
@@ -466,6 +466,82 @@ class TestThresholdMatchesReference:
                 cases.append((state, objective, q, alphas))
         outcomes = self.assert_identical(cases)
         assert sum(not o.startswith("NoViolation") for o in outcomes) > 20
+
+
+def crossings(objective, e, c):
+    """The admixing probabilities in (0, 1) where the blend p e + (1 - p) c of
+    pure correlations e = (e11, e12, e21, e22) and noise correlation c
+    reaches the classical bound 2, in closed form.
+
+    |Bell| is |p (B - 2c) + 2c|, linear inside the modulus.  Steering is
+    |W + p D| + p |U| with W = (2c, 2c), D = V - W, and V, U the sum and
+    difference vectors of e; squaring |W + p D| = 2 - p |U| where
+    2 - p |U| >= 0 gives a p^2 + b p + k = 0, solved as q = -(b + sign(b)
+    sqrt(b^2 - 4ak)) / 2 with roots q / a and k / q, which keeps the
+    cancellation of the textbook form out."""
+    e11, e12, e21, e22 = e
+    if objective == "bell":
+        bell = e11 + e12 + e21 - e22
+        roots = [(2.0 * sign - 2.0 * c) / (bell - 2.0 * c) for sign in (1.0, -1.0)]
+    else:
+        w = 2.0 * c
+        d1, d2 = e11 + e21 - w, e12 + e22 - w
+        u = math.hypot(e11 - e21, e12 - e22)
+        a, b, k = d1 * d1 + d2 * d2 - u * u, 2.0 * w * (d1 + d2) + 4.0 * u, 2.0 * w * w - 4.0
+        q = -(b + math.copysign(math.sqrt(b * b - 4.0 * a * k), b)) / 2.0
+        roots = [num / den for num, den in ((q, a), (k, q)) if den != 0.0]
+        roots = [p for p in roots if 2.0 - p * u >= 0.0]
+    return [p for p in roots if 0.0 < p < 1.0]
+
+
+def blend_value(objective, e, c, p):
+    """The objective of the blend p e + (1 - p) c, by math.hypot."""
+    e11, e12, e21, e22 = [p * x + (1.0 - p) * c for x in e]
+    if objective == "bell":
+        return abs(e11 + e12 + e21 - e22)
+    return math.hypot(e11 + e21, e12 + e22) + math.hypot(e11 - e21, e12 - e22)
+
+
+class TestThresholdClosedForm:
+    """Where a violation at p = 1 is undone by noise, the blend crosses 2
+    exactly once in (0, 1), and the bisection ends within ``tol`` of it."""
+
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4), st.floats(-1.0, 1.0),
+           st.sampled_from(["steering", "bell"]), st.sampled_from([1e-4, 1e-9, 1e-12]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_one_crossing_for_any_correlations(self, e, c, objective, tol):
+        with mock.patch.object(inequalities, "_point", lambda *args: list(e)), \
+                mock.patch.object(inequalities, "_noise_correlation", lambda *args: c):
+            try:
+                threshold = visibility_threshold(bec_pair(1), objective, Q_STEER_BEC1, tol=tol)
+            except NoViolationError:
+                # no violation at p = 1, or the noise alone already reaches 2
+                assert (blend_value(objective, e, c, 1.0) <= 2.0 + 1e-12
+                        or blend_value(objective, e, c, 0.0) >= 2.0 - 1e-12)
+                return
+        root, = crossings(objective, e, c)
+        assert abs(threshold - root) <= tol
+
+    def test_documented_working_points(self):
+        checked = 0
+        for state, objective, q in DOCUMENTED_POINTS:
+            for alpha, bob_alpha in [(BALANCED_ALPHA, None), UNEVEN,
+                                     (math.sqrt(0.98), math.sqrt(0.02))]:
+                # the pure and noise correlations by the joint distribution
+                e = [direct_correlation(state, phi, theta, alpha, bob_alpha)
+                     for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
+                for noise in ("sector", "factorized"):
+                    c = direct_correlation(admix(state, 0.0, noise), 0.0, 0.0, alpha, bob_alpha)
+                    for tol in (1e-4, 1e-9, 1e-13):
+                        try:
+                            threshold = visibility_threshold(state, objective, q, alpha,
+                                                             bob_alpha, noise, tol)
+                        except NoViolationError:
+                            continue
+                        root, = crossings(objective, e, c)
+                        assert abs(threshold - root) <= tol, (state, objective, q, noise, tol)
+                        checked += 1
+        assert checked >= 80
 
 
 def random_sector_state(rng, n1, n2):

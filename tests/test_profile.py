@@ -346,6 +346,67 @@ def test_bounds_and_common_shift(state, alpha, bob_alpha, quad, shift):
         steering, abs=1e-12)
 
 
+# -- exact relations at every particle number ------------------------------------
+# With C_k = (a_k - i b_k) / 2 the Fourier coefficient of e^{ikd}, d = phi - theta:
+# conjugating every amplitude conjugates C_k; a phase e^{i chi} per particle in
+# mode A multiplies C_k by e^{ik chi}; swapping the parties, their alphas with
+# them, maps E(d) to E(-d) and so conjugates C_k.  Each relation holds for any
+# state and splitters, so each needs one profile per side at any N.
+
+RELATION_CASES = [(1, 1, 1), (1, 3, 2), (2, 2, 1), (5, 3, 2), (8, 8, 1), (12, 7, 2),
+                  (16, 16, 1), (16, 16, 2), (32, 32, 1)]
+
+
+def relation_states(n1, n2, members, seed):
+    """(build, alpha, bob_alpha, chi): ``build(transform)`` is the pure state
+    or two-member mixture in the (n1, n2) sector whose Fock amplitudes are
+    ``transform(occupation, amplitude)`` of fixed random ones; the splitters
+    are unbalanced and chi is a random phase."""
+    rng = np.random.default_rng(seed)
+    occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
+    amplitudes = []
+    for _ in range(members):
+        amps = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))
+        amplitudes.append(dict(zip(occupations, (amps / np.linalg.norm(amps)).tolist())))
+    weight = float(rng.uniform(0.1, 0.9))
+    weights = (1.0,) if members == 1 else (weight, 1.0 - weight)
+
+    def build(transform):
+        polys = [from_fock_amplitudes(COMPOSITE_MODES, dict(transform(o, c) for o, c in m.items()))
+                 for m in amplitudes]
+        return CompositeState(tuple(zip(weights, polys)), n1=n1, n2=n2)
+    alpha, bob_alpha = np.sqrt(rng.uniform(0.05, 0.95, 2)).tolist()
+    return build, alpha, bob_alpha, float(rng.uniform(0.0, TWO_PI))
+
+
+def fourier(series):
+    """C_0 .. C_degree of a series: c0 and (a_k - i b_k) / 2."""
+    return np.array([series.c0] + [complex(a, -b) / 2.0 for _, a, b in series.terms])
+
+
+@pytest.mark.parametrize("n1, n2, members", RELATION_CASES,
+                         ids=[f"{n1}+{n2}x{m}" for n1, n2, m in RELATION_CASES])
+def test_profile_exact_relations(n1, n2, members):
+    build, alpha, bob_alpha, chi = relation_states(n1, n2, members, seed=97 * n1 + n2 + members)
+    want = inequalities._profile(build(lambda o, c: (o, c)), alpha, bob_alpha)
+    assert want.terms  # every case has orders past 0
+    k = np.arange(len(want.terms) + 1)
+
+    phased = inequalities._profile(
+        build(lambda o, c: (o, c * complex(math.cos(chi * o[2]), math.sin(chi * o[2])))),
+        alpha, bob_alpha)
+    assert np.abs(fourier(phased) - fourier(want) * np.exp(1j * k * chi)).max() <= 1e-15
+
+    # conjugated amplitudes, and the parties swapped: c0 and a_k kept, b_k negated
+    conjugated = inequalities._profile(build(lambda o, c: (o, c.conjugate())), alpha, bob_alpha)
+    swapped = inequalities._profile(build(lambda o, c: ((o[1], o[0], o[3], o[2]), c)),
+                                    bob_alpha, alpha)
+    for got in (conjugated, swapped):
+        assert abs(got.c0 - want.c0) <= 1e-15
+        flipped = np.multiply(want.terms, [1.0, 1.0, -1.0])
+        assert np.abs(np.subtract(got.terms, flipped)).max() <= 1e-15
+
+
 # -- noise and sector errors -----------------------------------------------------
 
 SECTORS = [(1, 1), (2, 1), (2, 2), (3, 1), (1, 4)]
@@ -425,7 +486,8 @@ def test_zero_weight_member_skipped():
         want = inequalities._profile(state, alpha, bob_alpha)
         got = inequalities._profile(padded, alpha, bob_alpha)
         assert got.c0.hex() == want.c0.hex()
-        assert got._columns.tobytes() == want._columns.tobytes()
+        assert ([[v.hex() for v in term] for term in got.terms]
+                == [[v.hex() for v in term] for term in want.terms])
 
 
 # -- the polynomial engine stays off the hot path ----------------------------------
@@ -460,20 +522,14 @@ def without_noise_mixtures(monkeypatch):
     forbid(monkeypatch, (states.admix,), "a noise mixture was built")
 
 
-@pytest.fixture
-def without_scalar_evaluators(monkeypatch):
-    """Every alias of the per-call correlation and functional routes raises."""
-    forbid(monkeypatch, (correlation, correlation_vector, steering_value, bell_value),
-           "a scalar evaluator was called")
-
-
-def test_closed_form_check_is_one_array_call_per_family(without_scalar_evaluators):
+def test_closed_form_check_builds_one_profile_per_state():
     inequalities._profile.cache_clear()
     report = verify_closed_forms(draws=20)
     assert report["max_abs_deviation"] < 1e-9
-    # one profile lookup per family: bec1, bec2 and noon2 are built once each
+    # one profile lookup per draw of the five families: bec1, bec2 and
+    # noon2 are built once each
     info = inequalities._profile.cache_info()
-    assert (info.misses, info.hits) == (3, 2)
+    assert (info.misses, info.hits) == (3, 5 * 20 - 3)
 
 
 def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,
