@@ -110,10 +110,10 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
     parties' observables at phase 0 (``parity_blocks``).  They vanish
     unless x and y lie in one Alice block (a + A) and one Bob block
     (b + B); every member has fixed a + b and A + B (CompositeState
-    checks it), so B_y - B_x = -(A_y - A_x) and the pairs with
-    A_y - A_x = k make C_k, the Fourier coefficient of e^{ikd} in
-    d = phi - theta.  With C_-k = conj(C_k), c0 = Re C_0, a_k = 2 Re C_k and
-    b_k = -2 Im C_k.
+    checks it), so Bob's block follows from Alice's, B_y - B_x =
+    -(A_y - A_x), and the pairs with A_y - A_x = k make C_k, the Fourier
+    coefficient of e^{ikd} in d = phi - theta.  With C_-k = conj(C_k),
+    c0 = Re C_0, a_k = 2 Re C_k and b_k = -2 Im C_k.
     """
     amplitudes = [member._amplitudes() for _, member in state.entries]
     n_max = max((max(e[0] + e[2], e[1] + e[3]) for amps in amplitudes for e in amps),
@@ -128,7 +128,7 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
         psi = np.fromiter(amps.values(), complex, len(amps))
         ka, kb = a + A, b + B
         # C_-k = conj(C_k), so only the pairs with A_x <= A_y are summed
-        x, y = np.nonzero((ka[:, None] == ka) & (kb[:, None] == kb) & (A[:, None] <= A))
+        x, y = np.nonzero((ka[:, None] == ka) & (A[:, None] <= A))
         orders.append(A[y] - A[x])
         terms.append(weight * psi[x].conj() * psi[y]
                      * alice[ka[x], a[x], a[y]] * bob[kb[x], b[x], b[y]])
@@ -173,16 +173,18 @@ def _at(series: _Series, d: float) -> float:
     return series.c0 + total
 
 
-def _point(state: CompositeState, q: AngleQuad, alpha: float,
-           bob_alpha: float | None) -> list[float]:
+def _point(series: _Series, q: AngleQuad) -> list[float]:
     """[e11, e12, e21, e22] at the angle quad ``q``, by ``_at``."""
-    series = _series(state, alpha, bob_alpha)
     return [_at(series, phi - theta) for phi in (q.phi1, q.phi2) for theta in (q.theta1, q.theta2)]
 
 
 def _radii(e11: float, e12: float, e21: float, e22: float) -> float:
     """The steering functional on Python floats; complex abs is libm's hypot."""
     return abs(complex(e11 + e21, e12 + e22)) + abs(complex(e11 - e21, e12 - e22))
+
+
+def _bell(e11: float, e12: float, e21: float, e22: float) -> float:
+    return e11 + e12 + e21 - e22
 
 
 def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
@@ -200,15 +202,14 @@ def correlation(state: CompositeState, alice_angle: float, bob_angle: float,
 def correlation_vector(state: CompositeState, q: AngleQuad,
                        alpha: float = BALANCED_ALPHA,
                        bob_alpha: float | None = None) -> CorrelationVector:
-    return CorrelationVector(*_point(state, q, alpha, bob_alpha))
+    return CorrelationVector(*_point(_series(state, alpha, bob_alpha), q))
 
 
 def bell_value(state: CompositeState, q: AngleQuad,
                alpha: float = BALANCED_ALPHA,
                bob_alpha: float | None = None) -> float:
     """Standard CHSH combination E11 + E12 + E21 - E22 (signed)."""
-    e11, e12, e21, e22 = _point(state, q, alpha, bob_alpha)
-    return e11 + e12 + e21 - e22
+    return _bell(*_point(_series(state, alpha, bob_alpha), q))
 
 
 def steering_value(state: CompositeState, q: AngleQuad,
@@ -219,7 +220,7 @@ def steering_value(state: CompositeState, q: AngleQuad,
     sqrt((E11+E21)^2 + (E12+E22)^2) + sqrt((E11-E21)^2 + (E12-E22)^2);
     nonnegative, and at most 2*sqrt(2) for quantum correlations.
     """
-    return _radii(*_point(state, q, alpha, bob_alpha))
+    return _radii(*_point(_series(state, alpha, bob_alpha), q))
 
 
 # --------------------------------------------------------------------------
@@ -284,21 +285,21 @@ def _bell_noon(q: AngleQuad) -> float:
             + math.cos(t1 - p1) ** 2 + math.cos(t2 - p1) ** 2)
 
 
-# Each family's (form, state factory, point function, orientation).  Engine
-# value = orientation * closed form.  The bell form of the single-particle
-# condensate pair is tabulated with the opposite overall sign relative to
-# the weighted-parity convention used throughout the engine; its |value|
-# and maxima are unaffected.  The steer_noon form has
-# no orientation: its second radicand is negative on most of the angle
-# domain (see NegativeRadicandError), so it cannot equal the engine anywhere.
+# Each family's (form, state factory, objective of the four correlations,
+# orientation).  Engine value = orientation * closed form.  The bell form of
+# the single-particle condensate pair is tabulated with the opposite overall
+# sign relative to the weighted-parity convention used throughout the
+# engine; its |value| and maxima are unaffected.  The steer_noon form has no
+# orientation: its second radicand is negative on most of the angle domain
+# (see NegativeRadicandError), so it cannot equal the engine anywhere.
 _FAMILIES: dict[str, tuple[Callable[[AngleQuad], float], Callable[[], CompositeState],
-                           Callable[[CompositeState, AngleQuad], float], float | None]] = {
-    "steer_bec1": (_steer_bec1, partial(bec_pair, 1), steering_value, 1.0),
-    "bell_bec1": (_bell_bec1, partial(bec_pair, 1), bell_value, -1.0),
-    "steer_bec2": (_steer_bec2, partial(bec_pair, 2), steering_value, 1.0),
-    "bell_bec2": (_bell_bec2, partial(bec_pair, 2), bell_value, 1.0),
-    "steer_noon": (_steer_noon, partial(noon_pair, 2, 0), steering_value, None),
-    "bell_noon": (_bell_noon, partial(noon_pair, 2, 0), bell_value, 1.0),
+                           Callable[..., float], float | None]] = {
+    "steer_bec1": (_steer_bec1, partial(bec_pair, 1), _radii, 1.0),
+    "bell_bec1": (_bell_bec1, partial(bec_pair, 1), _bell, -1.0),
+    "steer_bec2": (_steer_bec2, partial(bec_pair, 2), _radii, 1.0),
+    "bell_bec2": (_bell_bec2, partial(bec_pair, 2), _bell, 1.0),
+    "steer_noon": (_steer_noon, partial(noon_pair, 2, 0), _radii, None),
+    "bell_noon": (_bell_noon, partial(noon_pair, 2, 0), _bell, 1.0),
 }
 
 CLOSED_FORM_FAMILIES = tuple(_FAMILIES)
@@ -337,12 +338,12 @@ def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:
     _check_count("seed", seed, 0, None)
     rng = np.random.default_rng(seed)
     deviations: dict[str, float] = {}
-    for family, (form, state, functional, orientation) in _FAMILIES.items():
+    for family, (form, state, objective, orientation) in _FAMILIES.items():
         if orientation is None:
             continue
-        composite = state()
+        series = _series(state(), BALANCED_ALPHA, None)
         quads = [AngleQuad(*q) for q in rng.uniform(0.0, TWO_PI, (draws, 4)).tolist()]
-        deviations[family] = max(abs(functional(composite, q) - orientation * form(q))
+        deviations[family] = max(abs(objective(*_point(series, q)) - orientation * form(q))
                                  for q in quads)
     return {
         "families": deviations,
@@ -430,12 +431,12 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     steering = _functional(objective) is _steering
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol={tol} must be a finite number > 0")
-    pure = _point(state, q, alpha, bob_alpha)
+    pure = _point(_series(state, alpha, bob_alpha), q)
     white = _noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p: float) -> float:
-        e11, e12, e21, e22 = [p * e + (1.0 - p) * white for e in pure]
-        return _radii(e11, e12, e21, e22) if steering else abs(e11 + e12 + e21 - e22)
+        blend = [p * e + (1.0 - p) * white for e in pure]
+        return _radii(*blend) if steering else abs(_bell(*blend))
 
     top = value_at(1.0)
     if top <= CLASSICAL_BOUND:

@@ -12,9 +12,9 @@ O_k = S_k^T diag(eps) S_k (:func:`parity_blocks`).  Since diag(eps) is a
 sign times the parity of the second output mode, O_k is the signed
 transfer block at the doubled splitter angle, and the Fourier form of
 Wigner's d writes that as the balanced splitter's blocks around a diagonal
-of phases e^{i (k-2j) phi}.  So the balanced blocks are built once and
-every splitter's blocks are one batched product with them; the derivation
-is in :func:`parity_blocks`.
+of phases e^{i (k-2j) phi}.  So the balanced blocks are built once per
+table size and every splitter's blocks are one batched product with them;
+the derivation is in :func:`parity_blocks`.
 """
 from __future__ import annotations
 
@@ -230,40 +230,34 @@ def _transfer_blocks(alpha: float, beta: float, n_max: int) -> list[np.ndarray]:
     return blocks
 
 
-# W[k, n, j] = i^n B_k[n, j], B_k the balanced splitter's transfer blocks,
-# and the weights eps(n, k - n) at [k, n] for n <= k (0 elsewhere), for
-# k, n, j up to at least the largest n_max asked for; _balanced_table
-# rebuilds them larger.
-_balanced = (np.ones((1, 1, 1), dtype=complex), np.ones((1, 1)))
+@lru_cache(maxsize=None)
+def _balanced_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """W[k, n, j] = i^n B_k[n, j], B_k the balanced splitter's transfer
+    blocks, and the weights eps(n, k - n) at [k, n] for n <= k (0
+    elsewhere), for k, n, j < size.
 
-
-def _balanced_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """W and the signs of ``_balanced``, cut to k, n, j <= n_max.
-
-    Entries do not depend on how far the table has grown: the recurrence
-    gives every B_k the same bits at any n_max.  A growth at least doubles
-    the largest k (up to 2 * MAX_PARTICLES), so that rising sizes grow it
-    a few times only, and rebuilds the table from k = 0.
+    The recurrence gives every B_k the same bits at any size, so each
+    table's entries are the leading entries of any larger one.  Callers
+    ask for 2^m + 1 rows only, so at most seven sizes (2 to 65) are kept.
     """
-    global _balanced
-    table, signs = _balanced
-    if len(table) <= n_max:
-        size = min(max(n_max, 2 * (len(table) - 1)), 2 * MAX_PARTICLES) + 1
-        k = np.arange(size)
-        blocks = _transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, size - 1)
-        table = np.zeros((size,) * 3, dtype=complex)
-        for order, block in enumerate(blocks):
-            table[order, :order + 1, :order + 1] = block
-        table *= np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4, None]
-        exponent = k[:, None] - k + k[:, None] * (k[:, None] + 1) // 2  # epsilon at m = k - n
-        signs = np.where(k <= k[:, None], 1.0 - 2.0 * (exponent % 2), 0.0)
-        _balanced = (table, signs)
-    return table[:n_max + 1, :n_max + 1, :n_max + 1], signs[:n_max + 1, :n_max + 1]
+    k = np.arange(size)
+    blocks = _transfer_blocks(BALANCED_ALPHA, BALANCED_ALPHA, size - 1)
+    table = np.zeros((size,) * 3, dtype=complex)
+    for order, block in enumerate(blocks):
+        table[order, :order + 1, :order + 1] = block
+    table *= np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4, None]
+    exponent = k[:, None] - k + k[:, None] * (k[:, None] + 1) // 2  # epsilon at m = k - n
+    signs = np.where(k <= k[:, None], 1.0 - 2.0 * (exponent % 2), 0.0)
+    table.flags.writeable = signs.flags.writeable = False
+    return table, signs
 
 
 @lru_cache(maxsize=4)
 def _cached_parity_blocks(alpha: float, beta: float, n_max: int) -> np.ndarray:
-    table, signs = _balanced_table(n_max)
+    # the smallest table of 2^m + 1 rows that covers n_max
+    table, signs = _balanced_table(2 ** max(n_max - 1, 0).bit_length() + 1)
+    cut = slice(n_max + 1)
+    table, signs = table[cut, cut, cut], signs[cut, cut]
     k = np.arange(n_max + 1)
     phi = 2.0 * math.atan2(beta, alpha)
     phases = np.exp(1j * phi * (k[:, None] - 2 * k))  # e^{i (k - 2j) phi} at [k, j]
@@ -308,13 +302,13 @@ def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
                     e^{i (k-2j) phi},   phi = 2 atan2(beta, alpha),
 
     one batched product (W e^{i (k-2j) phi}) W^H over every k at once, with
-    W = i^n B_k built once by the recurrence and grown to the largest n_max
-    asked for.  As phi depends only on beta / alpha, a setting off the unit
-    circle (the setting allows 1e-12) gives its normalized splitter's
-    blocks.
+    W = i^n B_k cut to n_max from a table the recurrence builds once per
+    size (:func:`_balanced_table`).  As phi depends only on beta / alpha, a
+    setting off the unit circle (the setting allows 1e-12) gives its
+    normalized splitter's blocks.
     """
     _check_count("n_max", n_max, 0, 2 * MAX_PARTICLES)
-    return _cached_parity_blocks(setting.alpha, setting.beta, n_max)
+    return _cached_parity_blocks(setting.alpha, setting.beta, int(n_max))
 
 
 def sector_trace_product(n1: int, n2: int,

@@ -387,7 +387,7 @@ def reference_threshold(state, objective, q, alpha=BALANCED_ALPHA, bob_alpha=Non
     value per halving.  The engine evaluates four halvings per call and
     must match this bit for bit, raised messages included."""
     functional = inequalities._functional(objective)
-    pure = np.array(inequalities._point(state, q, alpha, bob_alpha))
+    pure = np.array(inequalities._point(inequalities._series(state, alpha, bob_alpha), q))
     white = inequalities._noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p):

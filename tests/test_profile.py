@@ -5,6 +5,23 @@ The profile is contracted from per-party beam-splitter blocks
 expansion of those blocks, the polynomial engine (``joint_distribution``),
 a dense matrix-exponential oracle built per party, the noise formulas, and
 the physical bounds; and the polynomial engine is kept off its path.
+
+Three family-wide closed forms are checked at every particle number, with
+d = phi - theta:
+
+- bec(n, n), one alpha for both parties: (-1)^n (2 alpha beta sin(d/2))^(2n).
+  Observed; at n = 1 and 2 it is the correlation of the tabulated
+  bell_bec1 and bell_bec2 forms.
+- balanced noon(n, m): ((-1)^n + cos((n - 2m) d)) / 2.  The balanced block
+  O_k is s_k Z_k D_k(-pi/2), which sends |p, k-p> to +-|k-p, p>, so a
+  pair (x, y) counts only when y swaps x's occupations for Alice and for
+  Bob.  The copies' terms with a = A (and b = B) pair with themselves and
+  make c0; the two with a != A pair with each other at order n - 2m.
+  Each entry is +-1 and every weight 1/4, so both parts have magnitude
+  1/2; their signs, (-1)^n and +, are observed.  At n = 2, m = 0 it is
+  the correlation of the tabulated bell_noon form.
+- balanced bec(n1, n2), n1 != n2: identically 0.  By the same swap,
+  b_y = n1 - a_y = n1 - A_x must equal B_x = n2 - A_x, which needs n1 = n2.
 """
 import math
 import sys
@@ -45,6 +62,7 @@ from twocopy.states import (
     CompositeState,
     admix,
     bec_pair,
+    noon_pair,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -196,43 +214,31 @@ def test_parity_blocks_match_decimal_oracle(alpha):
     assert_blocks_near(parity_blocks(bs, 24), decimal_parity_blocks(bs.alpha, bs.beta, 24), 1e-14)
 
 
-def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
-    # a fresh table, then one grown to n = 40 first: the n = 4 blocks agree byte for byte
+def test_parity_block_bytes_do_not_depend_on_table_history(monkeypatch):
+    # each table size holds the 65-row table's leading entries, byte for byte
+    whole, whole_signs = measurement._balanced_table(65)
+    assert not (whole.flags.writeable or whole_signs.flags.writeable)
+    for size in (2, 3, 5, 9, 17, 33):
+        table, signs = measurement._balanced_table(size)
+        assert table.tobytes() == whole[:size, :size, :size].tobytes()
+        assert signs.tobytes() == whole_signs[:size, :size].tobytes()
+
     bs = setting(0.37, 0.0)
-    monkeypatch.setattr(measurement, "_balanced", (np.ones((1, 1, 1), dtype=complex),
-                                                   np.ones((1, 1))))
-    measurement._cached_parity_blocks.cache_clear()
-    fresh = parity_blocks(bs, 4).tobytes()
-    assert len(measurement._balanced[0]) == 5
-    measurement._cached_parity_blocks.cache_clear()
-    parity_blocks(bs, 40)
-    measurement._cached_parity_blocks.cache_clear()
-    assert parity_blocks(bs, 4).tobytes() == fresh
-    assert len(measurement._balanced[0]) == 41
-    measurement._cached_parity_blocks.cache_clear()
 
+    def blocks(sizes):
+        measurement._cached_parity_blocks.cache_clear()
+        return {n_max: parity_blocks(bs, n_max).tobytes() for n_max in sizes}
 
-def test_balanced_table_grown_in_steps_matches_one_build(monkeypatch):
-    def table_after(*steps):
-        monkeypatch.setattr(measurement, "_balanced", (np.ones((1, 1, 1), dtype=complex),
-                                                       np.ones((1, 1))))
-        for n_max in steps:
-            measurement._balanced_table(n_max)
-        return measurement._balanced
-
-    def cut(parts, n_max):
-        table, signs = parts
-        return (table[:n_max + 1, :n_max + 1, :n_max + 1].tobytes(),
-                signs[:n_max + 1, :n_max + 1].tobytes())
-
-    # a growth at least doubles the table: 4, then 10, then 20
-    stepped = table_after(4, 10, 16)
-    assert len(stepped[0]) == 21
-    assert cut(stepped, 16) == cut(table_after(16), 16)
-    top = 2 * states.MAX_PARTICLES
-    whole = table_after(top)
-    for steps in (range(1, top + 1), (3, 40), (5, 7, 30, 61)):
-        assert cut(table_after(*steps), steps[-1]) == cut(whole, steps[-1])
+    # tables built in rising or falling order, or every block cut from the 65-row table
+    sizes = (0, 1, 2, 4, 5, 9, 16, 17, 40, 64)
+    measurement._balanced_table.cache_clear()
+    rising = blocks(sizes)
+    measurement._balanced_table.cache_clear()
+    assert blocks(sizes[::-1]) == rising
+    assert measurement._balanced_table.cache_info().currsize == 7
+    monkeypatch.setattr(measurement, "_balanced_table", lambda size: (whole, whole_signs))
+    assert blocks(sizes) == rising
+    measurement._cached_parity_blocks.cache_clear()
 
 
 def test_parity_blocks_are_read_only_and_phase_free():
@@ -352,6 +358,38 @@ def test_bounds_and_common_shift(state, alpha, bob_alpha, quad, shift):
 # mode A multiplies C_k by e^{ik chi}; swapping the parties, their alphas with
 # them, maps E(d) to E(-d) and so conjugates C_k.  Each relation holds for any
 # state and splitters, so each needs one profile per side at any N.
+
+# -- family-wide closed forms (module docstring) ------------------------------
+
+PARTICLE_NUMBERS = list(range(9)) + [12, 16, 24, 32]
+DELTAS = np.random.default_rng(35).uniform(0.0, TWO_PI, 16)
+
+
+def profile_at_deltas(state, alpha=BALANCED_ALPHA):
+    return np.array([correlation(state, d, 0.0, alpha) for d in DELTAS])
+
+
+@pytest.mark.parametrize("n", PARTICLE_NUMBERS)
+def test_bec_pair_closed_form(n):
+    for alpha in (0.3, BALANCED_ALPHA, 0.8):
+        beta = math.sqrt(1.0 - alpha * alpha)
+        form = (-1) ** n * (2.0 * alpha * beta * np.sin(DELTAS / 2.0)) ** (2 * n)
+        assert np.max(np.abs(profile_at_deltas(bec_pair(n), alpha) - form)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", PARTICLE_NUMBERS[1:])
+def test_balanced_noon_pair_closed_form(n):
+    for m in range(n + 1):
+        if 2 * m != n:
+            form = ((-1) ** n + np.cos((n - 2 * m) * DELTAS)) / 2.0
+            assert np.max(np.abs(profile_at_deltas(noon_pair(n, m)) - form)) <= 1e-12
+
+
+@pytest.mark.parametrize("n1, n2", [pair for n1, n2 in zip(PARTICLE_NUMBERS, PARTICLE_NUMBERS[1:])
+                                    for pair in ((n1, n2), (n2, n1))])
+def test_balanced_unequal_bec_pair_vanishes(n1, n2):
+    assert np.max(np.abs(profile_at_deltas(bec_pair(n1, n2)))) <= 1e-12
+
 
 RELATION_CASES = [(1, 1, 1), (1, 3, 2), (2, 2, 1), (5, 3, 2), (8, 8, 1), (12, 7, 2),
                   (16, 16, 1), (16, 16, 2), (32, 32, 1)]
@@ -526,10 +564,10 @@ def test_closed_form_check_builds_one_profile_per_state():
     inequalities._profile.cache_clear()
     report = verify_closed_forms(draws=20)
     assert report["max_abs_deviation"] < 1e-9
-    # one profile lookup per draw of the five families: bec1, bec2 and
-    # noon2 are built once each
+    # one profile lookup per family for all its draws: bec1, bec2 and
+    # noon2 are built once each, and bec1 and bec2 are read again
     info = inequalities._profile.cache_info()
-    assert (info.misses, info.hits) == (3, 5 * 20 - 3)
+    assert (info.misses, info.hits) == (3, 2)
 
 
 def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,

@@ -1,7 +1,7 @@
 """The exported names, each module's ``__all__`` and every name the demos
 import from the package resolve, and the package exports exactly the
 modules' lists.  The demo imports are read with ``ast``, so the demos never
-run."""
+run.  No source module rebinds its module state after import."""
 import ast
 import importlib
 import pathlib
@@ -12,6 +12,7 @@ import twocopy
 
 MODULES = ("fock", "states", "measurement", "inequalities", "search")
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src").rglob("*.py"))
 
 
 def test_all_names_resolve():
@@ -45,3 +46,12 @@ def test_demo_imports_resolve(demo):
             missing += [f"{node.module}.{alias.name}" for alias in node.names
                         if not hasattr(module, alias.name)]
     assert missing == []
+
+
+def test_no_global_statement_in_the_source():
+    # module state is bound once, at import; caches are lru_cache functions
+    assert len(SOURCES) >= 8
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []
