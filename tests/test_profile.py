@@ -214,7 +214,7 @@ def test_parity_blocks_match_decimal_oracle(alpha):
     assert_blocks_near(parity_blocks(bs, 24), decimal_parity_blocks(bs.alpha, bs.beta, 24), 1e-14)
 
 
-def test_parity_block_bytes_do_not_depend_on_table_history(monkeypatch):
+def test_balanced_table_grown_in_steps_matches_one_build():
     # each table size holds the 65-row table's leading entries, byte for byte
     whole, whole_signs = measurement._balanced_table(65)
     assert not (whole.flags.writeable or whole_signs.flags.writeable)
@@ -223,6 +223,9 @@ def test_parity_block_bytes_do_not_depend_on_table_history(monkeypatch):
         assert table.tobytes() == whole[:size, :size, :size].tobytes()
         assert signs.tobytes() == whole_signs[:size, :size].tobytes()
 
+
+def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
+    whole, whole_signs = measurement._balanced_table(65)
     bs = setting(0.37, 0.0)
 
     def blocks(sizes):
