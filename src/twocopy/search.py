@@ -47,9 +47,9 @@ on the SIMD loops numpy dispatches to on the CPU at hand; the series
 itself follows the OpenBLAS kernel that contracts the parity blocks in its
 last bits, and a result with it.  tests/golden_search.json holds seeded
 results bit for bit, each with the series it was run on.  A zero hypot
-argument or a singular mu I - H gives a NaN step, not a
-ZeroDivisionError, and r ** -1.5 is inf where it overflows, so each ends
-its restart on the non-finite step rule.  The extreme eigenvalues come
+argument or a singular mu I - H ends its restart as a step that is not
+finite would, with no ZeroDivisionError, and r ** -1.5 is inf where it
+overflows, which gives such a step.  The extreme eigenvalues come
 from the trigonometric solution of the characteristic cubic and the step
 from the adjugate, which keeps BLAS, and the memory its first call takes,
 out of the search.
@@ -93,8 +93,6 @@ _DIGITS = np.arange(_SOBOL_BITS - 1, -1, -1)
 _COORDINATES = [0, 1, 3]
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _TINY = sys.float_info.min
-_NAN_VECTOR = (math.nan,) * 3
-_NAN_HESSIAN = (math.nan,) * 6
 
 
 def _direction_numbers() -> np.ndarray:
@@ -193,18 +191,15 @@ def _start_coordinates(restarts: int, seed: int) -> np.ndarray:
 
 def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
                           bob_alpha: float | None
-                          ) -> tuple[Callable[[float, float, float], tuple[float, tuple]],
-                                     Callable[[tuple], tuple[tuple, tuple]]]:
-    """The objective at search coordinates, as two functions.
+                          ) -> tuple[Callable[[float, float, float], tuple[float, tuple]], bool]:
+    """The objective at search coordinates, and whether it is steering.
 
     ``value(x, y, z)`` returns the objective and the point's record: one
-    pass over the state's series gives each correlation with its first two
-    derivatives.  ``derivatives(point)`` turns a record into the exact
-    gradient (3-tuple) and the upper triangle (H00, H01, H02, H11, H12,
-    H22) of the Hessian, by the chain rule through each correlation.  The
-    derivatives are NaN where a hypot argument of ``steering`` vanishes,
-    where it is not differentiable, and the Hessian is not finite where one
-    lies below about 3e-206, where r ** -1.5 overflows."""
+    pass over the state's series gives each correlation's first two
+    derivatives, (d0, dd0, d1, dd1, d2, dd2, d3, dd3) for e11, e12, e21 and
+    e22, then steering's two hypot arguments (v1, v2, u1, u2) and radii
+    (rv, ru), or Bell's signed value.  ``_ascend`` builds the gradient and
+    Hessian from a record."""
     steering = _functional(objective) is _steering
     series = _series(state, alpha, bob_alpha)
     c0, terms = series.c0, [(k, k * k, a, b) for k, a, b in series.terms]
@@ -248,51 +243,7 @@ def _coordinate_objective(objective: str, state: CompositeState, alpha: float,
             return rv + ru, (d0, -q0, d1, -q1, d2, -q2, d3, -q3, v1, v2, u1, u2, rv, ru)
         bell = e11 + e12 + e21 - e22
         return abs(bell), (d0, -q0, d1, -q1, d2, -q2, d3, -q3, bell)
-
-    def derivatives(point: tuple) -> tuple[tuple, tuple]:
-        if steering:
-            # A term hypot(v1, v2) = r has gradient n = v / r and Hessian
-            # (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1); here
-            # v = (e11 + e21, e12 + e22) and u = (e11 - e21, e12 - e22).
-            d0, dd0, d1, dd1, d2, dd2, d3, dd3, v1, v2, u1, u2, rv, ru = point
-            if not (rv and ru):
-                return _NAN_VECTOR, _NAN_HESSIAN
-            n1, n2, m1, m2 = v1 / rv, v2 / rv, u1 / ru, u2 / ru
-            g0, g1, g2, g3 = n1 + m1, n2 + m2, n1 - m1, n2 - m2
-            pv, pu = _inverse_power(rv), _inverse_power(ru)
-            t1, t2, s1, s2 = -v2 * pv, v1 * pv, -u2 * pu, u1 * pu
-            # the Hessian in e is f f^T + h h^T for the factors
-            # f = (t1, t2, t1, t2) and h = (s1, s2, -s1, -s2), here taken
-            # through the chain rule below
-            p1, p3 = t2 * d1, t2 * d3
-            f0, f1, f2 = t1 * d0 + p1, t1 * d2 + p3, -p1 - p3
-            p1, p3 = s2 * d1, -s2 * d3
-            h0, h1, h2 = s1 * d0 + p1, -s1 * d2 + p3, -p1 - p3
-        else:
-            d0, dd0, d1, dd1, d2, dd2, d3, dd3, bell = point
-            g0 = 1.0 if bell > 0.0 else -1.0 if bell < 0.0 else 0.0
-            g1 = g2 = g0
-            g3 = -g0
-        # Correlation i moves by its first derivative along row i of
-        # d(e11, e12, e21, e22) / d(x, y, z) = [[1, 0, 0], [1, 0, -1], [0, 1, 0], [0, 1, -1]].
-        w1, w3 = g1 * d1, g3 * d3
-        gradient = (g0 * d0 + w1, g2 * d2 + w3, -w1 - w3)
-        q1, q3 = g1 * dd1, g3 * dd3
-        hessian = (g0 * dd0 + q1, 0.0, -q1, g2 * dd2 + q3, -q3, q1 + q3)
-        if steering:
-            hessian = (hessian[0] + (f0 * f0 + h0 * h0), f0 * f1 + h0 * h1,
-                       hessian[2] + (f0 * f2 + h0 * h2), hessian[3] + (f1 * f1 + h1 * h1),
-                       hessian[4] + (f1 * f2 + h1 * h2), hessian[5] + (f2 * f2 + h2 * h2))
-        return gradient, hessian
-    return value, derivatives
-
-
-def _inverse_power(r: float) -> float:
-    """r ** -1.5 by libm's pow, inf where it overflows."""
-    try:
-        return r ** -1.5
-    except OverflowError:
-        return math.inf
+    return value, steering
 
 
 def _extreme_eigenvalues(a: float, b: float, c: float, d: float, e: float,
@@ -320,74 +271,110 @@ def _extreme_eigenvalues(a: float, b: float, c: float, d: float, e: float,
     return q + 2.0 * p * math.cos(third + _TWO_THIRDS_PI), q + 2.0 * p * math.cos(third)
 
 
-def _damped_step(g: tuple, h: tuple, low: float, high: float,
-                 lam: float) -> tuple[tuple, float]:
-    """The step s = (mu I - H)^-1 g of the module docstring for a gradient
-    (3-tuple), a Hessian's upper triangle (6-tuple) with its smallest and
-    largest eigenvalues, and a damping, and the gain g.s + s.H.s / 2 that
-    the quadratic model promises.  Not finite where g or H is not, or where
-    mu I - H is singular."""
-    a, b, c, d, e, k = h
-    # max(high, 0.0) + lam * (1 + max(-low, high)), written out as in _extreme_eigenvalues
-    mu = (0.0 if 0.0 > high else high) + lam * (1.0 + (high if high > -low else -low))
-    # mu I - H = [[a, -b, -c], [-b, d, -e], [-c, -e, k]] after this line,
-    # solved by its adjugate over its determinant
-    a, d, k = mu - a, mu - d, mu - k
-    c11, c12, c13 = d * k - e * e, c * e + b * k, b * e + c * d
-    c22, c23, c33 = a * k - c * c, b * c + a * e, a * d - b * b
-    det = a * c11 - b * c12 - c * c13
-    if det == 0.0:  # singular: no finite step
-        return _NAN_VECTOR, math.nan
-    g1, g2, g3 = g
-    s1 = (c11 * g1 + c12 * g2 + c13 * g3) / det
-    s2 = (c12 * g1 + c22 * g2 + c23 * g3) / det
-    s3 = (c13 * g1 + c23 * g2 + c33 * g3) / det
-    # H s = mu s - g
-    gain = 0.5 * ((g1 * s1 + g2 * s2 + g3 * s3) + mu * (s1 * s1 + s2 * s2 + s3 * s3))
-    return (s1, s2, s3), gain
-
-
-def _ascend(value: Callable[[float, float, float], tuple[float, tuple]],
-            derivatives: Callable[[tuple], tuple[tuple, tuple]],
+def _ascend(value: Callable[[float, float, float], tuple[float, tuple]], steering: bool,
             x: Sequence[float]) -> tuple[Sequence[float], float, int, bool]:
     """Maximize from the point ``x`` by damped Newton steps.
 
-    ``value`` and ``derivatives`` are those of ``_coordinate_objective``;
-    the steps and stop rules are the module docstring's.  Each point
-    evaluated, start or trial, counts as one evaluation.  The derivatives
-    and the Hessian's extreme eigenvalues are built at the start and at
-    each kept trial that does not end the ascent, never at a refused one.
+    ``value`` and ``steering`` are those of ``_coordinate_objective``; the
+    steps and stop rules are the module docstring's.  Each point evaluated,
+    start or trial, counts as one evaluation.  The gradient, the Hessian
+    and its extreme eigenvalues are built at the start and at each kept
+    trial that does not end the ascent, never at a refused one.
 
     Returns the last kept point, its value, the evaluations used and whether
     a stop rule (not MAX_STEPS) ended the ascent.
     """
     f, point = value(*x)
-    g, h = derivatives(point)
-    low, high = _extreme_eigenvalues(*h)
     lam = LAMBDA_START
+    evaluations = 1
     isfinite = math.isfinite
-    for evaluations in range(1, MAX_STEPS + 1):
-        (s1, s2, s3), gain = _damped_step(g, h, low, high, lam)
-        # Each test fails on NaN, which stops the ascent.  lam needs no cap:
-        # it is at most LAMBDA_START * 10 ** MAX_STEPS, which is finite, and a
-        # non-finite shift would give a NaN step.
-        if not (isfinite(s1) and isfinite(s2) and isfinite(s3) and gain > GAIN_TOL):
-            return x, f, evaluations, True
-        x1, x2, x3 = x
-        trial = [(x1 + s1) % TWO_PI, (x2 + s2) % TWO_PI, (x3 + s3) % TWO_PI]
-        f_trial, point = value(*trial)
-        if f_trial > f:
-            gained = f_trial - f
-            x, f, lam = trial, f_trial, 0.1 * lam
-            if gained < GAIN_TOL:
-                return x, f, evaluations + 1, True
-            if evaluations == MAX_STEPS:
-                break
-            g, h = derivatives(point)
-            low, high = _extreme_eigenvalues(*h)
+    while True:
+        # The gradient (g1, g2, g3) and the Hessian's upper triangle
+        # (a, b, c, d, e, k) at x, by the chain rule through each
+        # correlation: correlation i moves by its first derivative along
+        # row i of d(e11, e12, e21, e22) / d(x, y, z) =
+        # [[1, 0, 0], [1, 0, -1], [0, 1, 0], [0, 1, -1]], weighted by the
+        # objective's derivative w_i in it.
+        if steering:
+            # A term hypot(v1, v2) = r has gradient n = v / r and Hessian
+            # (I - n n^T) / r = t t^T / r^3 with t = (-v2, v1); here
+            # v = (e11 + e21, e12 + e22) and u = (e11 - e21, e12 - e22).
+            # Where a radius vanishes the objective has no derivative and
+            # the ascent stops.
+            d0, dd0, d1, dd1, d2, dd2, d3, dd3, v1, v2, u1, u2, rv, ru = point
+            if not (rv and ru):
+                return x, f, evaluations, True
+            n1, n2, m1, m2 = v1 / rv, v2 / rv, u1 / ru, u2 / ru
+            w0, w1, w2, w3 = n1 + m1, n2 + m2, n1 - m1, n2 - m2
+            # r ** -1.5 by libm's pow, inf where it overflows
+            try:
+                pv = rv ** -1.5
+            except OverflowError:
+                pv = math.inf
+            try:
+                pu = ru ** -1.5
+            except OverflowError:
+                pu = math.inf
+            t1, t2, s1, s2 = -v2 * pv, v1 * pv, -u2 * pu, u1 * pu
+            # the Hessian in e is f f^T + h h^T for the factors
+            # f = (t1, t2, t1, t2) and h = (s1, s2, -s1, -s2), here taken
+            # through the chain rule
+            p1, p3 = t2 * d1, t2 * d3
+            f0, f1, f2 = t1 * d0 + p1, t1 * d2 + p3, -p1 - p3
+            p1, p3 = s2 * d1, -s2 * d3
+            h0, h1, h2 = s1 * d0 + p1, -s1 * d2 + p3, -p1 - p3
         else:
+            d0, dd0, d1, dd1, d2, dd2, d3, dd3, bell = point
+            w0 = 1.0 if bell > 0.0 else -1.0 if bell < 0.0 else 0.0
+            w1 = w2 = w0
+            w3 = -w0
+        p1, p3 = w1 * d1, w3 * d3
+        g1, g2, g3 = w0 * d0 + p1, w2 * d2 + p3, -p1 - p3
+        p1, p3 = w1 * dd1, w3 * dd3
+        a, b, c, d, e, k = w0 * dd0 + p1, 0.0, -p1, w2 * dd2 + p3, -p3, p1 + p3
+        if steering:
+            a, b, c = a + (f0 * f0 + h0 * h0), f0 * f1 + h0 * h1, c + (f0 * f2 + h0 * h2)
+            d, e, k = d + (f1 * f1 + h1 * h1), e + (f1 * f2 + h1 * h2), k + (f2 * f2 + h2 * h2)
+        low, high = _extreme_eigenvalues(a, b, c, d, e, k)
+        # mu = max(high, 0.0) + lam * (1 + max(-low, high)), written out as
+        # in _extreme_eigenvalues
+        floor, spread = 0.0 if 0.0 > high else high, 1.0 + (high if high > -low else -low)
+        x1, x2, x3 = x
+        while True:
+            # the step s = (mu I - H)^-1 g, by the adjugate of
+            # mu I - H = [[ma, -b, -c], [-b, md, -e], [-c, -e, mk]] over its
+            # determinant, and the gain g.s + s.H.s / 2 = (g.s + mu s.s) / 2
+            # that the quadratic model promises (H s = mu s - g)
+            mu = floor + lam * spread
+            ma, md, mk = mu - a, mu - d, mu - k
+            c11, c12, c13 = md * mk - e * e, c * e + b * mk, b * e + c * md
+            c22, c23, c33 = ma * mk - c * c, b * c + ma * e, ma * md - b * b
+            det = ma * c11 - b * c12 - c * c13
+            if det == 0.0:  # singular: no finite step
+                return x, f, evaluations, True
+            s1 = (c11 * g1 + c12 * g2 + c13 * g3) / det
+            s2 = (c12 * g1 + c22 * g2 + c23 * g3) / det
+            s3 = (c13 * g1 + c23 * g2 + c33 * g3) / det
+            gain = 0.5 * ((g1 * s1 + g2 * s2 + g3 * s3) + mu * (s1 * s1 + s2 * s2 + s3 * s3))
+            # Each test fails on NaN, which stops the ascent.  lam needs no
+            # cap: it is at most LAMBDA_START * 10 ** MAX_STEPS, which is
+            # finite, and a non-finite shift would give a NaN step.
+            if not (isfinite(s1) and isfinite(s2) and isfinite(s3) and gain > GAIN_TOL):
+                return x, f, evaluations, True
+            trial = [(x1 + s1) % TWO_PI, (x2 + s2) % TWO_PI, (x3 + s3) % TWO_PI]
+            f_trial, point = value(*trial)
+            evaluations += 1
+            if f_trial > f:
+                break
+            if evaluations > MAX_STEPS:
+                return x, f, evaluations, False
             lam = 10.0 * lam
-    return x, f, MAX_STEPS + 1, False
+        gained = f_trial - f
+        x, f, lam = trial, f_trial, 0.1 * lam
+        if gained < GAIN_TOL:
+            return x, f, evaluations, True
+        if evaluations > MAX_STEPS:
+            return x, f, evaluations, False
 
 
 def optimize(objective: str, state: CompositeState, restarts: int = 64,
@@ -404,11 +391,11 @@ def optimize(objective: str, state: CompositeState, restarts: int = 64,
     """
     _check_count("restarts", restarts, 1, MAX_RESTARTS)
     _check_count("seed", seed, 0, None)
-    value, derivatives = _coordinate_objective(objective, state, alpha, bob_alpha)
+    value, steering = _coordinate_objective(objective, state, alpha, bob_alpha)
     best_x = best_f = None
     evaluations, converged = 1, 0
     for start in _start_coordinates(restarts, seed).tolist():
-        x, f, used, stopped = _ascend(value, derivatives, start)
+        x, f, used, stopped = _ascend(value, steering, start)
         evaluations += used
         converged += stopped
         if best_x is None or f > best_f:
