@@ -14,16 +14,31 @@ accumulator receives the same libm calls and additions in the same order
 as a loop over its angle alone, so the pass is bit for bit that loop.
 Each restart steps by
 s = (mu I - H)^-1 g with mu = max(lambda_max(H), 0) + lam (1 + max|lambda(H)|),
-so mu I - H is positive definite and s points uphill; lam starts at
-LAMBDA_START and is divided by 10 after a step that raises the value, which
-is kept, and multiplied by 10 after one that does not.  Coordinates are
-wrapped into [0, 2*pi) after every kept step.  A trial point costs only its
-value; g, H and the extreme eigenvalues of H are built at the start and at
-each kept trial that does not end the restart.  A restart stops, converged,
-when its step is not finite (steering is not differentiable where a hypot
-argument vanishes), when the quadratic model g.s + s.H.s/2 promises at
-most GAIN_TOL, or when a kept step gained less than GAIN_TOL; otherwise it
-stops at MAX_STEPS steps.
+so mu I - H is positive definite and s points uphill, and the quadratic
+model promises the gain g.s + s.H.s/2.  A step that raises the value is
+kept; lam starts at LAMBDA_START, is divided by 10 after a kept step that
+gained more than GOOD_GAIN (a quarter) of the promised gain, halved after
+a kept step that gained less, and multiplied by 10 after a refused step
+(the gain ratio of trust-region methods).  Coordinates are wrapped into
+[0, 2*pi) after every kept step.  A trial point costs only its value; g,
+H and the extreme eigenvalues of H are built at the start and at each kept
+trial that does not end the restart.
+
+Steering is not smooth where a hypot argument vanishes: a radius r adds
+the Hessian factor t t^T / r^3, which grows like 1/r, so near such a kink
+the quadratic model fails.  There H drops the factor of each radius below
+KINK_RATIO (1e-2) of the value.  That is the Hessian of a minorant: for a
+fixed unit vector m, |v| >= v.m, with equality at m = v/|v|, so the term
+with m held fixed touches the objective at the current point, with the
+same gradient, and lies below it elsewhere (minorize-maximize; Hunter &
+Lange, Am. Stat. 58, 30 (2004)).  So such a restart converges on the kink
+rather than creeping toward it.
+
+A restart stops, converged, where a steering radius is exactly 0 (no
+derivative there), where mu I - H is singular, where the promised gain is
+not finite (a step that is not finite) or at most GAIN_TOL, or when a kept
+step gained less than GAIN_TOL; otherwise it stops at MAX_STEPS steps.
+lam needs no cap: it is at most LAMBDA_START * 10 ** MAX_STEPS.
 (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 4 and 10; More,
 The Levenberg-Marquardt algorithm, LNM 630 (1978).)
 
@@ -46,13 +61,13 @@ series, a seeded result, its maximum included, depends on libm alone, not
 on the SIMD loops numpy dispatches to on the CPU at hand; the series
 itself follows the OpenBLAS kernel that contracts the parity blocks in its
 last bits, and a result with it.  tests/golden_search.json holds seeded
-results bit for bit, each with the series it was run on.  A zero hypot
-argument or a singular mu I - H ends its restart as a step that is not
-finite would, with no ZeroDivisionError, and r ** -1.5 is inf where it
-overflows, which gives such a step.  The extreme eigenvalues come
-from the trigonometric solution of the characteristic cubic and the step
-from the adjugate, which keeps BLAS, and the memory its first call takes,
-out of the search.
+results bit for bit, each with the series it was run on.  No stop rule
+raises: a zero radius and a singular mu I - H are tested before the
+division, and the factor t / r^1.5 is taken as (-v2, v1) / r / sqrt(r),
+which does not overflow at a subnormal radius.  The extreme eigenvalues
+come from the trigonometric solution of the characteristic cubic and the
+step from the adjugate, which keeps BLAS, and the memory its first call
+takes, out of the search.
 """
 from __future__ import annotations
 
@@ -73,6 +88,12 @@ __all__ = ["OptimizationResult", "ScanSeries", "optimize", "scan_1d", "count_loc
 MAX_STEPS = 40  # per restart, kept or not
 LAMBDA_START = 1e-3
 GAIN_TOL = 1e-15
+# a kept step divides the damping by 10 when it gained more than this share
+# of the model's gain, and halves it otherwise
+GOOD_GAIN = 0.25
+# a steering radius below this share of the value adds no Hessian factor
+# (the kink minorant)
+KINK_RATIO = 1e-2
 PLATEAU_TOL = 1e-9
 # Bounds on one call.  optimize runs its restarts one after another, so
 # MAX_RESTARTS bounds its time: 0.25-0.7 s at 4096 restarts on bec1, bec2,
@@ -287,7 +308,6 @@ def _ascend(value: Callable[[float, float, float], tuple[float, tuple]], steerin
     f, point = value(*x)
     lam = LAMBDA_START
     evaluations = 1
-    isfinite = math.isfinite
     while True:
         # The gradient (g1, g2, g3) and the Hessian's upper triangle
         # (a, b, c, d, e, k) at x, by the chain rule through each
@@ -306,16 +326,13 @@ def _ascend(value: Callable[[float, float, float], tuple[float, tuple]], steerin
                 return x, f, evaluations, True
             n1, n2, m1, m2 = v1 / rv, v2 / rv, u1 / ru, u2 / ru
             w0, w1, w2, w3 = n1 + m1, n2 + m2, n1 - m1, n2 - m2
-            # r ** -1.5 by libm's pow, inf where it overflows
-            try:
-                pv = rv ** -1.5
-            except OverflowError:
-                pv = math.inf
-            try:
-                pu = ru ** -1.5
-            except OverflowError:
-                pu = math.inf
-            t1, t2, s1, s2 = -v2 * pv, v1 * pv, -u2 * pu, u1 * pu
+            # t / r^1.5 = (-n2, n1) / sqrt(r), which does not overflow; a
+            # radius below KINK_RATIO of the value adds no factor (the
+            # module docstring's minorant)
+            kink = KINK_RATIO * f
+            pv = rv ** -0.5 if rv >= kink else 0.0
+            pu = ru ** -0.5 if ru >= kink else 0.0
+            t1, t2, s1, s2 = -n2 * pv, n1 * pv, -m2 * pu, m1 * pu
             # the Hessian in e is f f^T + h h^T for the factors
             # f = (t1, t2, t1, t2) and h = (s1, s2, -s1, -s2), here taken
             # through the chain rule
@@ -356,10 +373,9 @@ def _ascend(value: Callable[[float, float, float], tuple[float, tuple]], steerin
             s2 = (c12 * g1 + c22 * g2 + c23 * g3) / det
             s3 = (c13 * g1 + c23 * g2 + c33 * g3) / det
             gain = 0.5 * ((g1 * s1 + g2 * s2 + g3 * s3) + mu * (s1 * s1 + s2 * s2 + s3 * s3))
-            # Each test fails on NaN, which stops the ascent.  lam needs no
-            # cap: it is at most LAMBDA_START * 10 ** MAX_STEPS, which is
-            # finite, and a non-finite shift would give a NaN step.
-            if not (isfinite(s1) and isfinite(s2) and isfinite(s3) and gain > GAIN_TOL):
+            # a step that is not finite promises an infinite or NaN gain,
+            # and each comparison fails on NaN
+            if not GAIN_TOL < gain < math.inf:
                 return x, f, evaluations, True
             trial = [(x1 + s1) % TWO_PI, (x2 + s2) % TWO_PI, (x3 + s3) % TWO_PI]
             f_trial, point = value(*trial)
@@ -370,7 +386,8 @@ def _ascend(value: Callable[[float, float, float], tuple[float, tuple]], steerin
                 return x, f, evaluations, False
             lam = 10.0 * lam
         gained = f_trial - f
-        x, f, lam = trial, f_trial, 0.1 * lam
+        x, f = trial, f_trial
+        lam = 0.1 * lam if gained > GOOD_GAIN * gain else 0.5 * lam
         if gained < GAIN_TOL:
             return x, f, evaluations, True
         if evaluations > MAX_STEPS:

@@ -270,6 +270,25 @@ class TestClosedForms:
         assert math.isfinite(value)
         assert abs(value - steering_value(noon_pair(2, 0), q)) > 0.1
 
+    def test_noon_steering_form_values_where_defined(self):
+        # Where its radicand is >= 0 the verbatim form is pinned to the same
+        # formula in another arrangement: its bracket 2 - cos A - cos B - 2
+        # is -(cos A + cos B), with A = 4 theta1 - 2 (phi1 + phi2) and B
+        # likewise at theta2, so its second term is
+        # |sin(phi1 - phi2)| sqrt(-(cos A + cos B) / 2).
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            p1, p2 = rng.uniform(-math.pi, math.pi, 2)
+            # A and B with cos A + cos B <= 0
+            a = rng.uniform(math.pi / 2, 3 * math.pi / 2)
+            b = rng.uniform(math.pi / 2, 3 * math.pi / 2)
+            t1, t2 = (a + 2 * (p1 + p2)) / 4, (b + 2 * (p1 + p2)) / 4
+            c = np.cos(np.subtract.outer([t1, t2], [p1, p2])) ** 2
+            want = (np.sqrt(c[0].sum() ** 2 + c[1].sum() ** 2)
+                    + abs(math.sin(p1 - p2)) * math.sqrt(-(math.cos(a) + math.cos(b)) / 2))
+            assert closed_form("steer_noon", AngleQuad(p1, p2, t1, t2)) == pytest.approx(
+                want, abs=1e-13)
+
     def test_engine_noon_steering_at_documented_angles(self):
         value = steering_value(closed_form_state("steer_noon"), AngleQuad(-0.13, 0.65, 0.26, 0.672))
         assert value == pytest.approx(2.79, abs=0.02)

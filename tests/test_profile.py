@@ -224,6 +224,25 @@ def test_balanced_table_grown_in_steps_matches_one_build():
         assert signs.tobytes() == whole_signs[:size, :size].tobytes()
 
 
+def test_balanced_table_size_built_for_each_n_max(monkeypatch):
+    # parity blocks of n_max ask for the smallest table of 2^m + 1 rows
+    # that covers orders 0..n_max: 2 rows up to n_max 1, then 3, 5, 9, ...
+    sizes = []
+
+    def counted(size):
+        sizes.append(size)
+        return table(size)
+    table = measurement._balanced_table
+    monkeypatch.setattr(measurement, "_balanced_table", counted)
+    for n_max in range(1, 65):
+        measurement._cached_parity_blocks.__wrapped__(0.6, 0.8, n_max)
+        want = 2
+        while want < n_max + 1:
+            want = 2 * want - 1
+        assert sizes[-1] == want, n_max
+    assert len(sizes) == 64 and sorted(set(sizes)) == [2, 3, 5, 9, 17, 33, 65]
+
+
 def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
     whole, whole_signs = measurement._balanced_table(65)
     bs = setting(0.37, 0.0)

@@ -461,6 +461,23 @@ class TestLockstepAscent:
             assert abs(low - lowest) <= 1e-13 * scale + 1e-300
             assert abs(high - highest) <= 1e-13 * scale + 1e-300
 
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 3e-7, -2.5e4])
+    def test_extreme_eigenvalues_at_repeated_roots(self, scale):
+        # scale * I, and scale * R diag(2, 2, -1) R^T for random rotations R:
+        # det(B) / (2 p^3) is +-1 at a repeated root and rounds past it on
+        # some rotations, where the clamps keep acos's argument in [-1, 1].
+        # A repeated root is ill conditioned in the trigonometric form: an
+        # error d in cos 3t moves it by about sqrt(d).
+        rng = np.random.default_rng(3)
+        rotations = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(200)]
+        matrices = [scale * np.eye(3)] + [scale * r @ np.diag([2.0, 2.0, -1.0]) @ r.T
+                                          for r in rotations]
+        for m in matrices:
+            lowest, _, highest = np.linalg.eigvalsh(m)
+            low, high = search._extreme_eigenvalues(*m[np.triu_indices(3)].tolist())
+            assert abs(low - lowest) <= 1e-7 * abs(scale)
+            assert abs(high - highest) <= 1e-7 * abs(scale)
+
     def test_damped_step_matches_linalg_solve(self):
         # The first step from random points of every oracle case, definite
         # and indefinite Hessians, at dampings that keep mu I - H well
@@ -639,10 +656,12 @@ class TestNewtonFinish:
         x1, x2, x3 = (u % TWO_PI for u in first)
         assert result.argmax == AngleQuad(x1, x2, 0.0, x3)
 
-    def test_step_refused_at_subnormal_hypot_without_warning(self, monkeypatch):
+    def test_subnormal_hypot_finite_hessian_without_warning(self, monkeypatch):
         # Correlations 2e-310 cos(d): both hypot arguments are subnormal at
-        # every start, r ** -1.5 overflows, the Hessian is not finite, and
-        # every restart stops at its start.
+        # every start.  The Hessian factor t / r^1.5 is taken as
+        # (-n2, n1) / sqrt(r), which does not overflow, so the Hessian is
+        # finite; the promised gain, of order 1e-617, is 0, and every
+        # restart stops at its start on the gain rule.
         tiny = inequalities._Series(0.0, ((1.0, 2e-310, -0.0),))
         monkeypatch.setattr(inequalities, "_series", lambda *args: tiny)
         monkeypatch.setattr(search, "_series", lambda *args: tiny)
@@ -651,10 +670,12 @@ class TestNewtonFinish:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f, point = value(0.3, 1.2, 2.5)
-            hessian, step = first_step(engine, [0.3, 1.2, 2.5])
+            hessian, step = first_step(engine, [0.3, 1.2, 2.5], lam=search.LAMBDA_START,
+                                       gain_tol=search.GAIN_TOL)
             result = optimize("steering", bec_pair(1), restarts=8, seed=3, alpha=0.5)
         assert 0.0 < f < 1e-300 and np.isfinite(chain_rule_gradient(point, True)).all()
-        assert not np.isfinite(hessian).all() and step is None
+        assert min(point[-2:]) >= search.KINK_RATIO * f
+        assert np.isfinite(hessian).all() and step is None
         assert result.converged == 8 and result.evaluations == 8 + 1
         # so the argmax is the first best start, wrapped, and the maximum its value
         starts = search._start_coordinates(8, seed=3).tolist()
@@ -742,23 +763,73 @@ class TestNewtonFinish:
         result = optimize("bell_abs", bec_pair(2), seed=1)
         assert result.converged == result.restarts_used == 64
 
-    def test_hypot_zero_maximum_left_unpolished(self):
-        state, alpha = bec_pair(3), 1.0 / math.sqrt(2.0)
-        engine = search._coordinate_objective("steering", state, alpha, None)
-        x, _, evaluations, converged = ascend_each(engine, search._start_coordinates(64, seed=0))
-        e = np.array([[correlation(state, phi, theta, alpha) for phi, theta in
-                       ((p1, 0.0), (p1, t2), (p2, 0.0), (p2, t2))] for p1, p2, t2 in x])
-        smallest = np.minimum(np.hypot(e[:, 0] + e[:, 2], e[:, 1] + e[:, 3]),
-                              np.hypot(e[:, 0] - e[:, 2], e[:, 1] - e[:, 3]))
-        # A restart that creeps toward a maximum with a hypot argument near 0,
-        # where the quadratic model fails, runs to the step cap; every other
-        # restart meets a stop rule.
-        assert (~converged).any()
-        assert (smallest[~converged] < 1e-3).all()
-        assert (evaluations[~converged] == 1 + search.MAX_STEPS).all()
+    def test_damping_follows_the_gain_ratio(self, monkeypatch):
+        # A Bell record with gradient (1e-3, 0, 0) and a zero Hessian: mu is
+        # lam, the step (1e-3 / lam, 0, 0) and the model's gain 1e-3 times
+        # the step, so each trial's x1 reads the damping it was taken at.
+        # Each trial realizes the scripted share of that gain, or is refused.
+        record = (1e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        script = [0.5, 0.1, None, 0.26, 0.24]
+        trials, kept = [], {"x1": 1.0, "f": 0.0}
+
+        def value(x1, x2, x3):
+            trials.append(x1 - kept["x1"])
+            if len(trials) == 1:  # the start
+                return 0.0, record
+            ratio = script[len(trials) - 2]
+            if ratio is None:
+                return kept["f"] - 1.0, record
+            kept["f"] += ratio * 1e-3 * (x1 - kept["x1"])
+            kept["x1"] = x1
+            return kept["f"], record
+        monkeypatch.setattr(search, "LAMBDA_START", 1.0)
+        monkeypatch.setattr(search, "MAX_STEPS", len(script))
+        _, _, evaluations, converged = search._ascend(value, False, [1.0, 2.0, 3.0])
+        assert (evaluations, converged) == (1 + len(script), False)
+        # divided by 10 after a kept step that gained more than a quarter of
+        # the promise, halved after one that gained less, times 10 on a refusal
+        lam = [1.0, 0.1, 0.05, 0.5, 0.05]
+        assert np.allclose(trials[1:], [1e-3 / v for v in lam], rtol=1e-9, atol=0.0)
+
+    def test_minorant_drops_the_small_radius_factor(self, monkeypatch):
+        # Near bec1's kink at the quad (0, 0, pi, pi) the radius of
+        # u = (e11 - e21, e12 - e22) is below KINK_RATIO of the value: the
+        # Hessian the ascent builds lacks that radius' factor h h^T, a
+        # positive semidefinite matrix of rank one, and the gradient is the
+        # same with the factor kept.
+        engine = search._coordinate_objective("steering", bec_pair(1), 1.0 / math.sqrt(2.0),
+                                              None)
+        u = [-math.pi + 3e-3, -math.pi, 1e-3]
+        f, point = engine[0](*u)
+        assert 0.0 < point[-1] < search.KINK_RATIO * f < point[-2]
+        minorant, step = first_step(engine, u)
+        gradient = chain_rule_gradient(point, True)
+        monkeypatch.setattr(search, "KINK_RATIO", 0.0)
+        full, _ = first_step(engine, u)
+        factor = full - minorant
+        eigenvalues = np.linalg.eigvalsh(factor)
+        assert eigenvalues[-1] > 1.0 and np.abs(eigenvalues[:2]).max() <= 1e-12 * eigenvalues[-1]
+        for hessian, step in ((minorant, step), (full, first_step(engine, u)[1])):
+            mu = max(np.linalg.eigvalsh(hessian)[-1], 0.0) + 1.0 + np.abs(
+                np.linalg.eigvalsh(hessian)).max()
+            assert np.abs(mu * step - hessian @ step - gradient).max() <= 1e-12 * mu
+
+    def test_hypot_zero_maximum_converges(self, monkeypatch):
+        # bec3 steering at seed 0: restarts that crept toward a maximum with
+        # a hypot argument near 0 used to run to the step cap; now every
+        # restart meets a stop rule, on 2 sqrt(2)
+        state = bec_pair(3)
+        engine = search._coordinate_objective("steering", state, 1.0 / math.sqrt(2.0), None)
+        _, f, evaluations, converged = ascend_each(engine, search._start_coordinates(64, seed=0))
+        assert converged.all() and (evaluations <= search.MAX_STEPS).all()
+        assert np.abs(f - QUANTUM_BOUND).max() <= 1e-14
         result = optimize("steering", state, seed=0)
-        assert result.converged == converged.sum() < result.restarts_used
+        assert result.converged == result.restarts_used == 64
         assert result.max_value == pytest.approx(QUANTUM_BOUND, abs=1e-12)
+        # bec1 at seed 0: without the kink minorant one restart runs to the cap
+        assert optimize("steering", bec_pair(1), seed=0).converged == 64
+        monkeypatch.setattr(search, "KINK_RATIO", 0.0)
+        assert optimize("steering", bec_pair(1), seed=0).converged == 63
 
 
 def random_mixture(draw, n1, n2, members):
@@ -994,6 +1065,11 @@ class TestCountLocalMaxima:
     def test_threshold_is_strict(self):
         values = [0.0, 2.0, 0.0, 3.0, 0.0, 1.0]
         assert count_local_maxima(values, threshold=2.0) == 1
+
+    def test_peak_at_the_threshold_not_counted(self):
+        values = [0.0, 1.5, 0.0, 1.5, 0.5]
+        assert count_local_maxima(values, threshold=1.5) == 0
+        assert count_local_maxima(values, threshold=math.nextafter(1.5, 0.0)) == 2
 
     def test_accepts_scan_series(self):
         series, = scan_1d(("steering",), bec_pair(1),
