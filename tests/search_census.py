@@ -19,7 +19,7 @@ ran to the step cap, and with ``--check`` exits 1 when the misses exceed
 the pinned ``misses_allowed``.  ``--pin`` rewrites the maxima from the
 engine at hand and keeps ``misses_allowed``; a change that makes the
 search miss less lowers that count by hand, and none raises it.  The run
-takes about 5 s, and ``--pin`` about a minute.
+takes about 1 s, and ``--pin`` about 15 s, on one core of a shared 2-core Xeon.
 """
 import argparse
 import json
@@ -72,9 +72,8 @@ def pin() -> None:
     print(f"pinned {len(maxima)} maxima at {PIN_RESTARTS} restarts in {PATH}")
 
 
-def census() -> int:
-    """Print the census and return its misses."""
-    record = json.loads(PATH.read_text(encoding="utf-8"))
+def census(record: dict) -> int:
+    """Print the census against the pinned ``record`` and return its misses."""
     misses = evaluations = capped = 0
     for index, ((state, objective, alpha, bob_alpha), pinned) in enumerate(
             zip(cases(), record["maxima"], strict=True)):
@@ -108,9 +107,8 @@ def main(argv=None) -> int:
     if args.pin:
         pin()
         return 0
-    misses = census()
-    allowed = json.loads(PATH.read_text(encoding="utf-8"))["misses_allowed"]
-    return int(args.check and misses > allowed)
+    record = json.loads(PATH.read_text(encoding="utf-8"))
+    return int(census(record) > record["misses_allowed"] and args.check)
 
 
 if __name__ == "__main__":

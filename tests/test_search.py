@@ -700,16 +700,18 @@ class TestNewtonFinish:
         result = optimize("bell_abs", bec_pair(2), restarts=16, seed=4)
         assert result.evaluations == len(points) + 1
 
-    @pytest.mark.parametrize("objective, state, restarts", [
-        ("steering", bec_pair(1), 16), ("bell_abs", bec_pair(2), 16),
-        ("steering", bec_pair(1), 64)],
-        ids=["bec1-steering", "bec2-bell_abs", "bec1-steering-64"])
+    @pytest.mark.parametrize("objective, state, restarts, max_steps", [
+        ("steering", bec_pair(1), 16, None), ("bell_abs", bec_pair(2), 16, None),
+        ("steering", bec_pair(1), 64, None), ("steering", bec_pair(1), 16, 4)],
+        ids=["bec1-steering", "bec2-bell_abs", "bec1-steering-64", "bec1-steering-cap4"])
     def test_derivatives_built_only_where_a_step_follows(self, objective, state, restarts,
-                                                         monkeypatch):
+                                                         max_steps, monkeypatch):
         # one value call per point evaluated; the gradient, the Hessian and
         # its extreme eigenvalues once at each start and at each kept trial
-        # that does not end its restart, never at a refused trial (at 64
-        # restarts one restart ends on a kept trial at the step cap)
+        # that does not end its restart, never at a refused trial (at a cap
+        # of 4 steps some restarts end on a kept trial at the cap)
+        if max_steps:
+            monkeypatch.setattr(search, "MAX_STEPS", max_steps)
         value, steering = search._coordinate_objective(objective, state,
                                                        1.0 / math.sqrt(2.0), None)
         values, built = [], []
@@ -728,7 +730,7 @@ class TestNewtonFinish:
         monkeypatch.setattr(search, "_coordinate_objective",
                             lambda *args: (counted_value, steering))
         starts = search._start_coordinates(restarts, seed=0).tolist()
-        refused = 0
+        refused = capped_on_kept = 0
         for start in starts:
             before = len(values), len(built)
             _, _, evaluations, converged = search._ascend(counted_value, steering, start)
@@ -741,7 +743,9 @@ class TestNewtonFinish:
             ends = bool(kept) and kept[-1] == len(path) - 1 and (
                 not converged or path[-1] - max(path[:-1]) < search.GAIN_TOL)
             assert len(built) - before[1] == 1 + len(kept) - ends
+            capped_on_kept += ends and not converged
         assert refused > 0
+        assert (capped_on_kept > 0) == bool(max_steps)
         totals = len(values), len(built)
         del values[:], built[:]
         result = optimize(objective, state, restarts=restarts, seed=0)
@@ -815,9 +819,8 @@ class TestNewtonFinish:
             assert np.abs(mu * step - hessian @ step - gradient).max() <= 1e-12 * mu
 
     def test_hypot_zero_maximum_converges(self, monkeypatch):
-        # bec3 steering at seed 0: restarts that crept toward a maximum with
-        # a hypot argument near 0 used to run to the step cap; now every
-        # restart meets a stop rule, on 2 sqrt(2)
+        # bec3 steering at seed 0, whose maxima include quads where a hypot
+        # argument vanishes: every restart meets a stop rule, on 2 sqrt(2)
         state = bec_pair(3)
         engine = search._coordinate_objective("steering", state, 1.0 / math.sqrt(2.0), None)
         _, f, evaluations, converged = ascend_each(engine, search._start_coordinates(64, seed=0))
