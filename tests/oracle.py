@@ -1,8 +1,19 @@
-"""Exact global maxima of |Bell| and the steering functional, the tests'
-oracle for ``optimize``.
+"""Tier-1's independent routes, one per engine layer, none sharing code with
+the layer it checks: the decimal route (``decimal_blocks``,
+``decimal_observables``, ``decimal_profile``) for ``effective_basis``,
+``parity_blocks`` and ``_profile``; the dense route (``party_unitary``,
+``dense_observable``, ``dense_distribution``) for ``joint_distribution``
+and the correlation at a point; the typeset two- and four-particle bases;
+and ``maximum`` for ``optimize``.  Also the one seeded random sector-state
+builder (``random_state``) and Hypothesis strategy (``sector_states``).
 
-The correlation is E(d) = sum_{|k| <= D} C_k e^{ikd}, C_-k = conj(C_k), in
-d = phi - theta; at x = phi1 - theta1, y = phi2 - theta1 and
+Run as a script (``PYTHONPATH=src python tests/oracle.py``), it holds
+``_profile`` to the decimal route at 24 + 24 and 32 + 32 particles, too
+slow for tier-1, and exits 1 when a coefficient is off by more than
+PROFILE_TOL.
+
+Maxima.  The correlation is E(d) = sum_{|k| <= D} C_k e^{ikd},
+C_-k = conj(C_k), in d = phi - theta; at x = phi1 - theta1, y = phi2 - theta1 and
 z = theta2 - theta1 the four correlations are E(x), E(x - z), E(y), E(y - z).
 
 One angle.  f(x) = sum_{|k| <= d} F_k e^{ikx} has its extrema where
@@ -56,15 +67,265 @@ rows are orthogonal.  Where the maximum is 2 sqrt(2) (bec1, bec2, noon2)
 the certificate is then tight.
 """
 import math
+import sys
+import time
+from decimal import Decimal, localcontext
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial
+from scipy.linalg import expm, logm
 from scipy.optimize import minimize
 
 from twocopy import inequalities
+from twocopy.fock import fock_amplitudes, from_fock_amplitudes
 from twocopy.inequalities import BALANCED_ALPHA, TWO_PI
+from twocopy.states import COMPOSITE_MODES, CompositeState
+
+DIGITS = 50
+PROFILE_TOL = 1e-15  # per Fourier coefficient, the script's bound
+
+
+def weight(n: int, m: int) -> int:
+    """The dichotomic weight of outcome (n, m), (-1)^(m + s(s+1)/2) with
+    s = n + m: ``measurement.epsilon`` written out again."""
+    s = n + m
+    return (-1) ** (m + s * (s + 1) // 2)
+
+
+# -- the decimal route -----------------------------------------------------------
+
+
+def decimal_blocks(alpha: float, beta: float, k_max: int) -> list:
+    """The splitter's blocks S_0 .. S_k_max as lists of DIGITS-digit decimal
+    rows, from the exact values of the floats.
+
+    S_k[n][p] is the amplitude of |n, k-n> in the image of |p, k-p>, read
+    from the binomial expansion of (alpha c† + beta C†)^p (beta c† - alpha C†)^(k-p)
+    times sqrt(n! (k-n)! / (p! (k-p)!)).  The exact values of alpha and beta
+    are scaled onto the unit circle first, as ``parity_blocks`` documents.
+    """
+    with localcontext() as context:
+        context.prec = DIGITS
+        a, b = Decimal(alpha), Decimal(beta)
+        radius = (a * a + b * b).sqrt()
+        power_a, power_b = [Decimal(1)], [Decimal(1)]  # Decimal(0) ** 0 raises
+        for _ in range(k_max):
+            power_a.append(power_a[-1] * a / radius)
+            power_b.append(power_b[-1] * b / radius)
+        blocks = []
+        for k in range(k_max + 1):
+            s = [[Decimal(0)] * (k + 1) for _ in range(k + 1)]
+            for p in range(k + 1):
+                q = k - p
+                # c†^i from (alpha c† + beta C†)^p and c†^j from (beta c† - alpha C†)^q
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        term = (math.comb(p, i) * math.comb(q, j)
+                                * power_a[i + q - j] * power_b[p - i + j])
+                        s[i + j][p] += -term if (q - j) % 2 else term
+                for n in range(k + 1):
+                    s[n][p] *= (Decimal(math.comb(k, p)) / math.comb(k, n)).sqrt()
+            blocks.append(s)
+        return blocks
+
+
+def decimal_observables(alpha: float, beta: float, k_max: int) -> list:
+    """O_k = S_k^T diag(eps) S_k for k <= k_max, as lists of DIGITS-digit decimal rows."""
+    observables = []
+    with localcontext() as context:
+        context.prec = DIGITS
+        for k, s in enumerate(decimal_blocks(alpha, beta, k_max)):
+            signs = [weight(n, k - n) for n in range(k + 1)]
+            o = [[Decimal(0)] * (k + 1) for _ in range(k + 1)]
+            for p in range(k + 1):
+                for q in range(p, k + 1):
+                    o[p][q] = o[q][p] = sum(e * row[p] * row[q] for e, row in zip(signs, s))
+            observables.append(o)
+    return observables
+
+
+def decimal_profile(state: CompositeState, alpha: float, bob_alpha: float) -> np.ndarray:
+    """C_0 .. C_D, the Fourier coefficients of the correlation in
+    d = phi - theta, each rounded once from DIGITS digits.
+
+    With psi the Fock amplitudes of a member over x = (a, b, A, B), C_k sums
+    w psi*_x psi_y O_A[a_x + A_x][a_x][a_y] O_B[b_x + B_x][b_x][b_y] over
+    the pairs in one block of each party with A_y - A_x = k, the splitters
+    being alpha and bob_alpha at phase 0.
+    """
+    with localcontext() as context:
+        context.prec = DIGITS
+        members = [(Decimal(w), [(occ, Decimal(c.real), Decimal(c.imag))
+                                 for occ, c in fock_amplitudes(member).items()])
+                   for w, member in state.entries]
+        k_max = max((max(a + A, b + B) for _, amps in members for (a, b, A, B), _, _ in amps),
+                    default=0)
+        alice = decimal_observables(alpha, math.sqrt(1.0 - alpha * alpha), k_max)
+        bob = decimal_observables(bob_alpha, math.sqrt(1.0 - bob_alpha * bob_alpha), k_max)
+        coefficients = {}
+        for w, amps in members:
+            for (a, b, A, B), xr, xi in amps:
+                for (c, d, C, D), yr, yi in amps:
+                    if a + A != c + C or b + B != d + D:
+                        continue
+                    o = w * alice[a + A][a][c] * bob[b + B][b][d]
+                    re, im = coefficients.get(C - A, (0, 0))
+                    # psi*_x psi_y = (xr - i xi)(yr + i yi)
+                    coefficients[C - A] = (re + o * (xr * yr + xi * yi),
+                                           im + o * (xr * yi - xi * yr))
+        degree = max(coefficients, default=0)
+        return np.array([complex(*map(float, coefficients.get(k, (0, 0))))
+                         for k in range(degree + 1)])
+
+
+# -- the dense route -------------------------------------------------------------
+
+
+def party_unitary(setting, cut: int) -> np.ndarray:
+    """One party's splitter on its two modes (a, A), occupations below ``cut``,
+    row and column index n_a * cut + n_A.
+
+    U = exp(sum_ij G_ij m_i† m_j) with exp(G) the one-particle map
+    a† -> alpha c† + beta C†, A† -> e^{i phase}(beta c† - alpha C†), so that
+    U a† U† and U A† U† are its columns.  Blocks of fewer than ``cut``
+    particles are exact.
+    """
+    ladder = np.diag(np.sqrt(np.arange(1.0, cut)), 1)
+    modes = (np.kron(ladder, np.eye(cut)), np.kron(np.eye(cut), ladder))
+    phase = np.exp(1j * setting.phase)
+    gen = logm(np.array([[setting.alpha, setting.beta * phase],
+                         [setting.beta, -setting.alpha * phase]]))
+    return expm(sum(gen[i, j] * modes[i].T @ modes[j] for i in range(2) for j in range(2)))
+
+
+def dense_observable(setting, cut: int) -> np.ndarray:
+    """U† diag(eps) U: a party's dichotomic observable on its input modes."""
+    u = party_unitary(setting, cut)
+    signs = np.array([weight(n, m) for n in range(cut) for m in range(cut)])
+    return u.conj().T @ (signs[:, None] * u)
+
+
+def _party_matrices(state: CompositeState, cut: int):
+    """(weight, psi) per member, psi[n_a * cut + n_A, n_b * cut + n_B] its amplitudes."""
+    for w, member in state.entries:
+        psi = np.zeros((cut * cut, cut * cut), dtype=complex)
+        for (a, b, big_a, big_b), amp in fock_amplitudes(member).items():
+            psi[a * cut + big_a, b * cut + big_b] = amp
+        yield w, psi
+
+
+def dense_correlation(state: CompositeState, alice, bob) -> float:
+    """The correlation, each member's <psi| O_alice (x) O_bob |psi> weighted."""
+    cut = state.n_total + 1
+    o_alice, o_bob = dense_observable(alice, cut), dense_observable(bob, cut)
+    return sum(w * np.vdot(psi, o_alice @ psi @ o_bob.T).real
+               for w, psi in _party_matrices(state, cut))
+
+
+def dense_distribution(state: CompositeState, alice, bob) -> dict:
+    """(n_c, m_C, n_d, m_D) -> probability, for probabilities above 1e-16."""
+    cut = state.n_total + 1
+    u_alice, u_bob = party_unitary(alice, cut), party_unitary(bob, cut)
+    probs = {}
+    for w, psi in _party_matrices(state, cut):
+        out = np.abs(u_alice @ psi @ u_bob.T) ** 2
+        for i, j in zip(*np.nonzero(out > 1e-16)):
+            key = (i // cut, i % cut, j // cut, j % cut)
+            probs[key] = probs.get(key, 0.0) + w * out[i, j]
+    return probs
+
+
+# -- typeset bases -----------------------------------------------------------------
+
+
+def two_particle_rows(phase: float) -> dict:
+    """outcome -> (amplitudes on |n_a, n_A>, eps) of the effective basis for up
+    to two particles at the balanced splitter, from expanding
+    (a† + e^{-i phase} A†)^n (a† - e^{-i phase} A†)^m / sqrt(2^(n+m) n! m!)."""
+    x = np.exp(-1j * phase)
+    r2 = 1.0 / math.sqrt(2.0)
+    return {
+        (0, 0): ({(0, 0): 1.0}, 1),
+        (1, 0): ({(1, 0): r2, (0, 1): r2 * x}, -1),
+        (0, 1): ({(1, 0): r2, (0, 1): -r2 * x}, 1),
+        (1, 1): ({(2, 0): r2, (0, 2): -r2 * x ** 2}, 1),
+        (2, 0): ({(2, 0): 0.5, (1, 1): r2 * x, (0, 2): 0.5 * x ** 2}, -1),
+        (0, 2): ({(2, 0): 0.5, (1, 1): -r2 * x, (0, 2): 0.5 * x ** 2}, -1),
+    }
+
+
+def four_particle_monomials() -> dict:
+    """outcome -> (raw creation-monomial coefficients, eps) of the rows for three
+    and four particles at the balanced splitter and phase 0; entry k is the
+    coefficient of a†^(s-k) A†^k, which a phase multiplies by e^{-i k phase}."""
+    r3 = 1.0 / (4.0 * math.sqrt(3.0))
+    r6 = 1.0 / (4.0 * math.sqrt(6.0))
+    r86 = 1.0 / (8.0 * math.sqrt(6.0))
+    return {
+        (1, 2): ([0.25, -0.25, -0.25, 0.25], 1),
+        (2, 1): ([0.25, 0.25, -0.25, -0.25], -1),
+        (0, 3): ([r3, -3 * r3, 3 * r3, -r3], -1),
+        (3, 0): ([r3, 3 * r3, 3 * r3, r3], 1),
+        (2, 2): ([0.125, 0.0, -0.25, 0.0, 0.125], 1),
+        (4, 0): ([r86, 4 * r86, 6 * r86, 4 * r86, r86], 1),
+        (0, 4): ([r86, -4 * r86, 6 * r86, -4 * r86, r86], 1),
+        (1, 3): ([r6, -2 * r6, 0.0, 2 * r6, -r6], -1),
+        (3, 1): ([r6, 2 * r6, 0.0, -2 * r6, -r6], -1),
+    }
+
+
+# -- random sector states ----------------------------------------------------------
+
+
+def _sector_occupations(n1: int, n2: int) -> list:
+    return [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
+
+
+def random_state(rng, n1: int, n2: int, members: int = 1) -> CompositeState:
+    """A random pure state (``members`` 1) or two-member mixture in the
+    (n1, n2) sector: each amplitude complex(*rng.normal(size=2)), each member
+    normalized, and the first member's weight uniform in [0.1, 0.9]."""
+    polys = []
+    for _ in range(members):
+        amps = {occ: complex(*rng.normal(size=2)) for occ in _sector_occupations(n1, n2)}
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        polys.append(from_fock_amplitudes(COMPOSITE_MODES,
+                                          {occ: a / norm for occ, a in amps.items()}))
+    if members == 1:
+        return CompositeState(((1.0, polys[0]),), n1=n1, n2=n2)
+    w = float(rng.uniform(0.1, 0.9))
+    return CompositeState(((w, polys[0]), (1.0 - w, polys[1])), n1=n1, n2=n2)
+
+
+AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sector_states(draw, sectors=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                  members=st.integers(1, 2)):
+    """A pure state or two-member mixture in an (n1, n2) sector drawn from
+    ``sectors``; amplitudes 0 or of magnitude 0.1 to 2, normalized."""
+    n1, n2 = draw(sectors)
+    occupations = _sector_occupations(n1, n2)
+    polys = []
+    for _ in range(draw(members)):
+        amps = draw(st.lists(AMPLITUDES, min_size=len(occupations), max_size=len(occupations)))
+        if not any(amps):
+            amps[0] = 1.0
+        norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
+        polys.append(from_fock_amplitudes(
+            COMPOSITE_MODES, {o: c / norm for o, c in zip(occupations, amps) if c}))
+    if len(polys) == 1:
+        return CompositeState(((1.0, polys[0]),), n1=n1, n2=n2)
+    w = draw(st.floats(0.05, 0.95))
+    return CompositeState(((w, polys[0]), (1.0 - w, polys[1])), n1=n1, n2=n2)
+
+
+# -- maxima --------------------------------------------------------------------------
 
 DROP = 1e-13
 BUDGET = 3000  # evaluations of the reduced objective for the bound
@@ -173,3 +434,32 @@ def maximum(objective: str, state, alpha: float = BALANCED_ALPHA, bob_alpha=None
     if inequalities._functional(objective) is inequalities._steering:
         upper = min(upper, inequalities.QUANTUM_BOUND)
     return Maximum(float(value), float(upper), tuple(quad.tolist()))
+
+
+def fourier(series) -> np.ndarray:
+    """C_0 .. C_degree of a ``_profile`` series: c0 and (a_k - i b_k) / 2."""
+    return np.array([series.c0] + [complex(a, -b) / 2.0 for _, a, b in series.terms])
+
+
+def main() -> int:
+    """_profile against the decimal route on random states at 24 + 24 and
+    32 + 32, on unbalanced splitters; 1 when a coefficient is off by more
+    than PROFILE_TOL."""
+    worst = 0.0
+    for n1, n2, seed in ((24, 24, 2424), (32, 32, 3232)):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, n1, n2)
+        alpha, bob_alpha = np.sqrt(rng.uniform(0.05, 0.95, 2)).tolist()
+        got = fourier(inequalities._profile(state, alpha, bob_alpha))
+        start = time.process_time()
+        deviation = float(np.abs(got - decimal_profile(state, alpha, bob_alpha)).max())
+        worst = max(worst, deviation)
+        print(f"{n1} + {n2}: max |C_k - decimal| = {deviation:.2e} over {len(got)} coefficients "
+              f"(alpha {alpha:.4f}, bob_alpha {bob_alpha:.4f}; decimal route "
+              f"{time.process_time() - start:.1f} s CPU)")
+    print(f"worst {worst:.2e}, bound {PROFILE_TOL:.0e}")
+    return int(worst > PROFILE_TOL)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,9 +29,8 @@ import sys
 
 import numpy as np
 
-from twocopy.fock import from_fock_amplitudes
+from oracle import random_state
 from twocopy.search import optimize
-from twocopy.states import COMPOSITE_MODES, CompositeState
 
 PATH = pathlib.Path(__file__).with_name("search_census.json")
 STATES = 300
@@ -48,16 +47,11 @@ def cases():
     drawn = []
     for index in range(STATES):
         n1, n2 = (int(n) for n in rng.integers(1, 5, 2))
-        amplitudes = {(k, n1 - k, l, n2 - l): complex(*rng.normal(size=2))
-                      for k in range(n1 + 1) for l in range(n2 + 1)}
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
-        member = from_fock_amplitudes(COMPOSITE_MODES,
-                                      {occ: a / norm for occ, a in amplitudes.items()})
+        state = random_state(rng, n1, n2)
         alphas = np.sqrt(rng.uniform(0.1, 0.9, 2)).tolist()
         if index % 3 != 2:
             alphas = [1.0 / math.sqrt(2.0)] * 2
-        drawn.append((CompositeState(((1.0, member),), n1=n1, n2=n2),
-                      ("steering", "bell_abs")[index % 2], *alphas))
+        drawn.append((state, ("steering", "bell_abs")[index % 2], *alphas))
     return drawn
 
 

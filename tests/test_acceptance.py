@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from twocopy.fock import fock_amplitudes, inner
 from twocopy.inequalities import (
     AngleQuad,
@@ -369,36 +370,6 @@ def test_a09b_sector_trace_nullity_documented_discrepancy():
         f"angle-independent trace should cancel in A(phi1) - A(phi2)")
 
 
-def reference_two_particle_rows(phase):
-    x = np.exp(-1j * phase)
-    r2 = 1.0 / math.sqrt(2.0)
-    return {
-        (0, 0): ({(0, 0): 1.0}, 1),
-        (1, 0): ({(1, 0): r2, (0, 1): r2 * x}, -1),
-        (0, 1): ({(1, 0): r2, (0, 1): -r2 * x}, 1),
-        (1, 1): ({(2, 0): r2, (0, 2): -r2 * x ** 2}, 1),
-        (2, 0): ({(2, 0): 0.5, (1, 1): r2 * x, (0, 2): 0.5 * x ** 2}, -1),
-        (0, 2): ({(2, 0): 0.5, (1, 1): -r2 * x, (0, 2): 0.5 * x ** 2}, -1),
-    }
-
-
-def reference_four_particle_monomials():
-    r3 = 1.0 / (4.0 * math.sqrt(3.0))
-    r6 = 1.0 / (4.0 * math.sqrt(6.0))
-    r86 = 1.0 / (8.0 * math.sqrt(6.0))
-    return {
-        (1, 2): ([0.25, -0.25, -0.25, 0.25], 1),
-        (2, 1): ([0.25, 0.25, -0.25, -0.25], -1),
-        (0, 3): ([r3, -3 * r3, 3 * r3, -r3], -1),
-        (3, 0): ([r3, 3 * r3, 3 * r3, r3], 1),
-        (2, 2): ([0.125, 0.0, -0.25, 0.0, 0.125], 1),
-        (4, 0): ([r86, 4 * r86, 6 * r86, 4 * r86, r86], 1),
-        (0, 4): ([r86, -4 * r86, 6 * r86, -4 * r86, r86], 1),
-        (1, 3): ([r6, -2 * r6, 0.0, 2 * r6, -r6], -1),
-        (3, 1): ([r6, 2 * r6, 0.0, -2 * r6, -r6], -1),
-    }
-
-
 def test_a10_structural_counts_and_reference_bases():
     counts_ok = (outcome_count(2), outcome_count(3), outcome_count(4)) == (6, 10, 15)
 
@@ -421,7 +392,7 @@ def test_a10_structural_counts_and_reference_bases():
     table_worst = 0.0
     for phase in (0.0, 1.1):
         basis = {v.outcome: v for v in effective_basis(2, BAL(phase))}
-        for outcome, (amps, eps_want) in reference_two_particle_rows(phase).items():
+        for outcome, (amps, eps_want) in oracle.two_particle_rows(phase).items():
             assert basis[outcome].weight == eps_want
             got = fock_amplitudes(basis[outcome].vector)
             assert set(got) == set(amps)
@@ -430,7 +401,7 @@ def test_a10_structural_counts_and_reference_bases():
 
     # four-particle rows in the raw-monomial convention
     basis4 = {v.outcome: v for v in effective_basis(4, BAL(0.0))}
-    for outcome, (coeffs, eps_want) in reference_four_particle_monomials().items():
+    for outcome, (coeffs, eps_want) in oracle.four_particle_monomials().items():
         assert basis4[outcome].weight == eps_want
         raw = basis4[outcome].vector.terms
         s = sum(outcome)

@@ -77,11 +77,17 @@ class TestMonomialState:
     def test_single_particle(self):
         s = monomial_state({"a": 1})
         assert s.terms == {(1,): 1.0 + 0.0j}
+        # a mode the occupations omit is empty
+        assert monomial_state({"a": 1}, modes=("a", "b")).terms == {(1, 0): 1.0 + 0.0j}
+        # the norm is within a tolerance of 0, inclusive; 1.5 is no norm squared
+        assert s.is_normalized(0.0)
+        assert not ModePolynomial(("a",), {(1,): 1.5 ** 0.5}).is_normalized()
 
     def test_factorial_normalization(self):
         # (a†)^2 |0> = sqrt(2) |2>, so the stored coefficient is 1/sqrt(2)
         s = monomial_state({"a": 2})
         assert s.coefficient((2,)) == pytest.approx(INV_SQRT2)
+        assert s.coefficient((1,)) == 0.0
         assert fock_amplitudes(s)[(2,)] == pytest.approx(1.0)
 
     def test_single_unit_amplitude(self):

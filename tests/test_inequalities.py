@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from twocopy import inequalities
 from twocopy.inequalities import (
     MAX_DRAWS,
@@ -34,9 +35,7 @@ from twocopy.inequalities import (
 from twocopy.measurement import (BALANCED_ALPHA, BeamSplitterSetting, joint_distribution,
                                   weighted_parity)
 from twocopy.search import optimize
-from twocopy.fock import from_fock_amplitudes
 from twocopy.states import (
-    COMPOSITE_MODES,
     CompositeState,
     admix,
     bec_pair,
@@ -387,6 +386,9 @@ class TestVisibilityThreshold:
     def test_no_violation_raises(self):
         with pytest.raises(NoViolationError):
             visibility_threshold(bec_pair(1), "steering", AngleQuad(0, 0, 0, 0))
+        # the vacuum's |Bell| is 2 exactly at p = 1, which is no violation
+        with pytest.raises(NoViolationError, match="objective at p=1 is 2.000000"):
+            visibility_threshold(bec_pair(0), "bell", AngleQuad(0.3, 1.2, 2.0, 4.0))
 
     def test_noise_alone_above_bound_raises(self):
         # the objective is 2.496 for the sector noise alone and 2.484 for the
@@ -563,23 +565,6 @@ class TestThresholdClosedForm:
         assert checked >= 80
 
 
-def random_sector_state(rng, n1, n2):
-    """A two-member mixture of random pure states in the (n1, n2) sector."""
-    members = []
-    for _ in range(2):
-        amps = {(k, n1 - k, l, n2 - l): complex(*rng.normal(size=2))
-                for k in range(n1 + 1) for l in range(n2 + 1)}
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        members.append(from_fock_amplitudes(
-            COMPOSITE_MODES, {occ: a / norm for occ, a in amps.items()}))
-    w = float(rng.uniform(0.1, 0.9))
-    return CompositeState(((w, members[0]), (1.0 - w, members[1])), n1=n1, n2=n2)
-
-
-AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
-    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
-
-
 class TestMixtureLinearity:
     # visibility_threshold relies on E(admix(s, p)) = p E(s) + (1 - p) E(noise)
     @pytest.mark.parametrize("noise, sectors", [
@@ -589,7 +574,7 @@ class TestMixtureLinearity:
     def test_correlations_linear_in_weight(self, noise, sectors):
         rng = np.random.default_rng(41)
         for n1, n2 in 2 * sectors:
-            state = random_sector_state(rng, n1, n2)
+            state = oracle.random_state(rng, n1, n2, members=2)
             alpha, bob_alpha = np.sqrt(rng.uniform(0.1, 0.9, 2))
             q = AngleQuad(*rng.uniform(0.0, TWO_PI, 4))
             p = float(rng.uniform(0.05, 0.95))
@@ -607,17 +592,10 @@ class TestMixtureLinearity:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_linear_in_weight_property(self, data, noise, alphas, quad, p):
         # factorized noise has ((N+1)(N+2)/2)^2 members; N = n1 + n2 <= 4 keeps it fast
-        n1 = data.draw(st.integers(0, 4), label="n1")
-        n2 = data.draw(st.integers(0, 4 - n1 if noise == "factorized" else 4), label="n2")
-        occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
-        amps = data.draw(st.lists(AMPLITUDES, min_size=len(occupations),
-                                  max_size=len(occupations)), label="amplitudes")
-        if not any(amps):
-            amps[0] = 1.0
-        norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
-        member = from_fock_amplitudes(
-            COMPOSITE_MODES, {o: c / norm for o, c in zip(occupations, amps) if c})
-        state = CompositeState(((1.0, member),), n1=n1, n2=n2)
+        sectors = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        if noise == "factorized":
+            sectors = sectors.filter(lambda sector: sum(sector) <= 4)
+        state = data.draw(oracle.sector_states(sectors, st.just(1)), label="state")
         q, (alpha, bob_alpha) = AngleQuad(*quad), alphas
         pure = correlation_vector(state, q, alpha, bob_alpha)
         white = correlation_vector(admix(state, 0.0, noise), q, alpha, bob_alpha)

@@ -1,26 +1,26 @@
 """Measurement-layer tests.
 
 Two independent routes exist to every distribution: creation-operator
-substitution, one party's splitter at a time, and projection onto the
-effective basis vectors, which are read from the beam splitter's amplitude
-recurrence.  Both are tested against each other, and against a third fully
-independent oracle built from dense matrix exponentials on a truncated
-number basis.  The basis itself is also checked against the binomial
-expansion of its defining formula.
+substitution, one party's splitter at a time (``joint_distribution``), and
+projection onto the effective basis vectors, which are read from the beam
+splitter's amplitude recurrence.  Both are tested against each other and
+against the dense matrix-exponential route of tests/oracle.py, and the
+basis against the oracle's 50-digit binomial expansion and its typeset
+two- and four-particle rows.
 """
+import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm, logm
 
+import oracle
 from twocopy.fock import (
     ModePolynomial,
     fock_amplitudes,
     from_fock_amplitudes,
     inner,
     monomial_state,
-    tensor,
 )
 from twocopy.measurement import (
     MAX_BASIS_TOTAL,
@@ -82,67 +82,25 @@ class TestOutcomeCount:
         assert outcomes == sorted(outcomes)
 
 
-def reference_two_particle_rows(phase):
-    """Effective basis for up to two particles, balanced splitter.
-
-    Normalized amplitudes on |n_a n_A>, derived by expanding
-    (a† + e^{-i phase} A†)^n (a† - e^{-i phase} A†)^m / sqrt(2^(n+m) n! m!).
-    """
-    x = np.exp(-1j * phase)
-    return {
-        (0, 0): {(0, 0): 1.0},
-        (1, 0): {(1, 0): INV_SQRT2, (0, 1): INV_SQRT2 * x},
-        (0, 1): {(1, 0): INV_SQRT2, (0, 1): -INV_SQRT2 * x},
-        (1, 1): {(2, 0): INV_SQRT2, (0, 2): -INV_SQRT2 * x ** 2},
-        (2, 0): {(2, 0): 0.5, (1, 1): INV_SQRT2 * x, (0, 2): 0.5 * x ** 2},
-        (0, 2): {(2, 0): 0.5, (1, 1): -INV_SQRT2 * x, (0, 2): 0.5 * x ** 2},
-    }
-
-
-def reference_four_particle_monomials(phase):
-    """Raw creation-monomial coefficients of the extra rows for four
-    particles, balanced splitter; key k maps the a^(s-k) A^k monomial.
-    """
-    r3 = 1.0 / (4.0 * math.sqrt(3.0))
-    r6 = 1.0 / (4.0 * math.sqrt(6.0))
-    r86 = 1.0 / (8.0 * math.sqrt(6.0))
-    return {
-        (1, 2): [0.25, -0.25, -0.25, 0.25],
-        (2, 1): [0.25, 0.25, -0.25, -0.25],
-        (0, 3): [r3, -3 * r3, 3 * r3, -r3],
-        (3, 0): [r3, 3 * r3, 3 * r3, r3],
-        (2, 2): [0.125, 0.0, -0.25, 0.0, 0.125],
-        (4, 0): [r86, 4 * r86, 6 * r86, 4 * r86, r86],
-        (0, 4): [r86, -4 * r86, 6 * r86, -4 * r86, r86],
-        (1, 3): [r6, -2 * r6, 0.0, 2 * r6, -r6],
-        (3, 1): [r6, 2 * r6, 0.0, -2 * r6, -r6],
-    }
-
-
-def substitution_basis(n_total, setting, input_modes):
-    """Outcome -> effective vector on ``input_modes``, from the binomial
-    expansion of (alpha a† + beta x A†)^n (beta a† - alpha x A†)^m / sqrt(n! m!),
-    x = e^{-i phase}: the output Fock state |n, m> sent back through the
-    splitter, as ``effective_basis`` states it."""
-    a, b, x = setting.alpha, setting.beta, np.exp(-1j * setting.phase)
-    basis = {}
-    for n, m in local_outcomes(n_total):
-        terms = {}
-        for r in range(n + 1):
-            left = math.comb(n, r) * a ** r * (b * x) ** (n - r)
-            for s in range(m + 1):
-                right = math.comb(m, s) * b ** s * (-a * x) ** (m - s)
-                key = (r + s, n + m - r - s)
-                terms[key] = terms.get(key, 0.0) + left * right
-        scale = math.sqrt(math.factorial(n) * math.factorial(m))
-        basis[(n, m)] = ModePolynomial(input_modes, {e: c / scale for e, c in terms.items()})
-    return basis
+def assert_basis_matches_decimal_route(n_total, setting, tol):
+    """effective_basis against the oracle's expansion: the vector of outcome
+    (n, m) has S_k[p][n] e^{-i phase (k-p)} on |p, k-p>, k = n + m."""
+    blocks = oracle.decimal_blocks(setting.alpha, setting.beta, n_total)
+    basis = effective_basis(n_total, setting)
+    assert [v.outcome for v in basis] == local_outcomes(n_total)
+    for v in basis:
+        n, m = v.outcome
+        k = n + m
+        assert v.vector.modes == ("a", "A") and v.weight == oracle.weight(n, m)
+        want = {(p, k - p): float(blocks[k][p][n]) * cmath.exp(-1j * setting.phase * (k - p))
+                for p in range(k + 1)}
+        got = fock_amplitudes(v.vector)
+        assert set(got) <= set(want)
+        assert max(abs(got.get(occ, 0.0) - amp) for occ, amp in want.items()) <= tol
 
 
 class TestEffectiveBasis:
-    @pytest.mark.parametrize("input_modes", [("a", "A"), ("b", "B")])
-    def test_matches_substitution_oracle(self, input_modes):
-        # the basis lies on (a, A); either party's substitution has its amplitudes
+    def test_matches_decimal_route(self):
         rng = np.random.default_rng(29)
         fixed = [BAL(0.4), BeamSplitterSetting.from_alpha(0.0, 1.1),
                  BeamSplitterSetting.from_alpha(1.0, 2.0)]
@@ -150,18 +108,13 @@ class TestEffectiveBasis:
             drawn = BeamSplitterSetting.from_alpha(rng.uniform(0.0, 1.0),
                                                    rng.uniform(0.0, 2 * math.pi))
             for setting in fixed + [drawn]:
-                oracle = substitution_basis(n_total, setting, input_modes)
-                basis = effective_basis(n_total, setting)
-                assert [v.outcome for v in basis] == list(oracle)
-                for v in basis:
-                    assert v.vector.modes == ("a", "A")
-                    got = fock_amplitudes(v.vector)
-                    want = fock_amplitudes(oracle[v.outcome])
-                    for occ in set(got) | set(want):
-                        assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) <= 1e-12
+                assert_basis_matches_decimal_route(n_total, setting, 1e-14)
+
+    def test_matches_decimal_route_at_bound(self):
+        for setting in (BAL(0.4), BeamSplitterSetting.from_alpha(0.6628, 1.734)):
+            assert_basis_matches_decimal_route(MAX_BASIS_TOTAL, setting, 1e-14)
 
     def test_shells_orthonormal_at_bound(self):
-        # near balance the binomial substitution reaches only ~1e-12 here
         for setting in (BAL(0.4), BeamSplitterSetting.from_alpha(0.6628, 1.734)):
             basis = effective_basis(MAX_BASIS_TOTAL, setting)
             for k in range(MAX_BASIS_TOTAL + 1):
@@ -173,27 +126,25 @@ class TestEffectiveBasis:
     @pytest.mark.parametrize("phase", [0.0, 0.8, 2.4, -1.1])
     def test_two_particle_reference_rows(self, phase):
         basis = {v.outcome: v for v in effective_basis(2, BAL(phase))}
-        reference = reference_two_particle_rows(phase)
+        reference = oracle.two_particle_rows(phase)
         assert set(basis) == set(reference)
-        for outcome, expected in reference.items():
+        for outcome, (expected, eps) in reference.items():
             amps = fock_amplitudes(basis[outcome].vector)
             assert set(amps) == set(expected)
             for occ, amp in expected.items():
                 assert amps[occ] == pytest.approx(amp, abs=1e-12)
-            assert basis[outcome].weight == EPSILON_TABLE[outcome]
+            assert basis[outcome].weight == eps
 
     @pytest.mark.parametrize("phase", [0.0, 1.3])
     def test_four_particle_monomial_rows(self, phase):
         basis = {v.outcome: v for v in effective_basis(4, BAL(phase))}
         x = np.exp(-1j * phase)
-        for outcome, coeffs in reference_four_particle_monomials(phase).items():
+        for outcome, (coeffs, eps) in oracle.four_particle_monomials().items():
             s = sum(outcome)
             raw = basis[outcome].vector.terms
             for k, value in enumerate(coeffs):
-                occ = (s - k, k)
-                got = raw.get(occ, 0.0)
-                assert got == pytest.approx(value * x ** k, abs=1e-12)
-            assert basis[outcome].weight == EPSILON_TABLE[outcome]
+                assert raw.get((s - k, k), 0.0) == pytest.approx(value * x ** k, abs=1e-12)
+            assert basis[outcome].weight == eps
 
     def test_first_ten_rows_cover_three_particles(self):
         # the three-particle basis is the four-particle one truncated
@@ -281,104 +232,8 @@ class TestJointDistribution:
             want = joint_distribution(state, alice, bob)
             assert list(joint_distribution(padded, alice, bob).items()) == list(want.items())
 
-    def test_dual_route_against_effective_basis(self):
-        # substitution amplitudes must match projections onto the basis
-        rng = np.random.default_rng(17)
-        for state, n1, n2 in [(bec_pair(1), 1, 1), (bec_pair(1, 2), 1, 2),
-                              (bec_pair(2), 2, 2)]:
-            member = state.entries[0][1]
-            alice = BeamSplitterSetting.from_alpha(
-                rng.uniform(0.2, 0.95), rng.uniform(0, 2 * math.pi))
-            bob = BeamSplitterSetting.from_alpha(
-                rng.uniform(0.2, 0.95), rng.uniform(0, 2 * math.pi))
-            n_total = n1 + n2
-            dist = joint_distribution(state, alice, bob)
-            basis_a = effective_basis(n_total, alice)
-            basis_b = effective_basis(n_total, bob)
-            for va in basis_a:
-                for vb in basis_b:
-                    if sum(va.outcome) + sum(vb.outcome) != n_total:
-                        continue
-                    # Bob's vectors have the same amplitudes on (b, B)
-                    projector = tensor(va.vector, ModePolynomial(("b", "B"), vb.vector.terms))
-                    # reorder modes (a, A, b, B) -> (a, b, A, B)
-                    reordered = {
-                        (ea, eb, eA, eB): c
-                        for (ea, eA, eb, eB), c in projector.terms.items()
-                    }
-                    projector = ModePolynomial(("a", "b", "A", "B"), reordered)
-                    amp = inner(projector, member)
-                    outcome = Outcome(va.outcome[0], va.outcome[1],
-                                      vb.outcome[0], vb.outcome[1])
-                    assert abs(abs(amp) ** 2 - dist.get(outcome, 0.0)) < 1e-10
 
-
-# -- independent oracle: dense matrix exponentials ---------------------------
-
-CUT = 5
-
-
-def _ladder():
-    m = np.zeros((CUT, CUT), dtype=complex)
-    for n in range(1, CUT):
-        m[n - 1, n] = math.sqrt(n)
-    return m
-
-
-def _mode_operators(modes=4):
-    """The annihilators of ``modes`` modes on the truncated register."""
-    eye = np.eye(CUT, dtype=complex)
-    ops = []
-    for position in range(modes):
-        factors = [eye] * modes
-        factors[position] = _ladder()
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ops.append(op)
-    return ops
-
-
-def _splitter_unitary(op1, op2, setting):
-    target = np.array([
-        [setting.alpha, setting.beta * np.exp(1j * setting.phase)],
-        [setting.beta, -setting.alpha * np.exp(1j * setting.phase)],
-    ])
-    gen = logm(target)
-    quad = (gen[0, 0] * op1.conj().T @ op1 + gen[0, 1] * op1.conj().T @ op2
-            + gen[1, 0] * op2.conj().T @ op1 + gen[1, 1] * op2.conj().T @ op2)
-    return expm(quad)
-
-
-def _dense_unitary(alice, bob):
-    """Both splitters on the register (a, A, b, B): each acts on one party's
-    pair of modes, so the unitary is the Kronecker product of the two
-    parties' CUT**2-dimensional exponentials."""
-    op1, op2 = _mode_operators(2)
-    return np.kron(_splitter_unitary(op1, op2, alice), _splitter_unitary(op1, op2, bob))
-
-
-def _dense_distribution(state, alice, bob):
-    """Distribution via number-conserving matrix exponentials; mode order
-    of the dense register is (a, A, b, B)."""
-    unitary = _dense_unitary(alice, bob)
-    probs = {}
-    for weight, member in state.entries:
-        vec = np.zeros(CUT ** 4, dtype=complex)
-        for (ea, eb, eA, eB), amp in fock_amplitudes(member).items():
-            index = ((ea * CUT + eA) * CUT + eb) * CUT + eB
-            vec[index] += amp
-        out = unitary @ vec
-        for index, amp in enumerate(out):
-            p = abs(amp) ** 2
-            if p > 1e-16:
-                eB = index % CUT
-                eb = index // CUT % CUT
-                eA = index // CUT ** 2 % CUT
-                ea = index // CUT ** 3
-                key = (ea, eA, eb, eB)
-                probs[key] = probs.get(key, 0.0) + weight * p
-    return probs
+# -- the dense matrix-exponential route (tests/oracle.py) ---------------------
 
 
 @pytest.mark.parametrize("state_factory", [
@@ -392,20 +247,10 @@ def test_distribution_matches_dense_unitary_oracle(state_factory):
             rng.uniform(0.3, 0.9), rng.uniform(0, 2 * math.pi))
         bob = BeamSplitterSetting.from_alpha(
             rng.uniform(0.3, 0.9), rng.uniform(0, 2 * math.pi))
-        dense = _dense_distribution(state, alice, bob)
+        dense = oracle.dense_distribution(state, alice, bob)
         dist = joint_distribution(state, alice, bob)
         for outcome, p in dist.items():
             assert dense.get(tuple(outcome), 0.0) == pytest.approx(p, abs=1e-10)
-
-
-def test_kronecker_unitary_matches_register_exponential():
-    # the product of the two splitters, each exponentiated on the whole
-    # CUT**4-dimensional register
-    op_a, op_A, op_b, op_B = _mode_operators()
-    alice = BeamSplitterSetting.from_alpha(0.6, 2.1)
-    bob = BeamSplitterSetting.from_alpha(0.8, 4.4)
-    register = _splitter_unitary(op_a, op_A, alice) @ _splitter_unitary(op_b, op_B, bob)
-    assert np.abs(_dense_unitary(alice, bob) - register).max() < 1e-12
 
 
 def test_dense_oracle_on_complex_amplitudes():
@@ -416,7 +261,7 @@ def test_dense_oracle_on_complex_amplitudes():
     state = CompositeState(((1.0, member),), n1=1, n2=1)
     alice = BeamSplitterSetting.from_alpha(0.5, 0.0)
     bob = BeamSplitterSetting.from_alpha(0.5, 1.0)
-    dense = _dense_distribution(state, alice, bob)
+    dense = oracle.dense_distribution(state, alice, bob)
     dist = joint_distribution(state, alice, bob)
     assert set(dense) == set(map(tuple, dist))
     for outcome, p in dist.items():

@@ -1,10 +1,11 @@
 """The contracted correlation profile against independent routes.
 
 The profile is contracted from per-party beam-splitter blocks
-(``measurement.parity_blocks``).  It is checked here against the binomial
-expansion of those blocks, the polynomial engine (``joint_distribution``),
-a dense matrix-exponential oracle built per party, the noise formulas, and
-the physical bounds; and the polynomial engine is kept off its path.
+(``measurement.parity_blocks``).  Blocks and profile are checked here
+against the 50-digit binomial route of tests/oracle.py, the profile also
+against the polynomial engine (``joint_distribution``), the oracle's dense
+matrix-exponential route, the noise formulas, and the physical bounds; and
+the polynomial engine is kept off its path.
 
 Three family-wide closed forms are checked at every particle number, with
 d = phi - theta:
@@ -25,13 +26,12 @@ d = phi - theta:
 """
 import math
 import sys
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm, logm
 
+import oracle
 from twocopy import cli, fock, inequalities, measurement, states
 from twocopy.fock import fock_amplitudes, from_fock_amplitudes
 from twocopy.inequalities import (
@@ -72,30 +72,13 @@ setting = BeamSplitterSetting.from_alpha
 # -- the party blocks ----------------------------------------------------------
 
 
-def binomial_block(alpha, beta, k):
-    """S_k from the expansion of (alpha c† + beta C†)^p (beta c† - alpha C†)^(k-p)."""
-    s = np.zeros((k + 1, k + 1))
-    for p in range(k + 1):
-        for i in range(p + 1):
-            for j in range(k - p + 1):
-                s[i + j, p] += (math.comb(p, i) * alpha ** i * beta ** (p - i)
-                                * math.comb(k - p, j) * beta ** j
-                                * (-alpha) ** (k - p - j))
-        for n in range(k + 1):
-            s[n, p] *= math.sqrt(math.comb(k, p) / math.comb(k, n))
-    return s
-
-
 @pytest.mark.parametrize("alpha", [1.0 / math.sqrt(2.0), 0.3, 0.9])
 def test_blocks_match_binomial_expansion(alpha):
+    # the recurrence's S_k against the 50-digit binomial expansion, up to the largest basis
     beta = math.sqrt(1.0 - alpha * alpha)
-    blocks = parity_blocks(BeamSplitterSetting(alpha, beta, 2.1), 8)
-    for k in range(9):
-        s = binomial_block(alpha, beta, k)
-        signs = np.array([epsilon(n, k - n) for n in range(k + 1)])
-        want = s.T @ (signs[:, None] * s)
-        assert np.max(np.abs(blocks[k, :k + 1, :k + 1] - want)) < 1e-13
-        assert not blocks[k, k + 1:].any() and not blocks[k, :, k + 1:].any()
+    want = oracle.decimal_blocks(alpha, beta, MAX_PARTICLES)
+    for k, block in enumerate(measurement._transfer_blocks(alpha, beta, MAX_PARTICLES)):
+        assert np.max(np.abs(block - np.array(want[k], dtype=float))) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [1.0 / math.sqrt(2.0), 0.3])
@@ -179,39 +162,15 @@ def test_parity_blocks_match_reference_einsum_at_random_splitters(alpha, n_max):
                        reference_parity_blocks(bs.alpha, bs.beta, n_max), 2e-14)
 
 
-def decimal_parity_blocks(alpha, beta, n_max, digits=50):
-    """S_k^T diag(eps) S_k in ``digits``-digit decimal arithmetic, rounded once.
-
-    S_k runs the recurrence of ``reference_transfer_blocks`` from the exact
-    values of the floats alpha and beta.
-    """
-    out = np.zeros((n_max + 1,) * 3)
-    out[0, 0, 0] = 1.0
-    with localcontext() as ctx:
-        ctx.prec = digits
-        a, b, zero = Decimal(alpha), Decimal(beta), Decimal(0)
-        roots = [Decimal(i).sqrt() for i in range(n_max + 1)]
-        s = [[Decimal(1)]]
-        for k in range(1, n_max + 1):
-            def padded(i, j, prev=s, k=k):  # P[i, j] = S_(k-1)[i-1, j-1], zero elsewhere
-                return prev[i - 1][j - 1] if 1 <= i <= k and 1 <= j <= k else zero
-            s = [[(roots[p] * (a * roots[n] * padded(n, p) + b * roots[k - n] * padded(n + 1, p))
-                   + roots[k - p] * (b * roots[n] * padded(n, p + 1)
-                                     - a * roots[k - n] * padded(n + 1, p + 1))) / k
-                  for p in range(k + 1)] for n in range(k + 1)]
-            signs = [epsilon(n, k - n) for n in range(k + 1)]
-            for p in range(k + 1):
-                for q in range(p, k + 1):
-                    value = sum(e * row[p] * row[q] for e, row in zip(signs, s))
-                    out[k, p, q] = out[k, q, p] = float(value)
-    return out
-
-
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.0 / math.sqrt(2.0)]
                          + list(np.random.default_rng(18).uniform(0.0, 1.0, 3)))
 def test_parity_blocks_match_decimal_oracle(alpha):
+    # n_max 33 cuts its blocks from the largest table, of 65 rows
     bs = setting(float(alpha), 0.0)
-    assert_blocks_near(parity_blocks(bs, 24), decimal_parity_blocks(bs.alpha, bs.beta, 24), 1e-14)
+    want = np.zeros((34,) * 3)
+    for k, o in enumerate(oracle.decimal_observables(bs.alpha, bs.beta, 33)):
+        want[k, :k + 1, :k + 1] = [[float(v) for v in row] for row in o]
+    assert_blocks_near(parity_blocks(bs, 33), want, 1e-14)
 
 
 def test_balanced_table_grown_in_steps_matches_one_build():
@@ -287,78 +246,22 @@ def test_visibility_builds_each_party_blocks_once(noise, alphas, builds, reads):
     assert (info.misses, info.hits + info.misses) == (builds, reads)
 
 
-# -- dense oracle, one party at a time ----------------------------------------
-
-
-def party_observable(bs, cut):
-    """U† diag(eps) U on one party's two modes, occupations below ``cut``.
-
-    U = exp(sum_ij G_ij m_i† m_j) with exp(G) the one-particle map
-    a† -> alpha c† + beta C†, A† -> e^{i phase}(beta c† - alpha C†), so that
-    U a† U† and U A† U† are its columns.  Blocks of fewer than ``cut``
-    particles are exact.
-    """
-    ladder = np.diag(np.sqrt(np.arange(1.0, cut)), 1)
-    modes = (np.kron(ladder, np.eye(cut)), np.kron(np.eye(cut), ladder))
-    phase = np.exp(1j * bs.phase)
-    target = np.array([[bs.alpha, bs.beta * phase], [bs.beta, -bs.alpha * phase]])
-    gen = logm(target)
-    unitary = expm(sum(gen[i, j] * modes[i].T @ modes[j]
-                       for i in range(2) for j in range(2)))
-    signs = np.array([epsilon(n, m) for n in range(cut) for m in range(cut)])
-    return unitary.conj().T @ (signs[:, None] * unitary)
-
-
-def dense_correlation(state, alice, bob):
-    cut = state.n_total + 1
-    o_alice, o_bob = party_observable(alice, cut), party_observable(bob, cut)
-    total = 0.0
-    for weight, member in state.entries:
-        psi = np.zeros((cut * cut, cut * cut), dtype=complex)  # (a, A) x (b, B)
-        for (a, b, big_a, big_b), amp in fock_amplitudes(member).items():
-            psi[a * cut + big_a, b * cut + big_b] = amp
-        total += weight * np.vdot(psi, o_alice @ psi @ o_bob.T).real
-    return total
-
-
 # -- property net ---------------------------------------------------------------
 
 angles = st.floats(0.0, TWO_PI, allow_nan=False)
 alphas = st.floats(0.1, 0.95)
-amplitudes = st.one_of(st.just(0j), st.complex_numbers(
-    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
 
 
-@st.composite
-def sector_states(draw, max_particles=4):
-    """A pure state or two-member mixture in a random (n1, n2) sector."""
-    n1 = draw(st.integers(0, max_particles))
-    n2 = draw(st.integers(0, max_particles))
-    occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
-    members = []
-    for _ in range(draw(st.integers(1, 2))):
-        amps = draw(st.lists(amplitudes, min_size=len(occupations),
-                             max_size=len(occupations)))
-        if not any(amps):
-            amps[0] = 1.0
-        norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
-        members.append(from_fock_amplitudes(
-            COMPOSITE_MODES, {o: c / norm for o, c in zip(occupations, amps) if c}))
-    weight = draw(st.floats(0.05, 0.95))
-    weights = (1.0,) if len(members) == 1 else (weight, 1.0 - weight)
-    return CompositeState(tuple(zip(weights, members)), n1=n1, n2=n2)
-
-
-@given(sector_states(), alphas, alphas, angles, angles)
+@given(oracle.sector_states(), alphas, alphas, angles, angles)
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_correlation_matches_engine_and_dense_oracle(state, alpha, bob_alpha, phi, theta):
     alice, bob = setting(alpha, phi), setting(bob_alpha, theta)
     value = correlation(state, phi, theta, alpha, bob_alpha)
     assert abs(value - weighted_parity(joint_distribution(state, alice, bob))) < 1e-12
-    assert abs(value - dense_correlation(state, alice, bob)) < 1e-12
+    assert abs(value - oracle.dense_correlation(state, alice, bob)) < 1e-12
 
 
-@given(sector_states(), alphas, alphas, st.tuples(angles, angles, angles, angles), angles)
+@given(oracle.sector_states(), alphas, alphas, st.tuples(angles, angles, angles, angles), angles)
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_bounds_and_common_shift(state, alpha, bob_alpha, quad, shift):
     q = AngleQuad(*quad)
@@ -420,28 +323,18 @@ RELATION_CASES = [(1, 1, 1), (1, 3, 2), (2, 2, 1), (5, 3, 2), (8, 8, 1), (12, 7,
 def relation_states(n1, n2, members, seed):
     """(build, alpha, bob_alpha, chi): ``build(transform)`` is the pure state
     or two-member mixture in the (n1, n2) sector whose Fock amplitudes are
-    ``transform(occupation, amplitude)`` of fixed random ones; the splitters
-    are unbalanced and chi is a random phase."""
+    ``transform(occupation, amplitude)`` of those of ``oracle.random_state``;
+    the splitters are unbalanced and chi is a random phase."""
     rng = np.random.default_rng(seed)
-    occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
-    amplitudes = []
-    for _ in range(members):
-        amps = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))
-        amplitudes.append(dict(zip(occupations, (amps / np.linalg.norm(amps)).tolist())))
-    weight = float(rng.uniform(0.1, 0.9))
-    weights = (1.0,) if members == 1 else (weight, 1.0 - weight)
+    state = oracle.random_state(rng, n1, n2, members)
 
     def build(transform):
-        polys = [from_fock_amplitudes(COMPOSITE_MODES, dict(transform(o, c) for o, c in m.items()))
-                 for m in amplitudes]
-        return CompositeState(tuple(zip(weights, polys)), n1=n1, n2=n2)
+        polys = [from_fock_amplitudes(COMPOSITE_MODES,
+                                      dict(transform(o, c) for o, c in fock_amplitudes(m).items()))
+                 for _, m in state.entries]
+        return CompositeState(tuple(zip((w for w, _ in state.entries), polys)), n1=n1, n2=n2)
     alpha, bob_alpha = np.sqrt(rng.uniform(0.05, 0.95, 2)).tolist()
     return build, alpha, bob_alpha, float(rng.uniform(0.0, TWO_PI))
-
-
-def fourier(series):
-    """C_0 .. C_degree of a series: c0 and (a_k - i b_k) / 2."""
-    return np.array([series.c0] + [complex(a, -b) / 2.0 for _, a, b in series.terms])
 
 
 @pytest.mark.parametrize("n1, n2, members", RELATION_CASES,
@@ -455,7 +348,8 @@ def test_profile_exact_relations(n1, n2, members):
     phased = inequalities._profile(
         build(lambda o, c: (o, c * complex(math.cos(chi * o[2]), math.sin(chi * o[2])))),
         alpha, bob_alpha)
-    assert np.abs(fourier(phased) - fourier(want) * np.exp(1j * k * chi)).max() <= 1e-15
+    shifted = oracle.fourier(want) * np.exp(1j * k * chi)
+    assert np.abs(oracle.fourier(phased) - shifted).max() <= 1e-15
 
     # conjugated amplitudes, and the parties swapped: c0 and a_k kept, b_k negated
     conjugated = inequalities._profile(build(lambda o, c: (o, c.conjugate())), alpha, bob_alpha)
@@ -465,6 +359,23 @@ def test_profile_exact_relations(n1, n2, members):
         assert abs(got.c0 - want.c0) <= 1e-15
         flipped = np.multiply(want.terms, [1.0, 1.0, -1.0])
         assert np.abs(np.subtract(got.terms, flipped)).max() <= 1e-15
+
+
+DECIMAL_CASES = [(4, 4, 2), (12, 7, 2), (16, 16, 1), (32, 0, 1)]
+
+
+@pytest.mark.parametrize("n1, n2, members", DECIMAL_CASES,
+                         ids=[f"{n1}+{n2}x{m}" for n1, n2, m in DECIMAL_CASES])
+def test_profile_matches_decimal_route(n1, n2, members):
+    # random states on unbalanced splitters, each coefficient against the
+    # 50-digit binomial route (tests/oracle.py runs 24 + 24 and 32 + 32)
+    rng = np.random.default_rng(1000 * n1 + 10 * n2 + members)
+    state = oracle.random_state(rng, n1, n2, members)
+    alpha, bob_alpha = np.sqrt(rng.uniform(0.05, 0.95, 2)).tolist()
+    got = oracle.fourier(inequalities._profile(state, alpha, bob_alpha))
+    want = oracle.decimal_profile(state, alpha, bob_alpha)
+    assert len(got) == len(want) == min(n1, n2) + 1
+    assert np.abs(got - want).max() <= 1e-15
 
 
 # -- noise and sector errors -----------------------------------------------------
@@ -594,12 +505,7 @@ def test_closed_form_check_builds_one_profile_per_state():
 
 def test_hot_path_avoids_polynomial_engine(without_polynomial_engine,
                                            without_noise_mixtures, capsys):
-    rng = np.random.default_rng(71)
-    occupations = [(k, 3 - k, l, 2 - l) for k in range(4) for l in range(3)]
-    amps = rng.normal(size=len(occupations)) + 1j * rng.normal(size=len(occupations))
-    amps /= np.linalg.norm(amps)
-    member = from_fock_amplitudes(COMPOSITE_MODES, dict(zip(occupations, amps)))
-    state = CompositeState(((1.0, member),), n1=3, n2=2)
+    state = oracle.random_state(np.random.default_rng(71), 3, 2)
     q = AngleQuad(0.0, math.pi / 2, 3.93, 2.90)
     e = correlation_vector(state, q, 0.61, 0.77)
     assert max(abs(e.e11), abs(e.e12), abs(e.e21), abs(e.e22)) <= 1.0 + 1e-12

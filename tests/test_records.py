@@ -94,6 +94,7 @@ def test_other_class_not_implemented(name):
 def test_unequal_fields_unequal():
     assert AngleQuad(0.1, 0.2, 0.3, 0.4) != AngleQuad(0.1, 0.2, 0.3, 0.5)
     assert bec_pair(1) != bec_pair(2)
+    assert ModePolynomial(("a",), {(1,): 1.0}) != ModePolynomial(("a",), {(2,): 1.0})
     assert bec_pair(1) != CompositeState(bec_pair(1).entries, 1, 1, sector_pure=False)
 
 

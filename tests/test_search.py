@@ -18,7 +18,6 @@ import golden
 import oracle
 import twocopy
 from twocopy import inequalities, search
-from twocopy.fock import from_fock_amplitudes
 from twocopy.inequalities import (
     ANGLE_NAMES,
     AngleQuad,
@@ -29,19 +28,9 @@ from twocopy.inequalities import (
     steering_value,
 )
 from twocopy.search import count_local_maxima, optimize, scan_1d
-from twocopy.states import COMPOSITE_MODES, CompositeState, bec_pair, noon_pair
+from twocopy.states import bec_pair, noon_pair
 
 GOLDEN = 1.0 + math.sqrt(2.0)
-
-
-def random_pure_state(rng, n1, n2):
-    """A random complex pure state in the (n1, n2) sector."""
-    amps = {(k, n1 - k, l, n2 - l): complex(*rng.normal(size=2))
-            for k in range(n1 + 1) for l in range(n2 + 1)}
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    member = from_fock_amplitudes(
-        COMPOSITE_MODES, {occ: a / norm for occ, a in amps.items()})
-    return CompositeState(((1.0, member),), n1=n1, n2=n2)
 
 
 def oracle_cases():
@@ -55,7 +44,7 @@ def oracle_cases():
     rng = np.random.default_rng(23)
     for n1, n2 in ((1, 1), (2, 1), (1, 3), (3, 2)):
         alpha, bob_alpha = np.sqrt(rng.uniform(0.1, 0.9, 2))
-        cases.append((f"random{n1}{n2}", random_pure_state(rng, n1, n2),
+        cases.append((f"random{n1}{n2}", oracle.random_state(rng, n1, n2),
                       float(alpha), float(bob_alpha)))
     return cases
 
@@ -253,7 +242,7 @@ class TestOptimize:
         # restarts and reached 0.813371 only at 512; it is the global maximum
         rng = np.random.default_rng(23)
         for _ in range(31):
-            state = random_pure_state(rng, 3, 2)
+            state = oracle.random_state(rng, 3, 2)
             alpha, bob_alpha = np.sqrt(rng.uniform(0.1, 0.9, 2))
         assert (round(alpha, 4), round(bob_alpha, 4)) == (0.5313, 0.5003)
         result = optimize("bell_abs", state, restarts=restarts, seed=41, alpha=float(alpha),
@@ -794,6 +783,16 @@ class TestNewtonFinish:
         # the promise, halved after one that gained less, times 10 on a refusal
         lam = [1.0, 0.1, 0.05, 0.5, 0.05]
         assert np.allclose(trials[1:], [1e-3 / v for v in lam], rtol=1e-9, atol=0.0)
+        # a gain of exactly a quarter of the promise halves: with gradient
+        # 2^-10 at lam 1 the step is 2^-10 and the promise 2^-20, all exact
+        record, trials = (2.0 ** -10,) + record[1:], []
+
+        def exact(x1, x2, x3):
+            trials.append(x1)
+            return (0.0, 2.0 ** -22, -1.0)[len(trials) - 1], record
+        monkeypatch.setattr(search, "MAX_STEPS", 2)
+        search._ascend(exact, False, [1.0, 2.0, 3.0])
+        assert np.diff(trials).tolist() == [2.0 ** -10, 2.0 ** -9]
 
     def test_minorant_drops_the_small_radius_factor(self, monkeypatch):
         # Near bec1's kink at the quad (0, 0, pi, pi) the radius of
@@ -835,27 +834,6 @@ class TestNewtonFinish:
         assert optimize("steering", bec_pair(1), seed=0).converged == 63
 
 
-def random_mixture(draw, n1, n2, members):
-    """A mixture of ``members`` pure states in the (n1, n2) sector, drawn."""
-    occupations = [(k, n1 - k, l, n2 - l) for k in range(n1 + 1) for l in range(n2 + 1)]
-    entries = []
-    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=members, max_size=members))
-    for weight in weights:
-        amps = draw(st.lists(AMPLITUDES, min_size=len(occupations),
-                             max_size=len(occupations)))
-        if not any(amps):
-            amps[0] = 1.0
-        norm = math.sqrt(sum(abs(c) ** 2 for c in amps))
-        member = from_fock_amplitudes(
-            COMPOSITE_MODES, {o: c / norm for o, c in zip(occupations, amps) if c})
-        entries.append((weight / sum(weights), member))
-    return CompositeState(tuple(entries), n1=n1, n2=n2)
-
-
-AMPLITUDES = st.one_of(st.just(0j), st.complex_numbers(
-    min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
-
-
 # The oracle's certified gap, upper - optimize, stated per case as
 # (steering, bell_abs): steering's upper is capped at 2 sqrt(2), which is
 # tight where the maximum reaches it.
@@ -879,15 +857,14 @@ class TestMaximaOracle:
         gap = CERTIFIED_GAPS[label][objective == "bell_abs"]
         assert want.upper - result.max_value <= gap
 
-    @given(data=st.data(), objective=st.sampled_from(["steering", "bell_abs"]),
+    @given(state=oracle.sector_states(st.tuples(st.integers(0, 3), st.integers(0, 3))),
+           objective=st.sampled_from(["steering", "bell_abs"]),
            alphas=st.tuples(st.floats(0.1, 0.95), st.floats(0.1, 0.95)),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=15, deadline=None, derandomize=True)
-    def test_never_below_oracle(self, data, objective, alphas, seed):
+    def test_never_below_oracle(self, state, objective, alphas, seed):
         # at the default 64 restarts optimize reaches the global maximum on
         # every draw, vacuum sectors among them
-        n1, n2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-        state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
         alpha, bob_alpha = alphas
         result = optimize(objective, state, seed=seed, alpha=alpha, bob_alpha=bob_alpha)
         want = oracle.maximum(objective, state, alpha, bob_alpha)
@@ -924,16 +901,15 @@ class TestExactOracle:
                 for i in peaks[np.argsort(values[peaks])[-F.shape[1]:]])
             assert values.max() <= extreme + tolerance and abs(extreme + polished) <= tolerance
 
-    @given(data=st.data(), objective=st.sampled_from(["steering", "bell_abs"]),
+    @given(state=oracle.sector_states(st.tuples(st.integers(1, 2), st.integers(1, 2))),
+           objective=st.sampled_from(["steering", "bell_abs"]),
            alphas=st.tuples(st.floats(0.1, 0.95), st.floats(0.1, 0.95)))
     @settings(max_examples=12, deadline=None, derandomize=True)
-    def test_reduction_against_four_angle_grid(self, data, objective, alphas):
+    def test_reduction_against_four_angle_grid(self, state, objective, alphas):
         # the maximum is reached at the oracle's quad, neither a 16^4 grid over
         # the four angles nor a local search from its best point beats it, and
         # the reduced objective is reached at its quads everywhere and keeps
         # to its Lipschitz constants
-        n1, n2 = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
-        state = random_mixture(data.draw, n1, n2, data.draw(st.integers(1, 2)))
         want = oracle.maximum(objective, state, *alphas)
         value = objective_array(objective, state, *alphas)
         axis = np.linspace(0.0, TWO_PI, 16, endpoint=False)
@@ -962,6 +938,8 @@ class TestScan:
         assert xs == sorted(xs)
         assert xs[0] == 0.0 and xs[-1] < 2.0 * math.pi
         assert dict(series.fixed) == {"phi1": 0.0, "phi2": math.pi / 2, "theta1": 3.93}
+        series, = scan_1d(("steering",), bec_pair(1), dict(series.fixed))
+        assert len(series.samples) == 720  # the default grid, along theta2
 
     def test_values_match_direct_evaluation(self):
         state = noon_pair(2, 0)

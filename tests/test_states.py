@@ -13,6 +13,7 @@ from twocopy.states import (
     COMPOSITE_MODES,
     MAX_FACTORIZED_TOTAL,
     MAX_PARTICLES,
+    WEIGHT_TOL,
     CompositeState,
     DegenerateComponentError,
     admix,
@@ -315,6 +316,7 @@ class TestAdmix:
         state = bec_pair(1)
         mixed = admix(state, 1.0)
         assert mixed.entries == state.entries
+        assert admix(state, 1.0, noise="factorized").sector_pure
 
     def test_noise_limit(self):
         mixed = admix(bec_pair(1), 0.0)
@@ -348,6 +350,9 @@ class TestAdmix:
         state = bec_pair(n1, MAX_FACTORIZED_TOTAL - n1 + 1)
         with pytest.raises(ValueError, match=f"n1 \\+ n2 <= {MAX_FACTORIZED_TOTAL}"):
             admix(state, 0.5, noise="factorized")
+        # at the bound: the state and ((N+1)(N+2)/2)^2 noise members
+        state = bec_pair(n1, MAX_FACTORIZED_TOTAL - n1)
+        assert len(admix(state, 0.5, noise="factorized").entries) == 153 ** 2 + 1
 
 
 class TestEnsembleValidation:
@@ -378,6 +383,10 @@ class TestEnsembleValidation:
             CompositeState(((1.0 - 1e-13, MEMBER),
                             (1e-13, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): math.nan}))),
                            n1=1, n2=1)
+        # while an unnormalized member at weight WEIGHT_TOL is kept
+        loose = ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 2.0})
+        state = CompositeState(((1.0 - WEIGHT_TOL, MEMBER), (WEIGHT_TOL, loose)), n1=1, n2=1)
+        assert state.entries[1] == (WEIGHT_TOL, loose)
 
     def test_particle_bound(self):
         assert bec_pair(MAX_PARTICLES, 0).n1 == MAX_PARTICLES
