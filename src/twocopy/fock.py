@@ -117,8 +117,7 @@ def _checked_terms(modes: tuple[str, ...], terms: Mapping, check_counts: bool) -
         if len(expo) != len(modes):
             raise ValueError(f"exponent tuple {expo} does not match modes {modes}")
         c = complex(coef)
-        # abs(c) is finite when c is, unless it overflows: _isfinite decides then
-        if not (math.isfinite(abs(c)) or _isfinite(c)):
+        if not _isfinite(c):
             raise ValueError(f"coefficient {c} of {expo} is not finite")
         if c != 0:
             cleaned[expo] = c
@@ -195,7 +194,7 @@ class ModePolynomial(_Record):
         return amplitudes
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amplitudes().values())
+        return sum(a.real * a.real + a.imag * a.imag for a in self._amplitudes().values())
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm_squared() - 1.0) <= tol

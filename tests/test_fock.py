@@ -1,11 +1,10 @@
 """Core algebra tests: constructors, tensor products, and one party's
 beam-splitter substitution of creation operators (``measurement._party_image``).
 
-The substitution is cross-checked against a brute-force permanent
-computation of the splitter's transition amplitudes, which shares no code
-with the binomial expansion.
+The substitution is held to an independent route in tests/test_measurement.py,
+where the distribution it gives meets the dense matrix-exponential route of
+tests/oracle.py.
 """
-import itertools
 import math
 import re
 
@@ -23,8 +22,7 @@ from twocopy.fock import (
     monomial_state,
     tensor,
 )
-from twocopy.measurement import BeamSplitterSetting, _party_image, joint_distribution
-from twocopy.states import two_copy
+from twocopy.measurement import BeamSplitterSetting, _party_image
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -36,37 +34,6 @@ def party_image(state, setting):
         for expo, c in _party_image(p, q, setting).items():
             terms[expo] = terms.get(expo, 0.0) + coef * c
     return ModePolynomial(("c", "C"), terms)
-
-
-def splitter_matrix(setting):
-    """[i, j]: the coefficient of output i (c, C) in the image of input j (a, A)."""
-    ph = np.exp(1j * setting.phase)
-    return np.array([[setting.alpha, setting.beta * ph],
-                     [setting.beta, -setting.alpha * ph]])
-
-
-def permanent(matrix):
-    n = matrix.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= matrix[i, j]
-        total += prod
-    return total
-
-
-def transition_amplitude(matrix, occ_in, occ_out):
-    """<occ_out| U |occ_in> via the permanent of the repeated-index matrix."""
-    rows = [i for i, n in enumerate(occ_out) for _ in range(n)]
-    cols = [j for j, n in enumerate(occ_in) for _ in range(n)]
-    if len(rows) != len(cols):
-        return 0.0 + 0.0j
-    sub = matrix[np.ix_(rows, cols)]
-    norm = math.prod(math.factorial(n) for n in occ_in + occ_out)
-    return permanent(sub) / math.sqrt(norm)
 
 
 class TestMonomialState:
@@ -82,6 +49,8 @@ class TestMonomialState:
         # the norm is within a tolerance of 0, inclusive; 1.5 is no norm squared
         assert s.is_normalized(0.0)
         assert not ModePolynomial(("a",), {(1,): 1.5 ** 0.5}).is_normalized()
+        # a finite coefficient is accepted though its modulus overflows
+        assert not ModePolynomial(("a",), {(1,): complex(1.5e308, 1.5e308)}).is_normalized()
 
     def test_factorial_normalization(self):
         # (a†)^2 |0> = sqrt(2) |2>, so the stored coefficient is 1/sqrt(2)
@@ -290,31 +259,6 @@ class TestSubstitute:
         out = party_image(state, BeamSplitterSetting(1.0, 0.0, math.pi))
         assert out.terms == pytest.approx(state.terms)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_permanent_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        for setting in (BeamSplitterSetting.from_alpha(rng.uniform(), rng.uniform(0, 2 * math.pi)),
-                        BeamSplitterSetting.from_alpha(0.6, rng.uniform(0, 2 * math.pi))):
-            matrix = splitter_matrix(setting)
-            for n_in in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (1, 4)]:
-                state = monomial_state({"a": n_in[0], "A": n_in[1]}, ("a", "A"))
-                engine = fock_amplitudes(party_image(state, setting))
-                total = sum(n_in)
-                assert all(sum(n_out) == total for n_out in engine)
-                for n_out in [(k, total - k) for k in range(total + 1)]:
-                    expected = transition_amplitude(matrix, n_in, n_out)
-                    assert engine.get(n_out, 0.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_four_mode_distribution_normalized(self):
-        # both parties balanced, all phases zero: probabilities sum to one
-        state = two_copy(
-            from_fock_amplitudes(("a", "b"), {(1, 0): INV_SQRT2, (0, 1): INV_SQRT2}),
-            from_fock_amplitudes(("A", "B"), {(1, 0): INV_SQRT2, (0, 1): INV_SQRT2}),
-        )
-        balanced = BeamSplitterSetting.balanced(0.0)
-        dist = joint_distribution(state, balanced, balanced)
-        assert sum(dist.values()) == pytest.approx(1.0)
-
 
 class TestInner:
     def test_vacuum_norm(self):
@@ -362,9 +306,7 @@ class TestRoundTrips:
 
 # -- property tests ---------------------------------------------------------
 
-angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
 coeffs = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-splitters = st.builds(BeamSplitterSetting.from_alpha, st.floats(0.0, 1.0), angles)
 
 
 @st.composite
@@ -377,21 +319,6 @@ def two_mode_states(draw, max_total=4):
     if all(c == 0 for c in terms.values()):
         terms[support[0]] = 1.0
     return ModePolynomial(("a", "A"), terms)
-
-
-@given(two_mode_states(), splitters)
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_substitution_preserves_norm(state, setting):
-    image = party_image(state, setting)
-    assert abs(inner(image, image) - inner(state, state)) < 1e-12
-
-
-@given(two_mode_states(), splitters)
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_substitution_preserves_particle_number(state, setting):
-    n = state.particle_number()
-    if n is not None:
-        assert party_image(state, setting).particle_number() == n
 
 
 @given(two_mode_states(), two_mode_states())

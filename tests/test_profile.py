@@ -113,15 +113,6 @@ def reference_transfer_blocks(alpha, beta, n_max):
     return blocks
 
 
-def reference_parity_blocks(alpha, beta, n_max):
-    blocks = np.zeros((n_max + 1,) * 3)
-    blocks[0, 0, 0] = 1.0
-    for k, s in enumerate(reference_transfer_blocks(alpha, beta, n_max)[1:], 1):
-        signs = np.array([epsilon(m, k - m) for m in range(k + 1)], dtype=float)
-        blocks[k, :k + 1, :k + 1] = np.einsum("np,n,nq->pq", s, signs, s)
-    return blocks
-
-
 def random_splitters(seed, count):
     rng = np.random.default_rng(seed)
     alphas = [0.0, 1.0, 1.0 / math.sqrt(2.0)] + list(np.sqrt(rng.uniform(0.0, 1.0, count)))
@@ -145,21 +136,6 @@ def assert_blocks_near(blocks, want, tol):
     k = np.arange(len(blocks))
     outside = (k[None, :, None] > k[:, None, None]) | (k[None, None, :] > k[:, None, None])
     assert not blocks[outside].any() and not np.signbit(blocks[outside]).any()
-
-
-def test_parity_blocks_match_reference_einsum():
-    # the batched Fourier-form product against S_k^T diag(eps) S_k, block by block
-    for bs, n_max in random_splitters(15, 40):
-        assert_blocks_near(parity_blocks(bs, n_max),
-                           reference_parity_blocks(bs.alpha, bs.beta, n_max), 2e-14)
-
-
-@given(st.floats(0.0, 1.0), st.integers(0, 12))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_parity_blocks_match_reference_einsum_at_random_splitters(alpha, n_max):
-    bs = setting(alpha, 0.0)
-    assert_blocks_near(parity_blocks(bs, n_max),
-                       reference_parity_blocks(bs.alpha, bs.beta, n_max), 2e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.0 / math.sqrt(2.0)]

@@ -139,10 +139,12 @@ class TestTwoCopy:
 
     def test_requires_normalization(self):
         from twocopy.fock import ModePolynomial
-        lopsided = ModePolynomial(("a", "b"), {(1, 0): 2.0})
         ok = bec_state(1, ("A", "B"))
-        with pytest.raises(ValueError):
-            two_copy(lopsided, ok)
+        # the squared modulus of 1e200 is past the float range
+        for coefficient in (2.0, 1e200):
+            lopsided = ModePolynomial(("a", "b"), {(1, 0): coefficient})
+            with pytest.raises(ValueError, match="^factors must be normalized$"):
+                two_copy(lopsided, ok)
 
 
 def sqrt_factorials(occupation):
@@ -362,9 +364,11 @@ class TestEnsembleValidation:
         (((0.5, MEMBER),), ValueError, "sum to 0.5"),
         (((1.0, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 2.0})),),
          ValueError, "normalized"),
+        (((1.0, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 1e200})),),
+         ValueError, "^mixture members must be normalized$"),
         (((0.5, MEMBER), (0.5, bec_state(1))), ModeMismatchError, "modes"),
     ], ids=["empty", "negative-weight", "weights-not-summing-to-one",
-            "unnormalized-member", "wrong-modes"])
+            "unnormalized-member", "overflowing-member", "wrong-modes"])
     def test_rejects_invalid_mixture(self, entries, error, message):
         with pytest.raises(error, match=message):
             CompositeState(entries, n1=1, n2=1)
