@@ -164,11 +164,12 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     for vector in basis:
         # terms and parts are kept by their size in the normalized amplitude
         terms = []
-        for e, amplitude in sorted(fock_amplitudes(vector.vector).items()):
+        amplitudes = fock_amplitudes(vector.vector)
+        values = vector.vector.terms if args.raw else amplitudes
+        for e, amplitude in sorted(amplitudes.items()):
             if abs(amplitude) < _RESIDUE:
                 continue
-            value = vector.vector.terms[e] if args.raw else amplitude
-            terms.append(f"({_format_complex(value, amplitude)})|{e[0]} {e[1]}>")
+            terms.append(f"({_format_complex(values[e], amplitude)})|{e[0]} {e[1]}>")
         expansion = " + ".join(terms)
         rows.append((f"|{vector.outcome[0]} {vector.outcome[1]}>",
                      expansion, f"{vector.weight:+d}"))

@@ -1,11 +1,13 @@
 """Exact second-quantized state algebra for few-boson systems.
 
-States are stored as complex-weighted sums of creation-operator monomials
-acting on the vacuum.  A monomial is keyed by its exponent vector, one
-nonnegative integer per mode, so the Fock amplitude of an occupation
-``n`` is ``coefficient(n) * prod(sqrt(n_k!))``.  Everything here is exact
-up to double precision; supports stay tiny because total particle numbers
-are small.
+A state is stored as its Fock amplitudes, set once when it is built and
+read-only after.  An occupation is keyed by its tuple, one nonnegative
+integer per mode.  The same state read as a complex-weighted sum of
+creation-operator monomials acting on the vacuum has the coefficient
+``amplitude(n) / prod(sqrt(n_k!))`` on the monomial with exponents ``n``;
+``ModePolynomial`` takes these coefficients and ``ModePolynomial.terms``
+derives them on read.  Everything here is exact up to double precision;
+supports stay tiny because total particle numbers are small.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +44,11 @@ class _Record:
     """Base of the package's immutable value records.
 
     A subclass names its fields in order in ``__slots__`` (a name with a
-    leading underscore is a private cache, not a field) and sets them with
-    ``object.__setattr__`` in its own ``__init__``.  As with a frozen
-    dataclass, a record equals only a record of its class with equal
-    fields, hashes as the tuple of its fields, prints as
+    leading underscore is private, not a field) and sets them with
+    ``object.__setattr__`` in its own ``__init__``; a subclass with a field
+    that is derived on read names its fields in ``__match_args__``.  As with
+    a frozen dataclass, a record equals only a record of its class with
+    equal fields, hashes as the tuple of its fields, prints as
     ``Name(field=value, ...)`` and refuses assignment and deletion;
     ``pickle`` and ``copy`` rebuild it through ``__init__``.  Unlike a
     dataclass, it generates and compiles no code.
@@ -54,7 +57,9 @@ class _Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = tuple(name for name in cls.__slots__
+                                       if not name.startswith("_"))
         cls._fields = attrgetter(*cls.__match_args__)  # every record has two fields or more
 
     def __setattr__(self, name, value):
@@ -103,69 +108,77 @@ def _sqrt_factorial(n: int) -> float:
     return math.sqrt(math.factorial(n))
 
 
-def _checked_terms(modes: tuple[str, ...], terms: Mapping, check_counts: bool) -> dict:
-    """``terms`` as complex coefficients without exact zeros, after every
-    check a ModePolynomial makes: distinct modes, and for each term in order
-    its exponents as counts (unless they are known to be), one per mode,
-    and a finite coefficient."""
+def _checked_amplitudes(modes: tuple[str, ...], values: Mapping,
+                        coefficients: bool) -> dict[Exponents, complex]:
+    """The Fock amplitudes of a state, after every check a state makes:
+    distinct modes, and for each term in order its occupation as counts,
+    one per mode, and a finite value.  With ``coefficients`` the values are
+    creation-monomial coefficients, and each amplitude, the coefficient
+    times prod sqrt(n_k!), must be finite too.  Exact zeros are dropped."""
     if len(set(modes)) != len(modes):
         raise ModeCollisionError(f"duplicate mode labels in {modes}")
-    cleaned: dict[Exponents, complex] = {}
-    for expo, coef in terms.items():
-        if check_counts:
-            expo = _counts("exponent", expo)
-        if len(expo) != len(modes):
-            raise ValueError(f"exponent tuple {expo} does not match modes {modes}")
-        c = complex(coef)
-        if not _isfinite(c):
-            raise ValueError(f"coefficient {c} of {expo} is not finite")
-        if c != 0:
-            cleaned[expo] = c
-    return cleaned
-
-
-def _trusted(modes: tuple[str, ...], terms: dict) -> ModePolynomial:
-    """A ModePolynomial over terms that already passed its checks, built
-    without repeating them."""
-    p = object.__new__(ModePolynomial)
-    object.__setattr__(p, "modes", modes)
-    object.__setattr__(p, "terms", MappingProxyType(terms))
-    object.__setattr__(p, "_hash_key", None)
-    object.__setattr__(p, "_fock", None)
-    return p
+    count, kind = ("exponent", "coefficient") if coefficients else ("occupation", "amplitude")
+    amplitudes: dict[Exponents, complex] = {}
+    for occupation, value in values.items():
+        occupation = _counts(count, occupation)
+        if len(occupation) != len(modes):
+            raise ValueError(f"exponent tuple {occupation} does not match modes {modes}")
+        value = complex(value)
+        if not _isfinite(value):
+            raise ValueError(f"{kind} {value} of {occupation} is not finite")
+        if coefficients:
+            value = value * math.prod(map(_sqrt_factorial, occupation))
+            if not _isfinite(value):
+                raise ValueError(f"amplitude {value} of {occupation} is not finite")
+        if value != 0:
+            amplitudes[occupation] = value
+    return amplitudes
 
 
 class ModePolynomial(_Record):
-    """A multimode bosonic state as a creation-operator polynomial on vacuum.
+    """A multimode bosonic state, stored as its Fock amplitudes.
 
     Args:
         modes: ordered, distinct mode labels; the order fixes the meaning of
             every exponent tuple and is canonical for the lifetime of the value.
-        terms: mapping from exponent tuple to complex coefficient.  Exact
-            zeros are dropped on construction, and the value keeps a
-            read-only view, so its cached amplitudes and hash stay valid.
+        terms: mapping from exponent tuple to the complex coefficient of
+            that creation-operator monomial on the vacuum.  Exact zeros are
+            dropped.  :func:`from_fock_amplitudes` builds a state from its
+            amplitudes instead.
+
+    The amplitudes are set here and never change, so the kept hash stays
+    valid; ``terms`` reads the coefficients back from them.
     """
 
-    __slots__ = ("modes", "terms", "_hash_key", "_fock")
+    __slots__ = ("modes", "_amps", "_hash_key")
+    __match_args__ = ("modes", "terms")
 
     def __init__(self, modes: Sequence[str], terms: Mapping[Exponents, complex]):
+        self._set(modes, terms, coefficients=True)
+
+    def _set(self, modes: Sequence[str], values: Mapping, coefficients: bool) -> None:
         modes = tuple(modes)
-        cleaned = _checked_terms(modes, terms, check_counts=True)
+        object.__setattr__(self, "_amps", _checked_amplitudes(modes, values, coefficients))
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
-        # the caches start empty; reading an unset slot would raise
+        # the hash, kept from its first use; reading an unset slot would raise
         object.__setattr__(self, "_hash_key", None)
-        object.__setattr__(self, "_fock", None)
+
+    @property
+    def terms(self) -> Mapping[Exponents, complex]:
+        """The creation-monomial coefficients, each amplitude over
+        prod sqrt(n_k!): a read-only view, made anew on each read."""
+        return MappingProxyType({e: a / math.prod(map(_sqrt_factorial, e))
+                                 for e, a in self._amps.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModePolynomial):
             return NotImplemented
-        return self.modes == other.modes and self.terms == other.terms
+        return self.modes == other.modes and self._amps == other._amps
 
     def __hash__(self) -> int:
         key = self._hash_key
         if key is None:
-            key = hash((self.modes, tuple(sorted(self.terms.items()))))
+            key = hash((self.modes, tuple(sorted(self._amps.items()))))
             object.__setattr__(self, "_hash_key", key)
         return key
 
@@ -173,28 +186,19 @@ class ModePolynomial(_Record):
         body = ", ".join(f"{e}: {c:.6g}" for e, c in sorted(self.terms.items()))
         return f"ModePolynomial(modes={self.modes}, terms={{{body}}})"
 
-    def coefficient(self, exponents: Exponents) -> complex:
-        return self.terms.get(tuple(exponents), 0.0 + 0.0j)
+    def __reduce__(self):
+        # rebuilt from the amplitudes, so that a copy is equal bit for bit
+        return from_fock_amplitudes, (self.modes, self._amps)
 
     def particle_number(self) -> int | None:
         """Total particle number if homogeneous, else None."""
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self._amps}
         if len(degrees) == 1:
             return degrees.pop()
         return None if degrees else 0
 
-    def _amplitudes(self) -> dict[Exponents, complex]:
-        """The Fock amplitudes, computed on first use and kept; not to be
-        mutated (:func:`fock_amplitudes` hands out copies)."""
-        amplitudes = self._fock
-        if amplitudes is None:
-            amplitudes = {expo: coef * math.prod(map(_sqrt_factorial, expo))
-                          for expo, coef in self.terms.items()}
-            object.__setattr__(self, "_fock", amplitudes)
-        return amplitudes
-
     def norm_squared(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self._amplitudes().values())
+        return sum(a.real * a.real + a.imag * a.imag for a in self._amps.values())
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm_squared() - 1.0) <= tol
@@ -204,9 +208,8 @@ def monomial_state(occupations: Mapping[str, int],
                    modes: Sequence[str] | None = None) -> ModePolynomial:
     """Normalized Fock basis state with the given occupations.
 
-    The single stored coefficient is ``1 / prod sqrt(n_k!)``, rounded, so
-    the Fock amplitude is 1 to within rounding.  Every key of
-    ``occupations`` must be one of ``modes``; a mode it omits is empty.
+    Its one Fock amplitude is exactly 1.  Every key of ``occupations`` must
+    be one of ``modes``; a mode it omits is empty.
     """
     if modes is None:
         modes = tuple(occupations.keys())
@@ -221,60 +224,36 @@ def from_fock_amplitudes(modes: Sequence[str],
     """Build a state from Fock amplitudes (inverse of fock_amplitudes).
 
     Each occupation must be an int or numpy integer >= 0; the modes and
-    values are checked as ModePolynomial checks them.
+    values are checked as ModePolynomial checks them, and the amplitudes
+    are kept as given, without exact zeros.
     """
-    return _from_amplitudes(modes, ((_counts("occupation", occ), amp)
-                                    for occ, amp in amplitudes.items()))
-
-
-def _from_amplitudes(modes: Sequence[str],
-                     items: Iterable[tuple[Exponents, complex]]) -> ModePolynomial:
-    """from_fock_amplitudes for (occupation, amplitude) pairs whose
-    occupations are tuples of ints >= 0 already."""
-    terms = {occ: complex(amp) / math.prod(map(_sqrt_factorial, occ)) for occ, amp in items}
-    modes = tuple(modes)
-    return _trusted(modes, _checked_terms(modes, terms, check_counts=False))
+    state = object.__new__(ModePolynomial)
+    state._set(modes, amplitudes, coefficients=False)
+    return state
 
 
 def tensor(p: ModePolynomial, q: ModePolynomial) -> ModePolynomial:
-    """Product state over the disjoint union of modes; norms multiply.
-
-    The factors' checks cover the product's modes and exponents, so only
-    its coefficients are checked: a non-finite one raises and an exact
-    zero is dropped.
-    """
-    overlap = set(p.modes) & set(q.modes)
-    if overlap:
-        raise ModeCollisionError(f"modes {sorted(overlap)} appear in both factors")
-    modes = p.modes + q.modes
-    terms: dict[Exponents, complex] = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = e1 + e2
-            terms[e] = terms.get(e, 0.0) + c1 * c2
-    # a non-finite term makes the sum non-finite, so a finite sum clears them all
-    if not _isfinite(sum(terms.values(), 0j)):
-        for expo, c in terms.items():
-            if not _isfinite(c):
-                raise ValueError(f"coefficient {c} of {expo} is not finite")
-    return _trusted(modes, {e: c for e, c in terms.items() if c != 0})
+    """Product state over the union of the modes, which must be disjoint;
+    amplitudes and norms multiply."""
+    amplitudes = {e1 + e2: a1 * a2 for e1, a1 in p._amps.items() for e2, a2 in q._amps.items()}
+    return from_fock_amplitudes(p.modes + q.modes, amplitudes)
 
 
 def fock_amplitudes(p: ModePolynomial) -> dict[Exponents, complex]:
     """Fock-basis amplitudes; probabilities are their squared magnitudes.
 
-    A new dict each call, copied from the state's kept amplitudes.
+    A new dict each call, copied from the state's stored amplitudes.
     """
-    return dict(p._amplitudes())
+    return dict(p._amps)
 
 
 def inner(p: ModePolynomial, q: ModePolynomial) -> complex:
     """Fock-space inner product <p|q>; conjugate-symmetric."""
     if p.modes != q.modes:
         raise ModeMismatchError(f"mode sets differ: {p.modes} vs {q.modes}")
-    amps_q = q._amplitudes()
+    amps_q = q._amps
     total = 0.0 + 0.0j
-    for expo, amp_p in p._amplitudes().items():
+    for expo, amp_p in p._amps.items():
         amp_q = amps_q.get(expo)
         if amp_q is not None:
             total += amp_p.conjugate() * amp_q

@@ -115,7 +115,7 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
     coefficient of e^{ikd} in d = phi - theta.  With C_-k = conj(C_k),
     c0 = Re C_0, a_k = 2 Re C_k and b_k = -2 Im C_k.
     """
-    amplitudes = [member._amplitudes() for _, member in state.entries]
+    amplitudes = [member._amps for _, member in state.entries]
     n_max = max((max(e[0] + e[2], e[1] + e[3]) for amps in amplitudes for e in amps),
                 default=0)
     alice = parity_blocks(BeamSplitterSetting.from_alpha(alpha, 0.0), n_max)

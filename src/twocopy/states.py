@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Literal, Sequence
 
-from .fock import (ModePolynomial, ModeMismatchError, _check_count, _from_amplitudes, _Record,
+from .fock import (ModePolynomial, ModeMismatchError, _check_count, _Record, from_fock_amplitudes,
                    monomial_state, tensor)
 
 __all__ = ["CompositeState", "DegenerateComponentError", "bec_state", "noon_state",
@@ -77,7 +77,7 @@ class CompositeState(_Record):
                 raise ModeMismatchError(f"composite states use modes {COMPOSITE_MODES}")
             if w > WEIGHT_TOL and not s.is_normalized(NORMALIZATION_TOL):
                 raise ValueError("mixture members must be normalized")
-            sectors = {(ea + eb, eA + eB) for ea, eb, eA, eB in s.terms}
+            sectors = {(ea + eb, eA + eB) for ea, eb, eA, eB in s._amps}
             if len(sectors) > 1:
                 raise ValueError("ensemble member superposes different "
                                  "particle-number sectors")
@@ -98,17 +98,6 @@ class CompositeState(_Record):
             object.__setattr__(self, "_hash_key", key)
         return key
 
-    @classmethod
-    def _trusted(cls, entries: tuple, n1: int, n2: int) -> CompositeState:
-        """A sector-pure state whose entries, a tuple of (weight, state)
-        tuples, already passed the checks of ``__init__``, built without
-        repeating them."""
-        state = object.__new__(cls)
-        for name, value in (("entries", entries), ("n1", n1), ("n2", n2),
-                            ("sector_pure", True), ("_hash_key", None)):
-            object.__setattr__(state, name, value)
-        return state
-
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
@@ -119,8 +108,8 @@ def bec_state(n: int, modes: tuple[str, str] = SYSTEM1_MODES) -> ModePolynomial:
     symmetrically over two modes: (1/sqrt(2))^n sum_k sqrt(C(n,k)) |k, n-k>.
     """
     _check_particles(n=n)
-    return _from_amplitudes(
-        modes, (((k, n - k), math.sqrt(math.comb(n, k)) / 2 ** (n / 2)) for k in range(n + 1)))
+    return from_fock_amplitudes(
+        modes, {(k, n - k): math.sqrt(math.comb(n, k)) / 2 ** (n / 2) for k in range(n + 1)})
 
 
 def noon_state(n: int, m: int = 0,
@@ -132,8 +121,8 @@ def noon_state(n: int, m: int = 0,
         raise DegenerateComponentError(
             f"components |{n - m},{m}> and |{m},{n - m}> coincide"
         )
-    return _from_amplitudes(modes, (((n - m, m), 1.0 / math.sqrt(2.0)),
-                                    ((m, n - m), 1.0 / math.sqrt(2.0))))
+    return from_fock_amplitudes(modes, {(n - m, m): 1.0 / math.sqrt(2.0),
+                                        (m, n - m): 1.0 / math.sqrt(2.0)})
 
 
 def two_copy(s1: ModePolynomial, s2: ModePolynomial) -> CompositeState:
@@ -148,13 +137,7 @@ def two_copy(s1: ModePolynomial, s2: ModePolynomial) -> CompositeState:
         raise ValueError("each factor must have a fixed particle number")
     if not (s1.is_normalized(NORMALIZATION_TOL) and s2.is_normalized(NORMALIZATION_TOL)):
         raise ValueError("factors must be normalized")
-    product = tensor(s1, s2)
-    # the factor checks imply the product's modes and its one sector, (n1, n2);
-    # these are the checks of CompositeState they do not imply
-    _check_particles(n1=n1, n2=n2)
-    if not product.is_normalized(NORMALIZATION_TOL):
-        raise ValueError("mixture members must be normalized")
-    return CompositeState._trusted(((1.0, product),), n1, n2)
+    return CompositeState(((1.0, tensor(s1, s2)),), n1, n2)
 
 
 def bec_pair(n1: int, n2: int | None = None) -> CompositeState:

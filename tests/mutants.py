@@ -13,9 +13,10 @@ or ascent can loop.  Run from the repository root:
 
     python tests/mutants.py --copy ../twocopy-mutants --json mutants.json
 
-It prints one line per mutant and a table of kills and survivors per module,
-and writes every mutant with its outcome to the JSON file.  ``--list``
-prints the sample without running it.  The whole sample takes about an hour
+It prints one line per mutant, with a site that spans lines joined onto one,
+and a table of kills and survivors per module, and writes every mutant with
+its outcome and the site's source text to the JSON file.  ``--list`` prints
+the sample without running it, SAMPLE lines per module.  The whole sample takes about an hour
 on a shared 2-core host: a survivor runs the whole suite.
 """
 import argparse
@@ -144,6 +145,12 @@ def run(entry: dict, copy: pathlib.Path) -> tuple[str, str, float]:
     return outcome, first, time.perf_counter() - start
 
 
+def one_line(entry: dict) -> str:
+    """``module:line: site -> mutant``, each run of whitespace one space."""
+    return " ".join(f"{entry['module']}:{entry['line']}: {entry['site']} -> {entry['mutant']}"
+                    .split())
+
+
 def table(results: list[dict]) -> str:
     rows = ["module        killed  survived  total"]
     for module in MODULES + ("all",):
@@ -162,7 +169,7 @@ def main(argv=None) -> int:
     drawn = sample()
     if args.list:
         for entry in drawn:
-            print(f"{entry['module']}:{entry['line']}: {entry['site']} -> {entry['mutant']}")
+            print(one_line(entry))
         return 0
     if args.copy is None or args.copy.exists() or ROOT in args.copy.resolve().parents:
         parser.error("--copy must name a new directory outside the repository")
@@ -174,8 +181,7 @@ def main(argv=None) -> int:
         result = {k: entry[k] for k in ("module", "line", "site", "mutant")}
         result.update(outcome=outcome, first_failure=first, seconds=round(seconds, 1))
         results.append(result)
-        print(f"{outcome:8} {seconds:6.1f} s  {entry['module']}:{entry['line']}: "
-              f"{entry['site']} -> {entry['mutant']}  {first}", flush=True)
+        print(f"{outcome:8} {seconds:6.1f} s  {one_line(entry)}  {first}", flush=True)
         if args.json:
             args.json.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     print(table(results))

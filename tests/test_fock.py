@@ -27,6 +27,10 @@ from twocopy.measurement import BeamSplitterSetting, _party_image
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def bits(mapping):
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in mapping.items()]
+
+
 def party_image(state, setting):
     """A state on (a, A) sent through the splitter, on the outputs (c, C)."""
     terms = {}
@@ -53,17 +57,19 @@ class TestMonomialState:
         assert not ModePolynomial(("a",), {(1,): complex(1.5e308, 1.5e308)}).is_normalized()
 
     def test_factorial_normalization(self):
-        # (a†)^2 |0> = sqrt(2) |2>, so the stored coefficient is 1/sqrt(2)
+        # (a†)^2 |0> = sqrt(2) |2>, so the coefficient read back is 1/sqrt(2)
         s = monomial_state({"a": 2})
-        assert s.coefficient((2,)) == pytest.approx(INV_SQRT2)
-        assert s.coefficient((1,)) == 0.0
-        assert fock_amplitudes(s)[(2,)] == pytest.approx(1.0)
+        assert s.terms.get((2,)) == pytest.approx(INV_SQRT2)
+        assert s.terms.get((1,)) is None
+        assert fock_amplitudes(s)[(2,)] == 1.0
 
     def test_single_unit_amplitude(self):
-        for occ in [{"a": 3}, {"a": 2, "b": 1}, {"a": 0, "b": 4}]:
-            amps = fock_amplitudes(monomial_state(occ))
-            assert len(amps) == 1
-            assert next(iter(amps.values())) == pytest.approx(1.0)
+        # exactly 1, with no round trip through sqrt(n!), up to 32 in a mode
+        occupations = [{"a": 3}, {"a": 2, "b": 1}, {"a": 0, "b": 4}]
+        occupations += [{"a": n, "b": 32 - n} for n in range(33)]
+        occupations += [{"a": n, "b": 1, "A": 32, "B": n} for n in range(33)]
+        for occ in occupations:
+            assert fock_amplitudes(monomial_state(occ)) == {tuple(occ.values()): 1.0}
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
@@ -154,7 +160,8 @@ class TestTensor:
 
 class TestCheckedOnce:
     """Each constructor makes every check of the public ModePolynomial once,
-    with its messages, and each state's Fock amplitudes are computed once."""
+    with its messages, and each state's Fock amplitudes are set once, when
+    it is built."""
 
     @pytest.mark.parametrize("modes, amplitudes, error, message", [
         (("a", "b"), {(1, 0, 0): 1.0}, ValueError,
@@ -164,18 +171,17 @@ class TestCheckedOnce:
         (("a", "a"), {(1, 0): 1.0}, ModeCollisionError, "duplicate mode labels in ('a', 'a')"),
         (["a", "b", "a"], {(1, 0): 1.0}, ModeCollisionError,
          "duplicate mode labels in ('a', 'b', 'a')"),
-        # the amplitude over prod sqrt(n!) is the coefficient checked
+        # the amplitude as given is the value checked
         (("a", "b"), {(1, 0): 0.6, (0, 1): math.nan}, ValueError,
-         "coefficient (nan+nanj) of (0, 1) is not finite"),
+         "amplitude (nan+0j) of (0, 1) is not finite"),
         (("a", "b"), {(2, 0): complex(0.0, -math.inf)}, ValueError,
-         "coefficient (nan-infj) of (2, 0) is not finite"),
-        # every occupation is checked before the modes, the modes before
-        # the terms, and the terms in order
-        (("a", "a"), {(1, 0): 1.0, (0, -1): 1.0}, ValueError,
-         "occupation=-1 must be an integer >= 0"),
+         "amplitude -infj of (2, 0) is not finite"),
+        # the modes are checked before the terms, and the terms in order
+        (("a", "a"), {(1, 0): 1.0, (0, -1): 1.0}, ModeCollisionError,
+         "duplicate mode labels in ('a', 'a')"),
         (("a", "a"), {(1, 0, 0): 1.0}, ModeCollisionError, "duplicate mode labels in ('a', 'a')"),
         (("a", "b"), {(1, 0): math.inf, (1, 0, 0): 1.0}, ValueError,
-         "coefficient (inf+nanj) of (1, 0) is not finite"),
+         "amplitude (inf+0j) of (1, 0) is not finite"),
         (("a", "b"), {(1, 0, 0): math.inf, (1, 0): 1.0}, ValueError,
          "exponent tuple (1, 0, 0) does not match modes ('a', 'b')"),
     ])
@@ -183,9 +189,11 @@ class TestCheckedOnce:
             self, modes, amplitudes, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             from_fock_amplitudes(modes, amplitudes)
-        if "occupation" not in message and "coefficient" not in message:
-            with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                ModePolynomial(modes, amplitudes)
+        # the same message from the public constructor, which names a
+        # non-finite value a coefficient
+        message = message.replace("amplitude", "coefficient")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ModePolynomial(modes, amplitudes)
 
     def test_amplitude_that_is_no_number_raises_before_a_later_occupation(self):
         with pytest.raises(TypeError):
@@ -197,23 +205,27 @@ class TestCheckedOnce:
         assert fock_amplitudes(state) == {(0, 1): 1.0}
 
     def test_matches_the_public_constructor_bit_for_bit(self):
+        # from_fock_amplitudes keeps the amplitudes as given, and
+        # ModePolynomial keeps each coefficient times prod sqrt(n!), as one
+        # product; the two give one state when their inputs agree so
         rng = np.random.default_rng(7)
         for _ in range(50):
             occupations = [tuple(int(v) for v in rng.integers(0, 12, 3)) for _ in range(6)]
-            amplitudes = dict(zip(occupations, rng.normal(size=6) + 1j * rng.normal(size=6)))
-            got = from_fock_amplitudes(("a", "b", "c"), amplitudes)
-            want = ModePolynomial(("a", "b", "c"), {
-                occ: complex(amp) / math.prod(math.sqrt(math.factorial(n)) for n in occ)
-                for occ, amp in amplitudes.items()})
-            assert [(e, c.real.hex(), c.imag.hex()) for e, c in got.terms.items()] == \
-                [(e, c.real.hex(), c.imag.hex()) for e, c in want.terms.items()]
-            assert fock_amplitudes(got) == fock_amplitudes(want)
+            values = dict(zip(occupations, rng.normal(size=6) + 1j * rng.normal(size=6)))
+            scaled = {occ: complex(c) * math.prod(math.sqrt(math.factorial(n)) for n in occ)
+                      for occ, c in values.items()}
+            got = from_fock_amplitudes(("a", "b", "c"), scaled)
+            want = ModePolynomial(("a", "b", "c"), values)
+            assert bits(fock_amplitudes(got)) == bits(fock_amplitudes(want)) == bits(scaled)
+            assert got == want and hash(got) == hash(want)
+            assert bits(fock_amplitudes(from_fock_amplitudes(("a", "b", "c"), values))) == \
+                bits({occ: complex(c) for occ, c in values.items()})
 
     def test_tensor_raises_on_an_overflowing_product(self):
         p = ModePolynomial(("a", "b"), {(1, 0): 1e-300, (0, 1): 1e200})
         q = ModePolynomial(("A", "B"), {(0, 1): 1.0, (1, 0): 1e200})
         with pytest.raises(ValueError,
-                           match=re.escape("coefficient (inf+0j) of (0, 1, 1, 0) is not finite")):
+                           match=re.escape("amplitude (inf+0j) of (0, 1, 1, 0) is not finite")):
             tensor(p, q)
 
     def test_tensor_drops_an_underflowing_product(self):
@@ -225,8 +237,10 @@ class TestCheckedOnce:
 
     def test_amplitudes_are_computed_once_and_handed_out_as_copies(self):
         state = from_fock_amplitudes(("a", "b"), {(2, 0): 0.6, (0, 2): 0.8j})
-        kept = state._amplitudes()
-        assert state._amplitudes() is kept
+        kept = state._amps
+        assert kept == {(2, 0): 0.6, (0, 2): 0.8j}
+        state.norm_squared(), hash(state), state.terms
+        assert state._amps is kept
         copy = fock_amplitudes(state)
         assert copy == kept and copy is not kept
         copy[(2, 0)] = 5.0
@@ -237,8 +251,8 @@ class TestCheckedOnce:
         assert inner(state, twin) == inner(twin, twin)
 
     def test_terms_are_read_only(self):
-        # by the checked and the trusted route: a change would leave the kept
-        # amplitudes and the hash stale
+        # by either constructor: a write to the view would change nothing,
+        # so it must fail loudly
         for state in (ModePolynomial(("a", "b"), {(0, 1): 0.5}),
                       tensor(monomial_state({"a": 1}), monomial_state({"b": 0}))):
             amplitudes, key = fock_amplitudes(state), hash(state)
@@ -250,8 +264,8 @@ class TestCheckedOnce:
 class TestSubstitute:
     def test_single_particle_balanced_split(self):
         out = party_image(monomial_state({"a": 1, "A": 0}), BeamSplitterSetting.balanced(0.0))
-        assert out.coefficient((1, 0)) == pytest.approx(INV_SQRT2)
-        assert out.coefficient((0, 1)) == pytest.approx(INV_SQRT2)
+        assert out.terms.get((1, 0)) == pytest.approx(INV_SQRT2)
+        assert out.terms.get((0, 1)) == pytest.approx(INV_SQRT2)
 
     def test_identity_map(self):
         # alpha = 1 at phase pi sends a† -> c† and A† -> C†
@@ -289,19 +303,21 @@ class TestRoundTrips:
     def test_fock_amplitude_round_trip(self):
         amps = {(2, 1): 0.3 - 0.1j, (0, 3): 0.5j, (1, 2): -0.2}
         state = from_fock_amplitudes(("a", "b"), amps)
-        assert fock_amplitudes(state) == pytest.approx(amps)
+        assert fock_amplitudes(state) == amps
 
     def test_scales_are_products_of_square_rooted_factorials(self):
-        # the defining formula, evaluated directly, to the last bit
+        # the defining formula, evaluated directly, to the last bit, both ways
         rng = np.random.default_rng(5)
         occupations = [tuple(int(n) for n in rng.integers(0, 40, 4)) for _ in range(50)]
         amps = {occ: complex(*rng.normal(size=2)) for occ in occupations}
         state = from_fock_amplitudes(("a", "b", "A", "B"), amps)
-        back = fock_amplitudes(state)
+        coefficients = ModePolynomial(("a", "b", "A", "B"), amps)
+        assert bits(fock_amplitudes(state)) == bits(amps)
         for occ, amp in amps.items():
             scale = math.prod(math.sqrt(math.factorial(n)) for n in occ)
             assert state.terms[occ] == amp / scale
-            assert back[occ] == amp / scale * scale
+            assert fock_amplitudes(coefficients)[occ] == amp * scale
+            assert coefficients.terms[occ] == amp * scale / scale
 
 
 # -- property tests ---------------------------------------------------------

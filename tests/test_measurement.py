@@ -15,7 +15,6 @@ import pytest
 
 import oracle
 from twocopy.fock import (
-    ModePolynomial,
     fock_amplitudes,
     from_fock_amplitudes,
     monomial_state,
@@ -159,10 +158,10 @@ class TestJointDistribution:
             assert dist == pytest.approx(ref, abs=1e-12)
 
     def test_zero_weight_member_skipped(self):
-        # expanded, the member's 1e200 coefficient would overflow a squared
-        # amplitude, and its 1e308 one an amplitude
+        # expanded, the member's amplitude of 1e200 would overflow a squared
+        # amplitude, and its 1e308 one nearly an amplitude
         state = bec_pair(2)
-        member = ModePolynomial(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
+        member = from_fock_amplitudes(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
         padded = CompositeState(state.entries + ((0.0, member),), n1=2, n2=2)
         for alice, bob in ((BAL(0.3), BAL(1.2)), (BeamSplitterSetting.from_alpha(0.6, 0.4),
                                                   BeamSplitterSetting.from_alpha(0.8, 2.0))):

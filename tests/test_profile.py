@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from twocopy import cli, fock, inequalities, measurement, states
+from twocopy import cli, inequalities, measurement, states
 from twocopy.fock import fock_amplitudes, from_fock_amplitudes
 from twocopy.inequalities import (
     AngleQuad,
@@ -424,10 +424,10 @@ def test_member_superposing_sectors_raises(other):
 
 
 def test_zero_weight_member_skipped():
-    # the member's (0, 2, 2, 0) amplitude, 2e308, overflows to inf, so that
-    # summing it at weight 0.0 would give nan
+    # a member at weight 0.0 changes no bit of the series, not even one whose
+    # amplitudes square past the float range
     state = bec_pair(2)
-    member = fock.ModePolynomial(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
+    member = from_fock_amplitudes(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
     padded = CompositeState(state.entries + ((0.0, member),), n1=2, n2=2)
     for alpha, bob_alpha in ((BALANCED_ALPHA, BALANCED_ALPHA), (0.6, 0.8)):
         want = inequalities._profile(state, alpha, bob_alpha)

@@ -53,7 +53,9 @@ class TestBecState:
             assert amp.real >= 0.0
 
     def test_particle_bound(self):
-        # without the bound, math.sqrt of a factorial overflows from n = 171 on
+        # every n up to the bound gives the formula's amplitudes bit for bit
+        for n in range(MAX_PARTICLES + 1):
+            assert bits(fock_amplitudes(bec_state(n))) == bits(bec_amplitudes(n))
         assert bec_state(MAX_PARTICLES).is_normalized()
         for n in (MAX_PARTICLES + 1, 200, -1):
             with pytest.raises(ValueError,
@@ -75,10 +77,12 @@ class TestNoonState:
             noon_state(2, 1)
 
     def test_exactly_two_components(self):
-        amps = fock_amplitudes(noon_state(5, 1))
-        assert len(amps) == 2
-        for amp in amps.values():
-            assert abs(amp) == pytest.approx(INV_SQRT2)
+        # each exactly 1/sqrt(2), for every n and m up to the bound
+        for n in range(1, MAX_PARTICLES + 1):
+            for m in range(n + 1):
+                if 2 * m != n:
+                    assert fock_amplitudes(noon_state(n, m)) == {(n - m, m): INV_SQRT2,
+                                                                 (m, n - m): INV_SQRT2}
 
     @pytest.mark.parametrize("n, m", [(3, 5), (3, -1), (1, 2)])
     def test_second_occupation_within_n(self, n, m):
@@ -147,38 +151,8 @@ class TestTwoCopy:
                 two_copy(lopsided, ok)
 
 
-def sqrt_factorials(occupation):
-    return math.prod(math.sqrt(math.factorial(n)) for n in occupation)
-
-
-def checked_state(modes, amplitudes):
-    """A state from Fock amplitudes through the public ModePolynomial,
-    which runs every check."""
-    return ModePolynomial(modes, {occ: complex(amp) / sqrt_factorials(occ)
-                                  for occ, amp in amplitudes.items()})
-
-
-def checked_pair(s1, s2):
-    """two_copy through the public constructors: the product's terms as
-    tensor forms them, then every check of ModePolynomial and CompositeState."""
-    terms = {}
-    for e1, c1 in s1.terms.items():
-        for e2, c2 in s2.terms.items():
-            terms[e1 + e2] = terms.get(e1 + e2, 0.0) + c1 * c2
-    product = ModePolynomial(s1.modes + s2.modes, terms)
-    return CompositeState(((1.0, product),), s1.particle_number(), s2.particle_number())
-
-
 def bits(mapping):
     return [(e, c.real.hex(), c.imag.hex()) for e, c in mapping.items()]
-
-
-def assert_same_bits(got, want):
-    """Same modes, and terms and Fock amplitudes equal bit for bit, in order."""
-    assert got.modes == want.modes
-    assert bits(got.terms) == bits(want.terms)
-    assert bits(fock_amplitudes(got)) == bits(
-        {e: c * sqrt_factorials(e) for e, c in want.terms.items()})
 
 
 def bec_amplitudes(n):
@@ -189,36 +163,46 @@ def noon_amplitudes(n, m):
     return {(n - m, m): 1.0 / math.sqrt(2.0), (m, n - m): 1.0 / math.sqrt(2.0)}
 
 
+def formula_pair(amplitudes1, amplitudes2, n1, n2):
+    """The two-copy state of two factors' formula amplitudes through the
+    public constructors, each product amplitude one product of two values."""
+    product = {e1 + e2: a1 * a2 for e1, a1 in amplitudes1.items()
+               for e2, a2 in amplitudes2.items()}
+    return CompositeState(((1.0, fock.from_fock_amplitudes(COMPOSITE_MODES, product)),), n1, n2)
+
+
+def assert_same_bits(got, want):
+    """Equal states, hashing alike, with the same amplitudes bit for bit."""
+    assert got == want and hash(got) == hash(want)
+    assert bits(fock_amplitudes(got.entries[0][1])) == bits(fock_amplitudes(want.entries[0][1]))
+
+
 class TestTrustedConstruction:
-    """The state constructors skip the checks their inputs already passed
-    and give the bits of the fully checked route."""
+    """The state constructors build through the public checked ones, keep
+    the amplitudes of their defining formulas bit for bit, and make each
+    check once."""
 
     @pytest.mark.parametrize("n1", range(9))
     def test_bec_pairs_match_the_checked_route(self, n1):
         for n2 in range(9):
-            got = bec_pair(n1, n2)
-            want = checked_pair(checked_state(("a", "b"), bec_amplitudes(n1)),
-                                checked_state(("A", "B"), bec_amplitudes(n2)))
-            assert got == want and hash(got) == hash(want)
-            assert_same_bits(got.entries[0][1], want.entries[0][1])
+            assert_same_bits(bec_pair(n1, n2),
+                             formula_pair(bec_amplitudes(n1), bec_amplitudes(n2), n1, n2))
 
     def test_noon_pairs_match_the_checked_route(self):
         for n in range(1, 9):
             for m in range(n + 1):
                 if 2 * m == n:
                     continue
-                got = noon_pair(n, m)
-                want = checked_pair(checked_state(("a", "b"), noon_amplitudes(n, m)),
-                                    checked_state(("A", "B"), noon_amplitudes(n, m)))
-                assert got == want
-                assert_same_bits(got.entries[0][1], want.entries[0][1])
+                assert_same_bits(noon_pair(n, m), formula_pair(
+                    noon_amplitudes(n, m), noon_amplitudes(n, m), n, n))
 
     def test_sector_bases_match_the_checked_route(self):
         for n1 in range(9):
             for n2 in range(9):
                 for state in sector_basis(n1, n2):
                     (occupation,) = state.terms
-                    assert_same_bits(state, checked_state(COMPOSITE_MODES, {occupation: 1.0}))
+                    assert fock_amplitudes(state) == {occupation: 1.0}
+                    assert sum(occupation[:2]) == n1 and sum(occupation[2:]) == n2
 
     def test_effective_bases_match_the_checked_route(self):
         setting = measurement.BeamSplitterSetting.from_alpha(0.37, 1.3)
@@ -228,23 +212,28 @@ class TestTrustedConstruction:
             for vector in measurement.effective_basis(n_total, setting):
                 n, m = vector.outcome
                 k = n + m
-                want = checked_state(("a", "A"), {(p, k - p): blocks[k][n, p] * phases[k - p]
-                                                  for p in range(k + 1)})
-                assert_same_bits(vector.vector, want)
+                want = {(p, k - p): complex(blocks[k][n, p] * phases[k - p])
+                        for p in range(k + 1)}
+                assert bits(fock_amplitudes(vector.vector)) == bits(
+                    {e: a for e, a in want.items() if a != 0})
 
     def test_pairs_run_each_check_once(self, monkeypatch):
+        # the factors' amplitudes, the product's and the composite's are
+        # each checked once, and no state goes through its coefficients
         def refuse(self, *args, **kwargs):
-            raise AssertionError("a public constructor's checks ran")
+            raise AssertionError("a state was built from coefficients")
 
         monkeypatch.setattr(ModePolynomial, "__init__", refuse)
-        monkeypatch.setattr(CompositeState, "__init__", refuse)
-        checked = []
-        original = fock._checked_terms
-        monkeypatch.setattr(fock, "_checked_terms",
-                            lambda *args, **kwargs: checked.append(args) or original(*args, **kwargs))
+        checked, composites = [], []
+        original, init = fock._checked_amplitudes, CompositeState.__init__
+        monkeypatch.setattr(fock, "_checked_amplitudes",
+                            lambda *args: checked.append(args) or original(*args))
+        monkeypatch.setattr(CompositeState, "__init__",
+                            lambda self, *args: composites.append(args) or init(self, *args))
         bec_pair(3, 2)
         noon_pair(3, 1)
-        assert [len(args[1]) for args in checked] == [4, 3, 2, 2]
+        assert [len(args[1]) for args in checked] == [4, 3, 12, 2, 2, 4]
+        assert [args[1:] for args in composites] == [(3, 2), (3, 3)]
 
     def test_factor_modes_checked_as_before(self):
         with pytest.raises(ModeCollisionError, match=re.escape("duplicate mode labels in ('a', 'a')")):
@@ -445,8 +434,8 @@ class TestListEntries:
 
 
 class TestHashKept:
-    """A state keeps its hash from the first use, whether __init__ or
-    _trusted built it; copies start without one and hash alike."""
+    """A state keeps its hash from the first use, whether two_copy or
+    admix built it; copies start without one and hash alike."""
 
     BUILDERS = {"trusted": lambda: bec_pair(2, 1),
                 "init": lambda: admix(bec_pair(1, 2), 0.4, "factorized")}
@@ -468,8 +457,7 @@ class TestHashKept:
     def test_rebuilt_and_copied_hash_alike(self, built):
         state = self.BUILDERS[built]()
         key = hash(state)
-        # pickle refuses the members' mappingproxy terms; copy takes the same
-        # __reduce__ route through __init__
+        # copy takes the __reduce__ route through __init__, as pickle does
         for other in (TestListEntries.rebuilt(state, list), copy.copy(state)):
             assert other._hash_key is None
             assert other == state and hash(other) == key
