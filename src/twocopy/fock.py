@@ -103,8 +103,10 @@ def _counts(name: str, values) -> tuple[int, ...]:
     return values
 
 
-@lru_cache(maxsize=None)  # at most 171 entries: a float overflows from sqrt(171!) on
+@lru_cache(maxsize=None)  # at most 171 entries, 0! to 170!
 def _sqrt_factorial(n: int) -> float:
+    if n > 170:
+        raise ValueError(f"occupation {n} > 170: sqrt({n}!) is past the float range")
     return math.sqrt(math.factorial(n))
 
 
@@ -146,11 +148,11 @@ class ModePolynomial(_Record):
             dropped.  :func:`from_fock_amplitudes` builds a state from its
             amplitudes instead.
 
-    The amplitudes are set here and never change, so the kept hash stays
-    valid; ``terms`` reads the coefficients back from them.
+    The amplitudes are set here and never change; ``terms`` reads the
+    coefficients back from them.
     """
 
-    __slots__ = ("modes", "_amps", "_hash_key")
+    __slots__ = ("modes", "_amps")
     __match_args__ = ("modes", "terms")
 
     def __init__(self, modes: Sequence[str], terms: Mapping[Exponents, complex]):
@@ -160,8 +162,6 @@ class ModePolynomial(_Record):
         modes = tuple(modes)
         object.__setattr__(self, "_amps", _checked_amplitudes(modes, values, coefficients))
         object.__setattr__(self, "modes", modes)
-        # the hash, kept from its first use; reading an unset slot would raise
-        object.__setattr__(self, "_hash_key", None)
 
     @property
     def terms(self) -> Mapping[Exponents, complex]:
@@ -176,11 +176,7 @@ class ModePolynomial(_Record):
         return self.modes == other.modes and self._amps == other._amps
 
     def __hash__(self) -> int:
-        key = self._hash_key
-        if key is None:
-            key = hash((self.modes, tuple(sorted(self._amps.items()))))
-            object.__setattr__(self, "_hash_key", key)
-        return key
+        return hash((self.modes, tuple(sorted(self._amps.items()))))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{e}: {c:.6g}" for e, c in sorted(self.terms.items()))
@@ -191,11 +187,10 @@ class ModePolynomial(_Record):
         return from_fock_amplitudes, (self.modes, self._amps)
 
     def particle_number(self) -> int | None:
-        """Total particle number if homogeneous, else None."""
+        """Total particle number if homogeneous, else None: also for the
+        zero vector, which has no terms and so no particle number."""
         degrees = {sum(e) for e in self._amps}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None if degrees else 0
+        return degrees.pop() if len(degrees) == 1 else None
 
     def norm_squared(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self._amps.values())

@@ -27,10 +27,9 @@ from .measurement import (BALANCED_ALPHA, BeamSplitterSetting, outcome_count, pa
 from .states import CompositeState, NoiseModel, bec_pair, noon_pair
 
 __all__ = ["AngleQuad", "CorrelationVector", "correlation", "correlation_vector",
-           "bell_value", "steering_value", "closed_form", "closed_form_state",
-           "verify_closed_forms", "visibility_threshold", "CLOSED_FORM_FAMILIES",
-           "FORM_ORIENTATION", "CLASSICAL_BOUND", "QUANTUM_BOUND", "NoViolationError",
-           "NegativeRadicandError"]
+           "bell_value", "steering_value", "closed_form", "verify_closed_forms",
+           "visibility_threshold", "FORM_ORIENTATION", "CLASSICAL_BOUND", "QUANTUM_BOUND",
+           "NoViolationError", "NegativeRadicandError"]
 
 TWO_PI = 2.0 * math.pi
 CLASSICAL_BOUND = 2.0
@@ -47,15 +46,7 @@ class NoViolationError(RuntimeError):
 
 
 class NegativeRadicandError(ValueError):
-    """Raised when a reference form's square-root argument is negative.
-
-    Carries the offending radicand so callers can report it.
-    """
-
-    def __init__(self, family: str, radicand: float):
-        super().__init__(f"{family}: radicand {radicand} is negative")
-        self.family = family
-        self.radicand = radicand
+    """Raised when a reference form's square-root argument is negative."""
 
 
 class AngleQuad(_Record):
@@ -122,8 +113,6 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
     bob = parity_blocks(BeamSplitterSetting.from_alpha(bob_alpha, 0.0), n_max)
     orders, terms = [], []
     for (weight, _), amps in zip(state.entries, amplitudes):
-        if weight == 0.0:
-            continue
         a, b, A, B = np.fromiter(chain.from_iterable(amps), int, 4 * len(amps)).reshape(-1, 4).T
         psi = np.fromiter(amps.values(), complex, len(amps))
         ka, kb = a + A, b + B
@@ -275,7 +264,7 @@ def _steer_noon(q: AngleQuad) -> float:
         - math.cos(4.0 * t2 - 2.0 * (p1 + p2)) - 2.0
     )
     if radicand < 0.0:
-        raise NegativeRadicandError("steer_noon", radicand)
+        raise NegativeRadicandError(f"steer_noon: radicand {radicand} is negative")
     return first + math.sqrt(radicand) / math.sqrt(2.0)
 
 
@@ -290,8 +279,8 @@ def _bell_noon(q: AngleQuad) -> float:
 # the single-particle condensate pair is tabulated with the opposite overall
 # sign relative to the weighted-parity convention used throughout the
 # engine; its |value| and maxima are unaffected.  The steer_noon form has no
-# orientation: its second radicand is negative on most of the angle domain
-# (see NegativeRadicandError), so it cannot equal the engine anywhere.
+# orientation: its second radicand is negative on most of the angle domain,
+# where it raises NegativeRadicandError, so it cannot equal the engine anywhere.
 _FAMILIES: dict[str, tuple[Callable[[AngleQuad], float], Callable[[], CompositeState],
                            Callable[..., float], float | None]] = {
     "steer_bec1": (_steer_bec1, partial(bec_pair, 1), _radii, 1.0),
@@ -302,30 +291,19 @@ _FAMILIES: dict[str, tuple[Callable[[AngleQuad], float], Callable[[], CompositeS
     "bell_noon": (_bell_noon, partial(noon_pair, 2, 0), _bell, 1.0),
 }
 
-CLOSED_FORM_FAMILIES = tuple(_FAMILIES)
 FORM_ORIENTATION: dict[str, float] = {
     family: orientation for family, (_, _, _, orientation) in _FAMILIES.items()
     if orientation is not None}
 
 
-def _family(family: str) -> tuple:
-    try:
-        return _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; "
-                         f"choose from {CLOSED_FORM_FAMILIES}") from None
-
-
 def closed_form(family: str, q: AngleQuad) -> float:
     """Evaluate a reference closed form verbatim."""
-    form, _, _, _ = _family(family)
+    try:
+        form, _, _, _ = _FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; "
+                         f"choose from {tuple(_FAMILIES)}") from None
     return form(q)
-
-
-def closed_form_state(family: str) -> CompositeState:
-    """The composite state whose engine values the family describes."""
-    _, state, _, _ = _family(family)
-    return state()
 
 
 def verify_closed_forms(draws: int = 100, seed: int = 7) -> dict:

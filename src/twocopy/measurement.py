@@ -158,8 +158,6 @@ def joint_distribution(state: CompositeState,
     image of a†^i A†^k and Bob's of b†^j B†^l (:func:`_party_image`)."""
     probs: dict[Outcome, float] = {}
     for weight, member in state.entries:
-        if weight == 0.0:
-            continue
         terms: dict[tuple[int, int, int, int], complex] = {}
         for (a, b, A, B), coef in member.terms.items():
             bob_image = _party_image(b, B, bob)

@@ -19,7 +19,6 @@ SYSTEM1_MODES = ("a", "b")
 SYSTEM2_MODES = ("A", "B")
 COMPOSITE_MODES = ("a", "b", "A", "B")
 ALICE_MODES = ("a", "A")
-BOB_MODES = ("b", "B")
 
 WEIGHT_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10  # of a mixture member's or a two_copy factor's norm squared
@@ -75,7 +74,7 @@ class CompositeState(_Record):
         for w, s in entries:
             if s.modes != COMPOSITE_MODES:
                 raise ModeMismatchError(f"composite states use modes {COMPOSITE_MODES}")
-            if w > WEIGHT_TOL and not s.is_normalized(NORMALIZATION_TOL):
+            if not s.is_normalized(NORMALIZATION_TOL):
                 raise ValueError("mixture members must be normalized")
             sectors = {(ea + eb, eA + eB) for ea, eb, eA, eB in s._amps}
             if len(sectors) > 1:

@@ -31,7 +31,7 @@ import sys
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = ("fock", "states", "measurement", "inequalities", "search")
+MODULES = ("fock", "states", "measurement", "inequalities", "search", "cli")
 SAMPLE = 40
 SEED = 37
 TIMEOUT = 300.0  # seconds per mutant, about ten times a tier-1 run on a 2-core host

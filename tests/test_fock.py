@@ -62,6 +62,8 @@ class TestMonomialState:
         assert s.terms.get((2,)) == pytest.approx(INV_SQRT2)
         assert s.terms.get((1,)) is None
         assert fock_amplitudes(s)[(2,)] == 1.0
+        # sqrt(170!) is the last such factor within the float range
+        assert ModePolynomial(("a",), {(170,): 1.0}).terms == {(170,): 1.0}
 
     def test_single_unit_amplitude(self):
         # exactly 1, with no round trip through sqrt(n!), up to 32 in a mode

@@ -157,12 +157,12 @@ class TestJointDistribution:
             dist = joint_distribution(noise, BAL(phi), BAL(theta))
             assert dist == pytest.approx(ref, abs=1e-12)
 
-    def test_zero_weight_member_skipped(self):
-        # expanded, the member's amplitude of 1e200 would overflow a squared
-        # amplitude, and its 1e308 one nearly an amplitude
-        state = bec_pair(2)
-        member = from_fock_amplitudes(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
-        padded = CompositeState(state.entries + ((0.0, member),), n1=2, n2=2)
+    def test_zero_weight_member_adds_nothing(self):
+        # a member at weight 0.0, of more particles than the state, adds
+        # only zero probabilities, which are dropped
+        state = bec_pair(1)
+        padded = CompositeState(state.entries + ((0.0, bec_pair(3, 2).entries[0][1]),),
+                                n1=1, n2=1, sector_pure=False)
         for alice, bob in ((BAL(0.3), BAL(1.2)), (BeamSplitterSetting.from_alpha(0.6, 0.4),
                                                   BeamSplitterSetting.from_alpha(0.8, 2.0))):
             want = joint_distribution(state, alice, bob)

@@ -55,6 +55,7 @@ from twocopy.measurement import (
     sector_trace_product,
     weighted_parity,
 )
+from twocopy.search import optimize
 from twocopy.states import (
     COMPOSITE_MODES,
     MAX_FACTORIZED_TOTAL,
@@ -423,18 +424,26 @@ def test_member_superposing_sectors_raises(other):
         CompositeState(((1.0, member),), n1=1, n2=1, sector_pure=False)
 
 
-def test_zero_weight_member_skipped():
-    # a member at weight 0.0 changes no bit of the series, not even one whose
-    # amplitudes square past the float range
-    state = bec_pair(2)
-    member = from_fock_amplitudes(COMPOSITE_MODES, {(0, 2, 2, 0): 1e308, (1, 1, 0, 2): 1e200})
-    padded = CompositeState(state.entries + ((0.0, member),), n1=2, n2=2)
+def test_zero_weight_member_adds_nothing():
+    # a member at weight 0.0 of higher order than the state only appends
+    # zero orders to the series, so every value read from it keeps its bits
+    state = bec_pair(1)
+    padded = CompositeState(state.entries + ((0.0, bec_pair(3, 2).entries[0][1]),),
+                            n1=1, n2=1, sector_pure=False)
+    q = AngleQuad(0.3, 1.9, 0.0, 2.4)
     for alpha, bob_alpha in ((BALANCED_ALPHA, BALANCED_ALPHA), (0.6, 0.8)):
         want = inequalities._profile(state, alpha, bob_alpha)
         got = inequalities._profile(padded, alpha, bob_alpha)
+        assert (len(want.terms), len(got.terms)) == (1, 2)
         assert got.c0.hex() == want.c0.hex()
-        assert ([[v.hex() for v in term] for term in got.terms]
-                == [[v.hex() for v in term] for term in want.terms])
+        assert [v.hex() for v in got.terms[0]] == [v.hex() for v in want.terms[0]]
+        assert got.terms[1][1:] == (0.0, 0.0)
+        assert (repr(correlation_vector(padded, q, alpha, bob_alpha))
+                == repr(correlation_vector(state, q, alpha, bob_alpha)))
+        assert (repr(optimize("steering", padded, restarts=8, seed=3, alpha=alpha,
+                              bob_alpha=bob_alpha))
+                == repr(optimize("steering", state, restarts=8, seed=3, alpha=alpha,
+                                 bob_alpha=bob_alpha)))
 
 
 # -- the polynomial engine stays off the hot path ----------------------------------

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import twocopy
-from twocopy.fock import ModePolynomial
+from twocopy.fock import ModePolynomial, from_fock_amplitudes
 from twocopy.inequalities import AngleQuad, CorrelationVector
 from twocopy.measurement import BasisVector, BeamSplitterSetting
 from twocopy.search import OptimizationResult, ScanSeries
@@ -182,6 +182,12 @@ MEMBER = bec_pair(1).entries[0][1]
     # a finite coefficient whose amplitude, 1e308 sqrt(2! 2!), is past the float range
     (lambda: ModePolynomial(("a", "b"), {(1, 0): 0.5, (2, 2): 1e308}), ValueError,
      "amplitude (inf+0j) of (2, 2) is not finite"),
+    # sqrt(171!) is past the float range, so a coefficient at 171 has no
+    # amplitude, and an amplitude at 171 no coefficient
+    (lambda: ModePolynomial(("a",), {(171,): 1e-300}), ValueError,
+     "occupation 171 > 170: sqrt(171!) is past the float range"),
+    (lambda: from_fock_amplitudes(("a",), {(171,): 1.0}).terms, ValueError,
+     "occupation 171 > 170: sqrt(171!) is past the float range"),
     (lambda: OptimizationResult(1.0, QUAD, 1, 1, 0), TypeError,
      "OptimizationResult.__init__() missing 1 required positional argument: 'converged'"),
     (lambda: ScanSeries("theta2", ()), TypeError,

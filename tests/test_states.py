@@ -65,7 +65,7 @@ class TestBecState:
 
 class TestNoonState:
     def test_two_zero(self):
-        amps = fock_amplitudes(noon_state(2, 0))
+        amps = fock_amplitudes(noon_state(2))  # m defaults to 0
         assert amps == {(2, 0): pytest.approx(INV_SQRT2),
                         (0, 2): pytest.approx(INV_SQRT2)}
 
@@ -136,7 +136,10 @@ class TestTwoCopy:
          "second factor must use modes ('A', 'B')"),
         (bec_state(1), ModePolynomial(("A", "B"), {(1, 0): 0.6, (1, 1): 0.8}), ValueError,
          "each factor must have a fixed particle number"),
-    ], ids=["first-modes", "second-modes", "particle-number"])
+        # the zero vector has no particle number
+        (bec_state(1), ModePolynomial(("A", "B"), {}), ValueError,
+         "each factor must have a fixed particle number"),
+    ], ids=["first-modes", "second-modes", "particle-number", "empty-factor"])
     def test_rejects_factors(self, s1, s2, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             two_copy(s1, s2)
@@ -356,11 +359,22 @@ class TestEnsembleValidation:
         (((1.0, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 1e200})),),
          ValueError, "^mixture members must be normalized$"),
         (((0.5, MEMBER), (0.5, bec_state(1))), ModeMismatchError, "modes"),
+        # a member is checked whatever its weight: unchecked, these two would
+        # read steering 5.61 at a bec1 quad and NaN correlations
+        (((1.0 - 1e-12, MEMBER), (1e-12, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 1e6}))),
+         ValueError, "^mixture members must be normalized$"),
+        (((1.0 - 1e-13, bec_pair(2).entries[0][1]),
+          (1e-13, fock.from_fock_amplitudes(COMPOSITE_MODES, {(0, 2, 2, 0): 1e200,
+                                                              (1, 1, 0, 2): 1e200}))),
+         ValueError, "^mixture members must be normalized$"),
     ], ids=["empty", "negative-weight", "weights-not-summing-to-one",
-            "unnormalized-member", "overflowing-member", "wrong-modes"])
+            "unnormalized-member", "overflowing-member", "wrong-modes",
+            "loose-member-at-weight-tol", "overflowing-member-at-negligible-weight"])
     def test_rejects_invalid_mixture(self, entries, error, message):
+        # with sector_pure=False no row is refused for its sector, though
+        # the last one's members lie in sector (2, 2)
         with pytest.raises(error, match=message):
-            CompositeState(entries, n1=1, n2=1)
+            CompositeState(entries, n1=1, n2=1, sector_pure=False)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weight(self, weight):
@@ -370,16 +384,15 @@ class TestEnsembleValidation:
             CompositeState(((1.0, MEMBER), (weight, MEMBER)), n1=1, n2=1)
 
     def test_rejects_non_finite_member_at_negligible_weight(self):
-        # members of weight <= WEIGHT_TOL skip the normalization check, so
-        # a NaN amplitude must be caught when the member is built
+        # a NaN amplitude is caught when the member is built
         with pytest.raises(ValueError, match="is not finite"):
             CompositeState(((1.0 - 1e-13, MEMBER),
                             (1e-13, ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): math.nan}))),
                            n1=1, n2=1)
-        # while an unnormalized member at weight WEIGHT_TOL is kept
+        # and an unnormalized member is refused at weight WEIGHT_TOL, as at any weight
         loose = ModePolynomial(COMPOSITE_MODES, {(1, 0, 1, 0): 2.0})
-        state = CompositeState(((1.0 - WEIGHT_TOL, MEMBER), (WEIGHT_TOL, loose)), n1=1, n2=1)
-        assert state.entries[1] == (WEIGHT_TOL, loose)
+        with pytest.raises(ValueError, match="^mixture members must be normalized$"):
+            CompositeState(((1.0 - WEIGHT_TOL, MEMBER), (WEIGHT_TOL, loose)), n1=1, n2=1)
 
     def test_particle_bound(self):
         assert bec_pair(MAX_PARTICLES, 0).n1 == MAX_PARTICLES
