@@ -179,7 +179,12 @@ class ModePolynomial(_Record):
         return hash((self.modes, tuple(sorted(self._amps.items()))))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{e}: {c:.6g}" for e, c in sorted(self.terms.items()))
+        try:
+            terms = self.terms
+        except ValueError:  # an occupation past 170, whose sqrt(n!) is past the float range
+            terms = {e: a * math.exp(-sum(math.lgamma(n + 1) for n in e) / 2)
+                     for e, a in self._amps.items()}
+        body = ", ".join(f"{e}: {c:.6g}" for e, c in sorted(terms.items()))
         return f"ModePolynomial(modes={self.modes}, terms={{{body}}})"
 
     def __reduce__(self):

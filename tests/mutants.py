@@ -1,4 +1,4 @@
-"""A seeded mutation sample of the engine, run against tier-1.
+"""A seeded mutation sample of the engine, run against tier-1: a kill matrix.
 
 A mutant is one small change to one site of ``src/twocopy``: an arithmetic
 or comparison operator swapped (also in an augmented assignment), ``and``
@@ -7,34 +7,42 @@ one.  A test suite kills the mutant by failing on it (DeMillo, Lipton &
 Sayward, Computer 11(4), 34 (1978)).  The script enumerates every site of
 each sampled module with ``ast``, draws SAMPLE of them per module with a
 generator seeded by the module's name, and for each one writes the mutated
-module over a copy of the repository and runs tier-1 with ``-x`` there.
-A run that exceeds TIMEOUT counts as a kill, since a mutated bisection
-or ascent can loop.  Run from the repository root:
+module over one of WORKERS copies of the repository and runs all of tier-1
+there, without ``-x``.  The ids of the tests that fail are read from
+pytest's junit report, not from its console text.  A run that exceeds
+TIMEOUT counts as a kill, with no ids, since a mutated bisection or ascent
+can loop.  Run from the repository root:
 
     python tests/mutants.py --copy ../twocopy-mutants --json mutants.json
 
 It prints one line per mutant, with a site that spans lines joined onto one,
-and a table of kills and survivors per module, and writes every mutant with
-its outcome and the site's source text to the JSON file.  ``--list`` prints
-the sample without running it, SAMPLE lines per module.  The whole sample takes about an hour
-on a shared 2-core host: a survivor runs the whole suite.
+a table of kills and survivors per module, and each mutant that one test
+alone kills, with that test.  The JSON file holds the kill matrix: every
+mutant with its site's source text, its outcome, whether it timed out, and
+the ids of the tests that failed on it.  ``--list`` prints the sample
+without running it, SAMPLE lines per module.  The whole sample takes about
+two hours on a shared 2-core host, since every mutant runs the whole suite.
 """
 import argparse
 import ast
 import json
 import os
 import pathlib
+import queue
 import random
 import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from xml.etree import ElementTree
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = ("fock", "states", "measurement", "inequalities", "search", "cli")
 SAMPLE = 40
 SEED = 37
-TIMEOUT = 300.0  # seconds per mutant, about ten times a tier-1 run on a 2-core host
+TIMEOUT = 150.0  # seconds per mutant, about three times a tier-1 run beside the other worker's
+WORKERS = 2  # copies of the repository, each running one mutant at a time
 
 ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
               ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
@@ -120,29 +128,52 @@ def sample(seed: int = SEED, size: int = SAMPLE) -> list[dict]:
     return drawn
 
 
-def run(entry: dict, copy: pathlib.Path) -> tuple[str, str, float]:
-    """Tier-1 with -x on the copy with the mutant in place: the outcome,
-    the first failing test and the seconds taken."""
+def pytest_command(report: pathlib.Path) -> list[str]:
+    """Tier-1 without ``-x``, writing a junit report whose test cases name
+    their files, so that ``failed_ids`` can rebuild pytest's ids."""
+    return [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors", "-o", "junit_family=xunit1",
+            f"--junitxml={report}"]
+
+
+def failed_ids(report: str) -> list[str]:
+    """The ids, as pytest prints them, of the tests that failed or errored
+    in a junit report from ``pytest_command``; a module that failed to
+    collect gives its path."""
+    failed = {}
+    for case in ElementTree.fromstring(report).iter("testcase"):
+        if case.find("failure") is None and case.find("error") is None:
+            continue
+        test, classname = case.get("file"), case.get("classname")
+        if classname:
+            inner = classname.removeprefix(test.removesuffix(".py").replace("/", "."))
+            test = "::".join([test, *inner.split(".")[1:], case.get("name")])
+        failed[test] = None
+    return list(failed)
+
+
+def run(entry: dict, copy: pathlib.Path) -> tuple[bool, bool, list[str], float]:
+    """Tier-1 on the copy with the mutant in place: whether it killed the
+    mutant, whether it timed out, the ids of the tests that failed and the
+    seconds taken."""
     path = copy / "src" / "twocopy" / f"{entry['module']}.py"
+    report = copy / "mutant-report.xml"
     original = path.read_text(encoding="utf-8")
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+    report.unlink(missing_ok=True)
     path.write_text(entry["source"], encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "--continue-on-collection-errors"]
     start = time.perf_counter()
     try:
-        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT)
-        failing = [line.split()[1] for line in done.stdout.splitlines()
-                   if line.startswith(("FAILED ", "ERROR "))]
-        outcome = "survived" if done.returncode == 0 else "killed"
-        first = failing[0] if failing else ""
+        done = subprocess.run(pytest_command(report), cwd=copy, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT)
+        killed, timed_out = done.returncode != 0, False
+        failed = failed_ids(report.read_text(encoding="utf-8")) if report.exists() else []
     except subprocess.TimeoutExpired:
-        outcome, first = "killed", "timeout"
+        killed, timed_out, failed = True, True, []
     finally:
         path.write_text(original, encoding="utf-8")
-    return outcome, first, time.perf_counter() - start
+    return killed, timed_out, failed, time.perf_counter() - start
 
 
 def one_line(entry: dict) -> str:
@@ -160,6 +191,13 @@ def table(results: list[dict]) -> str:
     return "\n".join(rows)
 
 
+def sole_kills(results: list[dict]) -> list[str]:
+    """One line per mutant that exactly one test kills: the test, then the
+    mutant.  Deleting that test lets the mutant survive."""
+    return [f"{r['failed'][0]}  {one_line(r)}" for r in results
+            if r["outcome"] == "killed" and len(r["failed"]) == 1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--copy", type=pathlib.Path, help="directory for the copy of the repository")
@@ -173,18 +211,35 @@ def main(argv=None) -> int:
         return 0
     if args.copy is None or args.copy.exists() or ROOT in args.copy.resolve().parents:
         parser.error("--copy must name a new directory outside the repository")
-    shutil.copytree(ROOT, args.copy, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info"))
+    copies = queue.Queue()
+    for worker in range(WORKERS):
+        copy = args.copy / f"copy{worker}"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info"))
+        copies.put(copy)
+
+    def run_on_a_free_copy(entry):
+        copy = copies.get()
+        try:
+            return run(entry, copy)
+        finally:
+            copies.put(copy)
+
     results = []
-    for entry in drawn:
-        outcome, first, seconds = run(entry, args.copy)
-        result = {k: entry[k] for k in ("module", "line", "site", "mutant")}
-        result.update(outcome=outcome, first_failure=first, seconds=round(seconds, 1))
-        results.append(result)
-        print(f"{outcome:8} {seconds:6.1f} s  {one_line(entry)}  {first}", flush=True)
-        if args.json:
-            args.json.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for entry, outcome in zip(drawn, pool.map(run_on_a_free_copy, drawn)):
+            killed, timed_out, failed, seconds = outcome
+            result = {k: entry[k] for k in ("module", "line", "site", "mutant")}
+            result.update(outcome="killed" if killed else "survived", timed_out=timed_out,
+                          failed=failed, seconds=round(seconds, 1))
+            results.append(result)
+            note = "timeout" if timed_out else f"{len(failed)} failed"
+            print(f"{result['outcome']:8} {seconds:6.1f} s  {one_line(entry)}  {note}",
+                  flush=True)
+            if args.json:
+                args.json.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     print(table(results))
+    print("\n".join(["mutants with one killer:", *sole_kills(results)]))
     return 0
 
 

@@ -493,6 +493,17 @@ class TestCountBounds:
         assert self.UNBOUNDED <= flags
 
 
+@pytest.mark.parametrize("argv, defaults", [
+    (["optimize", "--state", "bec", "--objective", "bell"], {"restarts": 64, "seed": 0}),
+    (["scan", "--state", "bec", "--objective", "bell"], {"points": 720}),
+    (["basis", "--n-total", "2"], {"phi": 0.0}),
+    (["verify"], {"draws": 100}),
+], ids=["optimize", "scan", "basis", "verify"])
+def test_parser_defaults(argv, defaults):
+    args = cli.build_parser().parse_args(argv)
+    assert {name: getattr(args, name) for name in defaults} == defaults
+
+
 class TestParserCache:
     ARGV = ("optimize", "--state", "bec", "--n1", "1", "--objective", "bell",
             "--restarts", "2")

@@ -73,10 +73,6 @@ class TestMonomialState:
         for occ in occupations:
             assert fock_amplitudes(monomial_state(occ)) == {tuple(occ.values()): 1.0}
 
-    def test_negative_occupation_rejected(self):
-        with pytest.raises(ValueError):
-            monomial_state({"a": -1})
-
     @pytest.mark.parametrize("occupations", [{"a": 1, "z": 3}, {"z": 0, "a": 1}])
     def test_mode_outside_modes_rejected(self, occupations):
         # not dropped with its particles

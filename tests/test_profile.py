@@ -10,9 +10,25 @@ the polynomial engine is kept off its path.
 Three family-wide closed forms are checked at every particle number, with
 d = phi - theta:
 
-- bec(n, n), one alpha for both parties: (-1)^n (2 alpha beta sin(d/2))^(2n).
-  Observed; at n = 1 and 2 it is the correlation of the tabulated
-  bell_bec1 and bell_bec2 forms.
+- bec(n, n), one alpha for both parties: (-1)^n (2 alpha beta sin(d/2))^(2n),
+  at the balanced splitter (-1)^n sin^(2n)(d/2).  On k = a + A particles
+  Alice's weight is eps = s_k (-1)^m, with s_k = (-1)^(k(k+1)/2) and m the
+  count in the input mode g = (beta, -alpha e^{-i phi}) over (a, A) that
+  her splitter sends to its second output (``effective_basis``).  As
+  k_A + k_B = 2n, s_kA s_kB = (-1)^(n + k_A), and (-1)^(k_A + m_A) is the
+  parity of her other input mode f = (alpha, beta e^{-i phi}).  So the
+  correlation is (-1)^n times the mean of the passive unitary that
+  reflects one mode per party: 1 - 2|f><f| on (a, A) and 1 - 2|h><h| on
+  (b, B), h = (beta, -alpha e^{-i theta}).  The state is
+  (u†)^n (v†)^n |0> / n! with u = (a + b)/sqrt(2) and v = (A + B)/sqrt(2),
+  since each condensate puts its n bosons in one mode.  The reflections
+  send u to u' and v to v' with <u|u'> = <v|v'> = 0, because
+  1 - 2 alpha^2 = -(1 - 2 beta^2), and <v|u'> = alpha beta (e^{-i theta} -
+  e^{-i phi}) = conj(<u|v'>).  Only the part of u' along v and of v'
+  along u reach the bra, so the mean is (<v|u'> <u|v'>)^n =
+  (alpha^2 beta^2 |e^{i theta} - e^{i phi}|^2)^n = (2 alpha beta sin(d/2))^(2n).
+  At n = 1 and 2 it is the correlation of the tabulated bell_bec1 and
+  bell_bec2 forms.
 - balanced noon(n, m): ((-1)^n + cos((n - 2m) d)) / 2.  The balanced block
   O_k is s_k Z_k D_k(-pi/2), which sends |p, k-p> to +-|k-p, p>, so a
   pair (x, y) counts only when y swaps x's occupations for Alice and for

@@ -191,10 +191,6 @@ class TestOptimize:
                 result = optimize(objective, state, restarts=8, seed=11)
                 assert result.max_value <= QUANTUM_BOUND + 1e-6
 
-    def test_restart_count_validated(self):
-        with pytest.raises(ValueError):
-            optimize("steering", bec_pair(1), restarts=0)
-
     @pytest.mark.parametrize("restarts, seed, named", [
         (2.5, 0, "restarts=2.5"), (True, 0, "restarts=True"), ("3", 0, "restarts='3'"),
         (2, True, "seed=True"), (2, 1.0, "seed=1.0")])
