@@ -5,9 +5,10 @@ The correlation of a valid composite state depends on the two phase angles
 only through their difference, as a trigonometric polynomial of small
 degree.  Its Fourier coefficients are contracted exactly from the state's
 Fock amplitudes and each party's beam-splitter observable, one real matrix
-per particle-number block, and the polynomial is cached per (state,
-reflectivity), so repeated evaluations during optimization are cheap
-without any closed-form shortcuts.  A value at one angle setting is summed
+per particle-number block.  The pairs of amplitudes that the contraction
+sums are kept per state and the polynomial per (state, reflectivity), so a
+new reflectivity costs a few array operations and repeated evaluations
+during optimization are cheap without any closed-form shortcuts.  A value at one angle setting is summed
 on Python floats with the search's arithmetic, so the value at optimize's
 argmax is its max_value; scan grids use numpy arrays.  White noise
 correlates as one number at every angle pair, read from the parity traces.
@@ -90,6 +91,49 @@ class _Series(NamedTuple):
     terms: tuple[tuple[float, float, float], ...]
 
 
+class _Plan(NamedTuple):
+    """What a state's series needs whatever the splitters: the largest
+    block, and per pair (x, y) its order A_y - A_x, its coefficient
+    w psi*_x psi_y, and its flat index into each party's raveled blocks."""
+
+    n_max: int
+    order: np.ndarray
+    coef: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _plan(state: CompositeState) -> _Plan:
+    """The pairs of ``state`` that ``_profile`` sums, members in member order.
+
+    A pair takes 40 bytes: its order, its two indices and its complex
+    coefficient.  bec_pair(32, 32) has 12,529 pairs, about 0.50 MB, and the
+    largest factorized mixture, admix(bec_pair(8, 8), p, "factorized"),
+    about 0.95 MB over its 23,410 members; so the 16 kept plans hold at most
+    about 15 MB.
+    """
+    amplitudes = [member._amps for _, member in state.entries]
+    n_max = max((max(e[0] + e[2], e[1] + e[3]) for amps in amplitudes for e in amps),
+                default=0)
+    size = n_max + 1
+    orders, coefs, alice, bob = [], [], [], []
+    for (weight, _), amps in zip(state.entries, amplitudes):
+        a, b, A, B = np.fromiter(chain.from_iterable(amps), int, 4 * len(amps)).reshape(-1, 4).T
+        psi = np.fromiter(amps.values(), complex, len(amps))
+        ka, kb = a + A, b + B
+        # C_-k = conj(C_k), so only the pairs with A_x <= A_y are summed
+        x, y = np.nonzero((ka[:, None] == ka) & (A[:, None] <= A))
+        orders.append(A[y] - A[x])
+        coefs.append(weight * psi[x].conj() * psi[y])
+        alice.append((ka[x] * size + a[x]) * size + a[y])
+        bob.append((kb[x] * size + b[x]) * size + b[y])
+    plan = _Plan(n_max, *map(np.concatenate, (orders, coefs, alice, bob)))
+    for part in plan[1:]:
+        part.flags.writeable = False
+    return plan
+
+
 @lru_cache(maxsize=512)
 def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
     """The correlation as a trigonometric series in phi - theta.
@@ -105,24 +149,19 @@ def _profile(state: CompositeState, alpha: float, bob_alpha: float) -> _Series:
     -(A_y - A_x), and the pairs with A_y - A_x = k make C_k, the Fourier
     coefficient of e^{ikd} in d = phi - theta.  With C_-k = conj(C_k),
     c0 = Re C_0, a_k = 2 Re C_k and b_k = -2 Im C_k.
+
+    The pairs come from the state's plan (``_plan``), so a new splitter
+    costs two block reads, one product per pair and two sums.  States
+    equal by value share a plan, as they share this cache's entries:
+    noon_pair(3, 1) == noon_pair(3, 2), whose members list their
+    amplitudes in different orders, and the first one seen fixes the
+    order in which the pairs are summed.
     """
-    amplitudes = [member._amps for _, member in state.entries]
-    n_max = max((max(e[0] + e[2], e[1] + e[3]) for amps in amplitudes for e in amps),
-                default=0)
-    alice = parity_blocks(BeamSplitterSetting.from_alpha(alpha, 0.0), n_max)
-    bob = parity_blocks(BeamSplitterSetting.from_alpha(bob_alpha, 0.0), n_max)
-    orders, terms = [], []
-    for (weight, _), amps in zip(state.entries, amplitudes):
-        a, b, A, B = np.fromiter(chain.from_iterable(amps), int, 4 * len(amps)).reshape(-1, 4).T
-        psi = np.fromiter(amps.values(), complex, len(amps))
-        ka, kb = a + A, b + B
-        # C_-k = conj(C_k), so only the pairs with A_x <= A_y are summed
-        x, y = np.nonzero((ka[:, None] == ka) & (A[:, None] <= A))
-        orders.append(A[y] - A[x])
-        terms.append(weight * psi[x].conj() * psi[y]
-                     * alice[ka[x], a[x], a[y]] * bob[kb[x], b[x], b[y]])
-    order, term = np.concatenate(orders), np.concatenate(terms)
-    real, imag = np.bincount(order, term.real), np.bincount(order, term.imag)
+    plan = _plan(state)
+    alice = parity_blocks(BeamSplitterSetting.from_alpha(alpha, 0.0), plan.n_max)
+    bob = parity_blocks(BeamSplitterSetting.from_alpha(bob_alpha, 0.0), plan.n_max)
+    term = plan.coef * alice.ravel()[plan.alice] * bob.ravel()[plan.bob]
+    real, imag = np.bincount(plan.order, term.real), np.bincount(plan.order, term.imag)
     k = np.arange(1.0, len(real))
     return _Series(float(real[0]), tuple(zip(k.tolist(), (2.0 * real[1:]).tolist(),
                                              (-2.0 * imag[1:]).tolist())))
@@ -409,11 +448,12 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
     steering = _functional(objective) is _steering
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol={tol} must be a finite number > 0")
-    pure = _point(_series(state, alpha, bob_alpha), q)
+    e11, e12, e21, e22 = _point(_series(state, alpha, bob_alpha), q)
     white = _noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p: float) -> float:
-        blend = [p * e + (1.0 - p) * white for e in pure]
+        rest = (1.0 - p) * white
+        blend = (p * e11 + rest, p * e12 + rest, p * e21 + rest, p * e22 + rest)
         return _radii(*blend) if steering else abs(_bell(*blend))
 
     top = value_at(1.0)

@@ -13,8 +13,9 @@ sign times the parity of the second output mode, O_k is the signed
 transfer block at the doubled splitter angle, and the Fourier form of
 Wigner's d writes that as the balanced splitter's blocks around a diagonal
 of phases e^{i (k-2j) phi}.  So the balanced blocks are built once per
-table size and every splitter's blocks are one batched product with them;
-the derivation is in :func:`parity_blocks`.
+table size, their cut to each block count is kept for the next few block
+counts, and every splitter's blocks are one batched product with them; the
+derivation is in :func:`parity_blocks`.
 """
 from __future__ import annotations
 
@@ -250,17 +251,33 @@ def _balanced_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     return table, signs
 
 
-@lru_cache(maxsize=4)
-def _cached_parity_blocks(alpha: float, beta: float, n_max: int) -> np.ndarray:
+@lru_cache(maxsize=7)
+def _cut_table(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of the blocks of ``n_max`` that no splitter enters: the
+    table W cut to n_max, W^H, the weights on a third axis, and the
+    exponents k - 2j at [k, j].
+
+    At most seven n_max are kept, as many as there are table sizes.  W is a
+    view of the table; W^H takes 16 (n_max + 1)^3 bytes, 4.4 MB at n_max
+    64, so seven entries hold at most about 27 MB (n_max 58 to 64).
+    """
     # the smallest table of 2^m + 1 rows that covers n_max
     table, signs = _balanced_table(2 ** max(n_max - 1, 0).bit_length() + 1)
     cut = slice(n_max + 1)
-    table, signs = table[cut, cut, cut], signs[cut, cut]
+    table = table[cut, cut, cut]
     k = np.arange(n_max + 1)
+    conjugate, exponent = table.conj().transpose(0, 2, 1), k[:, None] - 2 * k
+    conjugate.flags.writeable = exponent.flags.writeable = False
+    return table, conjugate, signs[cut, cut, None], exponent
+
+
+@lru_cache(maxsize=4)
+def _cached_parity_blocks(alpha: float, beta: float, n_max: int) -> np.ndarray:
+    table, conjugate, signs, exponent = _cut_table(n_max)
     phi = 2.0 * math.atan2(beta, alpha)
-    phases = np.exp(1j * phi * (k[:, None] - 2 * k))  # e^{i (k - 2j) phi} at [k, j]
-    product = (table * phases[:, None, :]) @ table.conj().transpose(0, 2, 1)
-    blocks = signs[:, :, None] * product.real
+    phases = np.exp(1j * phi * exponent)  # e^{i (k - 2j) phi} at [k, j]
+    product = (table * phases[:, None, :]) @ conjugate
+    blocks = signs * product.real
     blocks += 0.0  # turns the -0.0 a sign leaves outside the blocks into +0.0
     blocks.flags.writeable = False
     return blocks

@@ -24,7 +24,8 @@ WEIGHT_TOL = 1e-12
 NORMALIZATION_TOL = 1e-10  # of a mixture member's or a two_copy factor's norm squared
 
 # Largest particle number per system.  A member's correlation sums over
-# pairs of its (n1+1)(n2+1) Fock states, about 1.2 million pairs here.
+# pairs of its (n1+1)(n2+1) Fock states in one block: at 32 + 32 the block
+# mask compares about 1.2 million pairs, and only 12,529 are summed.
 MAX_PARTICLES = 32
 # Largest n1 + n2 for factorized noise, whose ((N+1)(N+2)/2)^2 members,
 # 23,409 here, are each built and contracted one by one.

@@ -10,8 +10,10 @@ generator seeded by the module's name, and for each one writes the mutated
 module over one of WORKERS copies of the repository and runs all of tier-1
 there, without ``-x``.  The ids of the tests that fail are read from
 pytest's junit report, not from its console text.  A run that exceeds
-TIMEOUT counts as a kill, with no ids, since a mutated bisection or ascent
-can loop.  Run from the repository root:
+TIMEOUT counts as a kill, since a mutated bisection or ascent can loop;
+pytest then gets SIGINT and GRACE seconds to write its report, so the kill
+keeps the ids of the tests that failed before the timeout.  Run from the
+repository root:
 
     python tests/mutants.py --copy ../twocopy-mutants --json mutants.json
 
@@ -31,6 +33,7 @@ import pathlib
 import queue
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -42,6 +45,7 @@ MODULES = ("fock", "states", "measurement", "inequalities", "search", "cli")
 SAMPLE = 40
 SEED = 37
 TIMEOUT = 150.0  # seconds per mutant, about three times a tier-1 run beside the other worker's
+GRACE = 10.0  # seconds that pytest gets after SIGINT to write its report
 WORKERS = 2  # copies of the repository, each running one mutant at a time
 
 ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -165,12 +169,20 @@ def run(entry: dict, copy: pathlib.Path) -> tuple[bool, bool, list[str], float]:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
-        done = subprocess.run(pytest_command(report), cwd=copy, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT)
-        killed, timed_out = done.returncode != 0, False
+        pytest = subprocess.Popen(pytest_command(report), cwd=copy, env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            killed, timed_out = pytest.wait(TIMEOUT) != 0, False
+        except subprocess.TimeoutExpired:
+            # pytest stops at SIGINT and writes the report of the tests it ran
+            pytest.send_signal(signal.SIGINT)
+            try:
+                pytest.wait(GRACE)
+            except subprocess.TimeoutExpired:
+                pytest.kill()
+                pytest.wait()
+            killed, timed_out = True, True
         failed = failed_ids(report.read_text(encoding="utf-8")) if report.exists() else []
-    except subprocess.TimeoutExpired:
-        killed, timed_out, failed = True, True, []
     finally:
         path.write_text(original, encoding="utf-8")
     return killed, timed_out, failed, time.perf_counter() - start

@@ -53,3 +53,28 @@ def test_failed_ids_of_this_pytests_report(tmp_path):
                          text=True, timeout=120)
     assert run.returncode == 1, run.stdout
     assert mutants.failed_ids(report.read_text(encoding="utf-8")) == FAILED
+
+
+def test_timed_out_run_keeps_the_ids_that_failed(tmp_path, monkeypatch):
+    # the first test fails, the second sleeps past TIMEOUT, and pytest is
+    # interrupted in it; without plugins a run starts in about 0.3 s
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_canned.py").write_text(textwrap.dedent("""
+        import time
+
+        def test_fails():
+            assert False
+
+        def test_sleeps():
+            time.sleep(60)
+    """), encoding="utf-8")
+    module = tmp_path / "src" / "twocopy" / "fock.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("ORIGINAL = 1\n", encoding="utf-8")
+    monkeypatch.setattr(mutants, "TIMEOUT", 1.5)
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
+    killed, timed_out, failed, seconds = mutants.run(
+        {"module": "fock", "source": "ORIGINAL = 2\n"}, tmp_path)
+    assert (killed, timed_out, failed) == (True, True, ["tests/test_canned.py::test_fails"])
+    assert seconds < 1.5 + mutants.GRACE
+    assert module.read_text(encoding="utf-8") == "ORIGINAL = 1\n"

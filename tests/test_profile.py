@@ -186,6 +186,7 @@ def test_balanced_table_size_built_for_each_n_max(monkeypatch):
         return table(size)
     table = measurement._balanced_table
     monkeypatch.setattr(measurement, "_balanced_table", counted)
+    measurement._cut_table.cache_clear()
     for n_max in range(1, 65):
         measurement._cached_parity_blocks.__wrapped__(0.6, 0.8, n_max)
         want = 2
@@ -201,6 +202,7 @@ def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
 
     def blocks(sizes):
         measurement._cached_parity_blocks.cache_clear()
+        measurement._cut_table.cache_clear()
         return {n_max: parity_blocks(bs, n_max).tobytes() for n_max in sizes}
 
     # tables built in rising or falling order, or every block cut from the 65-row table
@@ -213,6 +215,7 @@ def test_parity_block_bytes_do_not_depend_on_call_history(monkeypatch):
     monkeypatch.setattr(measurement, "_balanced_table", lambda size: (whole, whole_signs))
     assert blocks(sizes) == rising
     measurement._cached_parity_blocks.cache_clear()
+    measurement._cut_table.cache_clear()
 
 
 def test_parity_blocks_are_read_only_and_phase_free():
@@ -237,6 +240,39 @@ def test_visibility_builds_each_party_blocks_once(noise, alphas, builds, reads):
                          alpha=alphas[0], bob_alpha=alphas[1], noise=noise)
     info = measurement._cached_parity_blocks.cache_info()
     assert (info.misses, info.hits + info.misses) == (builds, reads)
+
+
+def series_bytes(series):
+    return [v.hex() for v in (series.c0, *(v for term in series.terms for v in term))]
+
+
+@pytest.mark.parametrize("state", [
+    admix(bec_pair(2, 1), 0.4, noise="sector"),
+    oracle.random_state(np.random.default_rng(44), 3, 2),
+    bec_pair(3, 5)], ids=["sector-mixture", "random", "bec(3,5)"])
+def test_series_through_a_plan_hit_keeps_its_bytes(state):
+    splitters = ((0.3, 0.9), (0.61, 0.77), (BALANCED_ALPHA, BALANCED_ALPHA))
+    inequalities._plan.cache_clear()
+    inequalities._profile.cache_clear()
+    warm = [series_bytes(inequalities._profile(state, *alphas)) for alphas in splitters]
+    info = inequalities._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for alphas, want in zip(splitters, warm):
+        inequalities._plan.cache_clear()
+        inequalities._profile.cache_clear()
+        assert series_bytes(inequalities._profile(state, *alphas)) == want
+
+
+def test_visibility_at_new_splitters_builds_one_plan():
+    # two equal states, each read at its own splitters
+    inequalities._plan.cache_clear()
+    inequalities._profile.cache_clear()
+    for alphas in ((0.69, 0.72), (0.71, 0.70)):
+        visibility_threshold(bec_pair(2), "steering", AngleQuad(0.0, 1.07, 3.93, 3.00),
+                             alpha=alphas[0], bob_alpha=alphas[1], noise="sector")
+    info = inequalities._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert inequalities._profile.cache_info().misses == 2
 
 
 # -- property net ---------------------------------------------------------------
