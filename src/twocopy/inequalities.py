@@ -416,6 +416,31 @@ def _noise_correlation(state: CompositeState, alpha: float,
     raise ValueError(f"unknown noise model {noise!r}; choose from {get_args(NoiseModel)}")
 
 
+def _crossing(steering: bool, e: list[float], white: float) -> float:
+    """The p > 0 where the blend p e + (1 - p) white has objective 2, in
+    closed form, or nan where none is found.
+
+    |Bell| is |w + p (B - w)| with w = 2 white and B the Bell sum of e.
+    Steering is |W + p D| + p |U| with W = (w, w), D = V - W, and V, U the
+    sum and difference vectors of e; squaring |W + p D| = 2 - p |U| gives
+    a p^2 + b p + k = 0, solved without the textbook form's cancellation.
+    """
+    e11, e12, e21, e22 = e
+    w = 2.0 * white
+    if not steering:
+        slope = e11 + e12 + e21 - e22 - w
+        return (math.copysign(2.0, slope) - w) / slope if slope else math.nan
+    d1, d2 = e11 + e21 - w, e12 + e22 - w
+    u = abs(complex(e11 - e21, e12 - e22))
+    a, b, k = d1 * d1 + d2 * d2 - u * u, 2.0 * w * (d1 + d2) + 4.0 * u, 2.0 * w * w - 4.0
+    radicand = b * b - 4.0 * a * k
+    if not radicand >= 0.0:
+        return math.nan
+    q = -(b + math.copysign(math.sqrt(radicand), b)) / 2.0
+    roots = [num / den for num, den in ((q, a), (k, q)) if den]
+    return min((p for p in roots if p > 0.0 and p * u <= 2.0), default=math.nan)
+
+
 def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
                          alpha: float = BALANCED_ALPHA,
                          bob_alpha: float | None = None,
@@ -442,13 +467,39 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
 
     The bisection halves [lo, hi] from [0, 1] until it is no wider than
     ``tol`` or its midpoint rounds onto an end, and returns the final
-    midpoint.  Each halving evaluates the objective once, on Python floats
-    with the arithmetic of ``bell_value`` and ``steering_value``.
+    midpoint.  Its decision at a midpoint is whether the objective there,
+    on Python floats with the arithmetic of ``bell_value`` and
+    ``steering_value``, is at least 2; the objective is evaluated only
+    inside a window around the crossing, and outside it the decision is
+    known.  So the result has the bits of evaluating at every halving.
+
+    The window.  Let f be the exact objective of the blend and v(p) its
+    float value, with M = max(|c|, |e_jk|) and u = 2^-53.  For p in
+    [0, 1], each blend entry p e + (1 - p) c is within 3.01 u M of exact
+    (1 - p, its product with c, p e and the sum round once each, and
+    |p e| + |(1 - p) c| <= M).  The Bell sum adds 4 * 3.01 u M and rounds
+    three partial sums of at most 2M, 3M and 4M: |v - f| <= 21.1 u M.  For
+    steering each hypot argument is within 8.02 u M, hypot is 1-Lipschitz
+    and libm's is within 1 ulp of a result of at most 2 sqrt(2) M, and the
+    last sum of at most 4M rounds once: |v - f| <= 38.3 u M < 4.3e-15 M.
+    Underflow adds at most 2^-1074 an operation.  Take
+    E = 1e-13 max(1, M), more than 20 times that.  From the closed-form
+    crossing r (:func:`_crossing`), put slack = E / (2 - v(0) - E) and
+    h = 1e-12 + slack.  If 0 < r - h, r + h < 1, v(r - h) < 2 - E and
+    v(r + h) >= 2 + E, then f(r - h) < 2 <= f(r + h), so the exact crossing
+    p* lies in (r - h, r + h].  As f is convex with f(0) < 2 and p* <= 1,
+    |f(p) - 2| >= (2 - f(0)) |p - p*| >= (2 - v(0) - E) |p - p*|, so every
+    midpoint at most r - h - slack has f < 2 - E and v < 2, and every one
+    at least r + h + slack has f >= 2 + E and v >= 2.  E's margin over the
+    error bound covers the rounding of the window's ends.  Without a root
+    in closed form, or when a condition fails, the window is [0, 1] and
+    every halving evaluates.
     """
     steering = _functional(objective) is _steering
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol={tol} must be a finite number > 0")
-    e11, e12, e21, e22 = _point(_series(state, alpha, bob_alpha), q)
+    e = _point(_series(state, alpha, bob_alpha), q)
+    e11, e12, e21, e22 = e
     white = _noise_correlation(state, alpha, bob_alpha, noise)
 
     def value_at(p: float) -> float:
@@ -467,12 +518,22 @@ def visibility_threshold(state: CompositeState, objective: str, q: AngleQuad,
             f"objective of the noise alone is {bottom:.6f}, "
             f"not below {CLASSICAL_BOUND}"
         )
+    below, above = 0.0, 1.0
+    error = 1e-13 * max(1.0, abs(white), *map(abs, e))
+    if bottom < CLASSICAL_BOUND - error:
+        slack = error / (CLASSICAL_BOUND - bottom - error)
+        h = 1e-12 + slack
+        r = _crossing(steering, e, white)
+        left, right = r - h, r + h
+        if (0.0 < left and right < 1.0 and value_at(left) < CLASSICAL_BOUND - error
+                and value_at(right) >= CLASSICAL_BOUND + error):
+            below, above = left - slack, right + slack
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        if mid == lo or mid == hi:
             break
-        if value_at(mid) >= CLASSICAL_BOUND:
+        if mid >= above or (mid > below and value_at(mid) >= CLASSICAL_BOUND):
             hi = mid
         else:
             lo = mid

@@ -326,6 +326,24 @@ def parity_blocks(setting: BeamSplitterSetting, n_max: int) -> np.ndarray:
     return _cached_parity_blocks(setting.alpha, setting.beta, int(n_max))
 
 
+@lru_cache(maxsize=64)
+def _sector_indices(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of O[k + l, k, k] and O[N - k - l, n1 - k, n1 - k] into
+    raveled blocks of N = n1 + n2, over k <= n1 and l <= n2 in row order.
+
+    Each array is read-only and holds (n1 + 1) (n2 + 1) 8-byte integers,
+    so an entry takes at most 17.4 kB (n1 = n2 = 32) and the 64 kept
+    entries at most about 1.1 MB.
+    """
+    size = n1 + n2 + 1
+    k = np.arange(n1 + 1)[:, None]
+    l = np.arange(n2 + 1)
+    alice = (((k + l) * size + k) * size + k).ravel()
+    bob = (((size - 1 - k - l) * size + n1 - k) * size + n1 - k).ravel()
+    alice.flags.writeable = bob.flags.writeable = False
+    return alice, bob
+
+
 def sector_trace_product(n1: int, n2: int,
                          alice: BeamSplitterSetting,
                          bob: BeamSplitterSetting,
@@ -334,25 +352,30 @@ def sector_trace_product(n1: int, n2: int,
     """Trace of the joint dichotomic observable over the (n1, n2) sector.
 
     Sums the correlation of every sector basis state; with ``alice2`` given,
-    the Alice observable is A(alice) + sign * A(alice2).  Equals the sector
-    dimension times the correlation of the sector white-noise mixture.
+    the Alice observable is A(alice) + sign * A(alice2).  A sign other than
+    1 without ``alice2`` raises ValueError, as it has nothing to combine.
+    Equals the sector dimension times the correlation of the sector
+    white-noise mixture.
 
     The basis state |k, n1-k> (x) |l, n2-l> puts (k, l) on Alice's inputs
     and (n1-k, n2-l) on Bob's, and its correlation is the product of the
-    two parties' block diagonals there, which no phase changes.
+    two parties' block diagonals there, which no phase changes.  Those
+    diagonal entries are read through flat indices that depend only on
+    (n1, n2) and are kept for the next calls (:func:`_sector_indices`);
+    the products are summed in row order over (k, l) by ``np.add.reduce``,
+    the pairwise reduction that ``np.sum`` runs, without its wrapper.
     """
     _check_particles(n1=n1, n2=n2)
     if not math.isfinite(sign):
         raise ValueError(f"sign={sign} is not finite")
+    if alice2 is None and sign != 1.0:
+        raise ValueError(f"sign={sign} combines two Alice observables and needs alice2")
     n_total = n1 + n2
-    k = np.arange(n1 + 1)[:, None]
-    l = np.arange(n2 + 1)[None, :]
-    bob_diagonal = np.diagonal(parity_blocks(bob, n_total), axis1=1, axis2=2)
-    bob_part = bob_diagonal[n_total - k - l, n1 - k]
+    alice_index, bob_index = _sector_indices(n1, n2)
+    bob_part = parity_blocks(bob, n_total).ravel()[bob_index]
 
     def trace(setting: BeamSplitterSetting) -> float:
-        diagonal = np.diagonal(parity_blocks(setting, n_total), axis1=1, axis2=2)
-        return float(np.sum(diagonal[k + l, k] * bob_part))
+        return float(np.add.reduce(parity_blocks(setting, n_total).ravel()[alice_index] * bob_part))
 
     total = trace(alice)
     if alice2 is not None:

@@ -9,8 +9,10 @@ builder (``random_state``) and Hypothesis strategy (``sector_states``).
 
 Run as a script (``PYTHONPATH=src python tests/oracle.py``), it holds
 ``_profile`` to the decimal route at 24 + 24 and 32 + 32 particles, too
-slow for tier-1, and exits 1 when a coefficient is off by more than
-PROFILE_TOL.
+slow for tier-1, and ``visibility_threshold`` to a plain bisection
+(``plain_threshold``) on 20,000 seeded correlations, bit for bit; it
+exits 1 when a coefficient is off by more than PROFILE_TOL or a
+threshold's bits differ.
 
 Maxima.  The correlation is E(d) = sum_{|k| <= D} C_k e^{ikd},
 C_-k = conj(C_k), in d = phi - theta; at x = phi1 - theta1, y = phi2 - theta1 and
@@ -72,6 +74,7 @@ import time
 from decimal import Decimal, localcontext
 from functools import lru_cache, partial
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -82,7 +85,7 @@ from scipy.optimize import minimize
 from twocopy import inequalities
 from twocopy.fock import fock_amplitudes, from_fock_amplitudes
 from twocopy.inequalities import BALANCED_ALPHA, TWO_PI
-from twocopy.states import COMPOSITE_MODES, CompositeState
+from twocopy.states import COMPOSITE_MODES, CompositeState, bec_pair
 
 DIGITS = 50
 PROFILE_TOL = 1e-15  # per Fourier coefficient, the script's bound
@@ -441,10 +444,96 @@ def fourier(series) -> np.ndarray:
     return np.array([series.c0] + [complex(a, -b) / 2.0 for _, a, b in series.terms])
 
 
+# -- the plain bisection -------------------------------------------------------
+
+
+def plain_threshold(objective: str, e: list[float], c: float, tol: float) -> str:
+    """The threshold at which the blend p e + (1 - p) c of pure correlations
+    e and noise correlation c reaches 2, as ``float.hex``, by bisecting
+    [0, 1] with one objective value per halving on Python floats (the abs
+    of a complex is libm's hypot); or the message ``visibility_threshold``
+    raises."""
+    def value(p):
+        rest = (1.0 - p) * c
+        b11, b12, b21, b22 = (p * x + rest for x in e)
+        if objective == "bell":
+            return abs(b11 + b12 + b21 - b22)
+        return abs(complex(b11 + b21, b12 + b22)) + abs(complex(b11 - b21, b12 - b22))
+
+    if value(1.0) <= 2.0:
+        return f"objective at p=1 is {value(1.0):.6f}, not above 2.0"
+    if value(0.0) >= 2.0:
+        return f"objective of the noise alone is {value(0.0):.6f}, not below 2.0"
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if value(mid) >= 2.0 else (mid, hi)
+    return float.hex(0.5 * (lo + hi))
+
+
+def census_draw(rng: np.random.Generator) -> tuple[str, list[float], float, float]:
+    """One seeded (objective, e, c, tol): e uniform in [-1, 1]^4; c uniform
+    in [-1, 1], in [-0.25, 0.25], zero, or with the noise alone within
+    1e-16 to 1e-9 (relative) of 2; tol from 1e-2 to 1e-17, past the
+    rounding guard."""
+    objective = ("steering", "bell")[rng.integers(2)]
+    e = rng.uniform(-1.0, 1.0, 4).tolist()
+    kind = rng.integers(4)
+    if kind == 3:
+        # steering's noise alone is 2 sqrt(2) |c|, |Bell|'s 2 |c|
+        edge = math.sqrt(0.5) if objective == "steering" else 1.0
+        c = edge * (1.0 - 10.0 ** -rng.uniform(9.0, 16.0)) * rng.choice([-1.0, 1.0])
+    else:
+        c = (rng.uniform(-1.0, 1.0), rng.uniform(-0.25, 0.25), 0.0)[kind]
+    return objective, e, float(c), float(10.0 ** -rng.uniform(2.0, 17.0))
+
+
+def threshold_census(draws: int = 20_000, seed: int = 4545) -> int:
+    """``visibility_threshold`` on seeded correlations against
+    ``plain_threshold``, bit for bit; prints how many objective values each
+    threshold took and returns the number of mismatches."""
+    rng = np.random.default_rng(seed)
+    state, q = bec_pair(1), inequalities.AngleQuad(0.0, 0.0, 0.0, 0.0)
+    draw, calls = {}, [0]
+
+    def counted(function):
+        def wrapper(*args):
+            calls[0] += 1
+            return function(*args)
+        return wrapper
+
+    histogram, mismatches = {}, 0
+    with mock.patch.object(inequalities, "_point", lambda *args: list(draw["e"])), \
+            mock.patch.object(inequalities, "_noise_correlation", lambda *args: draw["c"]), \
+            mock.patch.object(inequalities, "_radii", counted(inequalities._radii)), \
+            mock.patch.object(inequalities, "_bell", counted(inequalities._bell)):
+        for _ in range(draws):
+            objective, draw["e"], draw["c"], tol = census_draw(rng)
+            calls[0] = 0
+            try:
+                got = float.hex(inequalities.visibility_threshold(state, objective, q, tol=tol))
+                histogram[calls[0]] = histogram.get(calls[0], 0) + 1
+            except inequalities.NoViolationError as error:
+                got = str(error)
+            want = plain_threshold(objective, draw["e"], draw["c"], tol)
+            if got != want:
+                mismatches += 1
+                print(f"mismatch: {objective} e={draw['e']} c={draw['c']!r} tol={tol!r}: "
+                      f"{got} against {want}")
+    print(f"thresholds against the plain bisection: {draws} draws, "
+          f"{sum(histogram.values())} thresholds, {mismatches} mismatches")
+    print("objective values per threshold: "
+          + ", ".join(f"{n}: {histogram[n]}" for n in sorted(histogram)))
+    return mismatches
+
+
 def main() -> int:
     """_profile against the decimal route on random states at 24 + 24 and
-    32 + 32, on unbalanced splitters; 1 when a coefficient is off by more
-    than PROFILE_TOL."""
+    32 + 32, on unbalanced splitters, and the threshold census; 1 when a
+    coefficient is off by more than PROFILE_TOL or a threshold's bits
+    differ from the plain bisection's."""
     worst = 0.0
     for n1, n2, seed in ((24, 24, 2424), (32, 32, 3232)):
         rng = np.random.default_rng(seed)
@@ -458,7 +547,8 @@ def main() -> int:
               f"(alpha {alpha:.4f}, bob_alpha {bob_alpha:.4f}; decimal route "
               f"{time.process_time() - start:.1f} s CPU)")
     print(f"worst {worst:.2e}, bound {PROFILE_TOL:.0e}")
-    return int(worst > PROFILE_TOL)
+    mismatches = threshold_census()
+    return int(worst > PROFILE_TOL or mismatches > 0)
 
 
 if __name__ == "__main__":

@@ -358,8 +358,9 @@ def reference_threshold(state, objective, q, alpha=BALANCED_ALPHA, bob_alpha=Non
                         noise="factorized", tol=1e-9):
     """``visibility_threshold`` as first written, with the blend and the
     objective on numpy arrays, one objective value per halving.  The engine
-    evaluates once per halving too, on Python floats, and must match this
-    bit for bit, raised messages included."""
+    evaluates on Python floats, and only inside a certified window around
+    the closed-form crossing, and must match this bit for bit, raised
+    messages included."""
     functional = inequalities._functional(objective)
     pure = np.array(inequalities._point(inequalities._series(state, alpha, bob_alpha), q))
     white = inequalities._noise_correlation(state, alpha, bob_alpha, noise)
@@ -440,6 +441,68 @@ class TestThresholdMatchesReference:
                 cases.append((state, objective, q, alphas))
         outcomes = self.assert_identical(cases)
         assert sum(not o.startswith("NoViolation") for o in outcomes) > 20
+
+
+def evaluations(*args, **kwargs):
+    """``visibility_threshold``'s outcome and how many objective values it
+    took (calls of ``_radii`` and ``_bell``)."""
+    with mock.patch.object(inequalities, "_radii", wraps=inequalities._radii) as radii, \
+            mock.patch.object(inequalities, "_bell", wraps=inequalities._bell) as bell:
+        got = outcome(visibility_threshold, *args, **kwargs)
+    return got, radii.call_count + bell.call_count
+
+
+class TestCertifiedBisection:
+    """Outside the certified window every halving's decision is known, so
+    the thresholds keep the bits of evaluating at every halving."""
+
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4), st.floats(-1.0, 1.0),
+           st.sampled_from(["steering", "bell"]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_reference_for_any_correlations(self, e, c, objective):
+        with mock.patch.object(inequalities, "_point", lambda *args: list(e)), \
+                mock.patch.object(inequalities, "_noise_correlation", lambda *args: c):
+            for tol in TOLERANCES:
+                args = (bec_pair(1), objective, Q_STEER_BEC1, BALANCED_ALPHA, None,
+                        "factorized", tol)
+                assert outcome(visibility_threshold, *args) == outcome(
+                    reference_threshold, *args), tol
+
+    @pytest.mark.parametrize("objective, e, c, certified", [
+        # 2 sqrt(2) c is within 6e-15 of 2, and the crossing is near 0.83
+        ("steering", (-1.0, -1.0, -1.0, -1.0), math.sqrt(0.5) - 2e-15, False),
+        # the crossing is 1 - c = 4.4e-16
+        ("bell", (1.0, 1.0, 1.0, -1.0), 1.0 - 2.0 ** -51, False),
+        # the crossing is 2 / (2 + 2e-15)
+        ("bell", (0.5, 0.5, 0.5 + 2e-15, -0.5), 0.0, False),
+        # |D| = |U| = 0.75, so the squared equation is linear: p = 14 / 15
+        ("steering", (1.0, 0.25, 0.25, 0.25), 0.25, True),
+    ], ids=["noise-within-1e-14-of-2", "crossing-within-1e-15-of-0",
+            "crossing-within-1e-15-of-1", "steering-quadratic-a-0"])
+    def test_edge_cases(self, objective, e, c, certified):
+        with mock.patch.object(inequalities, "_point", lambda *args: list(e)), \
+                mock.patch.object(inequalities, "_noise_correlation", lambda *args: c):
+            for tol in TOLERANCES:
+                args = (bec_pair(1), objective, Q_STEER_BEC1, BALANCED_ALPHA, None,
+                        "factorized", tol)
+                got, count = evaluations(*args)
+                assert got == outcome(reference_threshold, *args), tol
+            # at tol 2^-30: with a window, the two ends, the two certificate
+            # points and at most one halving evaluate; without one, the two
+            # ends and all 30 halvings
+            assert tol == 2.0 ** -30 and not got.startswith("NoViolation")
+            assert count <= 5 if certified else count == 2 + 30
+
+    def test_few_evaluations_at_documented_points(self):
+        # a window that never certifies would evaluate 32 times at tol 1e-9
+        thresholds = 0
+        for state, objective, q in DOCUMENTED_POINTS:
+            for alphas in [(BALANCED_ALPHA, None), UNEVEN]:
+                for noise in ("sector", "factorized"):
+                    got, count = evaluations(state, objective, q, *alphas, noise, 1e-9)
+                    assert count <= 5, (state, objective, q, alphas, noise, count)
+                    thresholds += not got.startswith("NoViolation")
+        assert thresholds >= 25
 
 
 def crossings(objective, e, c):

@@ -19,6 +19,7 @@ from twocopy.fock import (
     from_fock_amplitudes,
     monomial_state,
 )
+from twocopy import measurement
 from twocopy.measurement import (
     MAX_BASIS_TOTAL,
     BeamSplitterSetting,
@@ -28,6 +29,7 @@ from twocopy.measurement import (
     joint_distribution,
     local_outcomes,
     outcome_count,
+    parity_blocks,
     sector_trace_product,
     weighted_parity,
 )
@@ -218,6 +220,64 @@ def brute_force_trace(n1, n2, alice, bob):
     return total
 
 
+def reference_sector_trace(n1, n2, alice, bob, alice2=None, sign=1.0):
+    """``sector_trace_product`` as written before its indices were cached:
+    the block diagonals read on (k, l) grids, summed by ``np.sum``."""
+    n_total = n1 + n2
+    k = np.arange(n1 + 1)[:, None]
+    l = np.arange(n2 + 1)[None, :]
+    bob_diagonal = np.diagonal(parity_blocks(bob, n_total), axis1=1, axis2=2)
+    bob_part = bob_diagonal[n_total - k - l, n1 - k]
+
+    def trace(setting):
+        diagonal = np.diagonal(parity_blocks(setting, n_total), axis1=1, axis2=2)
+        return float(np.sum(diagonal[k + l, k] * bob_part))
+
+    total = trace(alice)
+    if alice2 is not None:
+        total += sign * trace(alice2)
+    return total
+
+
+def random_setting(rng):
+    return BeamSplitterSetting.from_alpha(math.sqrt(rng.uniform(0.02, 0.98)),
+                                          rng.uniform(0.0, 2.0 * math.pi))
+
+
+class TestSectorTraceMatchesReference:
+    """The cached flat indices give the grid form's bits, sums included."""
+
+    @staticmethod
+    def assert_identical(n1, n2, rng):
+        alice, bob, alice2 = (random_setting(rng) for _ in range(3))
+        sign = rng.choice([1.0, -1.0, 0.37])
+        for args in ((n1, n2, alice, bob), (n1, n2, alice, bob, alice2, sign)):
+            got = sector_trace_product(*args)
+            assert float.hex(got) == float.hex(reference_sector_trace(*args)), args
+
+    def test_every_sector_up_to_eight(self):
+        rng = np.random.default_rng(45)
+        for n1 in range(9):
+            for n2 in range(9):
+                self.assert_identical(n1, n2, rng)
+
+    @pytest.mark.parametrize("n1, n2", [(0, 32), (32, 0), (1, 32), (32, 32)])
+    def test_largest_sectors(self, n1, n2):
+        self.assert_identical(n1, n2, np.random.default_rng(n1 * 33 + n2))
+
+    def test_random_splitters(self):
+        rng = np.random.default_rng(46)
+        for _ in range(40):
+            n1, n2 = (int(n) for n in rng.integers(0, MAX_PARTICLES + 1, 2))
+            self.assert_identical(n1, n2, rng)
+
+    def test_cached_indices_are_read_only(self):
+        for index in measurement._sector_indices(3, 5):
+            assert index.shape == (4 * 6,)
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 0
+
+
 class TestSectorTrace:
     def test_vacuum_sector(self):
         assert sector_trace_product(0, 0, BAL(0.4), BAL(1.0)) == pytest.approx(1.0)
@@ -276,6 +336,13 @@ class TestSectorTrace:
         for alice2 in (BAL(1.7), None):
             with pytest.raises(ValueError, match=f"^sign={sign} is not finite$"):
                 sector_trace_product(1, 2, BAL(0.3), BAL(2.4), alice2=alice2, sign=sign)
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, 2.5])
+    def test_sign_without_second_setting_rejected(self, sign):
+        # the sign used to be dropped silently, giving the plain trace
+        with pytest.raises(ValueError, match=f"^sign={sign} combines two Alice "
+                                             f"observables and needs alice2$"):
+            sector_trace_product(1, 2, BAL(0.3), BAL(2.4), sign=sign)
 
     def test_particle_bound(self):
         # In the (N, 0) sector Alice holds |k, 0> and Bob |N-k, 0>.  A party
